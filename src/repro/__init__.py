@@ -47,7 +47,7 @@ from repro.sim.backend import (
     get_backend,
     register_backend,
 )
-from repro.sim.driver import simulate_program, simulate_request
+from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode
 from repro.sim.request import InvalidRequestError, SimulationRequest
 from repro.sim.session import SimulationSession, open_session
@@ -69,7 +69,6 @@ __all__ = [
     "get_backend",
     "open_session",
     "register_backend",
-    "simulate_program",
     "simulate_request",
 ]
 

@@ -17,8 +17,8 @@ Each module covers one invariant family:
                            parity and ``-1`` sentinel hygiene
 :mod:`.asyncsafety`        ASY0xx -- no blocking calls / lost tasks in
                            the asyncio service
-:mod:`.registry`           REG0xx -- backend registrations declare the
-                           full protocol surface
+:mod:`.registry`           REG0xx -- backend registrations declare their
+                           accepted parameters
 :mod:`.snapshot`           SNP0xx -- hot-path ``__slots__`` state is
                            covered by the checkpoint/restore codec
 ========================= ============================================

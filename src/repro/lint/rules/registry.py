@@ -2,18 +2,16 @@
 
 Simulator backends self-register via ``register_backend(SomeBackend())``
 (see ``sim/backend.py``).  The registry validates at registration time
-that the instance has a ``name``; the *protocol* surface -- the
-``accepts`` frozenset the CLI uses for config routing and the
-``open_session`` factory the service layer drives -- is only exercised
-when a session actually opens.  A backend registered without them works
-in batch mode and then breaks the first service request that picks it.
+that the instance has a ``name``; the ``accepts`` frozenset the CLI uses
+for config routing is only consulted later, when a request is routed to
+the backend.
 
 REG001 resolves, per module, every class whose instance (or class
 object) is passed to ``register_backend`` and requires its class body to
-declare ``accepts`` and define ``open_session``.  Classes defined in
-another module are out of syntactic reach and are skipped -- all real
-registrations in this repo instantiate the class right in the
-registering module, and the fixture tests pin that assumption.
+declare ``accepts``.  Classes defined in another module are out of
+syntactic reach and are skipped -- all real registrations in this repo
+instantiate the class right in the registering module, and the fixture
+tests pin that assumption.
 """
 
 from __future__ import annotations
@@ -22,10 +20,6 @@ import ast
 from typing import Iterable, Iterator, List, Optional
 
 from repro.lint.framework import Finding, Rule, SourceModule, register_rule
-
-#: Class-body attributes every registered backend must carry.
-_REQUIRED_ATTRIBUTES = ("accepts",)
-_REQUIRED_METHODS = ("open_session",)
 
 
 def _registered_class_name(call: ast.Call) -> Optional[str]:
@@ -60,19 +54,11 @@ def _class_declares(node: ast.ClassDef, attribute: str) -> bool:
     return False
 
 
-def _class_defines_method(node: ast.ClassDef, method: str) -> bool:
-    return any(
-        isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and statement.name == method
-        for statement in node.body
-    )
-
-
 class BackendRegistrationRule(Rule):
-    """REG001: registered backends declare the full protocol surface."""
+    """REG001: registered backends declare their accepted parameters."""
 
     id = "REG001"
-    summary = "registered backends declare accepts and open_session"
+    summary = "registered backends declare accepts"
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
         classes = {
@@ -89,23 +75,13 @@ class BackendRegistrationRule(Rule):
             definition = classes.get(class_name)
             if definition is None:
                 continue
-            for attribute in _REQUIRED_ATTRIBUTES:
-                if not _class_declares(definition, attribute):
-                    yield module.finding(
-                        self.id,
-                        definition,
-                        f"backend {class_name} is registered but declares no "
-                        f"{attribute!r}; the CLI cannot route configs to it",
-                    )
-            for method in _REQUIRED_METHODS:
-                if not _class_defines_method(definition, method):
-                    yield module.finding(
-                        self.id,
-                        definition,
-                        f"backend {class_name} is registered but defines no "
-                        f"{method}(); the first service session against it "
-                        "will fail",
-                    )
+            if not _class_declares(definition, "accepts"):
+                yield module.finding(
+                    self.id,
+                    definition,
+                    f"backend {class_name} is registered but declares no "
+                    "'accepts'; the CLI cannot route configs to it",
+                )
 
 
 def _register() -> List[Rule]:

@@ -492,8 +492,7 @@ class NanosBackend:
 
     ``num_workers`` maps to the runtime's thread-team size.  A Picos
     configuration or scheduling policy in a request is rejected by the
-    typed API (the software runtime has neither); the legacy
-    ``simulate_program`` shim warns and drops them instead.
+    typed API (the software runtime has neither).
     """
 
     name = BACKEND_NANOS
@@ -502,12 +501,6 @@ class NanosBackend:
     #: the overhead-model override and fault scenarios are the only
     #: meaningful request parameters.
     accepts = frozenset({"overhead", "faults"})
-
-    def open_session(self, request):  # type: ignore[no-untyped-def]
-        """Streaming session over the software runtime model."""
-        from repro.sim.session import SimulationSession
-
-        return SimulationSession(self, request)
 
     def make_stepper(
         self,

@@ -142,7 +142,7 @@ class PerfectBackend:
 
     Configuration, policy and overhead parameters are rejected by the typed
     request API (the roofline scheduler has zero management overhead by
-    definition); the legacy ``simulate_program`` shim warns and drops them.
+    definition).
     """
 
     name = BACKEND_PERFECT
@@ -150,12 +150,6 @@ class PerfectBackend:
     #: The roofline scheduler has zero management overhead by definition;
     #: it accepts no request parameters beyond the worker count.
     accepts = frozenset()
-
-    def open_session(self, request):  # type: ignore[no-untyped-def]
-        """Streaming session over the roofline scheduler."""
-        from repro.sim.session import SimulationSession
-
-        return SimulationSession(self, request)
 
     def simulate(
         self,

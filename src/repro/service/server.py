@@ -47,12 +47,13 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple, Union
 
 from repro.sim.request import SimulationRequest
 from repro.sim.session import (
     DEFAULT_SLICE_CYCLES,
     SessionError,
+    SimulationSession,
     lifecycle_events,
     open_session,
 )
@@ -363,11 +364,8 @@ class SimulationServer:
         if kind == "metrics":
             await out.put({"type": "metrics", "metrics": self.metrics.snapshot()})
             return
-        if kind == "open":
+        if kind in ("open", "restore"):
             await self._handle_open(frame, conn_sessions, out)
-            return
-        if kind == "restore":
-            await self._handle_restore(frame, conn_sessions, out)
             return
         # Everything below addresses an existing session of this connection.
         session_id = frame.get("id")
@@ -412,6 +410,11 @@ class SimulationServer:
         conn_sessions: Dict[str, ServiceSession],
         out: asyncio.Queue,
     ) -> None:
+        """Admit an ``open`` or ``restore`` frame as a new session.
+
+        The two differ only in where the engine session comes from (a
+        request or a snapshot document) and in the acknowledgement frame.
+        """
         session_id = frame.get("id")
         if not isinstance(session_id, str) or not session_id:
             session_id = self.registry.allocate_id()
@@ -426,7 +429,11 @@ class SimulationServer:
             )
             self.metrics.record_rejected(REJECT_DUPLICATE_SESSION)
             return
-        outcome = self._admit_and_open(frame.get("request", {}), session_id)
+        outcome: Union[ServiceSession, Tuple[ServiceSession, SimulationSnapshot], Rejection]
+        if frame["type"] == "restore":
+            outcome = self._admit_and_restore(frame.get("snapshot", {}), session_id)
+        else:
+            outcome = self._admit_and_open(frame.get("request", {}), session_id)
         if isinstance(outcome, Rejection):
             await out.put(
                 {
@@ -439,12 +446,21 @@ class SimulationServer:
                 }
             )
             return
-        record = outcome
+        ack: Dict[str, Any]
+        if isinstance(outcome, tuple):
+            record, snapshot = outcome
+            ack = {"type": "restored", "kind": snapshot.kind, "cycle": snapshot.cycle}
+        else:
+            record = outcome
+            ack = {"type": "accepted"}
         record.out = out
         conn_sessions[session_id] = record
-        await out.put(
-            {"type": "accepted", "id": session_id, "tenant": record.tenant}
-        )
+        await out.put({**ack, "id": session_id, "tenant": record.tenant})
+
+    def _reject(self, code: str, error: Exception, tenant: str = "?") -> Rejection:
+        """Count a refused admission and describe it as a ``Rejection``."""
+        self.metrics.record_rejected(code)
+        return Rejection(code=code, message=str(error), tenant=tenant)
 
     def _admit_and_open(
         self, request_document: Any, session_id: str
@@ -453,77 +469,10 @@ class SimulationServer:
         try:
             request = request_from_document(request_document).normalize()
         except ProtocolError as error:
-            self.metrics.record_rejected(error.code)
-            return Rejection(code=error.code, message=str(error), tenant="?")
+            return self._reject(error.code, error)
         except Exception as error:  # InvalidRequestError, UnknownBackendError...
-            self.metrics.record_rejected(REJECT_BAD_REQUEST)
-            return Rejection(
-                code=REJECT_BAD_REQUEST, message=str(error), tenant="?"
-            )
-        admitted = self.admission.admit(request.tenant, faulted=bool(request.faults))
-        if isinstance(admitted, Rejection):
-            self.metrics.record_rejected(admitted.code)
-            return admitted
-        try:
-            session = open_session(request)
-        except Exception as error:
-            admitted.release()
-            self.metrics.record_rejected(REJECT_BAD_REQUEST)
-            return Rejection(
-                code=REJECT_BAD_REQUEST, message=str(error), tenant=request.tenant
-            )
-        record = self.registry.add(session_id, request.tenant, session, admitted)
-        self.metrics.record_admitted()
-        if request.faults:
-            self.metrics.record_faulted_session()
-        return record
-
-    async def _handle_restore(
-        self,
-        frame: Dict[str, Any],
-        conn_sessions: Dict[str, ServiceSession],
-        out: asyncio.Queue,
-    ) -> None:
-        session_id = frame.get("id")
-        if not isinstance(session_id, str) or not session_id:
-            session_id = self.registry.allocate_id()
-        if session_id in self.registry:
-            await out.put(
-                {
-                    "type": "rejected",
-                    "id": session_id,
-                    "code": REJECT_DUPLICATE_SESSION,
-                    "error": f"session id {session_id!r} is already in use",
-                }
-            )
-            self.metrics.record_rejected(REJECT_DUPLICATE_SESSION)
-            return
-        outcome = self._admit_and_restore(frame.get("snapshot", {}), session_id)
-        if isinstance(outcome, Rejection):
-            await out.put(
-                {
-                    "type": "rejected",
-                    "id": session_id,
-                    "code": outcome.code,
-                    "error": outcome.message,
-                    "tenant": outcome.tenant,
-                    "limit": outcome.limit,
-                }
-            )
-            return
-        record, snapshot = outcome
-        record.out = out
-        conn_sessions[session_id] = record
-        self.metrics.record_restored()
-        await out.put(
-            {
-                "type": "restored",
-                "id": session_id,
-                "tenant": record.tenant,
-                "kind": snapshot.kind,
-                "cycle": snapshot.cycle,
-            }
-        )
+            return self._reject(REJECT_BAD_REQUEST, error)
+        return self._admit(session_id, request, lambda: open_session(request))
 
     def _admit_and_restore(
         self, snapshot_document: Any, session_id: str
@@ -539,30 +488,40 @@ class SimulationServer:
             snapshot = SimulationSnapshot.from_document(snapshot_document)
             request = request_from_document(snapshot.request).normalize()
         except (SnapshotError, ProtocolError) as error:
-            code = getattr(error, "code", None) or REJECT_BAD_REQUEST
-            self.metrics.record_rejected(code)
-            return Rejection(code=code, message=str(error), tenant="?")
+            return self._reject(getattr(error, "code", None) or REJECT_BAD_REQUEST, error)
         except Exception as error:
-            self.metrics.record_rejected(REJECT_BAD_REQUEST)
-            return Rejection(code=REJECT_BAD_REQUEST, message=str(error), tenant="?")
+            return self._reject(REJECT_BAD_REQUEST, error)
+        record = self._admit(session_id, request, lambda: restore_snapshot(snapshot))
+        if isinstance(record, Rejection):
+            return record
+        record.restored = True
+        self.metrics.record_restored()
+        return record, snapshot
+
+    def _admit(
+        self,
+        session_id: str,
+        request: SimulationRequest,
+        build: Callable[[], SimulationSession],
+    ) -> Union[ServiceSession, Rejection]:
+        """Admit the request's tenant, build its session and register it.
+
+        A failed build hands the admitted quota slot back.
+        """
         admitted = self.admission.admit(request.tenant, faulted=bool(request.faults))
         if isinstance(admitted, Rejection):
             self.metrics.record_rejected(admitted.code)
             return admitted
         try:
-            session = restore_snapshot(snapshot)
+            session = build()
         except Exception as error:
             admitted.release()
-            self.metrics.record_rejected(REJECT_BAD_REQUEST)
-            return Rejection(
-                code=REJECT_BAD_REQUEST, message=str(error), tenant=request.tenant
-            )
+            return self._reject(REJECT_BAD_REQUEST, error, request.tenant)
         record = self.registry.add(session_id, request.tenant, session, admitted)
-        record.restored = True
         self.metrics.record_admitted()
         if request.faults:
             self.metrics.record_faulted_session()
-        return record, snapshot
+        return record
 
     async def _handle_checkpoint(
         self, record: ServiceSession, out: asyncio.Queue

@@ -11,9 +11,7 @@ The central entry points are request based: describe one run as a
 one shot with :func:`~repro.sim.driver.simulate_request` or open a
 streaming :class:`~repro.sim.session.SimulationSession` with
 :func:`~repro.sim.session.open_session` for incremental submission and a
-typed, cycle-stamped lifecycle-event stream.  The historical
-:func:`~repro.sim.driver.simulate_program` keyword interface survives as a
-deprecating shim over the same path.
+typed, cycle-stamped lifecycle-event stream.
 """
 
 from repro.sim.backend import (
@@ -51,11 +49,7 @@ from repro.sim.session import (
     lifecycle_events,
     open_session,
 )
-from repro.sim.driver import (
-    simulate_program,
-    simulate_request,
-    simulate_worker_sweep,
-)
+from repro.sim.driver import simulate_request
 from repro.sim.worker import WorkerPool
 
 __all__ = [
@@ -89,9 +83,7 @@ __all__ = [
     "lifecycle_events",
     "open_session",
     "register_backend",
-    "simulate_program",
     "simulate_request",
-    "simulate_worker_sweep",
     "unregister_backend",
     "WorkerPool",
 ]

@@ -10,14 +10,13 @@ string-keyed dispatch point instead of hard-coding simulator classes.
 A backend is any object satisfying :class:`SimulatorBackend`: it has a
 ``name``, a ``description``, a ``simulate(program, ...)`` method returning
 a :class:`~repro.sim.results.SimulationResult`, and (optionally) an
-``accepts`` set declaring which request parameters it understands and an
-``open_session`` method producing a streaming
-:class:`~repro.sim.session.SimulationSession`.  Backends that predate the
-typed-request API work unchanged: their accepted parameters are inferred
-from the ``simulate`` signature (:func:`backend_accepted_parameters`) and
-:func:`open_session` wraps their batch ``simulate`` in the default session
-adapter.  The built-in simulators register themselves when their module is
-imported:
+``accepts`` set declaring which request parameters it understands.
+Backends that predate the typed-request API work unchanged: their accepted
+parameters are inferred from the ``simulate`` signature
+(:func:`backend_accepted_parameters`).  Every backend streams through
+:func:`repro.sim.session.open_session`, which wraps it in a
+:class:`~repro.sim.session.SimulationSession`.  The built-in simulators
+register themselves when their module is imported:
 
 ========== ==========================================================
 ``hil-full``  Picos HIL platform, Full-system mode (Table IV row 3)
@@ -42,16 +41,12 @@ New backends plug in with :func:`register_backend`::
 from __future__ import annotations
 
 import inspect
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, FrozenSet, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.config import PicosConfig
 from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.task import TaskProgram
 from repro.sim.results import SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.request import SimulationRequest
-    from repro.sim.session import SimulationSession
 
 #: The request parameters a backend may declare in its ``accepts`` set
 #: (``program`` and ``num_workers`` are universal and always passed).
@@ -111,19 +106,6 @@ def backend_accepted_parameters(backend: SimulatorBackend) -> FrozenSet[str]:
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
         return REQUEST_PARAMETERS
     return frozenset(REQUEST_PARAMETERS & set(parameters))
-
-
-def open_session(request: "SimulationRequest") -> "SimulationSession":
-    """Open a streaming session for ``request`` (see :mod:`repro.sim.session`).
-
-    Dispatches to the backend's native ``open_session`` when it has one and
-    falls back to the default batch-adapter session otherwise.  Re-exported
-    here so the whole backend surface -- registry, batch dispatch, session
-    opening -- lives behind one import.
-    """
-    from repro.sim.session import open_session as _open_session
-
-    return _open_session(request)
 
 
 class UnknownBackendError(KeyError):

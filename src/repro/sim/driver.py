@@ -1,4 +1,4 @@
-"""High-level simulation entry points.
+"""The one-shot batch entry point.
 
 The canonical surface is *request based*: build a typed, validated
 :class:`~repro.sim.request.SimulationRequest` and hand it to
@@ -7,29 +7,12 @@ The canonical surface is *request based*: build a typed, validated
 request names the backend (``"hil-full"``, ``"hil-hw"``, ``"hil-comm"``,
 ``"nanos"``, ``"perfect"`` -- or any registered plug-in), and parameters a
 backend does not declare raise
-:class:`~repro.sim.request.InvalidRequestError` instead of being silently
-swallowed.
-
-:func:`simulate_program` survives as a thin legacy shim: it assembles a
-request from the historical keyword soup, *warns and drops* (rather than
-rejects) parameters the chosen backend does not accept, and dispatches
-through the same typed path.  The ``mode=HILMode...`` keyword and the
-:func:`simulate_worker_sweep` helper are deprecated; use
-``backend="hil-*"`` and :class:`repro.experiments.runner.ExperimentSpec`
-(or a list of requests) instead.
+:class:`~repro.sim.request.InvalidRequestError`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, List, Optional
-
-from repro.core.config import DMDesign, PicosConfig
-from repro.core.scheduler import SchedulingPolicy
-from repro.runtime.overhead import NanosOverheadModel
-from repro.runtime.task import TaskProgram
 from repro.sim.backend import get_backend
-from repro.sim.hil import HILMode
 from repro.sim.request import SimulationRequest
 from repro.sim.results import SimulationResult
 
@@ -37,144 +20,13 @@ from repro.sim.results import SimulationResult
 def simulate_request(request: SimulationRequest) -> SimulationResult:
     """Run a validated request on its backend and return the result.
 
-    This is the one batch entry point every other surface (the legacy
-    shim, the experiment runner, the session ``result()``) funnels
-    through; the request is normalized -- validated against the backend's
-    declared parameters, ``dm_design`` folded into a full configuration --
-    before dispatch.
+    This is the one batch entry point every other surface (the experiment
+    runner, the session ``result()``) funnels through; the request is
+    normalized -- validated against the backend's declared parameters,
+    ``dm_design`` folded into a full configuration -- before dispatch.
     """
     normalized = request.normalize()
     backend = get_backend(normalized.backend)
     return backend.simulate(
         normalized.build_program(), **normalized.simulate_kwargs()
     )
-
-
-def resolve_backend_name(
-    backend: Optional[str] = None, mode: Optional[HILMode] = None
-) -> str:
-    """Turn a ``backend`` / ``mode`` pair into a registry name.
-
-    ``backend`` wins when both are given; ``mode`` alone selects the
-    corresponding ``hil-*`` backend; neither selects the Full-system HIL
-    platform, the closed-loop configuration the paper evaluates end to end.
-    """
-    if backend is not None:
-        return backend
-    if mode is not None:
-        return mode.backend_name
-    return HILMode.FULL_SYSTEM.backend_name
-
-
-def simulate_program(
-    program: TaskProgram,
-    num_workers: int = 12,
-    mode: Optional[HILMode] = None,
-    config: Optional[PicosConfig] = None,
-    dm_design: Optional[DMDesign] = None,
-    policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-    backend: Optional[str] = None,
-    overhead: Optional[NanosOverheadModel] = None,
-) -> SimulationResult:
-    """Legacy one-call interface; prefer :func:`simulate_request`.
-
-    Builds a :class:`SimulationRequest` from the historical keyword
-    arguments and dispatches through the typed path.  Two legacy
-    behaviours are preserved with ``DeprecationWarning``s instead of being
-    broken outright:
-
-    * ``mode=HILMode...`` still selects the matching ``hil-*`` backend;
-    * parameters the chosen backend does not accept (``config`` on the
-      software runtime, a non-FIFO ``policy`` on the roofline scheduler,
-      ...) are dropped after a warning, where a directly-built request
-      would raise :class:`~repro.sim.request.InvalidRequestError`.
-    """
-    if mode is not None:
-        warnings.warn(
-            "simulate_program(mode=HILMode...) is deprecated; pass "
-            f"backend={mode.backend_name!r} (or build a SimulationRequest)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    name = resolve_backend_name(backend, mode)
-    request = SimulationRequest.for_program(
-        program,
-        backend=name,
-        num_workers=num_workers,
-        config=config,
-        dm_design=dm_design,
-        policy=policy,
-        overhead=overhead,
-    )
-    dropped = request.rejected_parameters()
-    if dropped:
-        names = ", ".join(repr(p) for p in dropped)
-        warnings.warn(
-            f"backend {name!r} does not accept {names}; the legacy "
-            "simulate_program shim drops them, a SimulationRequest would "
-            "raise InvalidRequestError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = request.without(dropped)
-    return simulate_request(request)
-
-
-def simulate_worker_sweep(
-    program: TaskProgram,
-    worker_counts: Iterable[int],
-    mode: Optional[HILMode] = None,
-    config: Optional[PicosConfig] = None,
-    dm_design: Optional[DMDesign] = None,
-    policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-    backend: Optional[str] = None,
-) -> Dict[int, SimulationResult]:
-    """Deprecated: run the same program for several worker counts.
-
-    Declare the sweep instead -- either as an
-    :class:`repro.experiments.runner.ExperimentSpec` (cached, parallel) or
-    as a list of ``SimulationRequest`` templates differing only in
-    ``num_workers``.
-    """
-    warnings.warn(
-        "simulate_worker_sweep is deprecated; declare the sweep as an "
-        "ExperimentSpec (repro.experiments.runner) or map simulate_request "
-        "over SimulationRequests with different num_workers",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    name = resolve_backend_name(backend, mode)
-    results: Dict[int, SimulationResult] = {}
-    for workers in worker_counts:
-        with warnings.catch_warnings():
-            # The per-point legacy warnings would repeat for every worker
-            # count; the single sweep-level warning above covers them.  The
-            # filters are scoped to the two shim messages (module-based
-            # scoping cannot work: a backend's own stacklevel=2 warning is
-            # attributed to this module's frame too), so a
-            # DeprecationWarning raised by a backend or task generator
-            # still reaches the caller.
-            warnings.filterwarnings(
-                "ignore",
-                message=r"simulate_program\(mode=HILMode",
-                category=DeprecationWarning,
-            )
-            warnings.filterwarnings(
-                "ignore",
-                message=r"backend .* does not accept",
-                category=DeprecationWarning,
-            )
-            results[workers] = simulate_program(
-                program,
-                num_workers=workers,
-                config=config,
-                dm_design=dm_design,
-                policy=policy,
-                backend=name,
-            )
-    return results
-
-
-def speedup_curve(results: Dict[int, SimulationResult]) -> List[float]:
-    """Extract the speedup values of a worker sweep, in worker-count order."""
-    return [results[workers].speedup for workers in sorted(results)]

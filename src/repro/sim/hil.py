@@ -107,14 +107,6 @@ class HILMode(enum.Enum):
             HILMode.FULL_SYSTEM: BACKEND_HIL_FULL,
         }[self]
 
-    @classmethod
-    def from_backend_name(cls, name: str) -> "HILMode":
-        """The HIL mode behind one of the ``hil-*`` backend names."""
-        for mode in cls:
-            if mode.backend_name == name:
-                return mode
-        raise ValueError(f"{name!r} is not a HIL backend name")
-
 
 # master job kinds
 _JOB_CREATE = "create"
@@ -873,19 +865,6 @@ class _HILFaultAdapter:
 _HIL_FAULT_ADAPTER = _HILFaultAdapter()
 
 
-class HILStepper(EngineStepper):
-    """Cooperative-slicing adapter over a resumable :class:`HILSimulator`.
-
-    The shared :class:`~repro.sim.session.EngineStepper` logic applied to
-    the HIL platform; the name survives as the type
-    :meth:`HILBackend.make_stepper` hands to sliced sessions (and to the
-    snapshot codec, which reaches through it for the simulator state).
-    """
-
-    def __init__(self, simulator: HILSimulator) -> None:
-        super().__init__(simulator)
-
-
 # ----------------------------------------------------------------------
 # backend registration
 # ----------------------------------------------------------------------
@@ -903,12 +882,6 @@ class HILBackend:
             f"Picos hardware prototype, HIL {mode.display_name} mode"
         )
 
-    def open_session(self, request):  # type: ignore[no-untyped-def]
-        """Streaming session over this HIL mode (see :mod:`repro.sim.session`)."""
-        from repro.sim.session import SimulationSession
-
-        return SimulationSession(self, request)
-
     def make_stepper(
         self,
         program: TaskProgram,
@@ -919,14 +892,14 @@ class HILBackend:
         policy: SchedulingPolicy = SchedulingPolicy.FIFO,
         faults: Sequence["FaultScenario"] = (),
         **kwargs: object,
-    ) -> HILStepper:
+    ) -> EngineStepper:
         """A resumable sliced run with the same defaults as :meth:`simulate`."""
         if config is None:
             if dm_design is not None:
                 config = PicosConfig.paper_prototype(dm_design)
             else:
                 config = PicosConfig()
-        return HILStepper(
+        return EngineStepper(
             HILSimulator(
                 program,
                 config=config,

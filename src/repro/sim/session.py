@@ -270,12 +270,12 @@ class EngineStepper:
 class SimulationSession:
     """Incremental execution surface over one simulator backend.
 
-    This class is both the default adapter (wrapping any backend's batch
-    ``simulate``) and the session type the built-in backends return from
-    their ``open_session``.  Tasks referenced by the request's program are
-    pre-submitted at open time; more may arrive through :meth:`submit`
-    until the session is sealed (sealing happens implicitly the first time
-    events or the result are demanded).
+    The session of every backend without its own ``open_session``: it
+    slices runs through the backend's ``make_stepper`` when there is one
+    and falls back to its batch ``simulate`` otherwise.  Tasks referenced
+    by the request's program are pre-submitted at open time; more may
+    arrive through :meth:`submit` until the session is sealed (sealing
+    happens implicitly the first time events or the result are demanded).
     """
 
     def __init__(self, backend: SimulatorBackend, request: SimulationRequest) -> None:
@@ -589,17 +589,12 @@ class SimulationSession:
         self.seal()
 
 
-#: The default adapter is the session itself; the alias documents intent at
-#: call sites that wrap legacy batch-only backends explicitly.
-BatchSessionAdapter = SimulationSession
-
-
 def open_session(request: SimulationRequest) -> SimulationSession:
     """Open a session for ``request`` on its backend.
 
-    Backends may provide a native ``open_session(request)``; everything
-    else is wrapped in the default :class:`SimulationSession` adapter over
-    the batch ``simulate``.  Either way the request is validated first, so
+    Backends may provide a native ``open_session(request)``; every other
+    backend, the built-ins included, gets a :class:`SimulationSession`.
+    Either way the request is validated first, so
     an unaccepted parameter fails here rather than mid-stream.
     """
     backend = get_backend(request.backend)

@@ -14,13 +14,20 @@ from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.perfect import PerfectScheduler
-from repro.sim.driver import simulate_program, simulate_request
+from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
 
 #: Reduced problem size used throughout this module (same dependence
 #: structure as the paper's 2048, four times fewer blocks per dimension).
 SMALL = 1024
+
+
+def run_picos(program, workers, backend="hil-full"):
+    """The Picos prototype's result for ``program`` on ``workers`` workers."""
+    return simulate_request(
+        SimulationRequest.for_program(program, backend=backend, num_workers=workers)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -37,19 +44,19 @@ class TestEndToEndCorrectness:
     @pytest.mark.parametrize("bench,block", [("heat", 128), ("cholesky", 128), ("lu", 64), ("sparselu", 128)])
     def test_real_benchmarks_run_correctly_through_picos(self, bench, block):
         program = build_benchmark(bench, block, problem_size=SMALL)
-        result = simulate_program(program, num_workers=8, backend="hil-full")
+        result = run_picos(program, 8)
         assert result.completed_all()
         assert ready_order_is_valid(program, result.start_order())
 
     def test_h264dec_runs_correctly_through_picos(self):
         program = build_benchmark("h264dec", 8, problem_size=2)
-        result = simulate_program(program, num_workers=8, backend="hil-full")
+        result = run_picos(program, 8)
         assert result.completed_all()
         assert ready_order_is_valid(program, result.start_order())
 
     def test_all_three_simulators_agree_on_dependence_constraints(self, cholesky_medium):
         graph = build_task_graph(cholesky_medium)
-        picos = simulate_program(cholesky_medium, num_workers=6, backend="hil-hw")
+        picos = run_picos(cholesky_medium, 6, backend="hil-hw")
         perfect = PerfectScheduler(cholesky_medium, num_workers=6).run()
         nanos = NanosRuntimeSimulator(cholesky_medium, num_threads=6).run()
         for result in (picos, perfect, nanos):
@@ -66,16 +73,14 @@ class TestPaperQualitativeClaims:
         """Figure 11: the prototype reaches nearly the Perfect-Simulator
         speedup for medium block sizes."""
         for workers in (4, 8):
-            picos = simulate_program(
-                cholesky_medium, num_workers=workers, backend="hil-full"
-            ).speedup
+            picos = run_picos(cholesky_medium, workers).speedup
             perfect = PerfectScheduler(cholesky_medium, num_workers=workers).run().speedup
             assert picos >= 0.85 * perfect
 
     def test_picos_beats_nanos_for_fine_granularity(self, heat_fine):
         """Figure 11a: for fine-grained Heat the prototype clearly
         outperforms the software-only runtime."""
-        picos = simulate_program(heat_fine, num_workers=8, backend="hil-full").speedup
+        picos = run_picos(heat_fine, 8).speedup
         nanos = NanosRuntimeSimulator(heat_fine, num_threads=8).run().speedup
         assert picos > 1.5 * nanos
 
@@ -83,10 +88,7 @@ class TestPaperQualitativeClaims:
         """Figure 11: Nanos++ peaks at a small worker count; the prototype
         keeps improving with more workers."""
         worker_counts = (4, 8, 16)
-        picos = [
-            simulate_program(heat_fine, num_workers=w, backend="hil-full").speedup
-            for w in worker_counts
-        ]
+        picos = [run_picos(heat_fine, w).speedup for w in worker_counts]
         nanos = [
             NanosRuntimeSimulator(heat_fine, num_threads=w).run().speedup
             for w in worker_counts
@@ -103,10 +105,7 @@ class TestPaperQualitativeClaims:
             NanosRuntimeSimulator(fine, 8).run().speedup
             / NanosRuntimeSimulator(coarse, 8).run().speedup
         )
-        picos_drop = (
-            simulate_program(fine, num_workers=8, backend="hil-full").speedup
-            / simulate_program(coarse, num_workers=8, backend="hil-full").speedup
-        )
+        picos_drop = run_picos(fine, 8).speedup / run_picos(coarse, 8).speedup
         assert nanos_drop < 0.5
         assert picos_drop > nanos_drop
 
@@ -166,11 +165,5 @@ class TestPaperQualitativeClaims:
 
     def test_worker_sweep_is_monotone_for_picos_on_coarse_tasks(self):
         program = build_benchmark("lu", 128, problem_size=SMALL)
-        results = {
-            w: simulate_request(
-                SimulationRequest.for_program(program, backend="hil-full", num_workers=w)
-            )
-            for w in (2, 4, 8)
-        }
-        speedups = [results[w].speedup for w in (2, 4, 8)]
+        speedups = [run_picos(program, w).speedup for w in (2, 4, 8)]
         assert speedups[0] < speedups[1] <= speedups[2] * 1.05

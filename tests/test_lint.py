@@ -699,29 +699,28 @@ class TestRegistryRule:
             {
                 "sim/x.py": "class BadBackend:\n"
                 "    name = 'bad'\n"
-                "    def open_session(self, request):\n"
-                "        return None\n"
                 "register_backend(BadBackend())\n"
             },
         )
         assert rule_ids(findings) == ["REG001"]
         assert "accepts" in findings[0].message
 
-    def test_backend_without_open_session_flagged(self, tmp_path):
+    def test_complete_backend_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {"sim/x.py": _BACKEND_OK})
+        assert findings == []
+
+    def test_backend_without_open_session_clean(self, tmp_path):
+        # Sessions fall back to the default SimulationSession, so
+        # open_session is optional.
         findings = lint_tree(
             tmp_path,
             {
-                "sim/x.py": "class BadBackend:\n"
-                "    name = 'bad'\n"
+                "sim/x.py": "class BatchBackend:\n"
+                "    name = 'batch'\n"
                 "    accepts = frozenset({'config'})\n"
-                "register_backend(BadBackend())\n"
+                "register_backend(BatchBackend())\n"
             },
         )
-        assert rule_ids(findings) == ["REG001"]
-        assert "open_session" in findings[0].message
-
-    def test_complete_backend_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {"sim/x.py": _BACKEND_OK})
         assert findings == []
 
     def test_class_object_registration_checked(self, tmp_path):

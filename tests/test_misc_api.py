@@ -9,7 +9,7 @@ from repro.core.packets import TaskSlotRef
 from repro.core.stats import LatencySamples, PicosStats
 from repro.core.config import DMDesign, PicosConfig
 from repro.runtime.task import Dependence, Direction
-from repro.sim.driver import simulate_program, simulate_request, speedup_curve
+from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
 
 from tests.helpers import make_program
@@ -80,14 +80,18 @@ class TestDriverHelpers:
         program = make_program(
             [[(0x1000, Direction.OUT)], [(0x1000, Direction.IN)]], durations=[100, 100]
         )
-        via_shortcut = simulate_program(
-            program, num_workers=2, backend="hil-hw", dm_design=DMDesign.WAY16
+        via_shortcut = simulate_request(
+            SimulationRequest.for_program(
+                program, num_workers=2, backend="hil-hw", dm_design=DMDesign.WAY16
+            )
         )
-        via_config = simulate_program(
-            program,
-            num_workers=2,
-            backend="hil-hw",
-            config=PicosConfig.paper_prototype(DMDesign.WAY16),
+        via_config = simulate_request(
+            SimulationRequest.for_program(
+                program,
+                num_workers=2,
+                backend="hil-hw",
+                config=PicosConfig.paper_prototype(DMDesign.WAY16),
+            )
         )
         assert via_shortcut.makespan == via_config.makespan
 
@@ -102,18 +106,20 @@ class TestDriverHelpers:
             for workers in (1, 2, 4)
         }
         assert set(results) == {1, 2, 4}
-        curve = speedup_curve(results)
+        curve = [results[w].speedup for w in sorted(results)]
         assert len(curve) == 3
         assert curve == sorted(curve)
 
     def test_explicit_config_overrides_design_shortcut(self):
         program = make_program([[]], durations=[10])
-        result = simulate_program(
-            program,
-            num_workers=1,
-            backend="hil-hw",
-            config=PicosConfig(tm_entries=2),
-            dm_design=DMDesign.WAY16,
+        result = simulate_request(
+            SimulationRequest.for_program(
+                program,
+                num_workers=1,
+                backend="hil-hw",
+                config=PicosConfig(tm_entries=2),
+                dm_design=DMDesign.WAY16,
+            )
         )
         assert result.completed_all()
 

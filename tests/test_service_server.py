@@ -341,6 +341,74 @@ class TestRejections:
         assert active == 1
 
 
+def _admission_frame(kind, session_id, document):
+    """An ``open`` frame for ``document``, or a ``restore`` of its checkpoint."""
+    if kind == "open":
+        return {"type": "open", "id": session_id, "request": document}
+    from repro.sim.session import open_session
+
+    source = open_session(_typed_request(document))
+    snapshot = source.checkpoint()
+    source.close()
+    return {"type": "restore", "id": session_id, "snapshot": snapshot.document()}
+
+
+class TestAdmissionPaths:
+    """``open`` and ``restore`` frames go through one admission path."""
+
+    @pytest.mark.parametrize("kind", ["open", "restore"])
+    def test_over_quota_rejection_frame(self, kind):
+        document = _request_document(tenant="teamA")
+        frame = _admission_frame(kind, "two", document)
+        config = ServerConfig(
+            port=0,
+            http_port=None,
+            tenant_quotas={"teamA": TenantQuota(max_sessions=1)},
+        )
+
+        async def scenario(server):
+            client = await Client.connect(server)
+            await client.send({"type": "open", "id": "one", "request": document})
+            assert (await client.recv())["type"] == "accepted"
+            await client.send(frame)
+            rejection = await client.recv()
+            metrics = server.metrics.snapshot()
+            await client.close()
+            return rejection, metrics
+
+        rejection, metrics = run_with_server(scenario, config)
+        assert set(rejection) == {"type", "id", "code", "error", "tenant", "limit"}
+        assert rejection["type"] == "rejected"
+        assert rejection["id"] == "two"
+        assert rejection["code"] == REJECT_SESSION_QUOTA
+        assert rejection["tenant"] == "teamA"
+        assert rejection["limit"] == 1
+        assert metrics["sessions"]["admitted"] == 1
+        assert metrics["sessions"]["rejected"] == {REJECT_SESSION_QUOTA: 1}
+        assert metrics["snapshots"]["sessions_restored"] == 0
+
+    @pytest.mark.parametrize("kind", ["open", "restore"])
+    def test_admitted_session_is_acknowledged_and_counted(self, kind):
+        frame = _admission_frame(kind, "s", _request_document(tenant="teamB"))
+
+        async def scenario(server):
+            client = await Client.connect(server)
+            await client.send(frame)
+            ack = await client.recv()
+            metrics = server.metrics.snapshot()
+            await client.close()
+            return ack, metrics
+
+        ack, metrics = run_with_server(scenario)
+        assert ack["type"] == ("accepted" if kind == "open" else "restored")
+        assert ack["id"] == "s"
+        assert ack["tenant"] == "teamB"
+        assert metrics["sessions"]["admitted"] == 1
+        assert metrics["sessions"]["active"] == 1
+        assert metrics["sessions"]["rejected"] == {}
+        assert metrics["snapshots"]["sessions_restored"] == (kind == "restore")
+
+
 class TestLifecycle:
     def test_cancel_mid_run_releases_the_slot(self):
         # A throttled run cancelled mid-flight frees its quota slot and the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from tests.helpers import make_program
@@ -20,9 +22,15 @@ from repro.sim.backend import (
     register_backend,
     unregister_backend,
 )
-from repro.sim.driver import resolve_backend_name, simulate_program
-from repro.sim.hil import HILMode, HILSimulator
+from repro.sim.driver import simulate_request
+from repro.sim.hil import HILBackend, HILMode, HILSimulator
+from repro.sim.request import SimulationRequest
 from repro.sim.results import SimulationResult
+from repro.sim.session import open_session
+
+
+def _simulate(program, backend, **fields):
+    return simulate_request(SimulationRequest.for_program(program, backend=backend, **fields))
 
 
 @pytest.fixture
@@ -92,29 +100,35 @@ class TestRegistry:
 
 
 class TestDispatch:
-    def test_resolve_backend_name(self):
-        assert resolve_backend_name() == "hil-full"
-        assert resolve_backend_name(mode=HILMode.HW_ONLY) == "hil-hw"
-        assert resolve_backend_name(mode=HILMode.HW_COMM) == "hil-comm"
-        assert resolve_backend_name("perfect", HILMode.HW_ONLY) == "perfect"
+    def test_default_backend_is_the_full_system_mode(self, diamond_program):
+        request = SimulationRequest.for_program(diamond_program, num_workers=2)
+        assert request.backend == HILMode.FULL_SYSTEM.backend_name == "hil-full"
+        assert simulate_request(request).simulator == "picos-full-system"
 
     def test_mode_backend_name_round_trip(self):
         for mode in HILMode:
-            assert HILMode.from_backend_name(mode.backend_name) is mode
-        with pytest.raises(ValueError):
-            HILMode.from_backend_name("nanos")
+            assert get_backend(mode.backend_name).mode is mode
+        for name in ("nanos", "perfect"):
+            assert not isinstance(get_backend(name), HILBackend)
+
+    def test_mode_keyword_still_selects_hil_backends(self, diamond_program):
+        for mode in HILMode:
+            backend = HILBackend(mode=mode)
+            assert backend.name == mode.backend_name
+            direct = backend.simulate(diamond_program, num_workers=2)
+            via_name = _simulate(diamond_program, mode.backend_name, num_workers=2)
+            assert direct.simulator == f"picos-{mode.value}"
+            assert direct.makespan == via_name.makespan
 
     def test_each_builtin_backend_dispatches_by_name(self, diamond_program):
         for name in BUILTIN_BACKENDS:
-            result = simulate_program(diamond_program, num_workers=2, backend=name)
+            result = _simulate(diamond_program, name, num_workers=2)
             assert result.completed_all()
             assert result.num_tasks == diamond_program.num_tasks
 
     def test_hil_dispatch_matches_direct_simulator(self, diamond_program):
         for mode in HILMode:
-            via_backend = simulate_program(
-                diamond_program, num_workers=3, backend=mode.backend_name
-            )
+            via_backend = _simulate(diamond_program, mode.backend_name, num_workers=3)
             direct = HILSimulator(
                 diamond_program, mode=mode, num_workers=3
             ).run()
@@ -122,33 +136,23 @@ class TestDispatch:
             assert via_backend.simulator == direct.simulator
             assert via_backend.counters == direct.counters
 
-    def test_mode_keyword_still_selects_hil_backends(self, diamond_program):
-        for mode in HILMode:
-            with pytest.warns(DeprecationWarning, match="mode=HILMode"):
-                via_mode = simulate_program(diamond_program, num_workers=2, mode=mode)
-            via_name = simulate_program(
-                diamond_program, num_workers=2, backend=mode.backend_name
-            )
-            assert via_mode.makespan == via_name.makespan
-            assert via_mode.simulator == f"picos-{mode.value}"
-
     def test_nanos_dispatch_matches_direct_simulator(self, diamond_program):
-        via_backend = simulate_program(diamond_program, num_workers=4, backend="nanos")
+        via_backend = _simulate(diamond_program, "nanos", num_workers=4)
         direct = NanosRuntimeSimulator(diamond_program, num_threads=4).run()
         assert via_backend.makespan == direct.makespan
         assert via_backend.simulator == "nanos-software"
 
     def test_perfect_dispatch_matches_direct_simulator(self, diamond_program):
-        via_backend = simulate_program(diamond_program, num_workers=4, backend="perfect")
+        via_backend = _simulate(diamond_program, "perfect", num_workers=4)
         direct = PerfectScheduler(diamond_program, num_workers=4).run()
         assert via_backend.makespan == direct.makespan
         assert via_backend.simulator == "perfect"
 
     def test_dm_design_and_policy_reach_the_hil_backend(self, diamond_program):
-        result = simulate_program(
+        result = _simulate(
             diamond_program,
+            "hil-hw",
             num_workers=2,
-            backend="hil-hw",
             dm_design=DMDesign.WAY16,
             policy=SchedulingPolicy.LIFO,
         )
@@ -183,7 +187,7 @@ class TestCustomBackend:
         register_backend(InstantBackend())
         try:
             assert "instant" in backend_names()
-            result = simulate_program(diamond_program, num_workers=7, backend="instant")
+            result = _simulate(diamond_program, "instant", num_workers=7)
             assert result.simulator == "instant"
             assert result.makespan == 1
             assert result.num_workers == 7
@@ -210,8 +214,48 @@ class TestCustomBackend:
 
         register_backend(FakePerfect(), replace=True)
         try:
-            result = simulate_program(diamond_program, backend="perfect")
+            result = _simulate(diamond_program, "perfect")
             assert result.simulator == "fake-perfect"
         finally:
             register_backend(original, replace=True)
         assert get_backend("perfect") is original
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("backend", sorted(BUILTIN_BACKENDS))
+    def test_typed_entry_points_do_not_warn(self, diamond_program, backend):
+        request = SimulationRequest.for_program(diamond_program, backend=backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            batch = simulate_request(request)
+            streamed = open_session(request).result()
+        assert streamed == batch
+
+    def test_backend_warnings_reach_the_caller(self, diamond_program):
+        class NoisyBackend:
+            name = "noisy-deprecated"
+            description = "backend that warns during simulate"
+            accepts = frozenset()
+
+            def simulate(self, program, *, num_workers=12, **kwargs):
+                warnings.warn(
+                    "NoisyBackend.simulate is deprecated",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
+                return SimulationResult(
+                    simulator=self.name,
+                    program_name=program.name,
+                    num_workers=num_workers,
+                    makespan=1,
+                    sequential_cycles=program.sequential_cycles,
+                    num_tasks=program.num_tasks,
+                )
+
+        register_backend(NoisyBackend())
+        try:
+            with pytest.warns(DeprecationWarning, match="NoisyBackend"):
+                result = _simulate(diamond_program, "noisy-deprecated")
+        finally:
+            unregister_backend("noisy-deprecated")
+        assert result.makespan == 1

@@ -116,6 +116,17 @@ class TestValidation:
         assert backend in str(excinfo.value)
         assert field in str(excinfo.value)
 
+    def test_rejection_message_says_how_to_fix_the_request(self, diamond_program):
+        request = SimulationRequest.for_program(
+            diamond_program, backend="perfect", policy=SchedulingPolicy.LIFO
+        )
+        with pytest.raises(InvalidRequestError) as excinfo:
+            request.validate()
+        assert str(excinfo.value) == (
+            "backend 'perfect' does not accept parameter(s) 'policy'; "
+            "remove them from the SimulationRequest"
+        )
+
     def test_default_valued_parameters_are_never_rejected(self, diamond_program):
         # Every request carries a policy field; the FIFO default must not
         # count as "passing a policy" to a policy-blind backend.

@@ -194,6 +194,44 @@ class TestSessionValidation:
         finally:
             unregister_backend("batch-only")
 
+    def test_builtin_backends_get_the_default_session(self, cholesky_small):
+        for name in BUILTIN_BACKENDS:
+            request = SimulationRequest.for_program(cholesky_small, backend=name)
+            assert type(open_session(request)) is SimulationSession
+
+    def test_plugin_open_session_is_used(self):
+        program = make_program([[] for _ in range(4)], durations=[10] * 4)
+
+        class TaggedSession(SimulationSession):
+            pass
+
+        class NativeSessions:
+            name = "native-sessions"
+            description = "backend with its own open_session"
+            accepts = frozenset()
+
+            def simulate(self, program, *, num_workers=12, **kwargs):
+                return SimulationResult(
+                    simulator=self.name,
+                    program_name=program.name,
+                    num_workers=num_workers,
+                    makespan=5,
+                    sequential_cycles=program.sequential_cycles,
+                    num_tasks=program.num_tasks,
+                )
+
+            def open_session(self, request):
+                return TaggedSession(self, request)
+
+        register_backend(NativeSessions())
+        try:
+            request = SimulationRequest.for_program(program, backend="native-sessions")
+            session = open_session(request)
+            assert type(session) is TaggedSession
+            assert session.result().makespan == 5
+        finally:
+            unregister_backend("native-sessions")
+
 
 class TestSimulateCommand:
     def test_cli_simulate_streams_events_and_reports(self, capsys):

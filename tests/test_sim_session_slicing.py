@@ -15,11 +15,12 @@ import pytest
 from repro.apps.registry import build_benchmark
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
-from repro.sim.hil import HILBackend, HILMode, HILSimulator, HILStepper
+from repro.sim.hil import HILBackend, HILMode, HILSimulator
 from repro.sim.request import SimulationRequest, StreamOptions
 from repro.sim.session import (
     DEFAULT_SLICE_CYCLES,
     STATE_CLOSED,
+    EngineStepper,
     SessionError,
     SessionSlice,
     lifecycle_events,
@@ -129,7 +130,7 @@ class TestStepperContract:
     def test_make_stepper_matches_run(self, cholesky_small):
         backend = HILBackend(HILMode.FULL_SYSTEM)
         stepper = backend.make_stepper(cholesky_small, num_workers=4)
-        assert isinstance(stepper, HILStepper)
+        assert isinstance(stepper, EngineStepper)
         entries = []
         while not stepper.finished:
             done, horizon, chunk = stepper.advance(100_000)

@@ -20,10 +20,10 @@ per-dependence reference flow, with exact per-delivered-event accounting:
 every stored dependence still counts one Arbiter TRS message, every
 routed-but-stalled dependence one DCT message, and the stall points,
 stats and resume indices are those of the single-packet path.  The
-contract is pinned by the golden-digest matrix and batched-vs-reference
-loops in ``tests/test_perf_parity.py``, the Gateway unit suite in
-``tests/test_core_gateway.py``, and the seed-pinned cross-backend fuzz in
-``tests/test_differential.py``.
+contract is pinned by the golden-digest matrix in
+``tests/test_perf_parity.py``, the Gateway unit suite in
+``tests/test_core_gateway.py``, and the seed-pinned cross-backend and
+flat-vs-reference datapath fuzz in ``tests/test_differential.py``.
 """
 
 from __future__ import annotations

@@ -5,13 +5,12 @@ the simulator extends that set with every quantity the paper reports:
 DM conflicts (Table II), stall causes, packet counts, pipeline occupancy and
 the latency / throughput figures of Table IV.
 
-Per-delivered-event accounting is exact by contract: the batched hot paths
-(Gateway->DCT dependence runs, same-cycle completion draining, ready-event
-cycle-clusters) must leave every counter byte-identical to the
-per-event reference flows -- a batch of *n* still accounts *n* packets,
-*n* delivered notifications and the same stall/watermark updates.  The
-batched-vs-reference parity classes in ``tests/test_perf_parity.py``
-compare full counter dictionaries across both modes on every CI run.
+Per-packet accounting is exact by contract: the batched Gateway->DCT
+dependence runs must leave every counter byte-identical to the
+per-dependence reference flow -- a batch of *n* still accounts *n*
+packets and the same stall/watermark updates.  The flat-vs-reference
+datapath classes in ``tests/test_differential.py`` compare full counter
+dictionaries across both datapaths on every CI run.
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ typed; the protocol is:
     the event (HIL discards a stale completion of a killed worker; Nanos
     retires the watched thread's final completion without letting the
     dying thread rejoin the pool).
-``completion_delivered(sim, plan, armed, payload, now)``
-    Post-delivery hook of one kill scenario (HIL uses it for the
-    re-dispatch bookkeeping of the gateway retry path).
 ``stall_counters(sim)``
     Mapping of stall counters for the bounded-stall invariant.
 
@@ -229,8 +226,7 @@ class FaultPlan:
     ) -> None:
         """Route one event delivery through the armed scenarios."""
         adapter = self.adapter
-        is_completion = kind == adapter.completion_kind
-        if is_completion:
+        if kind == adapter.completion_kind:
             for armed in self._kills:
                 if adapter.intercept_completion(self._sim, self, armed, payload, now):
                     return  # stale completion of a killed worker
@@ -246,9 +242,6 @@ class FaultPlan:
                 if injector.on_delivery(self, armed, kind, payload, now):
                     return  # delivery swallowed (delayed / dropped / frozen)
         handler(payload, now)
-        if is_completion:
-            for armed in self._kills:
-                adapter.completion_delivered(self._sim, self, armed, payload, now)
 
     def _on_timer(self, payload: FaultTimer, now: int) -> None:
         armed = self.armed_faults[payload.index]

@@ -822,11 +822,26 @@ class SimulationServer:
                     },
                 )
             elif method == "POST" and path == "/simulate":
-                body = b""
-                length = int(headers.get("content-length", "0") or "0")
-                if length:
-                    body = await reader.readexactly(length)
-                await self._http_simulate(body, writer)
+                # The declared length is client input: bound it before
+                # reading, so no request can make the server buffer more
+                # than one NDJSON frame may hold.
+                declared = headers.get("content-length", "0") or "0"
+                length = (
+                    int(declared) if declared.isascii() and declared.isdigit() else -1
+                )
+                if not 0 <= length <= _READ_LIMIT:
+                    self._http_json(
+                        writer,
+                        400,
+                        {
+                            "code": REJECT_BAD_REQUEST,
+                            "error": f"Content-Length {declared!r} is not an "
+                            f"integer in 0..{_READ_LIMIT}",
+                        },
+                    )
+                else:
+                    body = await reader.readexactly(length) if length else b""
+                    await self._http_simulate(body, writer)
             else:
                 self._http_json(writer, 404, {"error": f"no route {method} {path}"})
             await writer.drain()

@@ -105,11 +105,10 @@ class EventQueue:
     is then drained by index; an event scheduled for the *current* time
     while its bucket drains opens a fresh bucket, which the time heap
     orders immediately after the draining one -- preserving global FIFO
-    order among simultaneous events.  ``pop_same_kind`` -- the batching
-    primitive the simulators use to retire same-cycle completion runs in
-    one handler activation -- is an O(1) head test in every case, including
-    the many-kinds-interleaved-at-one-cycle schedules where a scan-and-
-    re-push implementation would degrade to O(n) per event.
+    order among simultaneous events.  ``pop_same_kind`` is an O(1) head
+    test in every case, including the many-kinds-interleaved-at-one-cycle
+    schedules where a scan-and-re-push implementation would degrade to
+    O(n) per event.
     """
 
     __slots__ = (
@@ -237,13 +236,14 @@ class EventQueue:
     def pop_same_kind(self, kind: str, time: int) -> Optional[Event]:
         """Deliver the next event only if it matches ``kind`` at ``time``.
 
-        This is the batching primitive of the simulators: a run of worker
-        completions scheduled for the same cycle can be drained in one
-        handler activation without disturbing the delivery order of any
-        interleaved event (the head of the timeline -- including its FIFO
-        tie-break -- decides, exactly as :meth:`pop` would).  The head test
-        is O(1) regardless of how many same-time events of *other* kinds
-        are interleaved behind it.
+        A conditional :meth:`pop`: the head of the timeline -- including its
+        FIFO tie-break -- decides, so a run of same-kind events at one cycle
+        can be drained without disturbing the delivery order of any
+        interleaved event.  The head test is O(1) regardless of how many
+        same-time events of *other* kinds are interleaved behind it, and a
+        miss is a pure peek that moves neither the clock nor any counter.
+        No simulator calls it; the calendar-vs-heap differential fuzz keeps
+        it in the engine's ordering contract.
         """
         event = self._head()
         if event is None or event.time != time or event.kind != kind:
@@ -519,11 +519,10 @@ def intercept_handlers(
     this is what keeps unfaulted runs cycle-identical (the injection
     layer is zero-cost when off).
 
-    Note for interceptor authors: the *batched* simulator loops drain
-    same-kind events internally via :meth:`EventQueue.pop_same_kind`,
-    which bypasses dispatch-level interception -- wrap only tables whose
-    handlers deliver one event per call (armed fault plans force the
-    reference event-per-event loops for exactly this reason).
+    Interception sees every delivery because each simulator handler
+    consumes exactly one event per call; a handler that drained further
+    events itself (for example through :meth:`EventQueue.pop_same_kind`)
+    would deliver them past the interceptor.
     """
 
     def make(

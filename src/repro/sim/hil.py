@@ -32,23 +32,21 @@ Cycle-identity contract
 This module sits on the measured hot path of every full-system run, and
 every optimization to it must be *cycle-identical*: the schedule --
 per-task created/submitted/ready/started/finished stamps, the makespan and
-the delivered-event count -- must not move by a single cycle.  The
-optimized paths therefore keep reference twins that can be selected per
-run: ``batch_completions=False`` re-enables event-per-event worker *and
-master* completion delivery, and ``batch_ready_events=False`` re-enables one
-engine event per ready-task visibility notification (instead of one
-``READY_BATCH`` event per cycle-cluster).  Three test nets pin the
-contract:
+the delivered-event count -- must not move by a single cycle.  Every
+event is delivered one at a time, through one fixed handler table, by the
+engine's dispatch loop; sliced runs, armed fault plans and restored
+snapshots all drive that same table.  Three test nets pin the contract:
 
 * the golden-digest matrix in ``tests/test_perf_parity.py`` (full results
   recorded from the pre-optimization engine, all five backends);
-* the batched-vs-reference parity classes in ``tests/test_perf_parity.py``
-  and the master-job edge cases in ``tests/test_hil_master.py``;
+* the delivery-path parity classes in ``tests/test_perf_parity.py`` and
+  the master-job edge cases in ``tests/test_hil_master.py`` (straight,
+  sliced, dormant-fault and snapshot-restored runs field-for-field
+  equal);
 * the cross-backend differential fuzz suite in
   ``tests/test_differential.py`` (seed-pinned in CI).
 
-See ``docs/hil.md`` for the design of the master-job state machine and the
-cycle-cluster batching invariant.
+See ``docs/hil.md`` for the design of the master-job state machine.
 """
 
 from __future__ import annotations
@@ -115,7 +113,6 @@ _JOB_FINISH = "finish"
 
 # event kinds
 _EV_TASK_VISIBLE = "task-visible"
-_EV_READY_BATCH = "ready-batch"
 _EV_WORKER_DONE = "worker-done"
 _EV_MASTER_DONE = "master-done"
 
@@ -140,8 +137,6 @@ class HILSimulator:
         mode: HILMode = HILMode.FULL_SYSTEM,
         num_workers: int = 12,
         policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-        batch_completions: bool = True,
-        batch_ready_events: bool = True,
         faults: Sequence["FaultScenario"] = (),
     ) -> None:
         if num_workers < 1:
@@ -151,21 +146,6 @@ class HILSimulator:
         self.mode = mode
         self.num_workers = num_workers
         self.policy = policy
-        #: Drain runs of same-cycle worker completions -- and, for the
-        #: serial ARM master, same-cycle zero-cost job completions -- in
-        #: one handler activation.  Cycle-identical to one-at-a-time
-        #: delivery (the parity suite pins this); ``False`` selects the
-        #: reference event-per-event loops the optimized paths are checked
-        #: against.
-        self.batch_completions = batch_completions
-        #: Coalesce the ready-task visibility notifications one accelerator
-        #: operation produces for the same target cycle into a single
-        #: ``READY_BATCH`` engine event (one per cycle-cluster), and drain
-        #: adjacent same-cycle batches via ``pop_same_kind``.  Cycle-
-        #: identical to one event per notification; ``False`` selects the
-        #: reference per-notification emission the batched path is parity-
-        #: checked against.
-        self.batch_ready_events = batch_ready_events
         # Mode flags cached as plain booleans: the enum properties cost a
         # dict lookup and comparison on every event otherwise.
         self._uses_master = mode.uses_master
@@ -202,11 +182,6 @@ class HILSimulator:
         self._next_create_index = 0
         self._finished_tasks = 0
         self._submission_blocked = False
-        #: Extra delivered-notification count carried by consumed
-        #: ``READY_BATCH`` events (``len(batch) - 1`` each), so the
-        #: ``events_processed`` counter keeps per-delivered-event accounting
-        #: exactly equal to the reference per-notification loop.
-        self._ready_batch_extra = 0
         # The master-job costs are pure functions of the job kind (and, for
         # creates in full-system mode, the dependence count, bounded by the
         # TMX capacity), so _kick_master reduces to deque pops plus one
@@ -233,20 +208,12 @@ class HILSimulator:
         }
         #: Armed fault scenarios, if any (see ``repro.faults``).  The
         #: default run never constructs a plan and dispatches through the
-        #: exact same handler tables as before -- the injection layer is
-        #: zero-cost when off and golden digests stay bit-identical.
+        #: plain handler table -- the injection layer is zero-cost when
+        #: off and golden digests stay bit-identical.
         self._fault_plan: Optional["FaultPlan"] = None
         if faults:
             from repro.faults.plan import FaultPlan
 
-            # Armed runs take the reference event-per-event loops so that
-            # every delivery flows through the injection layer (the batched
-            # twins drain same-kind runs internally via ``pop_same_kind``,
-            # bypassing dispatch-level interception).  The twins are
-            # parity-pinned cycle-identical, so this changes nothing but
-            # the hook coverage.
-            self.batch_completions = False
-            self.batch_ready_events = False
             self._fault_plan = FaultPlan(tuple(faults), _HIL_FAULT_ADAPTER, self)
 
     # ------------------------------------------------------------------
@@ -297,21 +264,12 @@ class HILSimulator:
 
         # Precomputed handler table: one dict hit per event instead of a
         # string-comparison ladder (this loop delivers hundreds of
-        # thousands of events on the fine-grained workloads).  Both ready
-        # kinds stay registered so a run can mix emission modes safely.
+        # thousands of events on the fine-grained workloads).  An armed
+        # fault plan wraps it as it is.
         handlers = {
             _EV_TASK_VISIBLE: self._on_task_visible,
-            _EV_READY_BATCH: self._on_ready_batch,
-            _EV_WORKER_DONE: (
-                self._on_worker_done_batched
-                if self.batch_completions
-                else self._on_worker_done
-            ),
-            _EV_MASTER_DONE: (
-                self._on_master_done_batched
-                if self.batch_completions
-                else self._on_master_done
-            ),
+            _EV_WORKER_DONE: self._on_worker_done,
+            _EV_MASTER_DONE: self._on_master_done,
         }
         if self._fault_plan is not None:
             handlers = self._fault_plan.wrap(handlers)
@@ -387,99 +345,21 @@ class HILSimulator:
         self._process_submissions(now)
 
     def _schedule_ready(self, start: int, ready_list) -> None:
-        """Schedule the visibility notifications of one accelerator op.
-
-        In the batched mode the notifications targeting the same cycle are
-        coalesced into one ``READY_BATCH`` engine event carrying the
-        task-id cluster; since nothing else can be scheduled between the
-        members of one emit loop, the collapsed event occupies exactly the
-        calendar-bucket position the first member would have had, so FIFO
-        order against every interleaved event is preserved.  The reference
-        mode emits one ``task-visible`` event per notification.
-        """
+        """Schedule one ``task-visible`` event per notification of one op."""
         schedule = self.queue.schedule
-        if not self.batch_ready_events:
-            for ready in ready_list:
-                schedule(start + ready.latency, _EV_TASK_VISIBLE, ready.task_id)
-            return
-        if len(ready_list) == 1:
-            # The overwhelmingly common case: a singleton cluster travels
-            # as a bare task id, no list allocation on the hot path.
-            ready = ready_list[0]
-            schedule(start + ready.latency, _EV_READY_BATCH, ready.task_id)
-            return
-        # Group by target cycle, preserving first-occurrence order (wake-up
-        # latencies grow with chain depth, so the groups are typically
-        # contiguous runs already).
-        clusters: Dict[int, list] = {}
         for ready in ready_list:
-            time = start + ready.latency
-            cluster = clusters.get(time)
-            if cluster is None:
-                clusters[time] = [ready.task_id]
-            else:
-                cluster.append(ready.task_id)
-        for time, task_ids in clusters.items():
-            if len(task_ids) == 1:
-                schedule(time, _EV_READY_BATCH, task_ids[0])
-            else:
-                schedule(time, _EV_READY_BATCH, task_ids)
+            schedule(start + ready.latency, _EV_TASK_VISIBLE, ready.task_id)
 
     # ------------------------------------------------------------------
     # ready tasks and workers
     # ------------------------------------------------------------------
     def _on_task_visible(self, task_id: int, now: int) -> None:
-        """Reference handler: one visibility notification per engine event."""
+        """Deliver one ready-task visibility notification."""
         self._timelines[task_id].ready = now
         if self._lifecycle_log is not None:
             self._lifecycle_log.append((now, _LOG_READY, task_id))
         self.ready.push(task_id)
         self._try_dispatch(now)
-        self._kick_master(now)
-
-    def _on_ready_batch(self, payload, now: int) -> None:
-        """Deliver a cycle-cluster of ready-task visibility notifications.
-
-        The payload is the task-id cluster one accelerator operation made
-        visible at this cycle; adjacent same-cycle clusters (from other
-        operations) are drained through ``pop_same_kind`` in the same
-        activation.  Each task still gets its own push + dispatch pass --
-        that keeps the schedule cycle-identical to the per-notification
-        reference for *every* scheduling policy (a priority scheduler could
-        otherwise see two tasks at once and pick the later, better one) and
-        keeps the ready-queue high-water counter exact.  Only the master
-        re-arm is shared, which is safe because a dispatch pass in a
-        master-mediated mode only queues jobs: the first queued dispatch
-        job is the one an eager per-task re-arm would have started, at the
-        same cycle and cost.
-        """
-        timelines = self._timelines
-        ready = self.ready
-        try_dispatch = self._try_dispatch
-        pop_same_kind = self.queue.pop_same_kind
-        log = self._lifecycle_log
-        extra = self._ready_batch_extra
-        while True:
-            if payload.__class__ is list:
-                extra += len(payload) - 1
-                for task_id in payload:
-                    timelines[task_id].ready = now
-                    if log is not None:
-                        log.append((now, _LOG_READY, task_id))
-                    ready.push(task_id)
-                    try_dispatch(now)
-            else:
-                # Singleton cluster: the payload is the bare task id.
-                timelines[payload].ready = now
-                if log is not None:
-                    log.append((now, _LOG_READY, payload))
-                ready.push(payload)
-                try_dispatch(now)
-            nxt = pop_same_kind(_EV_READY_BATCH, now)
-            if nxt is None:
-                break
-            payload = nxt.payload
-        self._ready_batch_extra = extra
         self._kick_master(now)
 
     def _try_dispatch(self, now: int) -> None:
@@ -509,7 +389,7 @@ class HILSimulator:
         self.queue.schedule(end, _EV_WORKER_DONE, (worker_id, task_id))
 
     def _on_worker_done(self, payload: Tuple[int, int], now: int) -> None:
-        """Reference handler: one worker completion per engine event."""
+        """Retire one worker completion."""
         worker_id, task_id = payload
         self._timelines[task_id].finished = now
         if self._lifecycle_log is not None:
@@ -523,48 +403,10 @@ class HILSimulator:
         self._try_dispatch(now)
         self._kick_master(now)
 
-    def _on_worker_done_batched(self, payload: Tuple[int, int], now: int) -> None:
-        """Drain the run of worker completions scheduled for this cycle.
-
-        Completions carry no ordering interaction among themselves -- each
-        releases its worker and queues its finish work -- so a same-cycle
-        run can retire in one activation with a single dispatch pass at the
-        end instead of one per completion.  Everything that determines
-        timing (finish-job order, ready-pool pop order, master kicks) is
-        preserved, so the schedule is cycle-identical to the one-at-a-time
-        reference loop; only which physical worker id picks up a given
-        ready task may differ, and workers are homogeneous.
-        """
-        timelines = self._timelines
-        release = self.workers.release
-        pop_same_kind = self.queue.pop_same_kind
-        hw_only = self._hw_only
-        finish_jobs = self._master_finish_jobs
-        log = self._lifecycle_log
-        finished = self._finished_tasks
-        while True:
-            worker_id, task_id = payload
-            timelines[task_id].finished = now
-            if log is not None:
-                log.append((now, _LOG_RETIRED, task_id))
-            release(worker_id)
-            finished += 1
-            if hw_only:
-                self._process_finish(task_id, now)
-            else:
-                finish_jobs.append(task_id)
-            nxt = pop_same_kind(_EV_WORKER_DONE, now)
-            if nxt is None:
-                break
-            payload = nxt.payload
-        self._finished_tasks = finished
-        self._try_dispatch(now)
-        self._kick_master(now)
-
     # ------------------------------------------------------------------
     # the ARM core (master) in HW+comm and Full-system modes
     # ------------------------------------------------------------------
-    def _kick_master(self, now: int) -> Optional[int]:
+    def _kick_master(self, now: int) -> None:
         """Arm the idle ARM core with its next job (the batch re-arm point).
 
         The flat master state machine: job selection (finish > dispatch >
@@ -577,14 +419,9 @@ class HILSimulator:
         produced, and because picking a job only pops a deque and schedules
         one event, a deferred re-arm selects the same job at the same cycle
         as the eager per-site kicks did.
-
-        Returns the absolute cycle the armed job completes at, or ``None``
-        when the master stays idle (busy, unused, or out of work) -- the
-        lazy completion drain in :meth:`_on_master_done` uses it to decide
-        whether a same-cycle completion cluster can form at all.
         """
         if self._master_busy or not self._uses_master:
-            return None
+            return
         finish_jobs = self._master_finish_jobs
         dispatch_jobs = self._master_dispatch_jobs
         if finish_jobs:
@@ -599,7 +436,7 @@ class HILSimulator:
                 index >= self._num_tasks
                 or len(self._pending_new) >= self._new_fifo_depth
             ):
-                return None
+                return
             task = self.program[index]
             self._next_create_index = index + 1
             job = (_JOB_CREATE, task)
@@ -615,9 +452,7 @@ class HILSimulator:
             )
             self._timelines[task.task_id].created = now
         self._master_busy = True
-        done_at = now + cost
-        self.queue.schedule(done_at, _EV_MASTER_DONE, job)
-        return done_at
+        self.queue.schedule(now + cost, _EV_MASTER_DONE, job)
 
     def _master_create_cost(self, num_deps: int) -> int:
         """Creation cost past the precomputed table (oversized tasks)."""
@@ -627,7 +462,7 @@ class HILSimulator:
         return cost
 
     def _on_master_done(self, job: Tuple[str, object], now: int) -> None:
-        """Reference master-completion delivery: one job per activation."""
+        """Retire one ARM master job through the job-kind table."""
         self._master_busy = False
         kind, payload = job
         handler = self._master_done_handlers.get(kind)
@@ -635,36 +470,6 @@ class HILSimulator:
             raise RuntimeError(f"unknown master job {kind!r}")
         handler(payload, now)
         self._kick_master(now)
-
-    def _on_master_done_batched(self, job: Tuple[str, object], now: int) -> None:
-        """Retire a master job, then lazily drain same-cycle successors.
-
-        The master is serial, so a completion cluster can only form when a
-        re-arm lands at the current cycle (zero-cost jobs, ``comm_cycles ==
-        0``).  Only in that case is ``pop_same_kind`` consulted: if the
-        just-armed ``MASTER_DONE`` is the head of the timeline it is
-        retired in this same activation, skipping a full queue round-trip
-        per job.  ``pop_same_kind`` refuses anything that is not the exact
-        FIFO head and counts the delivery like a normal dispatch, so the
-        schedule and ``events_processed`` stay bit-exact with the
-        one-activation-per-job reference loop (:meth:`_on_master_done`),
-        which ``batch_completions=False`` re-selects.
-        """
-        handlers = self._master_done_handlers
-        pop_same_kind = self.queue.pop_same_kind
-        while True:
-            self._master_busy = False
-            kind, payload = job
-            handler = handlers.get(kind)
-            if handler is None:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown master job {kind!r}")
-            handler(payload, now)
-            if self._kick_master(now) != now:
-                break
-            nxt = pop_same_kind(_EV_MASTER_DONE, now)
-            if nxt is None:
-                break
-            job = nxt.payload
 
     def _on_master_created(self, task: Task, now: int) -> None:
         self._pending_new.append(task)
@@ -676,6 +481,12 @@ class HILSimulator:
 
     def _on_master_finished(self, task_id: int, now: int) -> None:
         self._process_finish(task_id, now)
+
+    # perfbench/layers.py looks these retired handler names up in the class
+    # ``__dict__`` to install its probes; they alias the per-event handlers.
+    _on_ready_batch = _on_task_visible
+    _on_worker_done_batched = _on_worker_done
+    _on_master_done_batched = _on_master_done
 
     # ------------------------------------------------------------------
     # results
@@ -695,11 +506,7 @@ class HILSimulator:
         )
         counters = self.accel.stats.as_dict()
         counters["ready_queue_high_water"] = self.ready.max_occupancy
-        # Per-delivered-event accounting: a consumed READY_BATCH engine
-        # event counts once per visibility notification it carried, so the
-        # counter equals the reference per-notification loop's exactly
-        # (tests/test_perf_parity.py asserts field-for-field equality).
-        counters["events_processed"] = self.queue.processed + self._ready_batch_extra
+        counters["events_processed"] = self.queue.processed
         if aborted:
             counters["aborted_at_cycle"] = aborted_at
             counters["finished_tasks"] = self._finished_tasks
@@ -750,7 +557,7 @@ class _HILFaultAdapter:
     @staticmethod
     def task_id_of(kind: str, payload: object) -> int:
         if kind == _EV_TASK_VISIBLE:
-            return payload if isinstance(payload, int) else -1
+            return payload  # type: ignore[return-value]
         if kind == _EV_WORKER_DONE:
             return payload[1]  # type: ignore[index]
         if kind == _EV_MASTER_DONE:
@@ -850,16 +657,6 @@ class _HILFaultAdapter:
             armed.awaiting.discard(task_id)
             plan.record_recovered(now, task_id, armed)
         return False
-
-    @staticmethod
-    def completion_delivered(
-        sim: "HILSimulator",
-        plan: "FaultPlan",
-        armed: "ArmedFault",
-        payload: Tuple[int, int],
-        now: int,
-    ) -> None:
-        return None
 
 
 _HIL_FAULT_ADAPTER = _HILFaultAdapter()

@@ -115,8 +115,9 @@ __all__ = [
 
 #: Format tag of the on-disk document (`format` field).
 SNAPSHOT_FORMAT = "picos-snapshot"
-#: Schema version; bump on any change to the state documents below.
-SNAPSHOT_VERSION = 1
+#: Schema version; bump on any change to the state documents below.  Other
+#: versions are refused at load, never migrated (see ``docs/snapshots.md``).
+SNAPSHOT_VERSION = 2
 
 #: Snapshot kinds (see the module docstring).
 KIND_INITIAL = "initial"
@@ -151,18 +152,16 @@ class SnapshotError(RuntimeError):
 # event payload codec
 # ----------------------------------------------------------------------
 # Engine event payloads are a small closed vocabulary: ``None``, a bare
-# int, an int list (ready-task cycle-cluster), an int pair (worker/task),
-# a master job ``(kind, sub)`` whose sub-payload is a Task (create), an
-# int pair (dispatch) or an int (finish), or -- in a faulted run -- a
-# fault timer / pending redelivery.  Ints travel raw; everything else is
-# tagged so the decoder needs no knowledge of the event kind.
+# int, an int pair (worker/task), a master job ``(kind, sub)`` whose
+# sub-payload is a Task (create), an int pair (dispatch) or an int
+# (finish), or -- in a faulted run -- a fault timer / pending redelivery.
+# Ints travel raw; everything else is tagged so the decoder needs no
+# knowledge of the event kind.
 def _payload_to_document(payload: Any) -> Any:
     if payload is None:
         return ["none"]
     if type(payload) is int:
         return payload
-    if type(payload) is list:
-        return ["l", list(payload)]
     if type(payload) is tuple:
         first, second = payload
         if type(first) is str:  # a master job
@@ -183,8 +182,6 @@ def _payload_from_document(document: Any, program: TaskProgram) -> Any:
     tag = document[0]
     if tag == "none":
         return None
-    if tag == "l":
-        return list(document[1])
     if tag == "t":
         return (document[1], document[2])
     if tag == "task":
@@ -830,8 +827,7 @@ def _fault_plan_document(sim: Any, document: Dict[str, Any]) -> Dict[str, Any]:
     """Attach the armed-fault state under the optional ``faults`` key.
 
     Unfaulted runs get no key at all, so their state documents (and
-    therefore snapshot digests) are byte-identical to the pre-fault
-    schema -- which is why ``SNAPSHOT_VERSION`` did not bump.
+    therefore snapshot digests) do not depend on the fault subsystem.
     """
     plan = sim._fault_plan
     if plan is not None:
@@ -873,7 +869,6 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
         "next_create_index": sim._next_create_index,
         "finished_tasks": sim._finished_tasks,
         "submission_blocked": sim._submission_blocked,
-        "ready_batch_extra": sim._ready_batch_extra,
         "ready": _scheduler_document(sim.ready),
         "workers": _workers_document(sim.workers),
         "accel": _accel_document(sim.accel),
@@ -898,7 +893,6 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     sim._next_create_index = state["next_create_index"]
     sim._finished_tasks = state["finished_tasks"]
     sim._submission_blocked = state["submission_blocked"]
-    sim._ready_batch_extra = state["ready_batch_extra"]
     _restore_scheduler(sim.ready, state["ready"])
     _restore_workers(sim.workers, state["workers"])
     _restore_accel(sim.accel, state["accel"], program)

@@ -1,4 +1,4 @@
-"""Importable program-building helpers shared by the test suite.
+"""Importable program-building and run helpers shared by the test suite.
 
 These used to live in ``tests/conftest.py``, but ``conftest`` is not a
 reliably importable module name: when the benchmark harness is collected in
@@ -9,11 +9,18 @@ module (imported as ``tests.helpers``) removes the collision.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+import dataclasses
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
+from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.sim.driver import simulate_request
+from repro.sim.request import SimulationRequest
+from repro.sim.results import SimulationResult
+from repro.sim.session import SimulationSession, open_session
+from repro.sim.snapshot import KIND_MID_RUN, capture, restore
 
 
 def make_task(
@@ -156,3 +163,56 @@ def drain_functional(accelerator: PicosAccelerator, program: TaskProgram) -> Lis
                 f"in flight {accelerator.in_flight}"
             )
     return order
+
+
+#: A scenario whose window lies far past the end of any test run: an armed
+#: plan intercepts every delivery of the run, yet never fires.
+DORMANT_FAULT = FaultScenario(
+    FaultKind.DELAY_EVENT,
+    FaultTrigger(window=(10**9, 10**9 + 1)),
+    FaultTarget(packet_class="ready"),
+)
+
+
+def _finish(session: SimulationSession, slice_cycles: int) -> SimulationResult:
+    while not session.advance(slice_cycles).finished:
+        pass
+    return session.result()
+
+
+def run_delivery_paths(
+    request: SimulationRequest, slice_cycles: int = 40
+) -> Dict[str, Dict[str, Any]]:
+    """One request run four ways, as ``dataclasses.asdict`` documents.
+
+    Each simulator has one event-delivery loop, and these are the four
+    ways a run can drive it: ``straight`` in one call; ``sliced`` through
+    :class:`~repro.sim.session.EngineStepper` horizons of ``slice_cycles``;
+    ``dormant-fault`` with :data:`DORMANT_FAULT` armed, so every delivery
+    goes through the fault plan's interceptors (its two fault counters
+    must read zero and are left out); and ``restored`` from a mid-run
+    snapshot taken after the first slice.  Every document must be equal.
+    """
+    documents = {
+        "straight": dataclasses.asdict(simulate_request(request)),
+        "sliced": dataclasses.asdict(_finish(open_session(request), slice_cycles)),
+    }
+    dormant = dataclasses.asdict(
+        simulate_request(dataclasses.replace(request, faults=(DORMANT_FAULT,)))
+    )
+    assert dormant["counters"].pop("faults_injected") == 0
+    assert dormant["counters"].pop("faults_recovered") == 0
+    documents["dormant-fault"] = dormant
+    session = open_session(request)
+    session.advance(slice_cycles)
+    snapshot = capture(session)
+    assert snapshot.kind == KIND_MID_RUN
+    documents["restored"] = dataclasses.asdict(_finish(restore(snapshot), slice_cycles))
+    return documents
+
+
+def assert_delivery_paths_agree(documents: Dict[str, Dict[str, Any]]) -> None:
+    """Every :func:`run_delivery_paths` document equals the straight run's."""
+    straight = documents["straight"]
+    for path, document in documents.items():
+        assert document == straight, f"the {path} run diverged from the straight run"

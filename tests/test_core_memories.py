@@ -302,28 +302,27 @@ class TestDMWayRecycling:
         assert dct.dm.lookup(ninth).hit
         assert not dct.dm.lookup(first).hit
 
-    def test_conflict_then_recycle_is_deterministic_under_batched_delivery(self):
-        import dataclasses
-
+    def test_conflict_then_recycle_agrees_on_every_delivery_path(self):
         from repro.core.config import PicosConfig
-        from repro.sim.hil import HILMode, HILSimulator
-        from tests.helpers import make_program
+        from repro.sim.request import SimulationRequest
+        from tests.helpers import (
+            assert_delivery_paths_agree,
+            make_program,
+            run_delivery_paths,
+        )
 
         # 12 independent producers of set-0-aliasing addresses with equal
         # durations: the DM set fills, submissions stall, and several
         # workers finish in the same cycle, exercising conflict-then-
-        # recycle under the batched completion path.
+        # recycle across slicing, fault interception and a snapshot.
         spec = [[(0x4000_0000 + i * self.STRIDE, "out")] for i in range(12)]
         program = make_program(spec, durations=[50] * 12, name="dm-recycle")
-        config = PicosConfig.paper_prototype(DMDesign.WAY8)
-        results = {}
-        for batched in (True, False):
-            results[batched] = HILSimulator(
-                program,
-                config=config,
-                mode=HILMode.HW_ONLY,
-                num_workers=4,
-                batch_completions=batched,
-            ).run()
-        assert results[True].counters["dm_conflicts"] >= 1
-        assert dataclasses.asdict(results[True]) == dataclasses.asdict(results[False])
+        request = SimulationRequest.for_program(
+            program,
+            backend="hil-hw",
+            num_workers=4,
+            config=PicosConfig.paper_prototype(DMDesign.WAY8),
+        )
+        paths = run_delivery_paths(request)
+        assert paths["straight"]["counters"]["dm_conflicts"] >= 1
+        assert_delivery_paths_agree(paths)

@@ -436,8 +436,8 @@ def _drive(queue, ops):
         if action == "peek":
             trace.append(("peek", queue.peek_time))
         elif action == "same-a":
-            # Head test for a kind at the head's own time: exercises the
-            # batching primitive against interleaved kinds.
+            # Head test for a kind at the head's own time: exercises
+            # pop_same_kind against interleaved kinds.
             time = queue.peek_time
             if time is not None:
                 event = queue.pop_same_kind("a", time)

@@ -41,7 +41,7 @@ from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
 from repro.sim.session import FaultInjected, FaultRecovered, open_session
 
-from tests.helpers import SATURATION_CASES
+from tests.helpers import DORMANT_FAULT, SATURATION_CASES
 from tests.test_perf_parity import GOLDEN, result_digest
 
 #: The backends the injection layer hooks (the perfect backend rejects
@@ -196,17 +196,12 @@ class TestCycleNeutrality:
 
     @pytest.mark.parametrize("backend", FAULTED_BACKENDS)
     def test_armed_but_never_firing_scenario_is_cycle_neutral(self, backend):
-        """An armed plan forces the reference (unbatched) delivery loop;
-        parity between the loops is already pinned, so a scenario whose
-        window lies beyond the end of the run must reproduce the unfaulted
-        digest exactly -- with zero injections on the books."""
+        """An armed plan intercepts every delivery of the one loop, so a
+        scenario whose window lies beyond the end of the run must
+        reproduce the unfaulted digest exactly -- with zero injections on
+        the books."""
         unfaulted = simulate_request(_request(backend))
-        dormant = FaultScenario(
-            FaultKind.DELAY_EVENT,
-            FaultTrigger(window=(10**9, 10**9 + 1)),
-            FaultTarget(packet_class="ready"),
-        )
-        faulted = simulate_request(_request(backend, faults=(dormant,)))
+        faulted = simulate_request(_request(backend, faults=(DORMANT_FAULT,)))
         assert result_digest(faulted) == result_digest(unfaulted)
         assert faulted.makespan == unfaulted.makespan
         assert faulted.counters["faults_injected"] == 0

@@ -1,25 +1,25 @@
-"""Edge cases of the HIL master-job state machine and ready-batch delivery.
+"""Edge cases of the HIL master-job state machine and ready-task delivery.
 
 The flat, table-driven master dispatcher re-arms the ARM core exactly once
-per event-handler activation, and same-cycle ready-task visibility
-notifications travel as one ``READY_BATCH`` engine event per cycle-cluster
-(see ``docs/hil.md``).  These tests pin the edges the parity matrices do
-not reach on their own:
+per event-handler activation, and every ready-task visibility notification
+is one engine event of its own (see ``docs/hil.md``).  These tests pin the
+edges the golden digests do not reach on their own:
 
 * a kick while a master event is already in flight must be a no-op (one
   job in flight at a time, no double-booked ARM core);
 * a kick that schedules at the *current* cycle after the queue head was
-  peeked (a ``pop_same_kind`` miss) must still deliver in FIFO order --
-  post-peek overtaking, the calendar-queue subtlety of ``docs/engine.md``;
-* ready batches interleaved with worker completions at one cycle (the
-  ``pop_same_kind`` miss path between the two batch kinds) must stay
-  cycle-identical to per-event delivery, including every counter.
+  peeked must still deliver in FIFO order -- post-peek overtaking, the
+  calendar-queue subtlety of ``docs/engine.md``;
+* zero-cost master jobs, zero-latency wake-up clusters interleaved with
+  worker completions, LIFO scheduling and random graphs must give
+  field-for-field equal results straight, sliced, with a dormant fault
+  armed and restored from a mid-run snapshot
+  (:func:`tests.helpers.run_delivery_paths`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
+from collections import Counter
 
 import pytest
 
@@ -28,10 +28,11 @@ from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.task import Direction
 from repro.sim.engine import EventQueue
 from repro.sim.hil import HILMode, HILSimulator
+from repro.sim.request import SimulationRequest
 from repro.sim.results import TaskTimeline
 from repro.traces.synthetic import random_program
 
-from tests.helpers import make_program
+from tests.helpers import assert_delivery_paths_agree, make_program, run_delivery_paths
 
 A, B = 0x1000, 0x2000
 
@@ -42,20 +43,17 @@ def fanout_program(readers: int = 8, duration: int = 30):
     return make_program(spec, durations=[duration] * (readers + 1), name="fanout")
 
 
-def run_all_delivery_modes(program, *, mode, num_workers, config=None, policy=SchedulingPolicy.FIFO):
-    """The same simulation under every batching-flag combination."""
-    results = {}
-    for batch_completions, batch_ready in itertools.product((True, False), repeat=2):
-        results[(batch_completions, batch_ready)] = HILSimulator(
+def delivery_paths(program, *, mode, num_workers, config=None, policy=SchedulingPolicy.FIFO):
+    """:func:`run_delivery_paths` of one HIL run of ``program``."""
+    return run_delivery_paths(
+        SimulationRequest.for_program(
             program,
-            config=config,
-            mode=mode,
+            backend=mode.backend_name,
             num_workers=num_workers,
+            config=config,
             policy=policy,
-            batch_completions=batch_completions,
-            batch_ready_events=batch_ready,
-        ).run()
-    return results
+        )
+    )
 
 
 def primed_simulator(program, **kwargs) -> HILSimulator:
@@ -64,14 +62,6 @@ def primed_simulator(program, **kwargs) -> HILSimulator:
     for task in program:
         sim._timelines[task.task_id] = TaskTimeline(task_id=task.task_id)
     return sim
-
-
-def assert_all_identical(results):
-    reference = dataclasses.asdict(results[(False, False)])
-    for flags, result in results.items():
-        assert dataclasses.asdict(result) == reference, (
-            f"delivery mode {flags} diverged from the per-event reference"
-        )
 
 
 class TestMasterRearm:
@@ -140,142 +130,116 @@ class TestKickAtCurrentCycleAfterPeek:
 
     def test_zero_cost_master_jobs_complete_at_the_peeked_cycle(self):
         # With comm_cycles=0 every re-arm schedules its master-done event
-        # at the cycle the handler is draining -- after the ready-batch
-        # handler already peeked the head via pop_same_kind.  The schedule
-        # must stay cycle-identical to per-event delivery.
+        # at the cycle being delivered -- in a sliced run, after the
+        # dispatch loop already peeked the head of that cycle.  The
+        # schedule must not depend on how the run is delivered.
         config = PicosConfig(comm_cycles=0)
         program = fanout_program(readers=12, duration=25)
         for mode in (HILMode.HW_COMM, HILMode.FULL_SYSTEM):
-            results = run_all_delivery_modes(
-                program, mode=mode, num_workers=3, config=config
+            assert_delivery_paths_agree(
+                delivery_paths(program, mode=mode, num_workers=3, config=config)
             )
-            assert_all_identical(results)
-            assert results[(True, True)].completed_all()
 
 
-class _MasterClusterCountingQueue:
-    """EventQueue proxy counting MASTER_DONE deliveries via pop_same_kind."""
+class _SameCycleMasterJobs:
+    """EventQueue proxy counting master jobs armed to complete at ``now``."""
 
     def __init__(self, inner: EventQueue) -> None:
         self._inner = inner
-        self.master_cluster_pops = 0
+        self.same_cycle_jobs = 0
 
-    def pop_same_kind(self, kind, time):
-        event = self._inner.pop_same_kind(kind, time)
-        if event is not None and kind == "master-done":
-            self.master_cluster_pops += 1
-        return event
+    def schedule(self, time, kind, payload=None):
+        if kind == "master-done" and time == self._inner.now:
+            self.same_cycle_jobs += 1
+        return self._inner.schedule(time, kind, payload)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
 class TestMasterCompletionClusters:
-    """Lazy drain of colliding zero-cost master-job completions."""
+    """Master jobs that complete in the cycle that armed them."""
 
-    def test_zero_cost_jobs_drain_in_one_activation(self):
+    def test_zero_cost_jobs_complete_one_event_each_in_the_arming_cycle(self):
         # comm_cycles=0 makes every finish/dispatch/create job of HW+comm
         # mode zero-cost, so the serial master's re-arms land at the
-        # current cycle and successive completions collide there.  The
-        # batched handler must retire those clusters through pop_same_kind
-        # in one activation -- and stay bit-exact with the per-event
-        # reference, events_processed included (pop_same_kind counts each
-        # delivery exactly like a dispatch).
+        # current cycle and successive completions cluster there.  Each
+        # job is still an engine event of its own: create, dispatch and
+        # finish per task, next to its visibility and worker completion.
         config = PicosConfig(comm_cycles=0)
         program = fanout_program(readers=12, duration=25)
         sim = HILSimulator(
             program, config=config, mode=HILMode.HW_COMM, num_workers=3
         )
-        sim.queue = _MasterClusterCountingQueue(sim.queue)
-        batched = sim.run()
-        assert batched.completed_all()
-        assert sim.queue.master_cluster_pops > 0  # real clusters formed
-        reference = HILSimulator(
-            program,
-            config=config,
-            mode=HILMode.HW_COMM,
-            num_workers=3,
-            batch_completions=False,
-        ).run()
-        assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
+        sim.queue = _SameCycleMasterJobs(sim.queue)
+        result = sim.run()
+        assert result.completed_all()
+        assert sim.queue.same_cycle_jobs > 0  # real clusters formed
+        assert result.counters["events_processed"] == 5 * program.num_tasks
 
-    def test_costed_jobs_never_form_clusters(self):
+    def test_costed_jobs_never_complete_in_the_arming_cycle(self):
         # With a non-zero job cost the re-arm always lands in the future,
-        # so the drain loop must not even consult the queue: the master
-        # timeline stays strictly one event per job.
+        # so the serial master never completes two jobs in one cycle.
         config = PicosConfig(comm_cycles=3)
         program = fanout_program(readers=8, duration=25)
         sim = HILSimulator(
             program, config=config, mode=HILMode.HW_COMM, num_workers=3
         )
-        sim.queue = _MasterClusterCountingQueue(sim.queue)
+        sim.queue = _SameCycleMasterJobs(sim.queue)
         result = sim.run()
         assert result.completed_all()
-        assert sim.queue.master_cluster_pops == 0
+        assert sim.queue.same_cycle_jobs == 0
 
 
-class TestReadyBatchInterleaving:
-    """Cycle-clusters of visibility events against worker completions."""
+class TestReadyClusterInterleaving:
+    """Same-cycle visibility clusters against worker completions."""
 
-    def test_fanout_wakeups_coalesce_into_one_engine_event(self):
+    def test_fanout_wakeups_arrive_as_one_event_per_task(self):
         # chain_hop_cycles=0 makes a consumer chain wake at one cycle, so
-        # the finish of the producer emits a genuine multi-task cluster.
+        # the finish of the producer makes a genuine multi-task cluster
+        # visible; each member is still an engine event of its own.
         config = PicosConfig(chain_hop_cycles=0)
         program = fanout_program(readers=8)
-        sim = HILSimulator(
+        result = HILSimulator(
             program, config=config, mode=HILMode.HW_ONLY, num_workers=8
-        )
-        result = sim.run()
-        assert result.completed_all()
-        assert sim._ready_batch_extra > 0  # at least one real cluster
-        reference = HILSimulator(
-            program,
-            config=config,
-            mode=HILMode.HW_ONLY,
-            num_workers=8,
-            batch_ready_events=False,
         ).run()
-        # Field-for-field identity includes the per-delivered-event
-        # accounting: a consumed cluster counts once per notification.
-        assert dataclasses.asdict(result) == dataclasses.asdict(reference)
+        assert result.completed_all()
+        ready_cycles = Counter(t.ready for t in result.timelines.values())
+        assert max(ready_cycles.values()) > 1  # at least one real cluster
+        assert result.counters["events_processed"] == 2 * program.num_tasks
 
     @pytest.mark.parametrize("mode", list(HILMode), ids=lambda m: m.value)
     def test_clustered_wakeups_interleave_with_completions(self, mode):
         # Equal durations make worker completions land in same-cycle runs;
         # zero-latency wake-ups put ready clusters on those same cycles.
-        # The ready-batch drain must stop at interleaved worker-done
-        # events (the pop_same_kind miss path) and vice versa.
         config = PicosConfig(chain_hop_cycles=0, wake_latency=0)
         spec = [[(A, Direction.OUT)], [(B, Direction.OUT)]]
         spec += [[(A, Direction.IN)]] * 6
         spec += [[(B, Direction.IN)]] * 6
         program = make_program(spec, durations=[40] * len(spec), name="interleave")
-        results = run_all_delivery_modes(
-            program, mode=mode, num_workers=4, config=config
+        assert_delivery_paths_agree(
+            delivery_paths(program, mode=mode, num_workers=4, config=config)
         )
-        assert_all_identical(results)
-        assert results[(True, True)].completed_all()
 
     @pytest.mark.parametrize("mode", list(HILMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("seed", [1, 7, 23])
-    def test_random_graphs_are_mode_independent(self, mode, seed):
+    def test_random_graphs_agree_on_every_delivery_path(self, mode, seed):
         program = random_program(
             seed, num_tasks=40, num_addresses=12, max_deps=4, max_duration=60
         )
-        results = run_all_delivery_modes(program, mode=mode, num_workers=4)
-        assert_all_identical(results)
+        assert_delivery_paths_agree(delivery_paths(program, mode=mode, num_workers=4))
 
-    def test_priority_policies_see_tasks_one_at_a_time(self):
-        # A LIFO scheduler observing a whole cluster at once could pick a
-        # later task first; the batched handler must feed it task by task,
-        # exactly as the per-event reference does.
+    def test_lifo_policy_agrees_on_every_delivery_path(self):
+        # A LIFO scheduler sees a wake-up cluster one task per event; the
+        # policy must survive slicing, fault interception and a snapshot.
         config = PicosConfig(chain_hop_cycles=0)
         program = fanout_program(readers=10, duration=100)
-        results = run_all_delivery_modes(
-            program,
-            mode=HILMode.HW_ONLY,
-            num_workers=2,
-            config=config,
-            policy=SchedulingPolicy.LIFO,
+        assert_delivery_paths_agree(
+            delivery_paths(
+                program,
+                mode=HILMode.HW_ONLY,
+                num_workers=2,
+                config=config,
+                policy=SchedulingPolicy.LIFO,
+            )
         )
-        assert_all_identical(results)

@@ -1,22 +1,22 @@
 """Cycle-identity of the optimized simulation core.
 
 The engine/hot-path optimizations (``__slots__`` events, handler-table
-dispatch, same-cycle completion batching, memoized DM indexing) must not
-move a single cycle.  Two independent nets pin that down:
+dispatch, memoized DM indexing) must not move a single cycle.  Two
+independent nets pin that down:
 
 * **golden digests** -- every backend's full result (makespan, drain time
   and all per-task timelines) is digested and compared against values
   recorded from the pre-optimization engine, so any behavioural drift in
-  the optimized code fails loudly;
-* **reference-loop parity** -- the HIL and Nanos++ simulators keep an
-  event-per-event reference delivery mode (``batch_completions=False``);
-  batched and reference runs must produce field-for-field identical
-  results.  This is the check the CI bench job replays.
+  the optimized code fails loudly.  This is the check the CI bench job
+  replays;
+* **delivery-path parity** -- the HIL and Nanos++ simulators each have one
+  event-delivery loop, and a run drives it straight, in
+  :class:`~repro.sim.session.EngineStepper` slices, through an armed but
+  dormant fault plan, or from a restored mid-run snapshot; all four must
+  produce field-for-field identical results.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -27,6 +27,8 @@ from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest, build_workload
+
+from tests.helpers import assert_delivery_paths_agree, run_delivery_paths
 
 
 def result_digest(result) -> str:
@@ -130,6 +132,10 @@ class TestGoldenDigests:
         assert result.makespan == expected_makespan
         assert result_digest(result) == expected_digest
 
+    def test_every_builtin_backend_has_a_golden_row(self):
+        covered = {key[3] for key in GOLDEN}
+        assert covered == set(BUILTIN_BACKENDS)
+
 
 #: The hil-* golden rows re-run on the object-based reference datapath
 #: (``repro.core.reference`` behind the integer-handle adapters): the
@@ -170,50 +176,33 @@ class TestReferenceDatapathGolden:
         assert result_digest(result) == expected_digest
 
 
-class TestReferenceLoopParity:
-    """Batched completion delivery is cycle-identical to event-per-event."""
+class TestDeliveryPathParity:
+    """Straight, sliced, dormant-fault and restored runs are identical."""
 
+    @pytest.mark.parametrize("datapath", ["flat", "reference"])
     @pytest.mark.parametrize("mode", list(HILMode))
     @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_hil_batched_matches_reference(self, mode, workers):
-        program = build_workload("cholesky", 128, 512)
-        batched = HILSimulator(
-            program, mode=mode, num_workers=workers, batch_completions=True
-        ).run()
-        reference = HILSimulator(
-            program, mode=mode, num_workers=workers, batch_completions=False
-        ).run()
-        assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
-
-    @pytest.mark.parametrize("mode", list(HILMode))
-    @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_hil_ready_batching_matches_reference(self, mode, workers):
-        """READY_BATCH cycle-cluster delivery equals per-notification events."""
-        program = build_workload("cholesky", 128, 512)
-        batched = HILSimulator(program, mode=mode, num_workers=workers).run()
-        reference = HILSimulator(
-            program,
-            mode=mode,
+    def test_hil_delivery_paths_agree(self, datapath, mode, workers):
+        request = SimulationRequest.for_workload(
+            "cholesky",
+            block_size=128,
+            problem_size=512,
+            backend=mode.backend_name,
             num_workers=workers,
-            batch_completions=False,
-            batch_ready_events=False,
-        ).run()
-        assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
+            config=PicosConfig(reference_datapath=datapath == "reference"),
+        )
+        assert_delivery_paths_agree(run_delivery_paths(request))
 
     @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_nanos_batched_matches_reference(self, workers):
-        program = build_workload("sparselu", 128, 512)
-        batched = NanosRuntimeSimulator(
-            program, workers, batch_completions=True
-        ).run()
-        reference = NanosRuntimeSimulator(
-            program, workers, batch_completions=False
-        ).run()
-        assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
-
-    def test_every_builtin_backend_has_a_golden_row(self):
-        covered = {key[3] for key in GOLDEN}
-        assert covered == set(BUILTIN_BACKENDS)
+    def test_nanos_delivery_paths_agree(self, workers):
+        request = SimulationRequest.for_workload(
+            "sparselu",
+            block_size=128,
+            problem_size=512,
+            backend="nanos",
+            num_workers=workers,
+        )
+        assert_delivery_paths_agree(run_delivery_paths(request))
 
 
 class TestMemoizedIndexing:
@@ -251,11 +240,17 @@ class TestEventsProcessedCounter:
         assert hil.counters["events_processed"] >= program.num_tasks
         assert nanos.counters["events_processed"] >= program.num_tasks
 
-    def test_batched_delivery_counts_every_event(self):
+    def test_every_event_is_delivered_and_counted_once(self):
+        # Each task is one visibility and one completion event; where the
+        # ARM core mediates, its create, dispatch and finish jobs add one
+        # event each.  Nanos++ adds the master thread joining the team.
         program = build_workload("cholesky", 128, 512)
-        batched = HILSimulator(program, num_workers=4, batch_completions=True).run()
-        reference = HILSimulator(program, num_workers=4, batch_completions=False).run()
-        assert (
-            batched.counters["events_processed"]
-            == reference.counters["events_processed"]
-        )
+        for mode, per_task in (
+            (HILMode.HW_ONLY, 2),
+            (HILMode.HW_COMM, 5),
+            (HILMode.FULL_SYSTEM, 5),
+        ):
+            result = HILSimulator(program, mode=mode, num_workers=4).run()
+            assert result.counters["events_processed"] == per_task * program.num_tasks
+        nanos = NanosRuntimeSimulator(program, 4).run()
+        assert nanos.counters["events_processed"] == 2 * program.num_tasks + 1

@@ -29,6 +29,7 @@ from repro.service.protocol import (
     events_to_document,
     result_from_document,
 )
+from repro.service.server import _READ_LIMIT
 
 SMALL = 512
 
@@ -878,3 +879,20 @@ class TestHTTPAdapter:
 
         raw = run_with_server(scenario)
         assert raw.startswith(b"HTTP/1.1 400")
+
+    @pytest.mark.parametrize(
+        "declared", [b"abc", b"-5", str(_READ_LIMIT + 1).encode()]
+    )
+    def test_post_simulate_rejects_bad_content_length_before_reading(self, declared):
+        async def scenario(server):
+            # No body follows: the answer must come from the header alone.
+            payload = (
+                b"POST /simulate HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + declared + b"\r\n\r\n"
+            )
+            return await asyncio.wait_for(self._http(server, payload), 10)
+
+        raw = run_with_server(scenario)
+        assert raw.startswith(b"HTTP/1.1 400")
+        body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert body["code"] == REJECT_BAD_REQUEST

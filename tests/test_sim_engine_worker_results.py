@@ -96,7 +96,7 @@ class TestEventQueue:
 
 
 class TestPopSameKindInterleavedKinds:
-    """Regression net for the batching primitive.
+    """Regression net for ``EventQueue.pop_same_kind``.
 
     An implementation that scans-and-re-pushes non-matching same-time
     events degrades to O(n) per delivered event when many kinds interleave

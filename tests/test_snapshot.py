@@ -450,6 +450,20 @@ class TestOnDiskFormat:
         with pytest.raises(SnapshotError, match=SNAPSHOT_FORMAT):
             SimulationSnapshot.from_document(foreign)
 
+    def test_version_1_documents_are_refused_at_load(self, tmp_path):
+        # A version-1 mid-run document may hold coalesced ready events no
+        # handler accepts any more: it must fail at load, not mid-run.
+        document = self._mid_run_snapshot().document()
+        del document["digest"]
+        document["version"] = 1
+        document["digest"] = stable_digest(
+            json.dumps(document, sort_keys=True, separators=(",", ":"))
+        )
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotError, match="unsupported snapshot version 1 "):
+            load_snapshot(path)
+
     def test_garbage_files_raise_snapshot_errors(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -86,6 +86,7 @@ def scale_durations_to_mean(program: TaskProgram, target_mean: float) -> TaskPro
     factor = target_mean / current_mean
     for task in program:
         task.duration = max(1, int(round(task.duration * factor)))
+    program._graph = None  # a memoized dependence graph holds the old durations
     return program
 
 

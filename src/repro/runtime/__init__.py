@@ -27,6 +27,7 @@ from repro.runtime.dependence_analysis import (
     DependenceAnalyzer,
     TaskGraph,
     build_task_graph,
+    task_graph,
 )
 from repro.runtime.overhead import NanosOverheadModel
 
@@ -38,6 +39,7 @@ __all__ = [
     "DependenceAnalyzer",
     "TaskGraph",
     "build_task_graph",
+    "task_graph",
     "NanosOverheadModel",
     "NanosRuntimeSimulator",
     "PerfectScheduler",

@@ -10,7 +10,8 @@ This module implements those semantics directly on a :class:`TaskProgram`.
 It serves three purposes:
 
 * it is the graph builder for the Perfect (roofline) scheduler and the
-  Nanos++ software-only model;
+  Nanos++ software-only model, which share one graph per program through
+  :func:`task_graph`;
 * it is the *reference* against which the hardware model is validated
   (property-based tests assert that the set of predecessor/successor
   relations realised by the Picos chain mechanism matches this analysis);
@@ -200,6 +201,27 @@ def build_task_graph(program: TaskProgram) -> TaskGraph:
     return graph
 
 
+def task_graph(program: TaskProgram) -> TaskGraph:
+    """The dependence graph of ``program``, built once and shared.
+
+    The graph depends on the program alone, so the first call builds it
+    with :func:`build_task_graph` and keeps it on the program; the Nanos++
+    model, the Perfect scheduler and :func:`ready_order_is_valid` then
+    reuse it on every run instead of redoing the analysis.  Every caller
+    gets the same object and must treat it as read-only.
+
+    The graph lives and dies with its program: :meth:`TaskProgram.add_task`
+    drops it, and the request layer's bounded program memo bounds how many
+    are kept.  Code that edits a task of the program in place must drop it
+    too (``program._graph = None``), as
+    :func:`repro.apps.common.scale_durations_to_mean` does.
+    """
+    graph = program._graph
+    if graph is None:
+        graph = program._graph = build_task_graph(program)
+    return graph
+
+
 def ready_order_is_valid(program: TaskProgram, start_order: Sequence[int]) -> bool:
     """Check that ``start_order`` respects every dependence of ``program``.
 
@@ -208,7 +230,7 @@ def ready_order_is_valid(program: TaskProgram, start_order: Sequence[int]) -> bo
     before all of its predecessors appear earlier in the order.  It is the
     main cross-simulator correctness oracle used by the test suite.
     """
-    graph = build_task_graph(program)
+    graph = task_graph(program)
     position = {task_id: index for index, task_id in enumerate(start_order)}
     if len(position) != program.num_tasks:
         return False

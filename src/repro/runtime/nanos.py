@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.dependence_analysis import TaskGraph, build_task_graph
+from repro.runtime.dependence_analysis import TaskGraph, task_graph
 from repro.runtime.overhead import NanosOverheadModel
 from repro.runtime.task import TaskProgram
 from repro.sim.backend import BACKEND_NANOS, register_backend
@@ -80,7 +80,7 @@ class NanosRuntimeSimulator:
         self.program = program
         self.num_threads = num_threads
         self.overhead = overhead if overhead is not None else NanosOverheadModel()
-        self.graph: TaskGraph = build_task_graph(program)
+        self.graph: TaskGraph = task_graph(program)  # shared: read-only
 
         self.queue = EventQueue()
         self._timelines: Dict[int, TaskTimeline] = {}

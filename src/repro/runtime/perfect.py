@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Tuple
 
-from repro.runtime.dependence_analysis import TaskGraph, build_task_graph
+from repro.runtime.dependence_analysis import TaskGraph, task_graph
 from repro.runtime.task import TaskProgram
 from repro.sim.backend import BACKEND_PERFECT, register_backend
 from repro.sim.results import SimulationResult, TaskTimeline
@@ -29,7 +29,7 @@ class PerfectScheduler:
             raise ValueError("at least one worker is required")
         self.program = program
         self.num_workers = num_workers
-        self.graph: TaskGraph = build_task_graph(program)
+        self.graph: TaskGraph = task_graph(program)  # shared: read-only
 
     # ------------------------------------------------------------------
     # scheduling

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.runtime.dependence_analysis import TaskGraph
 
 
 class Direction(enum.Enum):
@@ -197,6 +200,9 @@ class TaskProgram:
         self.name = name
         self._tasks: List[Task] = []
         self._by_id: Dict[int, Task] = {}
+        #: Memoized dependence graph (see
+        #: :func:`repro.runtime.dependence_analysis.task_graph`).
+        self._graph: Optional["TaskGraph"] = None
         if tasks is not None:
             for task in tasks:
                 self.add_task(task)
@@ -208,12 +214,15 @@ class TaskProgram:
         """Append ``task`` to the creation stream.
 
         Raises ``ValueError`` if a task with the same identifier is already
-        part of the program.
+        part of the program.  Drops the memoized dependence graph, so the
+        next :func:`~repro.runtime.dependence_analysis.task_graph` call
+        sees the new task.
         """
         if task.task_id in self._by_id:
             raise ValueError(f"duplicate task id {task.task_id}")
         self._tasks.append(task)
         self._by_id[task.task_id] = task
+        self._graph = None
         return task
 
     def create_task(

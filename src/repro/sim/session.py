@@ -39,6 +39,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, List, Optional, Tuple
 
 from repro.runtime.task import Task, TaskProgram
@@ -209,11 +210,23 @@ class EngineStepper:
     split across horizons, the concatenated slices are cycle-identical to a
     single uninterrupted run, and the sorted per-slice log partitions
     reproduce :func:`lifecycle_events` exactly.
+
+    The simulator's log list always holds exactly the entries not yet
+    handed out.  Its first ``_pending`` entries are the ones earlier
+    slices left pending, kept as a :mod:`heapq` min-heap; everything after
+    them was appended by the simulator since the last slice.  A slice
+    therefore reads only its new entries and pops the heap while its top
+    is due: it costs its own events, not the backlog (Nanos++ logs every
+    submission at start-up, which would otherwise be re-read by every
+    slice).  A fresh stepper starts with ``_pending == 0``, so a restored
+    log counts as all new.
     """
 
     def __init__(self, simulator) -> None:  # type: ignore[no-untyped-def]
         self._sim = simulator
         self._log: List[Tuple[int, int, int]] = simulator.enable_lifecycle_log()
+        #: Length of the pending-entry heap at the front of ``_log``.
+        self._pending = 0
         self._horizon = 0
         self.finished = False
 
@@ -244,12 +257,21 @@ class EngineStepper:
         self.finished = done
         log = self._log
         if done:
-            entries, keep = list(log), []
+            entries = log[:]
+            log.clear()
         else:
-            entries, keep = [], []
-            for entry in log:
-                (entries if entry[0] <= target else keep).append(entry)
-        log[:] = keep
+            pending = self._pending
+            fresh = log[pending:]
+            del log[pending:]  # ``log`` is the heap alone again
+            entries = []
+            for entry in fresh:
+                if entry[0] <= target:
+                    entries.append(entry)
+                else:
+                    heappush(log, entry)
+            while log and log[0][0] <= target:
+                entries.append(heappop(log))
+        self._pending = len(log)
         # Plain tuple order == the lifecycle_events() sort key
         # (cycle, kind order, task id).
         entries.sort()

@@ -70,6 +70,9 @@ keyed by a :func:`~repro.core.hashing.stable_digest` over its canonical
 serialisation; :func:`load_snapshot` verifies the format version and the
 digest before handing the snapshot back, so silent corruption (or a schema
 drift without a version bump) fails loudly instead of replaying garbage.
+A digest cannot vouch for a document someone edited and re-stamped, so
+:func:`restore` also checks the pending lifecycle log entry by entry
+before the session exists.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import dataclasses
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.config import PicosConfig
 from repro.core.dct import StallReason
@@ -90,13 +93,14 @@ from repro.core.reference.task_memory import DependenceSlot, TaskEntry
 from repro.core.reference.version_memory import VersionEntry
 from repro.core.stats import PicosStats
 from repro.faults.payloads import FaultRedeliver, FaultTimer
+from repro.faults.plan import LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Event
 from repro.sim.hil import HILSimulator
 from repro.sim.request import InlineProgramRef
 from repro.sim.results import TaskTimeline
-from repro.sim.session import SimulationSession, open_session
+from repro.sim.session import _EVENT_CLASSES, SimulationSession, open_session
 
 __all__ = [
     "KIND_FINISHED",
@@ -853,13 +857,65 @@ def _restore_fault_plan(sim: Any, state: Dict[str, Any]) -> None:
     plan.restore_state(document)
 
 
+def _log_document(log: Optional[List[Tuple[int, int, int]]]) -> List[List[int]]:
+    """The pending lifecycle log, sorted.
+
+    The stepper keeps these entries as a heap whose layout depends on how
+    the run was sliced; sorting makes the document (and so the digest) a
+    function of the simulation at the captured cycle alone.
+    """
+    return [] if log is None else [list(entry) for entry in sorted(log)]
+
+
+def _check_lifecycle_log(entries: Any, cycle: Any, program: TaskProgram) -> None:
+    """Refuse a pending lifecycle log no captured run could have left.
+
+    The digest only proves a document is self-consistent, and a client can
+    re-stamp an edited one, so each entry is checked before the session
+    exists: three plain integers, an order code naming an event class, a
+    stamp after the snapshot's cycle (earlier entries were handed out
+    before the capture) and a task of the program -- or ``-1`` for a
+    fault event that targets a worker or bank.
+    """
+    if type(cycle) is not int:
+        raise SnapshotError(f"snapshot cycle {cycle!r} is not an integer")
+    if not isinstance(entries, list):
+        raise SnapshotError("the snapshot's lifecycle log is not a list")
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(value) is int for value in entry)
+        ):
+            raise SnapshotError(
+                f"lifecycle log entry {entry!r} is not three integers"
+            )
+        stamp, order, task_id = entry
+        if not 0 <= order < len(_EVENT_CLASSES):
+            raise SnapshotError(
+                f"lifecycle log entry {entry!r} has an unknown order code"
+            )
+        if stamp <= cycle:
+            raise SnapshotError(
+                f"lifecycle log entry {entry!r} is stamped at or before the "
+                f"snapshot cycle {cycle}"
+            )
+        if task_id == -1 and order in (LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED):
+            continue
+        try:
+            program.task(task_id)
+        except KeyError:
+            raise SnapshotError(
+                f"lifecycle log entry {entry!r} names no task of the program"
+            ) from None
+
+
 def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
-    log = sim._lifecycle_log
     return _fault_plan_document(sim, {
         "simulator": "hil",
         "queue": _queue_document(sim.queue),
         "timelines": _timelines_document(sim._timelines),
-        "log": [] if log is None else [list(entry) for entry in log],
+        "log": _log_document(sim._lifecycle_log),
         "pending_new": [task.task_id for task in sim._pending_new],
         "new_free_at": sim._picos_new_free_at,
         "finish_free_at": sim._picos_finish_free_at,
@@ -900,12 +956,11 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
 
 
 def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
-    log = sim._lifecycle_log
     return _fault_plan_document(sim, {
         "simulator": "nanos",
         "queue": _queue_document(sim.queue),
         "timelines": _timelines_document(sim._timelines),
-        "log": [] if log is None else [list(entry) for entry in log],
+        "log": _log_document(sim._lifecycle_log),
         "master_joins_at": sim._master_joins_at,
         "idle_workers": list(sim._idle_workers),
         "remaining_preds": [
@@ -951,7 +1006,7 @@ def _simulator_state_document(sim: Any) -> Dict[str, Any]:
     )
 
 
-def _restore_simulator_state(sim: Any, state: Dict[str, Any]) -> None:
+def _restore_simulator_state(sim: Any, state: Dict[str, Any], cycle: int) -> None:
     label = state.get("simulator")
     if isinstance(sim, HILSimulator):
         expected = "hil"
@@ -966,6 +1021,7 @@ def _restore_simulator_state(sim: Any, state: Dict[str, Any]) -> None:
             f"snapshot state is for simulator {label!r}, the restore target "
             f"runs {expected!r}"
         )
+    _check_lifecycle_log(state.get("log"), cycle, sim.program)
     if expected == "hil":
         _restore_hil(sim, state)
     else:
@@ -1229,7 +1285,7 @@ def restore(
     stepper = factory(
         session._assembled_program(), **session.request.simulate_kwargs()
     )
-    _restore_simulator_state(stepper._sim, snapshot.state)
+    _restore_simulator_state(stepper._sim, snapshot.state, snapshot.cycle)
     stepper._horizon = snapshot.cycle
     stepper.finished = stepper._sim.queue.empty
     session._stepper = stepper

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.common import scale_durations_to_mean
+from repro.apps.registry import build_benchmark
+from repro.faults.scenario import parse_fault_spec
 from repro.runtime.dependence_analysis import (
     DependenceAnalyzer,
     TaskGraph,
     build_task_graph,
     ready_order_is_valid,
+    task_graph,
 )
+from repro.runtime.nanos import NanosRuntimeSimulator
+from repro.runtime.perfect import PerfectScheduler
 from repro.runtime.task import Dependence, Direction, Task
 
 from tests.helpers import make_program
@@ -154,3 +160,54 @@ class TestReadyOrderOracle:
     def test_incomplete_order_rejected(self):
         program = make_program([[(A, Direction.OUT)], [(A, Direction.IN)]])
         assert not ready_order_is_valid(program, [0])
+
+
+class TestSharedTaskGraph:
+    """``task_graph`` builds a program's graph once; every run shares it."""
+
+    def test_one_graph_per_program(self):
+        program = build_benchmark("cholesky", 128, problem_size=512)
+        graph = task_graph(program)
+        assert task_graph(program) is graph
+        first = NanosRuntimeSimulator(program, num_threads=4)
+        second = NanosRuntimeSimulator(program, num_threads=4)
+        assert first.graph is graph and second.graph is graph
+        assert PerfectScheduler(program, num_workers=4).graph is graph
+
+    def test_adding_a_task_drops_the_memo(self):
+        program = make_program([[(A, Direction.OUT)], [(B, Direction.OUT)]])
+        before = task_graph(program)
+        program.create_task([Dependence(A, Direction.IN)])
+        after = task_graph(program)
+        assert after is not before
+        assert after.num_tasks == 3
+        assert after.predecessors[2] == {0}
+        assert after == build_task_graph(program)
+
+    def test_rescaling_durations_drops_the_memo(self):
+        program = make_program([[(A, Direction.OUT)], [(A, Direction.IN)]])
+        task_graph(program)
+        scale_durations_to_mean(program, 1_000)
+        assert task_graph(program).durations == {0: 1_000, 1: 1_000}
+        assert task_graph(program) == build_task_graph(program)
+
+    def test_runs_never_mutate_the_shared_graph(self):
+        # ready_order_is_valid is the suite's cross-simulator oracle; the
+        # simulators now share its graph, so none of them may edit it.
+        program = build_benchmark("cholesky", 128, problem_size=512)
+        NanosRuntimeSimulator(program, num_threads=4).run()
+        PerfectScheduler(program, num_workers=4).run()
+        killed = NanosRuntimeSimulator(
+            program,
+            num_threads=4,
+            faults=(parse_fault_spec("kill-worker@cycle=2000:worker=1"),),
+        ).run()
+        assert killed.counters["faults_injected"] == 1
+        # TaskGraph is a dataclass: == compares it field for field.
+        assert task_graph(program) == build_task_graph(program)
+
+    def test_the_oracle_refuses_a_broken_order_after_a_memoized_call(self):
+        program = make_program([[(A, Direction.OUT)], [(A, Direction.IN)]])
+        assert ready_order_is_valid(program, [0, 1])
+        assert task_graph(program) is task_graph(program)
+        assert not ready_order_is_valid(program, [1, 0])

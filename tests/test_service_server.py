@@ -740,6 +740,39 @@ class TestCheckpointRestore:
         assert error["type"] == "error"
         assert error["code"] == REJECT_SESSION_STATE
 
+    def test_restore_rejects_a_forged_lifecycle_log(self):
+        # A re-digested document passes the load-time digest check; the
+        # restore's own log check must refuse it before the session exists
+        # and hand the admitted slot back.
+        from repro.core.hashing import stable_digest
+        from repro.sim.session import open_session
+
+        source = open_session(_typed_request(_request_document("nanos")))
+        source.advance(60_000)
+        document = source.checkpoint().document()
+        source.close()
+        del document["digest"]
+        document["state"]["log"][0] = [0, 2, 1]  # stamped before the capture
+        document["digest"] = stable_digest(
+            json.dumps(document, sort_keys=True, separators=(",", ":"))
+        )
+        config = ServerConfig(port=0, http_port=None, max_sessions=1)
+
+        async def scenario(server):
+            client = await Client.connect(server)
+            await client.send({"type": "restore", "id": "forged", "snapshot": document})
+            rejected = await client.recv()
+            await client.send({"type": "open", "id": "next", "request": _request_document()})
+            accepted = await client.recv()
+            await client.close()
+            return rejected, accepted, server.metrics.snapshot()
+
+        rejected, accepted, metrics = run_with_server(scenario, config)
+        assert rejected["type"] == "rejected"
+        assert rejected["code"] == REJECT_BAD_REQUEST
+        assert metrics["snapshots"]["sessions_restored"] == 0
+        assert accepted["type"] == "accepted"  # the slot came back
+
     def test_restore_rejects_garbage_and_duplicate_ids(self):
         document = _request_document()
 

@@ -72,7 +72,8 @@ class TestSlicedBatchParity:
         assert session.result() == batch
         assert events == lifecycle_events(batch)
 
-    @pytest.mark.parametrize("backend", sorted(HIL_BACKENDS))
+    # nanos keeps its lifecycle entries pending across the most slices.
+    @pytest.mark.parametrize("backend", sorted(HIL_BACKENDS) + ["nanos"])
     def test_slice_size_does_not_change_the_run(self, backend):
         request = _workload_request(backend)
         coarse = open_session(request)

@@ -221,10 +221,18 @@ class TestRestoreIdempotence:
         session = open_session(_workload_request("cholesky", backend))
         session.advance(30_000)
         snapshot = capture(session)
-        session.close()
-        recaptured = capture(restore(snapshot))
+        restored = restore(snapshot)
+        recaptured = capture(restored)
         assert recaptured.digest == snapshot.digest
         assert recaptured.document() == snapshot.document()
+        # The stepper keeps pending lifecycle entries in a heap whose layout
+        # depends on the slicing history; it must not leak into a capture.
+        for _ in range(3):
+            session.advance(30_000)
+            restored.advance(30_000)
+            straight, resumed = capture(session), capture(restored)
+            assert resumed.digest == straight.digest
+            assert resumed.document() == straight.document()
 
     def test_one_snapshot_restores_twice_independently(self):
         request = _workload_request("cholesky", "hil-full")
@@ -251,6 +259,95 @@ class TestRestoreIdempotence:
         restored = restore(snapshot)
         _drain(restored, 50_000)
         assert restored.result() == session.result()
+
+
+# ----------------------------------------------------------------------
+# forged lifecycle logs
+# ----------------------------------------------------------------------
+def _redigested(document):
+    """``document`` re-stamped with a digest over its edited payload."""
+    document = dict(document)
+    document.pop("digest", None)
+    document["digest"] = stable_digest(
+        json.dumps(document, sort_keys=True, separators=(",", ":"))
+    )
+    return document
+
+
+def _mid_run_nanos_document():
+    session = open_session(_workload_request("cholesky", "nanos"))
+    session.advance(30_000)
+    document = capture(session).document()
+    session.close()
+    return document
+
+
+def _forged_log_snapshot(edit):
+    """A mid-run ``nanos`` snapshot whose first pending log entry is
+    ``edit(cycle)``, re-digested so that it loads."""
+    document = _mid_run_nanos_document()
+    assert document["state"]["log"]
+    document["state"]["log"][0] = edit(document["cycle"])
+    return SimulationSnapshot.from_document(_redigested(document))
+
+
+class TestForgedLifecycleLogs:
+    """The digest only proves a document is self-consistent: restore()
+    checks every pending lifecycle entry before the session exists."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cycle: ["x", 0, 1], "three integers"),
+            (lambda cycle: [cycle + 1, 0], "three integers"),
+            (lambda cycle: [float(cycle + 1), 0, 1], "three integers"),
+            (lambda cycle: [cycle + 1, True, 1], "three integers"),
+            (lambda cycle: {"cycle": cycle + 1}, "three integers"),
+            (lambda cycle: [cycle + 1, 9, 1], "order code"),
+            (lambda cycle: [cycle + 1, -1, 1], "order code"),
+            (lambda cycle: [0, 2, 1], "at or before"),
+            (lambda cycle: [cycle, 2, 1], "at or before"),
+            (lambda cycle: [cycle + 1, 0, 10**9], "no task"),
+            (lambda cycle: [cycle + 1, 2, -1], "no task"),
+        ],
+        ids=[
+            "string-cycle",
+            "two-fields",
+            "float-cycle",
+            "bool-order",
+            "object",
+            "order-past-the-classes",
+            "negative-order",
+            "before-the-snapshot",
+            "at-the-snapshot",
+            "unknown-task",
+            "worker-id-on-a-task-event",
+        ],
+    )
+    def test_a_forged_entry_is_refused_at_restore(self, edit, message):
+        snapshot = _forged_log_snapshot(edit)
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    def test_a_log_that_is_not_a_list_is_refused(self):
+        document = _mid_run_nanos_document()
+        document["state"]["log"] = "junk"
+        with pytest.raises(SnapshotError, match="not a list"):
+            restore(SimulationSnapshot.from_document(_redigested(document)))
+
+    def test_a_cycle_that_is_not_an_integer_is_refused(self):
+        document = _mid_run_nanos_document()
+        document["cycle"] = str(document["cycle"])
+        with pytest.raises(SnapshotError, match="not an integer"):
+            restore(SimulationSnapshot.from_document(_redigested(document)))
+
+    def test_fault_events_may_name_no_task(self):
+        # Fault events that target a worker or bank carry task id -1.
+        snapshot = _forged_log_snapshot(lambda cycle: [cycle + 1, 3, -1])
+        restored = restore(snapshot)
+        first = restored.advance(1)
+        assert first.events[0].cycle == snapshot.cycle + 1
+        assert first.events[0].kind == "fault-injected"
 
 
 # ----------------------------------------------------------------------

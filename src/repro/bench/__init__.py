@@ -1,72 +1,32 @@
-"""Performance-tracking subsystem: benchmark harness and regression diffs.
+"""The service bench: serving throughput and slice latency of the server.
 
-The paper's claims are throughput claims, so this package gives the
-reproduction a measured performance trajectory: :class:`BenchSpec` declares
-a matrix of (workload, backend, worker-count) simulation timings,
-:func:`run_bench` executes it and produces :class:`BenchResult` rows
-(wall-clock seconds, engine events per second, peak RSS), and
-:func:`write_bench_file` snapshots a run as a ``BENCH_<date>.json`` at the
-repository root.  :func:`compare_documents` diffs two such snapshots so a
-perf regression shows up as a reviewable table (``picos-experiment bench
---compare BENCH_old.json``).
+:func:`run_service_bench` starts an in-process simulation server and times
+waves of concurrent NDJSON clients (``picos-experiment bench``);
+:func:`write_bench_file` records the rows as ``BENCH_service_<date>.json``.
+The repository's speed is judged by a different benchmark, ``perfbench/``,
+through the A/B tool ``tools/perf_ab.py`` (see ``docs/benchmarks.md``).
 """
 
-from repro.bench.harness import (
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_REGRESSION_THRESHOLD,
-    GATE_SPEC,
-    HEADLINE_SPEC,
-    QUICK_SPEC,
-    BenchComparison,
-    BenchResult,
-    BenchSpec,
-    bench_document,
-    bench_file_name,
-    compare_documents,
-    default_specs,
-    gate_specs,
-    load_bench_document,
-    profile_cell,
-    profile_specs,
-    render_comparison,
-    render_results,
-    run_bench,
-    run_spec,
-    write_bench_file,
-    write_profile_file,
-)
 from repro.bench.service import (
+    BENCH_SCHEMA_VERSION,
     DEFAULT_CONCURRENCY_LEVELS,
+    BenchResult,
     ServiceBenchSpec,
+    bench_document,
+    render_results,
     run_service_bench,
     service_bench_file_name,
+    write_bench_file,
 )
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_REGRESSION_THRESHOLD",
-    "GATE_SPEC",
-    "HEADLINE_SPEC",
-    "QUICK_SPEC",
-    "BenchComparison",
-    "BenchResult",
-    "BenchSpec",
-    "bench_document",
-    "bench_file_name",
-    "compare_documents",
-    "default_specs",
-    "gate_specs",
-    "load_bench_document",
-    "profile_cell",
-    "profile_specs",
-    "render_comparison",
-    "render_results",
-    "run_bench",
-    "run_spec",
-    "write_bench_file",
     "DEFAULT_CONCURRENCY_LEVELS",
+    "BenchResult",
     "ServiceBenchSpec",
+    "bench_document",
+    "render_results",
     "run_service_bench",
     "service_bench_file_name",
-    "write_profile_file",
+    "write_bench_file",
 ]

@@ -1,11 +1,10 @@
-"""Service-facing benchmark cells: ``picos-experiment bench --service``.
+"""The service bench behind ``picos-experiment bench``.
 
-Where :mod:`repro.bench.harness` times the simulators, this module times
-the *server around them*: an in-process :class:`~repro.service.server.
-SimulationServer` is started on a loopback TCP port and a wave of
-concurrent NDJSON clients drives identical requests through the full
-open/run/stream/result protocol.  Each concurrency level becomes one
-:class:`~repro.bench.harness.BenchResult` row whose ``extras`` carry the
+It times the *server around the simulators*: an in-process
+:class:`~repro.service.server.SimulationServer` is started on a loopback
+TCP port and a wave of concurrent NDJSON clients drives identical requests
+through the full open/run/stream/result protocol.  Each concurrency level
+becomes one :class:`BenchResult` row whose ``extras`` carry the
 service-specific numbers:
 
 ``requests``
@@ -17,19 +16,27 @@ service-specific numbers:
     how long one session occupies the event loop per slice, the number
     that decides streaming responsiveness under load.
 
-These cells are written to ``BENCH_service_<date>.json`` -- deliberately
-*outside* the ``BENCH_2*.json`` glob the CI regression gate uses for its
-baseline, so service timings inform but never gate.
+The rows are written to ``BENCH_service_<date>.json``.  They inform and
+never gate: speed claims and the CI gate come from the repository
+benchmark, ``perfbench/``, through ``tools/perf_ab.py`` (see
+``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import json
+import platform
+import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from datetime import date, datetime, timezone
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.bench.harness import BenchResult, _peak_rss_kb
+#: Bumped whenever the ``BENCH_service_*.json`` document layout changes.
+BENCH_SCHEMA_VERSION = 1
 
 #: Concurrency levels of the default service matrix.
 DEFAULT_CONCURRENCY_LEVELS: Tuple[int, ...] = (1, 16, 64)
@@ -64,11 +71,65 @@ class ServiceBenchSpec:
         return document
 
 
+@dataclass(frozen=True)
+class BenchResult:
+    """One timed wave of the service bench (JSON round-trippable)."""
+
+    workload: str
+    block_size: Optional[int]
+    problem_size: Optional[int]
+    backend: str
+    #: The wave's concurrency level (simultaneous client sessions).
+    num_workers: int
+    #: Wall-clock seconds of the whole wave.
+    wall_seconds: float
+    #: Lifecycle events streamed to the clients during the wave.
+    events_processed: int
+    #: ``events_processed / wall_seconds``.
+    events_per_second: float
+    #: Simulated tasks retired per wall-clock second.
+    tasks_per_second: float
+    #: Always false here; kept so the document layout stays unchanged.
+    events_estimated: bool
+    makespan: int
+    num_tasks: int
+    #: Process-wide peak RSS (KiB) observed after the wave.
+    peak_rss_kb: int
+    repeats: int = 1
+    #: The service numbers: requests/s and slice-latency quantiles.
+    extras: Dict[str, float] = dataclasses.field(default_factory=dict)
+
+    def as_dict(self) -> Dict[str, object]:
+        return dataclasses.asdict(self)
+
+    def label(self) -> str:
+        """Human-readable cell name used by reports."""
+        block = f"/{self.block_size}" if self.block_size is not None else ""
+        size = f"@{self.problem_size}" if self.problem_size is not None else ""
+        return f"{self.workload}{block}{size} {self.backend} w{self.num_workers}"
+
+
+def _peak_rss_kb() -> int:
+    """Process peak RSS in KiB (0 where the resource module is missing)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX fallback
+        return 0
+    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes; normalise to KiB.
+    if sys.platform == "darwin":  # pragma: no cover - platform specific
+        return int(usage // 1024)
+    return int(usage)
+
+
 async def _drive_one(host: str, port: int, document: dict) -> Tuple[int, int, int]:
     """One client: open/run/consume; returns (events, makespan, tasks)."""
     from repro.service.protocol import decode_frame, encode_frame
+    from repro.service.server import _READ_LIMIT
 
-    reader, writer = await asyncio.open_connection(host, port)
+    # The server's own line limit: a result frame can outgrow asyncio's
+    # 64 KiB default (cholesky/64 on nanos sends about 341 kB).
+    reader, writer = await asyncio.open_connection(host, port, limit=_READ_LIMIT)
     try:
         await reader.readline()  # hello
         writer.write(encode_frame({"type": "open", "request": document}))
@@ -166,9 +227,45 @@ def run_service_bench(
     return results
 
 
-def service_bench_file_name(when=None) -> str:
-    """``BENCH_service_<date>.json``: outside the gate's baseline glob."""
-    from datetime import date
-
+def service_bench_file_name(when: Optional[date] = None) -> str:
+    """``BENCH_service_<date>.json`` (one snapshot per day by convention)."""
     stamp = when if when is not None else date.today()
     return f"BENCH_service_{stamp.isoformat()}.json"
+
+
+def bench_document(results: Sequence[BenchResult]) -> Dict[str, object]:
+    """The JSON document of one bench run, with its provenance."""
+    from repro import __version__
+
+    return {
+        "schema": BENCH_SCHEMA_VERSION,
+        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "package_version": __version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "results": [row.as_dict() for row in results],
+    }
+
+
+def write_bench_file(results: Sequence[BenchResult], path: Union[str, Path]) -> Path:
+    """Write the bench document of ``results`` to ``path``."""
+    target = Path(path)
+    with target.open("w", encoding="utf-8") as stream:
+        json.dump(bench_document(results), stream, indent=1, sort_keys=True)
+        stream.write("\n")
+    return target
+
+
+def render_results(results: Sequence[BenchResult]) -> str:
+    """Result rows as a fixed-width report table."""
+    lines = [
+        f"{'cell':<42} {'wall (ms)':>10} {'events/s':>14} "
+        f"{'tasks/s':>12} {'peak RSS (MB)':>14}"
+    ]
+    for row in results:
+        lines.append(
+            f"{row.label():<42} {row.wall_seconds * 1000:>10.1f} "
+            f"{row.events_per_second:>14,.0f} "
+            f"{row.tasks_per_second:>12,.0f} {row.peak_rss_kb / 1024:>14.1f}"
+        )
+    return "\n".join(lines)

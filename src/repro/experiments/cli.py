@@ -38,24 +38,17 @@ The first invocation snapshots the run at the cycle-60000 boundary (then
 finishes it normally); the second resumes from the snapshot document and
 produces the bit-exact same result -- see ``docs/snapshots.md``.
 
-``picos-experiment bench`` times the simulators themselves (wall-clock
-seconds, engine events per second, peak RSS) and snapshots the numbers as
-``BENCH_<date>.json`` at the repository root::
+``picos-experiment bench`` times the simulation *server*: requests per
+second and slice latency of waves of 1, 16 and 64 concurrent sessions,
+written to ``BENCH_service_<date>.json`` (or ``--output PATH``)::
 
-    picos-experiment bench                      # the full default matrix
-    picos-experiment bench --quick              # the CI smoke matrix
-    picos-experiment bench --compare BENCH_2026-07-01.json
-    picos-experiment bench --quick --profile    # + per-cell cProfile report
+    picos-experiment bench
+    picos-experiment bench --backend nanos --output /tmp/service.json
 
-``--compare`` additionally diffs the fresh run against an earlier
-snapshot, flagging wall-time regressions cell by cell (cells present in
-only one snapshot are reported as added/removed, never an error).
-``--profile`` re-runs each cell under ``cProfile`` after the timed pass
-and writes the top cumulative functions per cell to a
-``<snapshot>.profile.txt`` sibling of the JSON snapshot.
-``--service`` times the simulation *server* instead of the simulators
-(requests per second and slice latency at several concurrency levels);
-those cells are never part of the regression gate.
+It informs and never gates.  The repository's speed is judged by
+``perfbench/`` through ``python3 tools/perf_ab.py REV``, an interleaved
+A/B verdict of the working tree against ``REV`` -- see
+``docs/benchmarks.md``.
 
 ``picos-experiment serve`` starts the simulation service: an asyncio
 server accepting typed simulation requests over a newline-delimited-JSON
@@ -400,107 +393,21 @@ def run_serve(args: argparse.Namespace) -> int:
 
 
 def run_bench_command(args: argparse.Namespace) -> int:
-    """Time the simulators and snapshot/compare the numbers (see module docs)."""
-    import dataclasses as _dataclasses
-
+    """Time the simulation server and write the rows (see module docs)."""
     from repro.bench import (
-        DEFAULT_REGRESSION_THRESHOLD,
-        compare_documents,
-        default_specs,
-        gate_specs,
-        load_bench_document,
-        profile_specs,
-        render_comparison,
+        ServiceBenchSpec,
         render_results,
-        run_bench,
+        run_service_bench,
+        service_bench_file_name,
         write_bench_file,
-        write_profile_file,
     )
 
-    if args.service:
-        from repro.bench import run_service_bench, service_bench_file_name
-
-        results = run_service_bench(progress=print)
-        print()
-        print(render_results(results))
-        if args.output:
-            out_path = write_bench_file(
-                results,
-                directory=os.path.dirname(args.output) or ".",
-                file_name=os.path.basename(args.output),
-            )
-        else:
-            # BENCH_service_<date>.json: outside the regression gate's
-            # BENCH_2*.json baseline glob -- service cells never gate.
-            out_path = write_bench_file(results, file_name=service_bench_file_name())
-        print(f"\nwrote {out_path}")
-        return 0
-    if args.compare is None and (
-        args.fail_on_regression or args.fail_threshold is not None
-    ):
-        # A gate without a baseline would silently always pass.
-        raise SystemExit(
-            "--fail-on-regression/--fail-threshold require --compare "
-            "(there is no baseline to regress against otherwise)"
-        )
-    # Load the baseline before writing anything: the default output name is
-    # date-stamped, so a same-day --compare target would otherwise be
-    # overwritten before it was read.
-    baseline = load_bench_document(args.compare) if args.compare else None
-    specs = gate_specs() if args.gate else default_specs(quick=args.quick)
-    if args.backend:
-        specs = [
-            _dataclasses.replace(spec, backends=(args.backend,)) for spec in specs
-        ]
-    if args.repeats > 1:
-        specs = [_dataclasses.replace(spec, repeats=args.repeats) for spec in specs]
-    results = run_bench(specs, progress=print)
+    spec = ServiceBenchSpec(backend=args.backend or ServiceBenchSpec.backend)
+    results = run_service_bench(spec, progress=print)
     print()
     print(render_results(results))
-    if args.output:
-        out_path = write_bench_file(
-            results,
-            directory=os.path.dirname(args.output) or ".",
-            file_name=os.path.basename(args.output),
-        )
-    else:
-        out_path = write_bench_file(results)
+    out_path = write_bench_file(results, args.output or service_bench_file_name())
     print(f"\nwrote {out_path}")
-    if args.profile:
-        # Separate profiled pass: the timings above stay honest, and the
-        # report explaining them lands next to the snapshot.
-        reports = profile_specs(specs, progress=print)
-        profile_path = write_profile_file(reports, out_path)
-        print(f"wrote {profile_path}")
-    if baseline is not None:
-        threshold = (
-            args.fail_threshold
-            if args.fail_threshold is not None
-            else DEFAULT_REGRESSION_THRESHOLD
-        )
-        comparisons, only_old, only_new = compare_documents(
-            baseline, load_bench_document(out_path), threshold=threshold
-        )
-        print(f"\ncomparison against {args.compare}:")
-        print(render_comparison(comparisons, only_old, only_new))
-        if args.fail_on_regression and not comparisons:
-            # A gate that matched nothing gates nothing: treat the silent
-            # no-op (wrong baseline file, drifted matrices) as a failure
-            # so CI cannot stay green while comparing thin air.
-            print(
-                f"\nFAIL: no cell of this run matches {args.compare}; "
-                "the regression gate has nothing to compare",
-                file=sys.stderr,
-            )
-            return 1
-        regressions = [comp for comp in comparisons if comp.regressed]
-        if args.fail_on_regression and regressions:
-            print(
-                f"\nFAIL: {len(regressions)} cell(s) regressed beyond "
-                f"{threshold:.0%} against {args.compare}",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -517,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which table/figure to reproduce ('all' for every one, "
         "'backends' to list the simulator backends, 'simulate' to drive "
         "one workload through the streaming session API, 'bench' to time "
-        "the simulators and write a BENCH_<date>.json snapshot, 'serve' to "
+        "the simulation server and write a BENCH_service_<date>.json, 'serve' to "
         "start the simulation service, 'lint' to run the repro-lint "
         "invariant checker over the package)",
     )
@@ -635,63 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
         "'drop-event@p=0.01:class=ready:seed=7' (see docs/faults.md)",
     )
     bench = parser.add_argument_group(
-        "bench", "options for the 'bench' performance-snapshot command"
+        "bench", "options for the 'bench' service-timing command"
     )
     bench.add_argument(
         "--output",
         default=None,
         metavar="PATH",
-        help="where to write the benchmark snapshot "
-        "(default: ./BENCH_<today>.json)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="PATH",
-        help="diff the fresh run against an earlier BENCH_*.json snapshot",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="after timing, re-run each cell under cProfile and write the "
-        "top-25 cumulative functions per cell to <snapshot>.profile.txt "
-        "next to the BENCH_<date>.json snapshot",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        metavar="N",
-        help="timing repeats per cell; the best wall time is kept (default: 1)",
-    )
-    bench.add_argument(
-        "--gate",
-        action="store_true",
-        help="time the regression-gate matrix instead of the default/quick "
-        "one: few large cells where a 15%% wall-time change is signal, all "
-        "present in every committed full snapshot (overrides --quick)",
-    )
-    bench.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="relative wall-time growth that counts as a regression when "
-        "comparing (default: 0.25; the CI gate uses 0.15)",
-    )
-    bench.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit non-zero when the --compare diff contains a regression "
-        "(turns the bench job into a CI gate instead of an artifact upload)",
-    )
-    bench.add_argument(
-        "--service",
-        action="store_true",
-        help="time the simulation service instead of the simulators "
-        "(requests/s and slice latency at 1/16/64 concurrent sessions; "
-        "writes BENCH_service_<date>.json, which the regression gate "
-        "never reads)",
+        help="where to write the bench rows "
+        "(default: ./BENCH_service_<today>.json)",
     )
     serve = parser.add_argument_group(
         "serve", "options for the 'serve' simulation-service command"
@@ -832,8 +690,6 @@ def main(argv: Optional[list] = None) -> int:
             print(f"unknown backend {args.backend!r}", file=sys.stderr)
             print(render_backends(), file=sys.stderr)
             return 2
-        if args.repeats < 1:
-            raise SystemExit("--repeats must be at least 1")
         return run_bench_command(args)
     if args.backend is not None and args.backend not in describe_backends():
         print(f"unknown backend {args.backend!r}", file=sys.stderr)

@@ -400,7 +400,7 @@ class ResultCache:
                 document = json.load(stream)
         except OSError:
             return None
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             self._quarantine(path)
             return None
         if not isinstance(document, dict):

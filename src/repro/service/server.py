@@ -801,7 +801,7 @@ class SimulationServer:
             parts = request_line.split()
             if len(parts) < 2:
                 return
-            method, path = parts[0].decode(), parts[1].decode()
+            method, path = parts[0].decode("latin-1"), parts[1].decode("latin-1")
             headers: Dict[str, str] = {}
             while True:
                 line = await reader.readline()
@@ -809,7 +809,13 @@ class SimulationServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            if method == "GET" and path == "/metrics":
+            if not request_line.isascii():
+                self._http_json(
+                    writer,
+                    400,
+                    {"code": REJECT_BAD_REQUEST, "error": "the request line is not ASCII"},
+                )
+            elif method == "GET" and path == "/metrics":
                 self._http_json(writer, 200, self.metrics.snapshot())
             elif method == "GET" and path == "/healthz":
                 self._http_json(
@@ -880,7 +886,7 @@ class SimulationServer:
         """``POST /simulate``: run one request, answer as an SSE stream."""
         try:
             document = json.loads(body or b"{}")
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._http_json(writer, 400, {"code": REJECT_BAD_REQUEST, "error": str(error)})
             return
         session_id = self.registry.allocate_id()

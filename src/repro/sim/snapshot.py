@@ -1320,7 +1320,7 @@ def load_snapshot(path: Union[str, Path]) -> SimulationSnapshot:
         document = json.loads(source.read_text(encoding="utf-8"))
     except OSError as error:
         raise SnapshotError(f"cannot read snapshot {source}: {error}") from error
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise SnapshotError(f"{source} is not valid JSON: {error}") from error
     if not isinstance(document, dict):
         raise SnapshotError(f"{source} does not hold a snapshot object")

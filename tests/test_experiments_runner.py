@@ -396,12 +396,19 @@ class TestCacheHardening:
     def _point(self):
         return TINY_SPEC.expand()[0]
 
-    def test_torn_json_is_a_miss_and_gets_quarantined(self, tmp_path):
+    @pytest.mark.parametrize(
+        "wreck",
+        [
+            b'{"version": 1, "result": {"tor',  # torn mid-write
+            b'{"version": 1, "result": {"kind": "\xff"}}',  # not UTF-8
+        ],
+    )
+    def test_torn_json_is_a_miss_and_gets_quarantined(self, tmp_path, wreck):
         cache = ResultCache(tmp_path)
         key = "ab" * 12
         cache.put(key, self._point(), {"kind": "simulate"})
         entry = cache.path_for(key)
-        entry.write_text('{"version": 1, "result": {"tor')  # torn mid-write
+        entry.write_bytes(wreck)
         assert cache.get(key) is None
         # The wreck moved aside: the lookup path is free for a re-put, and
         # the evidence survives as a .corrupt sibling for inspection.

@@ -35,9 +35,10 @@ class TestFrames:
         assert line.endswith(b"\n") and b"\n" not in line[:-1]
         assert decode_frame(line) == frame
 
-    def test_decode_rejects_non_json(self):
+    @pytest.mark.parametrize("line", [b"{nope\n", b'{"type":"ping","x":"\xff"}\n'])
+    def test_decode_rejects_non_json(self, line):
         with pytest.raises(ProtocolError) as excinfo:
-            decode_frame(b"{nope\n")
+            decode_frame(line)
         assert excinfo.value.code == REJECT_BAD_REQUEST
 
     @pytest.mark.parametrize("line", [b"[1,2]\n", b'"text"\n', b'{"type": 3}\n'])

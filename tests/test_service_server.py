@@ -299,6 +299,22 @@ class TestRejections:
         assert unknown["code"] == REJECT_UNKNOWN_SESSION
         assert unknown_type["code"] == REJECT_UNKNOWN_SESSION
 
+    def test_non_utf8_frame_is_a_bad_request_and_the_connection_lives(self):
+        async def scenario(server):
+            client = await Client.connect(server)
+            client.writer.write(b'{"type":"ping","x":"\xff"}\n')
+            await client.writer.drain()
+            error = await client.recv()
+            await client.send({"type": "ping"})
+            pong = await client.recv()
+            await client.close()
+            return error, pong
+
+        error, pong = run_with_server(scenario)
+        assert error["type"] == "error"
+        assert error["code"] == REJECT_BAD_REQUEST
+        assert pong["type"] == "pong"
+
     def test_duplicate_session_id_is_rejected(self):
         document = _request_document()
 
@@ -912,6 +928,24 @@ class TestHTTPAdapter:
 
         raw = run_with_server(scenario)
         assert raw.startswith(b"HTTP/1.1 400")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"POST /simulate HTTP/1.1\r\nHost: t\r\n"
+            b'Content-Length: 16\r\n\r\n{"workload":"\xff"}',
+            b"GET /healthz\xff HTTP/1.1\r\nHost: t\r\n\r\n",
+        ],
+        ids=["body", "request-line"],
+    )
+    def test_non_utf8_bytes_get_400(self, payload):
+        async def scenario(server):
+            return await asyncio.wait_for(self._http(server, payload), 10)
+
+        raw = run_with_server(scenario)
+        assert raw.startswith(b"HTTP/1.1 400")
+        body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert body["code"] == REJECT_BAD_REQUEST
 
     @pytest.mark.parametrize(
         "declared", [b"abc", b"-5", str(_READ_LIMIT + 1).encode()]

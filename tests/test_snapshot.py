@@ -561,9 +561,10 @@ class TestOnDiskFormat:
         with pytest.raises(SnapshotError, match="unsupported snapshot version 1 "):
             load_snapshot(path)
 
-    def test_garbage_files_raise_snapshot_errors(self, tmp_path):
+    @pytest.mark.parametrize("garbage", [b"{not json", b'{"digest": "\xff"}'])
+    def test_garbage_files_raise_snapshot_errors(self, tmp_path, garbage):
         path = tmp_path / "garbage.json"
-        path.write_text("{not json")
+        path.write_bytes(garbage)
         with pytest.raises(SnapshotError, match="JSON"):
             load_snapshot(path)
         with pytest.raises(SnapshotError, match="read"):

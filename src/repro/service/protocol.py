@@ -321,10 +321,6 @@ def events_to_document(events: Sequence[SessionEvent]) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # result documents
 # ----------------------------------------------------------------------
-#: Timeline stamps travel as a fixed-order array in this field order.
-_TIMELINE_FIELDS: Tuple[str, ...] = ("created", "submitted", "ready", "started", "finished")
-
-
 def result_to_document(result: SimulationResult) -> Dict[str, Any]:
     """Full-fidelity JSON encoding of a :class:`SimulationResult`.
 
@@ -340,9 +336,11 @@ def result_to_document(result: SimulationResult) -> Dict[str, Any]:
         "makespan": result.makespan,
         "sequential_cycles": result.sequential_cycles,
         "num_tasks": result.num_tasks,
+        # Stamps travel as a fixed-order array: created, submitted, ready,
+        # started, finished.
         "timelines": {
-            str(task_id): [getattr(timeline, name) for name in _TIMELINE_FIELDS]
-            for task_id, timeline in result.timelines.items()
+            str(task_id): [t.created, t.submitted, t.ready, t.started, t.finished]
+            for task_id, t in result.timelines.items()
         },
         "counters": dict(result.counters),
         "drain_time": result.drain_time,

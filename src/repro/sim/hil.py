@@ -201,10 +201,16 @@ class HILSimulator:
             )
         # Flat table-driven master-job dispatch (kind -> completion
         # handler): the state machine is one dict hit per master event.
+        # The table holds the class's functions, not bound methods, which
+        # would refer back to the simulator and keep it alive after its
+        # session closes until the cyclic collector runs.  It is read from
+        # the class per simulator, not frozen at import, so wrappers put on
+        # the class before a simulator is built are the ones called.
+        cls = type(self)
         self._master_done_handlers = {
-            _JOB_CREATE: self._on_master_created,
-            _JOB_DISPATCH: self._on_master_dispatched,
-            _JOB_FINISH: self._on_master_finished,
+            _JOB_CREATE: cls._on_master_created,
+            _JOB_DISPATCH: cls._on_master_dispatched,
+            _JOB_FINISH: cls._on_master_finished,
         }
         #: Armed fault scenarios, if any (see ``repro.faults``).  The
         #: default run never constructs a plan and dispatches through the
@@ -468,7 +474,7 @@ class HILSimulator:
         handler = self._master_done_handlers.get(kind)
         if handler is None:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown master job {kind!r}")
-        handler(payload, now)
+        handler(self, payload, now)
         self._kick_master(now)
 
     def _on_master_created(self, task: Task, now: int) -> None:

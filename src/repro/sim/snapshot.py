@@ -65,20 +65,26 @@ extended with the new entries behind the surviving ones).
 On-disk format
 --------------
 
-:func:`save_snapshot` writes the snapshot's document as one JSON object
-keyed by a :func:`~repro.core.hashing.stable_digest` over its canonical
-serialisation; :func:`load_snapshot` verifies the format version and the
-digest before handing the snapshot back, so silent corruption (or a schema
-drift without a version bump) fails loudly instead of replaying garbage.
-A digest cannot vouch for a document someone edited and re-stamped, so
-:func:`restore` also checks the pending lifecycle log entry by entry
-before the session exists.
+A snapshot's document is an envelope around its payload: the format tag,
+the schema version, the payload as one string of canonical JSON, and a
+:func:`~repro.core.hashing.stable_digest` over that string.  The payload
+is encoded once per snapshot and the text is memoized, so the digest,
+:func:`save_snapshot` and the service's ``checkpoint`` frame share one
+encode.  :meth:`SimulationSnapshot.from_document` (and with it
+:func:`load_snapshot`) checks the format and the version, hashes the
+payload string as it was read and parses it once; silent corruption (or a
+schema drift without a version bump) fails loudly instead of replaying
+garbage.  A digest cannot vouch for a document someone edited and
+re-stamped, so :func:`restore` also checks the pending lifecycle log and
+the timeline columns before the session exists.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import operator
 from collections import deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -121,7 +127,7 @@ __all__ = [
 SNAPSHOT_FORMAT = "picos-snapshot"
 #: Schema version; bump on any change to the state documents below.  Other
 #: versions are refused at load, never migrated (see ``docs/snapshots.md``).
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: Snapshot kinds (see the module docstring).
 KIND_INITIAL = "initial"
@@ -247,15 +253,96 @@ def _restore_queue(queue: Any, document: Dict[str, Any], program: TaskProgram) -
 # ----------------------------------------------------------------------
 # timelines, lifecycle log, stats
 # ----------------------------------------------------------------------
-def _timelines_document(timelines: Dict[int, TaskTimeline]) -> List[List[int]]:
-    return [
-        [t.task_id, t.created, t.submitted, t.ready, t.started, t.finished]
-        for t in (timelines[task_id] for task_id in sorted(timelines))
+def _delta_coded(column: List[int]) -> List[int]:
+    """``column`` as its first value followed by its successive differences."""
+    return column[:1] + list(map(operator.sub, column[1:], column))
+
+
+def _timelines_document(timelines: Dict[int, TaskTimeline]) -> Dict[str, Any]:
+    """The touched timeline rows as delta-coded columns, sorted by task id.
+
+    A row whose five stamps are all 0 equals ``TaskTimeline(task_id)``,
+    which restore mints for every task the columns do not name, so only
+    the rows a run has touched travel.  Each column is delta-coded along
+    its length: ids and neighbouring tasks' stamps are close, so the
+    differences are short numbers.
+    """
+    rows = [
+        (t.task_id, t.created, t.submitted, t.ready, t.started, t.finished)
+        for t in map(timelines.__getitem__, sorted(timelines))
+        if t.created or t.submitted or t.ready or t.started or t.finished
     ]
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(6)]
+    return {
+        "ids": _delta_coded(columns[0]),
+        "stamps": [_delta_coded(column) for column in columns[1:]],
+    }
 
 
-def _timelines_from_document(document: List[List[int]]) -> Dict[int, TaskTimeline]:
-    return {row[0]: TaskTimeline(*row) for row in document}
+def _check_timelines(
+    document: Any, program: TaskProgram
+) -> Tuple[List[int], List[List[int]]]:
+    """Decode the timeline columns, refusing any no captured run could have left.
+
+    Like the lifecycle log, the columns are checked before restore
+    allocates for them: an ``ids`` column and five stamp columns, all of
+    one length and no longer than the program, holding plain integers.
+    Decoded, the ids must strictly increase and each name a task of the
+    program, and no stamp may be negative.  Returns the decoded columns.
+    """
+    if not (isinstance(document, dict) and document.keys() == {"ids", "stamps"}):
+        raise SnapshotError(
+            "the snapshot's timelines are not an object of 'ids' and 'stamps'"
+        )
+    ids, stamps = document["ids"], document["stamps"]
+    if not (isinstance(stamps, list) and len(stamps) == 5):
+        raise SnapshotError("the snapshot's timelines do not hold five stamp columns")
+    columns = [ids, *stamps]
+    if not all(isinstance(column, list) for column in columns):
+        raise SnapshotError("a timeline column of the snapshot is not a list")
+    if any(len(column) != len(ids) for column in stamps):
+        raise SnapshotError("the snapshot's timeline columns differ in length")
+    if len(ids) > program.num_tasks:
+        raise SnapshotError(
+            f"the snapshot's timelines hold {len(ids)} rows, more than the "
+            f"program's {program.num_tasks} tasks"
+        )
+    # Exact types: isinstance() would let a bool through.
+    if not all(set(map(type, column)) <= {int} for column in columns):
+        raise SnapshotError("a timeline column of the snapshot holds a non-integer")
+    if min(ids[1:], default=1) < 1:
+        raise SnapshotError("the snapshot's timeline ids do not strictly increase")
+    ids = list(itertools.accumulate(ids))
+    for task_id in ids:
+        try:
+            program.task(task_id)
+        except KeyError:
+            raise SnapshotError(
+                f"timeline row {task_id} names no task of the program"
+            ) from None
+    stamps = [list(itertools.accumulate(column)) for column in stamps]
+    if any(column and min(column) < 0 for column in stamps):
+        raise SnapshotError("the snapshot's timelines hold a negative stamp")
+    return ids, stamps
+
+
+def _minted_timelines(
+    program: TaskProgram, ids: List[int], stamps: List[List[int]]
+) -> Dict[int, TaskTimeline]:
+    """One ``TaskTimeline`` per program task, in program order, each minted once.
+
+    Every row starts all zero, as it was before the run touched it; the
+    rows the columns name then take their stamps in place.
+    """
+    timelines = {task.task_id: TaskTimeline(task.task_id) for task in program}
+    for task_id, created, submitted, ready, started, finished in zip(ids, *stamps):
+        timeline = timelines[task_id]
+        timeline.created = created
+        timeline.submitted = submitted
+        timeline.ready = ready
+        timeline.started = started
+        timeline.finished = finished
+    return timelines
 
 
 def _stats_document(stats: PicosStats) -> Dict[str, Any]:
@@ -935,7 +1022,6 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     program = sim.program
     sim._prepared = True
     _restore_queue(sim.queue, state["queue"], program)
-    sim._timelines = _timelines_from_document(state["timelines"])
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
     sim._pending_new = deque(program.task(task_id) for task_id in state["pending_new"])
@@ -980,7 +1066,6 @@ def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
     program = sim.program
     sim._prepared = True
     _restore_queue(sim.queue, state["queue"], program)
-    sim._timelines = _timelines_from_document(state["timelines"])
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
     sim._master_joins_at = state["master_joins_at"]
@@ -1022,6 +1107,8 @@ def _restore_simulator_state(sim: Any, state: Dict[str, Any], cycle: int) -> Non
             f"runs {expected!r}"
         )
     _check_lifecycle_log(state.get("log"), cycle, sim.program)
+    ids, stamps = _check_timelines(state.get("timelines"), sim.program)
+    sim._timelines = _minted_timelines(sim.program, ids, stamps)
     if expected == "hil":
         _restore_hil(sim, state)
     else:
@@ -1038,7 +1125,9 @@ class SimulationSnapshot:
     All fields hold plain JSON-compatible primitives (the request, state
     and result travel as their document forms), so the in-memory snapshot
     and its on-disk serialisation are the same value -- :attr:`digest` is
-    stable across a save/load round trip.
+    stable across a save/load round trip.  The canonical payload text is
+    encoded once, on first use, and memoized outside the fields, so treat
+    the field values as read-only.  ``==`` compares the seven fields.
     """
 
     #: ``initial``, ``mid-run`` or ``finished``.
@@ -1059,40 +1148,50 @@ class SimulationSnapshot:
     #: Full result document (``finished`` only).
     result: Optional[Dict[str, Any]]
 
-    def _payload(self) -> Dict[str, Any]:
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "kind": self.kind,
-            "backend": self.backend,
-            "cycle": self.cycle,
-            "request": self.request,
-            "counters": self.counters,
-            "state": self.state,
-            "result": self.result,
-        }
+    def _encoded(self) -> Tuple[str, str]:
+        """The payload's canonical JSON text and its digest, encoded once."""
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            payload = {
+                "kind": self.kind,
+                "backend": self.backend,
+                "cycle": self.cycle,
+                "request": self.request,
+                "counters": self.counters,
+                "state": self.state,
+                "result": self.result,
+            }
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            memo = (text, stable_digest(text))
+            object.__setattr__(self, "_memo", memo)
+        return memo
 
     @property
     def digest(self) -> str:
-        """Content digest over the canonical JSON serialisation."""
-        payload = self._payload()
-        return stable_digest(
-            json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+        """Content digest over the canonical payload text."""
+        return self._encoded()[1]
 
     def document(self) -> Dict[str, Any]:
-        """The on-disk document: the payload plus its own digest."""
-        document = self._payload()
-        document["digest"] = self.digest
-        return document
+        """The on-disk document: the payload text in its versioned envelope."""
+        text, digest = self._encoded()
+        return {
+            "format": SNAPSHOT_FORMAT,
+            "version": SNAPSHOT_VERSION,
+            "digest": digest,
+            "payload": text,
+        }
 
     @classmethod
-    def from_document(cls, document: Dict[str, Any]) -> "SimulationSnapshot":
+    def from_document(cls, document: Any) -> "SimulationSnapshot":
         """Decode (and verify) a snapshot document.
 
-        Raises :class:`SnapshotError` on a foreign format, an unsupported
-        version, or -- when the document carries a ``digest`` field -- a
-        digest mismatch (corruption, or hand-edited state).
+        Checks the format and the version, hashes the payload string as
+        received, then parses it once; the text seeds the memo, so saving
+        the loaded snapshot again encodes nothing.  Raises
+        :class:`SnapshotError` on a foreign format, an unsupported version,
+        a payload that is not a string of JSON text encoding an object, a
+        digest mismatch (corruption, or hand-edited state) or a missing
+        field.
         """
         if not isinstance(document, dict):
             raise SnapshotError("a snapshot document must be a JSON object")
@@ -1106,26 +1205,41 @@ class SimulationSnapshot:
                 f"unsupported snapshot version {document.get('version')!r} "
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
+        text = document.get("payload")
+        if not isinstance(text, str):
+            raise SnapshotError("the snapshot payload is not a string of JSON text")
         try:
-            snapshot = cls(
-                kind=document["kind"],
-                backend=document["backend"],
-                cycle=document["cycle"],
-                request=document["request"],
-                counters=document["counters"],
-                state=document["state"],
-                result=document["result"],
-            )
-        except KeyError as error:
-            raise SnapshotError(f"snapshot document misses field {error}") from error
-        if snapshot.kind not in (KIND_INITIAL, KIND_MID_RUN, KIND_FINISHED):
-            raise SnapshotError(f"unknown snapshot kind {snapshot.kind!r}")
-        expected = document.get("digest")
-        if expected is not None and expected != snapshot.digest:
+            digest = stable_digest(text)
+        except UnicodeEncodeError as error:
+            raise SnapshotError(
+                f"the snapshot payload is not encodable text: {error}"
+            ) from None
+        if document.get("digest") != digest:
             raise SnapshotError(
                 "snapshot digest mismatch: the document was corrupted or "
                 "edited after capture"
             )
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as error:
+            raise SnapshotError(f"the snapshot payload is not JSON: {error}") from None
+        if not isinstance(payload, dict):
+            raise SnapshotError("the snapshot payload is not a JSON object")
+        try:
+            snapshot = cls(
+                kind=payload["kind"],
+                backend=payload["backend"],
+                cycle=payload["cycle"],
+                request=payload["request"],
+                counters=payload["counters"],
+                state=payload["state"],
+                result=payload["result"],
+            )
+        except KeyError as error:
+            raise SnapshotError(f"snapshot payload misses field {error}") from error
+        if snapshot.kind not in (KIND_INITIAL, KIND_MID_RUN, KIND_FINISHED):
+            raise SnapshotError(f"unknown snapshot kind {snapshot.kind!r}")
+        object.__setattr__(snapshot, "_memo", (text, digest))
         return snapshot
 
 
@@ -1305,7 +1419,7 @@ def fork(
 def save_snapshot(
     snapshot: SimulationSnapshot, path: Union[str, Path]
 ) -> Path:
-    """Write ``snapshot`` to ``path`` as one digest-keyed JSON object."""
+    """Write ``snapshot``'s document to ``path`` as one JSON object."""
     target = Path(path)
     target.write_text(
         json.dumps(snapshot.document(), sort_keys=True) + "\n", encoding="utf-8"
@@ -1320,10 +1434,6 @@ def load_snapshot(path: Union[str, Path]) -> SimulationSnapshot:
         document = json.loads(source.read_text(encoding="utf-8"))
     except OSError as error:
         raise SnapshotError(f"cannot read snapshot {source}: {error}") from error
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
         raise SnapshotError(f"{source} is not valid JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise SnapshotError(f"{source} does not hold a snapshot object")
-    if "digest" not in document:
-        raise SnapshotError(f"{source} carries no digest; refusing to load")
     return SimulationSnapshot.from_document(document)

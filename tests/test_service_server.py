@@ -756,9 +756,19 @@ class TestCheckpointRestore:
         assert error["type"] == "error"
         assert error["code"] == REJECT_SESSION_STATE
 
-    def test_restore_rejects_a_forged_lifecycle_log(self):
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            # a lifecycle entry stamped before the capture
+            lambda state: state["log"].__setitem__(0, [0, 2, 1]),
+            # timeline ids that do not strictly increase
+            lambda state: state["timelines"]["ids"].__setitem__(1, 0),
+        ],
+        ids=["lifecycle-log", "timeline-columns"],
+    )
+    def test_restore_rejects_a_forged_state(self, forge):
         # A re-digested document passes the load-time digest check; the
-        # restore's own log check must refuse it before the session exists
+        # restore's own checks must refuse it before the session exists
         # and hand the admitted slot back.
         from repro.core.hashing import stable_digest
         from repro.sim.session import open_session
@@ -767,11 +777,10 @@ class TestCheckpointRestore:
         source.advance(60_000)
         document = source.checkpoint().document()
         source.close()
-        del document["digest"]
-        document["state"]["log"][0] = [0, 2, 1]  # stamped before the capture
-        document["digest"] = stable_digest(
-            json.dumps(document, sort_keys=True, separators=(",", ":"))
-        )
+        payload = json.loads(document["payload"])
+        forge(payload["state"])
+        document["payload"] = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        document["digest"] = stable_digest(document["payload"])
         config = ServerConfig(port=0, http_port=None, max_sessions=1)
 
         async def scenario(server):

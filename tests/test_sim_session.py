@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.sim.backend import (
     register_backend,
     unregister_backend,
 )
+from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import InvalidRequestError, SimulationRequest
@@ -363,3 +366,53 @@ class TestHorizonClampedStats:
         assert snapshot.tasks_retired == batch.num_tasks
         assert snapshot.tasks_ready == batch.num_tasks
         assert snapshot.events_delivered == len(events) == 3 * batch.num_tasks
+
+
+class TestSimulatorLifetime:
+    """A simulator is freed by reference counting once its session closes
+    or its request returns: nothing in it refers back to it, so it never
+    waits for the cyclic collector (whose runs a workload can thin out)."""
+
+    BACKENDS = ["hil-comm", "hil-full", "hil-hw", "nanos"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Weak references to every simulator built, with the collector off."""
+        refs = []
+        for cls in (HILSimulator, NanosRuntimeSimulator):
+            monkeypatch.setattr(cls, "__init__", self._recording(cls.__init__, refs))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            if enabled:
+                gc.enable()
+
+    @staticmethod
+    def _recording(init, refs):
+        def recording(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            refs.append(weakref.ref(sim))
+
+        return recording
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_close_frees_the_simulator(self, backend, built, cholesky_small):
+        request = SimulationRequest.for_program(
+            cholesky_small, backend=backend, num_workers=4
+        )
+        session = open_session(request)
+        assert not session.advance(10_000).finished
+        session.close()
+        assert built and all(ref() is None for ref in built)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_returned_request_frees_the_simulator(
+        self, backend, built, cholesky_small
+    ):
+        request = SimulationRequest.for_program(
+            cholesky_small, backend=backend, num_workers=4
+        )
+        assert simulate_request(request).num_tasks == cholesky_small.num_tasks
+        assert built and all(ref() is None for ref in built)

@@ -15,7 +15,9 @@ holds under both datapaths.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -255,7 +257,8 @@ class TestRestoreIdempotence:
         snapshot = capture(session)
         digest_before = snapshot.digest
         _drain(session, 50_000)
-        assert snapshot.digest == digest_before
+        # A replaced copy re-encodes the fields (the digest is memoized).
+        assert dataclasses.replace(snapshot).digest == digest_before
         restored = restore(snapshot)
         _drain(restored, 50_000)
         assert restored.result() == session.result()
@@ -264,14 +267,20 @@ class TestRestoreIdempotence:
 # ----------------------------------------------------------------------
 # forged lifecycle logs
 # ----------------------------------------------------------------------
-def _redigested(document):
-    """``document`` re-stamped with a digest over its edited payload."""
-    document = dict(document)
-    document.pop("digest", None)
-    document["digest"] = stable_digest(
-        json.dumps(document, sort_keys=True, separators=(",", ":"))
-    )
-    return document
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _payload(document):
+    """The decoded payload of a snapshot ``document``."""
+    return json.loads(document["payload"])
+
+
+def _redigested(document, payload):
+    """``document`` carrying the edited ``payload``, re-encoded canonically
+    and re-stamped with a digest over the new text."""
+    text = _canonical(payload)
+    return dict(document, payload=text, digest=stable_digest(text))
 
 
 def _mid_run_nanos_document():
@@ -282,13 +291,24 @@ def _mid_run_nanos_document():
     return document
 
 
+def _forged_state_snapshot(edit):
+    """A mid-run ``nanos`` snapshot whose payload went through ``edit``,
+    re-digested so that it loads."""
+    document = _mid_run_nanos_document()
+    payload = _payload(document)
+    edit(payload)
+    return SimulationSnapshot.from_document(_redigested(document, payload))
+
+
 def _forged_log_snapshot(edit):
     """A mid-run ``nanos`` snapshot whose first pending log entry is
     ``edit(cycle)``, re-digested so that it loads."""
-    document = _mid_run_nanos_document()
-    assert document["state"]["log"]
-    document["state"]["log"][0] = edit(document["cycle"])
-    return SimulationSnapshot.from_document(_redigested(document))
+
+    def forge(payload):
+        assert payload["state"]["log"]
+        payload["state"]["log"][0] = edit(payload["cycle"])
+
+    return _forged_state_snapshot(forge)
 
 
 class TestForgedLifecycleLogs:
@@ -330,16 +350,18 @@ class TestForgedLifecycleLogs:
             restore(snapshot)
 
     def test_a_log_that_is_not_a_list_is_refused(self):
-        document = _mid_run_nanos_document()
-        document["state"]["log"] = "junk"
+        snapshot = _forged_state_snapshot(
+            lambda payload: payload["state"].update(log="junk")
+        )
         with pytest.raises(SnapshotError, match="not a list"):
-            restore(SimulationSnapshot.from_document(_redigested(document)))
+            restore(snapshot)
 
     def test_a_cycle_that_is_not_an_integer_is_refused(self):
-        document = _mid_run_nanos_document()
-        document["cycle"] = str(document["cycle"])
+        snapshot = _forged_state_snapshot(
+            lambda payload: payload.update(cycle=str(payload["cycle"]))
+        )
         with pytest.raises(SnapshotError, match="not an integer"):
-            restore(SimulationSnapshot.from_document(_redigested(document)))
+            restore(snapshot)
 
     def test_fault_events_may_name_no_task(self):
         # Fault events that target a worker or bank carry task id -1.
@@ -348,6 +370,126 @@ class TestForgedLifecycleLogs:
         first = restored.advance(1)
         assert first.events[0].cycle == snapshot.cycle + 1
         assert first.events[0].kind == "fault-injected"
+
+
+# ----------------------------------------------------------------------
+# timeline columns and forged timelines
+# ----------------------------------------------------------------------
+def _stamps(timeline):
+    return [timeline.created, timeline.submitted, timeline.ready,
+            timeline.started, timeline.finished]
+
+
+class TestTimelineColumns:
+    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    def test_only_touched_rows_travel_and_every_task_is_restored(self, backend):
+        # At this early cycle the hil-comm and hil-full runs have touched
+        # only a few rows, so the others must be left out; on this small
+        # program hil-hw and nanos have touched every row already.
+        session = open_session(_workload_request("cholesky", backend))
+        session.advance(2_000)
+        live = session._stepper._sim._timelines
+        touched = {
+            task_id: _stamps(live[task_id]) for task_id in sorted(live)
+            if any(_stamps(live[task_id]))
+        }
+        snapshot = capture(session)
+        session.close()
+        assert touched
+        columns = snapshot.state["timelines"]
+        ids = list(itertools.accumulate(columns["ids"]))
+        stamps = [list(itertools.accumulate(c)) for c in columns["stamps"]]
+        assert dict(zip(ids, map(list, zip(*stamps)))) == touched
+        restored = restore(snapshot)._stepper._sim._timelines
+        assert list(restored) == list(live)  # every task, in program order
+        assert all(
+            restored[task_id].task_id == task_id
+            and _stamps(restored[task_id]) == _stamps(timeline)
+            for task_id, timeline in live.items()
+        )
+
+
+def _forged_timelines_snapshot(edit):
+    """A mid-run ``nanos`` snapshot whose timeline columns went through
+    ``edit(columns, num_tasks)``, re-digested so that it loads."""
+    num_tasks = _workload_request("cholesky", "nanos").build_program().num_tasks
+    return _forged_state_snapshot(
+        lambda payload: payload["state"].update(
+            timelines=edit(payload["state"]["timelines"], num_tasks)
+        )
+    )
+
+
+def _set(*path, to):
+    """An edit setting ``columns[path]`` to ``to`` (or to ``to(old value)``)."""
+
+    def edit(columns, num_tasks):
+        target = columns
+        for key in path[:-1]:
+            target = target[key]
+        old = target[path[-1]]
+        target[path[-1]] = to(old) if callable(to) else to
+        return columns
+
+    return edit
+
+
+def _one_row_too_many(columns, num_tasks):
+    rows = num_tasks + 1
+    return {"ids": [0] + [1] * (rows - 1), "stamps": [[1] * rows for _ in range(5)]}
+
+
+class TestForgedTimelines:
+    """The digest only proves a document is self-consistent: restore()
+    checks the timeline columns before it allocates for them."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c, n: [[0, 0, 1, 2, 3, 4]], "not an object"),
+            (lambda c, n: dict(c, extra=[]), "not an object"),
+            (lambda c, n: {"ids": c["ids"]}, "not an object"),
+            (lambda c, n: dict(c, stamps=c["stamps"][:4]), "five stamp columns"),
+            (lambda c, n: dict(c, stamps={"created": []}), "five stamp columns"),
+            (lambda c, n: dict(c, ids="junk"), "not a list"),
+            (_set("stamps", 2, to="junk"), "not a list"),
+            (_set("stamps", 3, to=lambda column: column[:-1]), "differ in length"),
+            (_set("ids", to=lambda column: column + [1]), "differ in length"),
+            (_one_row_too_many, "more than the program"),
+            (_set("ids", 0, to=True), "non-integer"),
+            (_set("stamps", 4, 1, to=1.0), "non-integer"),
+            (_set("stamps", 0, 0, to=None), "non-integer"),
+            (_set("ids", 1, to=0), "strictly increase"),
+            (_set("ids", 2, to=-1), "strictly increase"),
+            (_set("ids", -1, to=lambda delta: delta + 10**9), "names no task"),
+            (_set("ids", 0, to=-1), "names no task"),
+            (_set("stamps", 4, 1, to=lambda delta: delta - 10**12), "negative"),
+        ],
+        ids=[
+            "row-list",
+            "extra-key",
+            "missing-key",
+            "four-stamp-columns",
+            "stamps-object",
+            "ids-not-a-list",
+            "stamp-column-not-a-list",
+            "short-stamp-column",
+            "long-id-column",
+            "more-rows-than-tasks",
+            "bool-id",
+            "float-stamp",
+            "null-stamp",
+            "repeated-id",
+            "decreasing-id",
+            "unknown-task",
+            "negative-id",
+            "negative-stamp",
+        ],
+    )
+    def test_forged_columns_are_refused_at_restore(self, edit, message):
+        snapshot = _forged_timelines_snapshot(edit)
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -524,16 +666,19 @@ class TestOnDiskFormat:
     def test_tampered_state_fails_the_digest_check(self, tmp_path):
         snapshot = self._mid_run_snapshot()
         document = snapshot.document()
-        document["cycle"] += 1  # a single flipped field
+        payload = _payload(document)
+        payload["cycle"] += 1  # a single flipped field
+        document["payload"] = _canonical(payload)  # ... and no fresh digest
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(document))
         with pytest.raises(SnapshotError, match="digest"):
             load_snapshot(path)
 
     def test_undigested_documents_are_refused_on_disk(self, tmp_path):
-        snapshot = self._mid_run_snapshot()
+        document = self._mid_run_snapshot().document()
+        del document["digest"]
         path = tmp_path / "naked.json"
-        path.write_text(json.dumps(snapshot._payload()))
+        path.write_text(json.dumps(document))
         with pytest.raises(SnapshotError, match="digest"):
             load_snapshot(path)
 
@@ -547,18 +692,20 @@ class TestOnDiskFormat:
         with pytest.raises(SnapshotError, match=SNAPSHOT_FORMAT):
             SimulationSnapshot.from_document(foreign)
 
-    def test_version_1_documents_are_refused_at_load(self, tmp_path):
-        # A version-1 mid-run document may hold coalesced ready events no
-        # handler accepts any more: it must fail at load, not mid-run.
-        document = self._mid_run_snapshot().document()
-        del document["digest"]
-        document["version"] = 1
-        document["digest"] = stable_digest(
-            json.dumps(document, sort_keys=True, separators=(",", ":"))
-        )
-        path = tmp_path / "v1.json"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_are_refused_at_load(self, tmp_path, version):
+        # Older documents inline the payload as an object, digested over
+        # its canonical dump.  Version 1 may hold coalesced ready events no
+        # handler accepts any more, version 2 holds every timeline row as
+        # a list: each must fail at load, not mid-run.
+        document = _payload(self._mid_run_snapshot().document())
+        document.update(format=SNAPSHOT_FORMAT, version=version)
+        document["digest"] = stable_digest(_canonical(document))
+        path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(document))
-        with pytest.raises(SnapshotError, match="unsupported snapshot version 1 "):
+        with pytest.raises(
+            SnapshotError, match=f"unsupported snapshot version {version} "
+        ):
             load_snapshot(path)
 
     @pytest.mark.parametrize("garbage", [b"{not json", b'{"digest": "\xff"}'])
@@ -569,3 +716,159 @@ class TestOnDiskFormat:
             load_snapshot(path)
         with pytest.raises(SnapshotError, match="read"):
             load_snapshot(tmp_path / "missing.json")
+
+
+# ----------------------------------------------------------------------
+# the envelope: verified as read
+# ----------------------------------------------------------------------
+def _enveloped(payload_text, digest=None):
+    """A current-version envelope around ``payload_text``, digested over it
+    unless ``digest`` is given."""
+    return {
+        "format": SNAPSHOT_FORMAT,
+        "version": SNAPSHOT_VERSION,
+        "digest": stable_digest(payload_text) if digest is None else digest,
+        "payload": payload_text,
+    }
+
+
+def _load_from_disk(document, tmp_path):
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps(document))
+    return load_snapshot(path)
+
+
+def _load_from_frame(document, tmp_path):
+    # A frame decodes the envelope from the wire before from_document.
+    return SimulationSnapshot.from_document(json.loads(json.dumps(document)))
+
+
+class TestEnvelope:
+    @pytest.fixture(scope="class")
+    def captured(self):
+        session = open_session(_workload_request("cholesky", "hil-hw"))
+        session.advance(30_000)
+        snapshot = capture(session)
+        session.close()
+        return snapshot
+
+    def test_the_document_is_an_envelope_around_canonical_text(self, captured):
+        document = captured.document()
+        assert set(document) == {"format", "version", "digest", "payload"}
+        assert document["version"] == SNAPSHOT_VERSION == 3
+        assert document["payload"] == _canonical(_payload(document))
+        assert document["digest"] == stable_digest(document["payload"])
+        assert captured.digest == document["digest"]
+
+    @pytest.mark.parametrize("load", [_load_from_disk, _load_from_frame])
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (lambda p: dict(_enveloped(_canonical(p)), payload=p), "not a string"),
+            (lambda p: _enveloped("\ud800", digest="0" * 24), "not encodable"),
+            (lambda p: _enveloped(_canonical(p)[:-1]), "not JSON"),
+            (lambda p: _enveloped("[1,2]"), "not a JSON object"),
+            (lambda p: _enveloped(_canonical(p), digest="0" * 24), "digest mismatch"),
+            (
+                lambda p: _enveloped(
+                    _canonical({k: v for k, v in p.items() if k != "state"})
+                ),
+                "misses field 'state'",
+            ),
+            (lambda p: _enveloped(_canonical(dict(p, kind="paused"))), "unknown"),
+        ],
+        ids=[
+            "payload-object",
+            "lone-surrogate",
+            "not-json",
+            "json-array",
+            "digest-mismatch",
+            "missing-field",
+            "unknown-kind",
+        ],
+    )
+    def test_a_bad_envelope_raises_a_snapshot_error(
+        self, captured, tmp_path, load, forge, message
+    ):
+        document = forge(_payload(captured.document()))
+        with pytest.raises(SnapshotError, match=message):
+            load(document, tmp_path)
+
+
+class _PayloadEncodes:
+    """Counts ``json.dumps`` calls on a snapshot payload object."""
+
+    KEYS = {"kind", "backend", "cycle", "request", "counters", "state", "result"}
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        dumps = json.dumps
+
+        def counting(obj, *args, **kwargs):
+            if isinstance(obj, dict) and obj.keys() == self.KEYS:
+                self.count += 1
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+
+
+class TestEncodeOnce:
+    def test_a_capture_encodes_its_payload_once(self, tmp_path, monkeypatch):
+        encodes = _PayloadEncodes(monkeypatch)
+        session = open_session(_workload_request("cholesky", "hil-hw"))
+        session.advance(30_000)
+        snapshot = capture(session)
+        session.close()
+        snapshot.digest
+        snapshot.document()
+        save_snapshot(snapshot, tmp_path / "once.json")
+        snapshot.digest
+        assert encodes.count == 1
+
+    def test_a_loaded_snapshot_is_never_re_encoded(self, tmp_path, monkeypatch):
+        session = open_session(_workload_request("cholesky", "hil-hw"))
+        session.advance(30_000)
+        path = save_snapshot(capture(session), tmp_path / "first.json")
+        session.close()
+        encodes = _PayloadEncodes(monkeypatch)
+        loaded = load_snapshot(path)
+        loaded.digest
+        again = save_snapshot(loaded, tmp_path / "again.json")
+        assert encodes.count == 0
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_a_served_checkpoint_frame_encodes_the_payload_once(self, monkeypatch):
+        # The server checkpoints accepted sessions only, so a mid-run one
+        # is restored first; re-capturing it reproduces the digest.
+        from repro.service import ServerConfig, SimulationServer
+        from repro.service.protocol import decode_frame, encode_frame
+
+        session = open_session(_workload_request("cholesky", "hil-hw"))
+        session.advance(30_000)
+        snapshot = capture(session)
+        session.close()
+
+        async def scenario():
+            server = SimulationServer(ServerConfig(port=0, http_port=None))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.tcp_port, limit=1 << 24
+                )
+                await reader.readline()  # hello
+                restore_frame = {"type": "restore", "id": "s", "snapshot": snapshot.document()}
+                writer.write(encode_frame(restore_frame))
+                assert decode_frame(await reader.readline())["type"] == "restored"
+                encodes = _PayloadEncodes(monkeypatch)
+                writer.write(encode_frame({"type": "checkpoint", "id": "s"}))
+                frame = decode_frame(await reader.readline())
+                writer.close()
+                return frame, encodes.count
+            finally:
+                await server.shutdown(drain=False)
+
+        frame, count = asyncio.run(scenario())
+        assert frame["type"] == "checkpoint" and frame["kind"] == KIND_MID_RUN
+        assert count == 1
+        assert frame["digest"] == frame["snapshot"]["digest"] == snapshot.digest
+        assert SimulationSnapshot.from_document(frame["snapshot"]) == snapshot

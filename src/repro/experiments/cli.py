@@ -620,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="default cooperative-slice cycle budget "
-        "(requests may override via their stream options)",
+        help="upper bound on one cooperative slice's cycle budget for "
+        "requests whose stream options set none (default: unbounded; "
+        "each slice is sized by the lifecycle events the last one returned)",
     )
     serve.add_argument(
         "--idle-timeout",

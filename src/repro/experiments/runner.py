@@ -400,7 +400,8 @@ class ResultCache:
                 document = json.load(stream)
         except OSError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+            # RecursionError: nesting deeper than the decoder's limit.
             self._quarantine(path)
             return None
         if not isinstance(document, dict):

@@ -81,6 +81,14 @@ class NanosRuntimeSimulator:
         self.num_threads = num_threads
         self.overhead = overhead if overhead is not None else NanosOverheadModel()
         self.graph: TaskGraph = task_graph(program)  # shared: read-only
+        #: The overhead model is frozen and each of its costs depends only
+        #: on the thread count and a task's dependence count, so every cost
+        #: is priced once: the pickup here, creation + submission and
+        #: release per distinct dependence count on first use.  Derived
+        #: state, never captured: a restored simulator rebuilds it.
+        self._pickup_cycles = self.overhead.worker_pickup_cycles(num_threads)
+        self._creation_cycles: Dict[int, int] = {}
+        self._release_cycles: Dict[int, int] = {}
 
         self.queue = EventQueue()
         self._timelines: Dict[int, TaskTimeline] = {}
@@ -177,10 +185,14 @@ class NanosRuntimeSimulator:
 
         # --- master thread: serial creation + submission -------------
         creation_clock = 0
+        creation_cycles = self._creation_cycles
         for task in program:
-            overhead = self.overhead.creation_and_submission(
-                task.num_dependences, self.num_threads
-            )
+            deps = task.num_dependences
+            overhead = creation_cycles.get(deps)
+            if overhead is None:
+                overhead = creation_cycles[deps] = (
+                    self.overhead.creation_and_submission(deps, self.num_threads)
+                )
             timelines[task.task_id].created = creation_clock
             creation_clock += overhead
             timelines[task.task_id].submitted = creation_clock
@@ -214,14 +226,18 @@ class NanosRuntimeSimulator:
         timelines = self._timelines
         log = self._lifecycle_log
         makespan = self._makespan
+        pickup = self._pickup_cycles
+        release_cycles = self._release_cycles
         while idle_workers and ready_pool:
             worker = idle_workers.pop()
             task_id = ready_pool.popleft()
             task = self.program.task(task_id)
-            pickup = self.overhead.worker_pickup_cycles(self.num_threads)
-            release = self.overhead.release_cycles(
-                task.num_dependences, self.num_threads
-            )
+            deps = task.num_dependences
+            release = release_cycles.get(deps)
+            if release is None:
+                release = release_cycles[deps] = self.overhead.release_cycles(
+                    deps, self.num_threads
+                )
             start = now + pickup
             finish = start + task.duration
             timelines[task_id].started = start

@@ -53,6 +53,15 @@ class TenantQuota:
         if self.cycles_per_second is not None and self.cycles_per_second <= 0:
             raise ValueError("cycles_per_second must be > 0")
 
+    @property
+    def bucket_cycles(self) -> Optional[float]:
+        """The throttle bucket's capacity (``None`` when unthrottled)."""
+        if self.cycles_per_second is None:
+            return None
+        if self.burst_cycles is not None:
+            return self.burst_cycles
+        return self.cycles_per_second
+
 
 #: The quota applied when a tenant has no explicit entry.
 UNLIMITED = TenantQuota()
@@ -214,7 +223,6 @@ class AdmissionController:
         bucket = self._buckets.get(tenant)
         now = self._clock()
         if bucket is None or bucket.rate != rate:
-            capacity = quota.burst_cycles if quota.burst_cycles is not None else rate
-            bucket = _TokenBucket(rate, capacity, now)
+            bucket = _TokenBucket(rate, quota.bucket_cycles, now)
             self._buckets[tenant] = bucket
         return bucket.delay_for(cycles, now)

@@ -27,6 +27,8 @@ class LatencyHistogram:
         self._counts: List[int] = [0] * (len(self._bounds) + 1)
         self.count = 0
         self.total_seconds = 0.0
+        #: The largest observation so far, in seconds.
+        self.max_seconds = 0.0
 
     def observe(self, seconds: float) -> None:
         """Record one observation (given in seconds)."""
@@ -34,6 +36,8 @@ class LatencyHistogram:
         self._counts[bisect.bisect_left(self._bounds, ms)] += 1
         self.count += 1
         self.total_seconds += seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
 
     def quantile(self, q: float) -> Optional[float]:
         """Approximate quantile in milliseconds (bucket upper bound).
@@ -60,6 +64,7 @@ class LatencyHistogram:
             "total_seconds": self.total_seconds,
             "median_ms": self.quantile(0.5),
             "p99_ms": self.quantile(0.99),
+            "max_ms": self.max_seconds * 1000.0 if self.count else None,
             "buckets": buckets,
         }
 

@@ -88,7 +88,8 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a frame dictionary."""
     try:
         frame = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
+        # RecursionError: nesting deeper than the decoder's recursion limit.
         raise ProtocolError(f"invalid JSON frame: {error}") from error
     if not isinstance(frame, dict) or not isinstance(frame.get("type"), str):
         raise ProtocolError("a frame must be a JSON object with a string 'type'")

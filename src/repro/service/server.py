@@ -100,6 +100,27 @@ _READ_LIMIT = 16 * 1024 * 1024
 #: Sentinel closing a connection's writer task.
 _CLOSE_WRITER = None
 
+#: Lifecycle events one served slice aims to return: one default
+#: ``events`` frame (``ServerConfig.event_batch``).
+SLICE_EVENT_TARGET = 512
+
+
+def next_slice_budget(budget: int, delivered: int, cap: Optional[int]) -> int:
+    """The cycle budget of a session's next slice.
+
+    ``delivered`` is the number of lifecycle events the last slice of
+    ``budget`` cycles returned.  Under half of :data:`SLICE_EVENT_TARGET`
+    the budget doubles, over twice the target it halves (never below 1),
+    otherwise it stays; ``cap`` (``None`` = unbounded) bounds the result.
+    Events depend only on the simulation, so a request is sliced -- and
+    framed -- the same way on every run.
+    """
+    if delivered < SLICE_EVENT_TARGET // 2:
+        budget *= 2
+    elif delivered > SLICE_EVENT_TARGET * 2:
+        budget = max(1, budget // 2)
+    return budget if cap is None else min(budget, cap)
+
 
 def _save_checkpoint(snapshot: SimulationSnapshot, target: Path) -> None:
     """Synchronous checkpoint write (runs in ``asyncio.to_thread``)."""
@@ -123,9 +144,11 @@ class ServerConfig:
     #: Default per-tenant quota (overridden per tenant via ``tenant_quotas``).
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     tenant_quotas: Dict[str, TenantQuota] = field(default_factory=dict)
-    #: Cycle budget per cooperative slice (requests may override via their
-    #: stream options).
-    slice_cycles: int = DEFAULT_SLICE_CYCLES
+    #: Upper bound on one cooperative slice's cycle budget for requests
+    #: whose stream options set none (``None`` = unbounded).  Within it,
+    #: each slice is sized by the events the last one returned
+    #: (:func:`next_slice_budget`).
+    slice_cycles: Optional[int] = None
     #: Maximum lifecycle events per streamed frame.
     event_batch: int = 512
     #: Outbound frame-queue depth per connection (the backpressure bound).
@@ -636,24 +659,47 @@ class SimulationServer:
     # ------------------------------------------------------------------
     # the session runner
     # ------------------------------------------------------------------
-    def _stream_parameters(self, request: SimulationRequest) -> Tuple[int, int, bool]:
+    def _stream_parameters(
+        self, request: SimulationRequest
+    ) -> Tuple[Optional[int], int, bool]:
+        """``(slice cap, event batch, emit events)`` of one request.
+
+        The cap bounds every slice's cycle budget (``None`` = unbounded):
+        the request's ``stream.slice_cycles``, else the server's
+        ``slice_cycles``, and never more than a throttled tenant's bucket
+        capacity, so a throttled slice waits about a second at most.
+        """
         stream = request.stream
-        slice_cycles = self.config.slice_cycles
+        slice_cap = self.config.slice_cycles
         event_batch = self.config.event_batch
         emit_events = True
         if stream is not None:
             if stream.slice_cycles is not None:
-                slice_cycles = stream.slice_cycles
+                slice_cap = stream.slice_cycles
             if stream.event_batch is not None:
                 event_batch = stream.event_batch
             emit_events = stream.events
-        return slice_cycles, event_batch, emit_events
+        bucket = self.admission.quota_for(request.tenant).bucket_cycles
+        if bucket is not None:
+            bucket_cap = max(1, int(bucket))
+            slice_cap = bucket_cap if slice_cap is None else min(slice_cap, bucket_cap)
+        return slice_cap, event_batch, emit_events
 
     async def _run_session(self, record: ServiceSession, out: asyncio.Queue) -> None:
-        """Drive one session to completion in cooperative slices."""
+        """Drive one session to completion in cooperative slices.
+
+        The first slice runs :data:`DEFAULT_SLICE_CYCLES` cycles (or the
+        cap, if smaller); every later budget follows
+        :func:`next_slice_budget` from the events the last slice returned.
+        """
         session = record.session
-        slice_cycles, event_batch, emit_events = self._stream_parameters(
+        slice_cap, event_batch, emit_events = self._stream_parameters(
             session.request
+        )
+        budget = (
+            DEFAULT_SLICE_CYCLES
+            if slice_cap is None
+            else min(DEFAULT_SLICE_CYCLES, slice_cap)
         )
         session_id = record.session_id
         faulted = bool(session.request.faults)
@@ -679,12 +725,12 @@ class SimulationServer:
             else:
                 events = None  # streamed slice by slice below
                 while True:
-                    delay = self.admission.slice_delay(record.tenant, slice_cycles)
+                    delay = self.admission.slice_delay(record.tenant, budget)
                     if delay > 0.0:
                         self.metrics.throttle_seconds += delay
                         await asyncio.sleep(delay)
                     started = time.perf_counter()
-                    sim_slice = session.advance(slice_cycles)
+                    sim_slice = session.advance(budget)
                     self.metrics.record_slice(time.perf_counter() - started)
                     record.touch()
                     if emit_events and sim_slice.events:
@@ -693,6 +739,9 @@ class SimulationServer:
                         )
                     if sim_slice.finished:
                         break
+                    budget = next_slice_budget(
+                        budget, len(sim_slice.events), slice_cap
+                    )
                     # Yield between slices even when nothing was streamed,
                     # so same-loop peers always get a turn.
                     await asyncio.sleep(0)
@@ -886,7 +935,7 @@ class SimulationServer:
         """``POST /simulate``: run one request, answer as an SSE stream."""
         try:
             document = json.loads(body or b"{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
             self._http_json(writer, 400, {"code": REJECT_BAD_REQUEST, "error": str(error)})
             return
         session_id = self.registry.allocate_id()

@@ -239,7 +239,10 @@ class StreamOptions:
     only in stream options describe the same simulation.
     """
 
-    #: Cycle budget per cooperative slice (``None`` = the session default,
+    #: Upper bound on one cooperative slice's cycle budget.  The server
+    #: sizes each slice by the events the last one returned, within this
+    #: bound (``None`` = the server's bound).  A bare ``advance()`` takes
+    #: it as its budget (``None`` = the session default,
     #: :data:`repro.sim.session.DEFAULT_SLICE_CYCLES`).
     slice_cycles: Optional[int] = None
     #: Maximum lifecycle events per streamed protocol frame (``None`` = the

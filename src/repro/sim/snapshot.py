@@ -158,6 +158,21 @@ class SnapshotError(RuntimeError):
     """A snapshot could not be captured, decoded, restored or forked."""
 
 
+def _program_task(program: TaskProgram, task_id: Any, where: str) -> Task:
+    """The task of ``program`` that ``task_id``, read from ``where``, names.
+
+    The digest only proves a document is self-consistent, and a client can
+    re-stamp an edited one, so restore looks up the task ids of its state
+    here: anything but an ``int`` task id of the program is refused.
+    """
+    if type(task_id) is int:  # exact: isinstance() would let a bool through
+        try:
+            return program.task(task_id)
+        except KeyError:
+            pass
+    raise SnapshotError(f"{where} {task_id!r} names no task of the program")
+
+
 # ----------------------------------------------------------------------
 # event payload codec
 # ----------------------------------------------------------------------
@@ -195,7 +210,7 @@ def _payload_from_document(document: Any, program: TaskProgram) -> Any:
     if tag == "t":
         return (document[1], document[2])
     if tag == "task":
-        return program.task(document[1])
+        return _program_task(program, document[1], "a queued event's task")
     if tag == "j":
         return (document[1], _payload_from_document(document[2], program))
     if tag == "fto":
@@ -805,7 +820,7 @@ def _restore_gateway(
     else:
         reason = pending["reason"]
         gateway._pending = PendingSubmission(
-            task=program.task(pending["task"]),
+            task=_program_task(program, pending["task"], "the Gateway's pending task"),
             trs_id=pending["trs"],
             tm_index=pending["tm_index"],
             next_dep_index=pending["next_dep_index"],
@@ -1024,7 +1039,10 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     _restore_queue(sim.queue, state["queue"], program)
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
-    sim._pending_new = deque(program.task(task_id) for task_id in state["pending_new"])
+    sim._pending_new = deque(
+        _program_task(program, task_id, "the HIL master's pending_new task")
+        for task_id in state["pending_new"]
+    )
     sim._picos_new_free_at = state["new_free_at"]
     sim._picos_finish_free_at = state["finish_free_at"]
     sim._master_busy = state["master_busy"]

@@ -401,6 +401,10 @@ class TestCacheHardening:
         [
             b'{"version": 1, "result": {"tor',  # torn mid-write
             b'{"version": 1, "result": {"kind": "\xff"}}',  # not UTF-8
+            pytest.param(
+                b'{"version": 1, "result": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                id="nested-past-the-recursion-limit",
+            ),
         ],
     )
     def test_torn_json_is_a_miss_and_gets_quarantined(self, tmp_path, wreck):

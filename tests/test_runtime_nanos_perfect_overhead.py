@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
+from repro.apps.registry import build_benchmark
 from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
 from repro.runtime.nanos import NanosRuntimeSimulator, nanos_speedup
 from repro.runtime.overhead import NanosOverheadModel
@@ -196,3 +199,24 @@ class TestNanosSimulator:
         cheap_speedup = nanos_speedup(program, 8, cheap)
         default_speedup = nanos_speedup(program, 8)
         assert cheap_speedup > default_speedup
+
+    def test_overheads_are_priced_once_per_dependence_count(self, monkeypatch):
+        # The model is frozen: one call per distinct argument list suffices.
+        calls = collections.Counter()
+        for name in ("creation_and_submission", "release_cycles", "worker_pickup_cycles"):
+
+            def counting(model, *args, _name=name, _priced=getattr(NanosOverheadModel, name)):
+                calls[_name, args] += 1
+                return _priced(model, *args)
+
+            monkeypatch.setattr(NanosOverheadModel, name, counting)
+        program = build_benchmark("cholesky", 128, problem_size=512)
+        dep_counts = {task.num_dependences for task in program}
+        assert len(dep_counts) > 1
+        NanosRuntimeSimulator(program, num_threads=4).run()
+        assert set(calls) == {("worker_pickup_cycles", (4,))} | {
+            (name, (deps, 4))
+            for name in ("creation_and_submission", "release_cycles")
+            for deps in dep_counts
+        }
+        assert set(calls.values()) == {1}

@@ -158,6 +158,7 @@ class TestMetrics:
     def test_histogram_quantiles(self):
         histogram = LatencyHistogram()
         assert histogram.quantile(0.5) is None
+        assert histogram.as_dict()["max_ms"] is None
         for _ in range(90):
             histogram.observe(0.0004)  # 0.4 ms -> first bucket
         for _ in range(10):
@@ -167,6 +168,7 @@ class TestMetrics:
         rendered = histogram.as_dict()
         assert rendered["count"] == 100
         assert rendered["median_ms"] == 0.5
+        assert rendered["max_ms"] == pytest.approx(200.0)
         assert rendered["buckets"]["le_0.5ms"] == 90
 
     def test_histogram_overflow_bucket_stays_finite(self):

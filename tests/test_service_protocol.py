@@ -35,7 +35,17 @@ class TestFrames:
         assert line.endswith(b"\n") and b"\n" not in line[:-1]
         assert decode_frame(line) == frame
 
-    @pytest.mark.parametrize("line", [b"{nope\n", b'{"type":"ping","x":"\xff"}\n'])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"{nope\n",
+            b'{"type":"ping","x":"\xff"}\n',
+            pytest.param(
+                b'{"type":"open","x":' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+                id="nested-past-the-recursion-limit",
+            ),
+        ],
+    )
     def test_decode_rejects_non_json(self, line):
         with pytest.raises(ProtocolError) as excinfo:
             decode_frame(line)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
-from repro.sim.session import lifecycle_events
+from repro.sim.session import DEFAULT_SLICE_CYCLES, SimulationSession, lifecycle_events
 from repro.service import ServerConfig, SimulationServer, TenantQuota
 from repro.service.protocol import (
     REJECT_BAD_REQUEST,
@@ -29,9 +29,13 @@ from repro.service.protocol import (
     events_to_document,
     result_from_document,
 )
-from repro.service.server import _READ_LIMIT
+from repro.service.server import _READ_LIMIT, SLICE_EVENT_TARGET, next_slice_budget
 
 SMALL = 512
+
+#: A frame nested deeper than the JSON decoder's recursion limit.
+_NESTED = b"[" * 100_000 + b"]" * 100_000
+_NESTED_FRAME = b'{"type":"open","x":' + _NESTED + b"}\n"
 
 #: The standard loopback request (small, several slices).
 def _request_document(backend="hil-full", **extra):
@@ -225,7 +229,152 @@ class TestEndToEnd:
         metrics = run_with_server(scenario)
         assert metrics["sessions"]["completed"] == 1
         assert metrics["streaming"]["events_streamed"] > 0
-        assert metrics["slices"]["count"] >= 1
+        slices = metrics["slices"]
+        assert slices["count"] >= 1
+        # The longest slice is at least as long as the mean one.
+        assert slices["max_ms"] >= slices["total_seconds"] * 1000 / slices["count"]
+
+
+def _nanos_document(**extra):
+    """A ``nanos`` request streaming 2 448 events over several slices."""
+    document = {
+        "workload": "cholesky",
+        "block_size": 64,
+        "problem_size": 1024,
+        "backend": "nanos",
+        "workers": 4,
+    }
+    document.update(extra)
+    return document
+
+
+def _served_frames(document, config=None):
+    """Run ``document`` on a fresh server: ``(events frames, result frame)``."""
+
+    async def scenario(server):
+        client = await Client.connect(server)
+        await client.send({"type": "open", "id": "w", "request": document})
+        assert (await client.recv())["type"] == "accepted"
+        await client.send({"type": "run", "id": "w"})
+        frames = []
+        while True:
+            frame = await client.recv()
+            if frame["type"] == "result":
+                break
+            assert frame["type"] == "events"
+            frames.append(frame["events"])
+        await client.close()
+        return frames, frame
+
+    return run_with_server(scenario, config)
+
+
+@pytest.fixture
+def slices(monkeypatch):
+    """``(cycle budget, events returned)`` of every ``advance`` call."""
+    seen = []
+    advance = SimulationSession.advance
+
+    def recording(session, slice_cycles=None):
+        step = advance(session, slice_cycles)
+        seen.append((slice_cycles, len(step.events)))
+        return step
+
+    monkeypatch.setattr(SimulationSession, "advance", recording)
+    return seen
+
+
+def _budgets(slices):
+    return [budget for budget, _ in slices]
+
+
+class TestWorkSizedSlices:
+    @pytest.mark.parametrize(
+        "budget, delivered, cap, expected",
+        [
+            (1_000, 0, None, 2_000),
+            (1_000, SLICE_EVENT_TARGET // 2 - 1, None, 2_000),
+            (1_000, SLICE_EVENT_TARGET // 2, None, 1_000),
+            (1_000, SLICE_EVENT_TARGET, None, 1_000),
+            (1_000, SLICE_EVENT_TARGET * 2, None, 1_000),
+            (1_000, SLICE_EVENT_TARGET * 2 + 1, None, 500),
+            (3, 10_000, None, 1),
+            (1, 10_000, None, 1),
+            (1_000, 0, 1_500, 1_500),
+            (1_000, SLICE_EVENT_TARGET, 700, 700),
+            (4_000, 10_000, 1_000, 1_000),
+        ],
+        ids=[
+            "no-events-double",
+            "just-under-half-double",
+            "half-keep",
+            "target-keep",
+            "twice-keep",
+            "just-over-twice-halve",
+            "halve-to-one",
+            "never-below-one",
+            "double-capped",
+            "keep-capped",
+            "halve-capped",
+        ],
+    )
+    def test_next_slice_budget(self, budget, delivered, cap, expected):
+        assert next_slice_budget(budget, delivered, cap) == expected
+
+    def test_an_unbounded_request_streams_the_run_in_fewer_frames(self):
+        document = _nanos_document()
+        batch = simulate_request(_typed_request(document))
+        frames, result_frame = _served_frames(document)
+        again, _ = _served_frames(document)
+        fixed, _ = _served_frames(_nanos_document(stream={"slice_cycles": 250_000}))
+        assert result_from_document(result_frame["result"]) == batch
+        events = [event for frame in frames for event in frame]
+        assert events == events_to_document(lifecycle_events(batch))
+        # Budgets follow the events, never the clock: same frames every run.
+        assert list(map(len, again)) == list(map(len, frames))
+        assert len(frames) < len(fixed)
+
+    def test_the_first_budget_is_the_default_and_the_rest_follow_the_rule(
+        self, slices
+    ):
+        _served_frames(_nanos_document())
+        assert slices[0][0] == DEFAULT_SLICE_CYCLES
+        for (budget, delivered), (following, _) in zip(slices, slices[1:]):
+            assert following == next_slice_budget(budget, delivered, None)
+        assert max(_budgets(slices)) > DEFAULT_SLICE_CYCLES
+
+    def test_the_request_bounds_every_slice(self, slices):
+        _served_frames(_nanos_document(stream={"slice_cycles": 300_000}))
+        budgets = _budgets(slices)
+        assert budgets[0] == DEFAULT_SLICE_CYCLES  # a bound, not a size
+        assert max(budgets) == 300_000
+
+    def test_the_server_bounds_requests_that_set_no_bound(self, slices):
+        config = ServerConfig(port=0, http_port=None, slice_cycles=600_000)
+        _served_frames(_nanos_document(), config)
+        budgets = _budgets(slices)
+        assert budgets[0] == DEFAULT_SLICE_CYCLES
+        assert max(budgets) == 600_000
+
+    def test_a_throttled_tenant_never_outgrows_its_bucket(self, slices):
+        quota = TenantQuota(cycles_per_second=1e9, burst_cycles=1_000_000.0)
+        config = ServerConfig(
+            port=0, http_port=None, tenant_quotas={"metered": quota}
+        )
+        _served_frames(_nanos_document(tenant="metered"), config)
+        assert max(_budgets(slices)) == 1_000_000
+
+    def test_an_unburst_bucket_holds_one_second_of_cycles(self):
+        quota = TenantQuota(cycles_per_second=400_000.0)
+        server = SimulationServer(
+            ServerConfig(port=0, http_port=None, tenant_quotas={"metered": quota})
+        )
+        request = _typed_request(_nanos_document(tenant="metered"))
+        assert server._stream_parameters(request)[0] == 400_000
+        bounded = _typed_request(
+            _nanos_document(tenant="metered", stream={"slice_cycles": 5_000})
+        )
+        assert server._stream_parameters(bounded)[0] == 5_000
 
 
 class TestRejections:
@@ -302,17 +451,20 @@ class TestRejections:
     def test_non_utf8_frame_is_a_bad_request_and_the_connection_lives(self):
         async def scenario(server):
             client = await Client.connect(server)
-            client.writer.write(b'{"type":"ping","x":"\xff"}\n')
-            await client.writer.drain()
-            error = await client.recv()
+            errors = []
+            for line in (b'{"type":"ping","x":"\xff"}\n', _NESTED_FRAME):
+                client.writer.write(line)
+                await client.writer.drain()
+                errors.append(await client.recv())
             await client.send({"type": "ping"})
             pong = await client.recv()
             await client.close()
-            return error, pong
+            return errors, pong
 
-        error, pong = run_with_server(scenario)
-        assert error["type"] == "error"
-        assert error["code"] == REJECT_BAD_REQUEST
+        errors, pong = run_with_server(scenario)
+        for error in errors:
+            assert error["type"] == "error"
+            assert error["code"] == REJECT_BAD_REQUEST
         assert pong["type"] == "pong"
 
     def test_duplicate_session_id_is_rejected(self):
@@ -944,8 +1096,10 @@ class TestHTTPAdapter:
             b"POST /simulate HTTP/1.1\r\nHost: t\r\n"
             b'Content-Length: 16\r\n\r\n{"workload":"\xff"}',
             b"GET /healthz\xff HTTP/1.1\r\nHost: t\r\n\r\n",
+            b"POST /simulate HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + str(len(_NESTED)).encode() + b"\r\n\r\n" + _NESTED,
         ],
-        ids=["body", "request-line"],
+        ids=["body", "request-line", "nested-body"],
     )
     def test_non_utf8_bytes_get_400(self, payload):
         async def scenario(server):

@@ -17,6 +17,7 @@ import pytest
 from repro.apps.registry import build_benchmark
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
+from repro.service.server import next_slice_budget
 from repro.sim.hil import HILBackend, HILMode, HILSimulator
 from repro.sim.request import SimulationRequest, StreamOptions
 from repro.sim.session import (
@@ -64,6 +65,21 @@ def _drain_in_slices(session, slice_cycles=None):
             return slices, events
 
 
+def _drain_by_work(session):
+    """Advance to completion the way the server does, each budget from the
+    events the last slice returned; returns (budgets, concatenated events)."""
+    budget = DEFAULT_SLICE_CYCLES
+    budgets = []
+    events = []
+    while True:
+        budgets.append(budget)
+        step = session.advance(budget)
+        events.extend(step.events)
+        if step.finished:
+            return budgets, events
+        budget = next_slice_budget(budget, len(step.events), None)
+
+
 class TestSlicedBatchParity:
     @pytest.mark.parametrize("backend", sorted(BUILTIN_BACKENDS))
     def test_sliced_run_matches_batch_exactly(self, backend):
@@ -80,11 +96,14 @@ class TestSlicedBatchParity:
         request = _workload_request(backend)
         coarse = open_session(request)
         fine = open_session(request)
+        by_work = open_session(request)
         _, coarse_events = _drain_in_slices(coarse, 10_000_000)
         fine_slices, fine_events = _drain_in_slices(fine, 10_000)
-        assert coarse.result() == fine.result()
-        assert coarse_events == fine_events
+        work_budgets, work_events = _drain_by_work(by_work)
+        assert coarse.result() == fine.result() == by_work.result()
+        assert coarse_events == fine_events == work_events
         assert len(fine_slices) > 1  # the fine run really was sliced
+        assert len(set(work_budgets)) > 1  # and the served policy resized
 
     def test_slice_events_are_final_per_horizon(self, cholesky_small):
         # Every event handed out by a slice is stamped at or before that

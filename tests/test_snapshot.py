@@ -492,6 +492,50 @@ class TestForgedTimelines:
             restore(snapshot)
 
 
+def _forge_create_job(state, task_id):
+    """Point the master's queued ``create`` job at ``task_id``."""
+    for _, events in state["queue"]["buckets"]:
+        for _, payload in events:
+            if isinstance(payload, list) and payload[:2] == ["j", "create"]:
+                payload[2] = ["task", task_id]
+                return
+    raise AssertionError("the snapshot queues no create job")
+
+
+def _forge_gateway_pending(state, task_id):
+    state["accel"]["gateway"]["pending"] = {
+        "task": task_id, "trs": 0, "tm_index": 0,
+        "next_dep_index": 0, "reason": None, "retries": 0,
+    }
+
+
+class TestForgedTaskIds:
+    """Every task id in a restored HIL state must name a task of the
+    program; a re-digested document naming any other is refused with a
+    ``SnapshotError``, not a bare ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _forge_create_job,
+            lambda state, task_id: state.update(pending_new=[task_id]),
+            _forge_gateway_pending,
+        ],
+        ids=["event-payload", "pending-new", "gateway-pending"],
+    )
+    @pytest.mark.parametrize("task_id", [10**9, "1"], ids=["unknown", "string"])
+    def test_a_forged_task_id_is_refused_at_restore(self, edit, task_id):
+        session = open_session(_workload_request("cholesky", "hil-full"))
+        session.advance(10_000)
+        document = capture(session).document()
+        session.close()
+        payload = _payload(document)
+        edit(payload["state"], task_id)
+        snapshot = SimulationSnapshot.from_document(_redigested(document, payload))
+        with pytest.raises(SnapshotError, match="names no task"):
+            restore(snapshot)
+
+
 # ----------------------------------------------------------------------
 # what-if forks
 # ----------------------------------------------------------------------

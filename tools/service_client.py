@@ -7,12 +7,13 @@ the exact exercise the CI ``service-smoke`` job runs:
 
 * ``--spawn`` launches a server subprocess on ephemeral ports (parsed from
   its ``serving <proto> on <host>:<port>`` announce lines), runs one
-  simulation request end to end, checks the streamed lifecycle events
-  against the final result's own event derivation, round-trips a
-  ``checkpoint`` frame through ``restore``/``run`` and checks the resumed
-  run reproduces the straight run's result and event stream bit-exactly,
-  polls ``/metrics`` and ``/healthz``, and shuts the server down with
-  SIGTERM.
+  simulation request end to end -- once with a slice cap, once with the
+  server's work-sized slices -- checks the streamed lifecycle events
+  against the final result's own event derivation and across the two
+  runs, round-trips a ``checkpoint`` frame through ``restore``/``run``
+  and checks the resumed run reproduces the straight run's result and
+  event stream bit-exactly, polls ``/metrics`` and ``/healthz``, and
+  shuts the server down with SIGTERM.
 * ``--spawn --cache-dir DIR`` additionally launches a *second* server
   process pointed at the same cache directory and asserts the identical
   request is served from cache there (the cross-process shared-cache
@@ -99,8 +100,11 @@ class ServiceClient:
 
 def run_request(
     host: str, port: int, request: Dict[str, Any]
-) -> Tuple[Dict[str, Any], List[List[int]], bool]:
-    """Open/run one request; returns (result, streamed events, cached)."""
+) -> Tuple[Dict[str, Any], List[List[int]], bool, int]:
+    """Open/run one request.
+
+    Returns (result, streamed events, cached, number of ``events`` frames).
+    """
     client = ServiceClient(host, port)
     try:
         client.send({"type": "open", "id": "smoke", "request": request})
@@ -111,13 +115,15 @@ def run_request(
         )
         client.send({"type": "run", "id": "smoke"})
         events: List[List[int]] = []
+        frames = 0
         while True:
             frame = client.recv()
             kind = frame.get("type")
             if kind == "events":
                 events.extend(frame["events"])
+                frames += 1
             elif kind == "result":
-                return frame["result"], events, bool(frame.get("cached"))
+                return frame["result"], events, bool(frame.get("cached")), frames
             else:
                 raise SmokeFailure(f"unexpected frame while streaming: {frame}")
     finally:
@@ -211,8 +217,13 @@ class ServerProcess:
 # the smoke scenarios
 # ----------------------------------------------------------------------
 def exercise_server(host: str, tcp_port: int, http_port: Optional[int]) -> None:
-    """One full request with stream/result cross-check plus the HTTP surface."""
-    result, events, cached = run_request(host, tcp_port, SMOKE_REQUEST)
+    """One full request with stream/result cross-check plus the HTTP surface.
+
+    The request runs twice: with its 100 000-cycle slice cap, and without
+    ``stream`` options, so the server sizes each slice by the events the
+    last one returned.  Both must stream the same events and result.
+    """
+    result, events, cached, frames = run_request(host, tcp_port, SMOKE_REQUEST)
     check(result["num_tasks"] > 0, "result reports zero tasks")
     check(result["makespan"] > 0, "result reports zero makespan")
     check(not cached, "first request must not be served from cache")
@@ -220,9 +231,23 @@ def exercise_server(host: str, tcp_port: int, http_port: Optional[int]) -> None:
         events == expected_events(result),
         "streamed lifecycle events do not match the result's timelines",
     )
+    unbounded = {key: value for key, value in SMOKE_REQUEST.items() if key != "stream"}
+    sized_result, sized_events, sized_cached, sized_frames = run_request(
+        host, tcp_port, unbounded
+    )
+    check(not sized_cached, "the work-sized request must not be served from cache")
+    check(
+        sized_result == result,
+        "the work-sized run's result differs from the capped run's",
+    )
+    check(
+        sized_events == events,
+        "the work-sized run's event stream differs from the capped run's",
+    )
     print(
         f"ok: {len(events)} events streamed, makespan {result['makespan']}, "
-        f"{result['num_tasks']} tasks"
+        f"{result['num_tasks']} tasks; events frames: {frames} capped, "
+        f"{sized_frames} sized by work"
     )
     exercise_checkpoint_restore(host, tcp_port, result, events)
     if http_port is not None:
@@ -323,7 +348,7 @@ def exercise_shared_cache(host: str, cache_dir: str) -> None:
     """Two server processes, one cache directory: the second serves a hit."""
     first = ServerProcess(cache_dir=cache_dir)
     try:
-        result_a, events_a, cached_a = run_request(
+        result_a, events_a, cached_a, _ = run_request(
             host, first.tcp_port, SMOKE_REQUEST
         )
         check(not cached_a, "first process's first request must miss the cache")
@@ -333,7 +358,7 @@ def exercise_shared_cache(host: str, cache_dir: str) -> None:
     # durable; a *different* process must serve it without simulating.
     second = ServerProcess(cache_dir=cache_dir)
     try:
-        result_b, events_b, cached_b = run_request(
+        result_b, events_b, cached_b, _ = run_request(
             host, second.tcp_port, SMOKE_REQUEST
         )
         check(cached_b, "second process did not serve the request from cache")

@@ -25,12 +25,13 @@ All violations raise :class:`~repro.faults.plan.FaultInvariantError`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping
 
 from repro.faults.scenario import FaultKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import ArmedFault, FaultPlan
+    from repro.sim.results import TaskTimeline
 
 #: Slack of the bounded-stall-counter invariant: a stall counter may not
 #: exceed ``STALL_BOUND_BASE + STALL_BOUND_PER_EVENT * events``.
@@ -44,10 +45,16 @@ def _fail(message: str) -> "Exception":
     return FaultInvariantError(message)
 
 
-def verify_run(plan: "FaultPlan", sim: Any) -> None:
-    """Run-level invariants shared by every fault kind."""
+def verify_run(
+    plan: "FaultPlan", sim: Any, timelines: Mapping[int, "TaskTimeline"]
+) -> None:
+    """Run-level invariants shared by every fault kind.
+
+    ``timelines`` are the per-task timelines of the run's result, keyed by
+    task id: the simulators mint them once, from their stamp columns, when
+    they build the result.
+    """
     program = sim.program
-    timelines = plan.adapter.timelines_of(sim)
     # No lost tasks: chaos must never eat a task.
     if len(timelines) != program.num_tasks:
         raise _fail(

@@ -55,6 +55,7 @@ replay bit-exactly.  See ``docs/faults.md``.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.faults.payloads import (
@@ -131,14 +132,17 @@ class FaultPlan:
         from repro.faults.invariants import INVARIANT_CHECKERS
 
         self.adapter = adapter
-        self._sim = sim
+        #: The simulator holds the plan, so the plan refers back to it
+        #: weakly: a strong reference would make every faulted simulator a
+        #: reference cycle that outlives its session until the cyclic
+        #: collector runs.
+        self._sim = weakref.proxy(sim)
         self._injectors = INJECTORS
         self._checkers = INVARIANT_CHECKERS
         self.armed = False
         self.injected = 0
         self.recovered = 0
         self._last_completion = -1
-        self._base: Dict[str, Callable[[Any, int], None]] = {}
         self.armed_faults: List[ArmedFault] = []
         #: Event-level / freeze scenarios indexed by matched engine kind.
         self._watch: Dict[str, List[ArmedFault]] = {}
@@ -204,13 +208,23 @@ class FaultPlan:
     def wrap(
         self, handlers: Mapping[str, Callable[[Any, int], None]]
     ) -> Dict[str, Callable[[Any, int], None]]:
-        """Return ``handlers`` with every delivery routed through the plan."""
+        """Return ``handlers`` with every delivery routed through the plan.
+
+        The plan keeps no reference to either table: the simulator's bound
+        handlers refer back to the simulator, which holds the plan.  A
+        redelivery finds its original handler through the wrapped table,
+        which lives as long as the dispatch that uses it.
+        """
         from repro.sim.engine import intercept_handlers
 
-        self._base = dict(handlers)
-        wrapped = intercept_handlers(handlers, self.deliver)
+        base = dict(handlers)
+        wrapped = intercept_handlers(base, self.deliver)
         wrapped[FAULT_TIMER] = self._on_timer
-        wrapped[FAULT_REDELIVER] = self._on_redeliver
+
+        def redeliver(payload: FaultRedeliver, now: int) -> None:
+            self._on_redeliver(payload, now, base[payload.kind])
+
+        wrapped[FAULT_REDELIVER] = redeliver
         return wrapped
 
     # ------------------------------------------------------------------
@@ -252,13 +266,15 @@ class FaultPlan:
         else:  # pragma: no cover - the plan only schedules known tags
             raise RuntimeError(f"unknown fault timer tag: {payload.tag!r}")
 
-    def _on_redeliver(self, payload: FaultRedeliver, now: int) -> None:
+    def _on_redeliver(
+        self, payload: FaultRedeliver, now: int, handler: Callable[[Any, int], None]
+    ) -> None:
+        """Deliver a withheld event to ``handler``, its original handler."""
         armed = self.armed_faults[payload.index]
         kind, original = payload.kind, payload.payload
         self.record_recovered(now, self.adapter.task_id_of(kind, original), armed)
         if armed.scenario.kind is FaultKind.DUPLICATE_EVENT:
             return  # the receiver deduplicates the echo
-        handler = self._base[kind]
         # A retransmitted (dropped) packet travels the lossy path again
         # and may be re-dropped while fires remain; delayed and thawed
         # deliveries are final.  Either way the kill bookkeeping still
@@ -328,11 +344,15 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # end-of-run invariants
     # ------------------------------------------------------------------
-    def verify(self) -> None:
-        """Raise :class:`FaultInvariantError` unless the run is healthy."""
+    def verify(self, timelines: Mapping[int, Any]) -> None:
+        """Raise :class:`FaultInvariantError` unless the run is healthy.
+
+        ``timelines`` are the finished run's per-task timelines, as its
+        result carries them.
+        """
         from repro.faults.invariants import verify_run
 
-        verify_run(self, self._sim)
+        verify_run(self, self._sim, timelines)
         for armed in self.armed_faults:
             self._checkers[armed.scenario.kind](self, armed, self._sim)
 

@@ -47,7 +47,7 @@ from repro.runtime.overhead import NanosOverheadModel
 from repro.runtime.task import TaskProgram
 from repro.sim.backend import BACKEND_NANOS, register_backend
 from repro.sim.engine import EventQueue
-from repro.sim.results import SimulationResult, TaskTimeline
+from repro.sim.results import SimulationResult, mint_timelines
 from repro.sim.session import EngineStepper
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,7 +91,16 @@ class NanosRuntimeSimulator:
         self._release_cycles: Dict[int, int] = {}
 
         self.queue = EventQueue()
-        self._timelines: Dict[int, TaskTimeline] = {}
+        #: Per-task lifecycle stamps as five columns indexed by each task's
+        #: position in the program, as in the HIL simulator: a result mints
+        #: its ``TaskTimeline`` objects from them.
+        num_tasks = program.num_tasks
+        self._rows = program.rows()
+        self._created_at = [0] * num_tasks
+        self._submitted_at = [0] * num_tasks
+        self._ready_at = [0] * num_tasks
+        self._started_at = [0] * num_tasks
+        self._finished_at = [0] * num_tasks
         #: Optional lifecycle log of ``(cycle, order, task_id)`` entries,
         #: appended at the submitted/ready/finished stamp sites (the same
         #: contract as the HIL simulator's log: once the clock passed a
@@ -178,24 +187,23 @@ class NanosRuntimeSimulator:
         """One-time setup: pre-schedule the serial master, seed the pool."""
         program = self.program
         queue = self.queue
-        timelines = self._timelines
+        created = self._created_at
+        submitted = self._submitted_at
         log = self._lifecycle_log
-        for task in program:
-            timelines[task.task_id] = TaskTimeline(task_id=task.task_id)
 
         # --- master thread: serial creation + submission -------------
         creation_clock = 0
         creation_cycles = self._creation_cycles
-        for task in program:
+        for row, task in enumerate(program):
             deps = task.num_dependences
             overhead = creation_cycles.get(deps)
             if overhead is None:
                 overhead = creation_cycles[deps] = (
                     self.overhead.creation_and_submission(deps, self.num_threads)
                 )
-            timelines[task.task_id].created = creation_clock
+            created[row] = creation_clock
             creation_clock += overhead
-            timelines[task.task_id].submitted = creation_clock
+            submitted[row] = creation_clock
             if log is not None:
                 log.append((creation_clock, _LOG_SUBMITTED, task.task_id))
             queue.schedule(creation_clock, _EV_SUBMITTED, task.task_id)
@@ -223,7 +231,9 @@ class NanosRuntimeSimulator:
     def _try_dispatch(self, now: int) -> None:
         idle_workers = self._idle_workers
         ready_pool = self._ready_pool
-        timelines = self._timelines
+        rows = self._rows
+        started = self._started_at
+        finished = self._finished_at
         log = self._lifecycle_log
         makespan = self._makespan
         pickup = self._pickup_cycles
@@ -240,8 +250,9 @@ class NanosRuntimeSimulator:
                 )
             start = now + pickup
             finish = start + task.duration
-            timelines[task_id].started = start
-            timelines[task_id].finished = finish
+            row = rows[task_id]
+            started[row] = start
+            finished[row] = finish
             if log is not None:
                 log.append((finish, _LOG_RETIRED, task_id))
             if finish > makespan:
@@ -251,7 +262,7 @@ class NanosRuntimeSimulator:
 
     def _mark_ready_if_possible(self, task_id: int, now: int) -> None:
         if self._submitted[task_id] and self._remaining_preds[task_id] == 0:
-            self._timelines[task_id].ready = now
+            self._ready_at[self._rows[task_id]] = now
             if self._lifecycle_log is not None:
                 self._lifecycle_log.append((now, _LOG_READY, task_id))
             self._ready_pool.append(task_id)
@@ -295,15 +306,18 @@ class NanosRuntimeSimulator:
             # stamps; only bodies done by the horizon count.
             horizon = aborted_at
             makespan = max(
-                (
-                    t.finished
-                    for t in self._timelines.values()
-                    if t.finished and t.finished <= horizon
-                ),
-                default=0,
+                (f for f in self._finished_at if f and f <= horizon), default=0
             )
         else:
             makespan = self._makespan
+        timelines = mint_timelines(
+            self._rows,
+            self._created_at,
+            self._submitted_at,
+            self._ready_at,
+            self._started_at,
+            self._finished_at,
+        )
         counters: Dict[str, int] = {
             "master_creation_cycles": self._master_joins_at,
             "threads": self.num_threads,
@@ -317,7 +331,7 @@ class NanosRuntimeSimulator:
             counters["faults_injected"] = plan.injected
             counters["faults_recovered"] = plan.recovered
             if not aborted:
-                plan.verify()
+                plan.verify(timelines)
         return SimulationResult(
             simulator="nanos-software",
             program_name=program.name,
@@ -325,7 +339,7 @@ class NanosRuntimeSimulator:
             makespan=makespan,
             sequential_cycles=program.sequential_cycles,
             num_tasks=program.num_tasks,
-            timelines=self._timelines,
+            timelines=timelines,
             counters=counters,
             drain_time=self.queue.now,
         )
@@ -369,11 +383,6 @@ class _NanosFaultAdapter:
 
     def stall_counters(self, sim: NanosRuntimeSimulator) -> Dict[str, int]:
         return {}  # the software runtime has no hardware stall counters
-
-    def timelines_of(
-        self, sim: NanosRuntimeSimulator
-    ) -> Dict[int, TaskTimeline]:
-        return sim._timelines
 
     def kill_worker(
         self,

@@ -199,7 +199,8 @@ class TaskProgram:
     def __init__(self, tasks: Optional[Iterable[Task]] = None, name: str = "") -> None:
         self.name = name
         self._tasks: List[Task] = []
-        self._by_id: Dict[int, Task] = {}
+        #: Task id -> position in ``_tasks`` (see :meth:`rows`).
+        self._rows: Dict[int, int] = {}
         #: Memoized dependence graph (see
         #: :func:`repro.runtime.dependence_analysis.task_graph`).
         self._graph: Optional["TaskGraph"] = None
@@ -218,10 +219,10 @@ class TaskProgram:
         next :func:`~repro.runtime.dependence_analysis.task_graph` call
         sees the new task.
         """
-        if task.task_id in self._by_id:
+        if task.task_id in self._rows:
             raise ValueError(f"duplicate task id {task.task_id}")
+        self._rows[task.task_id] = len(self._tasks)
         self._tasks.append(task)
-        self._by_id[task.task_id] = task
         self._graph = None
         return task
 
@@ -256,7 +257,17 @@ class TaskProgram:
 
     def task(self, task_id: int) -> Task:
         """Return the task with identifier ``task_id``."""
-        return self._by_id[task_id]
+        return self._tasks[self._rows[task_id]]
+
+    def rows(self) -> Dict[int, int]:
+        """Each task id's position in creation order, keyed in that order.
+
+        The simulators index their per-task timeline columns by these
+        positions: task ids of inline and streamed programs are
+        client-chosen keys, not dense indices.  The map is the program's
+        own, grown by :meth:`add_task`; treat it as read-only.
+        """
+        return self._rows
 
     @property
     def tasks(self) -> Tuple[Task, ...]:
@@ -332,9 +343,9 @@ class TaskProgram:
         creation order of the row-panel tasks is reversed to avoid the
         last-consumer wake-up corner case.
         """
-        if sorted(order) != sorted(self._by_id):
+        if sorted(order) != sorted(self._rows):
             raise ValueError("order must be a permutation of the task ids")
         reordered = TaskProgram(name=self.name)
         for task_id in order:
-            reordered.add_task(self._by_id[task_id])
+            reordered.add_task(self.task(task_id))
         return reordered

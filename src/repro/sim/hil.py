@@ -66,7 +66,7 @@ from repro.sim.backend import (
     register_backend,
 )
 from repro.sim.engine import EventQueue
-from repro.sim.results import SimulationResult, TaskTimeline
+from repro.sim.results import SimulationResult, mint_timelines
 from repro.sim.session import EngineStepper
 from repro.sim.worker import WorkerPool
 
@@ -157,7 +157,17 @@ class HILSimulator:
         self.ready = TaskScheduler(policy)
         self.queue = EventQueue()
 
-        self._timelines: Dict[int, TaskTimeline] = {}
+        #: Per-task lifecycle stamps as five columns indexed by each task's
+        #: position in the program (``program.rows()`` maps a task id to
+        #: it); a result mints its ``TaskTimeline`` objects from them.  The
+        #: columns hold ints, which the cyclic collector does not track.
+        num_tasks = program.num_tasks
+        self._rows = program.rows()
+        self._created_at = [0] * num_tasks
+        self._submitted_at = [0] * num_tasks
+        self._ready_at = [0] * num_tasks
+        self._started_at = [0] * num_tasks
+        self._finished_at = [0] * num_tasks
         #: Optional lifecycle log of ``(cycle, order, task_id)`` entries,
         #: appended at the submitted/ready/finished stamp sites.  ``None``
         #: (the default) keeps the hot path free of logging work; sliced
@@ -188,7 +198,7 @@ class HILSimulator:
         # list index instead of a call chain per kick.
         config = self.config
         self._comm_cycles = config.comm_cycles
-        self._num_tasks = program.num_tasks
+        self._num_tasks = num_tasks
         self._new_fifo_depth = self.NEW_TASK_FIFO_DEPTH
         if self._full_system:
             self._create_cost = [
@@ -251,9 +261,6 @@ class HILSimulator:
         """
         if not self._prepared:
             self._prepared = True
-            for task in self.program:
-                self._timelines[task.task_id] = TaskTimeline(task_id=task.task_id)
-
             if self.mode is HILMode.HW_ONLY:
                 # "all the tasks are sent to Picos once" -- every task is
                 # queued at the accelerator input at time zero, in creation
@@ -312,7 +319,8 @@ class HILSimulator:
         if not pending_new:
             return
         accel = self.accel
-        timelines = self._timelines
+        rows = self._rows
+        submitted = self._submitted_at
         log = self._lifecycle_log
         free_at = self._picos_new_free_at
         stalled = SubmitStatus.STALLED
@@ -331,7 +339,7 @@ class HILSimulator:
                 break
             self._submission_blocked = False
             pending_new.popleft()
-            timelines[head.task_id].submitted = start
+            submitted[rows[head.task_id]] = start
             if log is not None:
                 log.append((start, _LOG_SUBMITTED, head.task_id))
             free_at = start + result.occupancy
@@ -361,7 +369,7 @@ class HILSimulator:
     # ------------------------------------------------------------------
     def _on_task_visible(self, task_id: int, now: int) -> None:
         """Deliver one ready-task visibility notification."""
-        self._timelines[task_id].ready = now
+        self._ready_at[self._rows[task_id]] = now
         if self._lifecycle_log is not None:
             self._lifecycle_log.append((now, _LOG_READY, task_id))
         self.ready.push(task_id)
@@ -391,13 +399,13 @@ class HILSimulator:
     def _start_execution(self, task_id: int, worker_id: int, now: int) -> None:
         task = self.program.task(task_id)
         end = self.workers.start_execution(worker_id, now, task.duration)
-        self._timelines[task_id].started = now
+        self._started_at[self._rows[task_id]] = now
         self.queue.schedule(end, _EV_WORKER_DONE, (worker_id, task_id))
 
     def _on_worker_done(self, payload: Tuple[int, int], now: int) -> None:
         """Retire one worker completion."""
         worker_id, task_id = payload
-        self._timelines[task_id].finished = now
+        self._finished_at[self._rows[task_id]] = now
         if self._lifecycle_log is not None:
             self._lifecycle_log.append((now, _LOG_RETIRED, task_id))
         self.workers.release(worker_id)
@@ -456,7 +464,7 @@ class HILSimulator:
                 if num_deps < len(costs)
                 else self._master_create_cost(num_deps)
             )
-            self._timelines[task.task_id].created = now
+            self._created_at[index] = now  # the create index is the row
         self._master_busy = True
         self.queue.schedule(now + cost, _EV_MASTER_DONE, job)
 
@@ -504,11 +512,17 @@ class HILSimulator:
                 f"simulation ended with {self._finished_tasks} of "
                 f"{self.program.num_tasks} tasks executed (deadlock?)"
             )
-        # On an early abort, unfinished timelines keep their partial stamps
-        # (finished == 0) and only the tasks done by the horizon count.
-        makespan = max(
-            (t.finished for t in self._timelines.values() if not aborted or t.finished),
-            default=0,
+        # Unfinished tasks keep finished == 0 and no stamp is negative, so
+        # on an early abort too the largest finish stamp is the makespan of
+        # the tasks done by the horizon.
+        makespan = max(self._finished_at, default=0)
+        timelines = mint_timelines(
+            self._rows,
+            self._created_at,
+            self._submitted_at,
+            self._ready_at,
+            self._started_at,
+            self._finished_at,
         )
         counters = self.accel.stats.as_dict()
         counters["ready_queue_high_water"] = self.ready.max_occupancy
@@ -524,7 +538,7 @@ class HILSimulator:
             counters["faults_injected"] = plan.injected
             counters["faults_recovered"] = plan.recovered
             if not aborted:
-                plan.verify()
+                plan.verify(timelines)
         return SimulationResult(
             simulator=f"picos-{self.mode.value}",
             program_name=self.program.name,
@@ -532,7 +546,7 @@ class HILSimulator:
             makespan=makespan,
             sequential_cycles=self.program.sequential_cycles,
             num_tasks=self.program.num_tasks,
-            timelines=self._timelines,
+            timelines=timelines,
             counters=counters,
             drain_time=self.queue.now,
         )
@@ -582,10 +596,6 @@ class _HILFaultAdapter:
     @staticmethod
     def stall_counters(sim: "HILSimulator") -> Dict[str, int]:
         return sim.accel.stats.as_dict()
-
-    @staticmethod
-    def timelines_of(sim: "HILSimulator") -> Dict[int, TaskTimeline]:
-        return sim._timelines
 
     @staticmethod
     def _worker_done_pending(

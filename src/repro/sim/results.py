@@ -9,7 +9,7 @@ per-task timelines and the hardware counters collected during the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Sequence, Tuple
 
 
 class TaskTimeline:
@@ -77,6 +77,24 @@ class TaskTimeline:
     def management_latency(self) -> int:
         """Cycles spent between submission and readiness."""
         return self.ready - self.submitted
+
+
+def mint_timelines(
+    task_ids: Collection[int],
+    created: Sequence[int],
+    submitted: Sequence[int],
+    ready: Sequence[int],
+    started: Sequence[int],
+    finished: Sequence[int],
+) -> Dict[int, TaskTimeline]:
+    """One ``TaskTimeline`` per task id, keyed and ordered as ``task_ids``.
+
+    The simulators keep their stamps as five columns indexed by each task's
+    position in the program and mint the objects only when they build a
+    result; row ``i`` of every column belongs to the ``i``-th id.
+    """
+    timelines = map(TaskTimeline, task_ids, created, submitted, ready, started, finished)
+    return dict(zip(task_ids, timelines))
 
 
 @dataclass

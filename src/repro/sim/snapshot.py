@@ -87,7 +87,7 @@ import json
 import operator
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.config import PicosConfig
 from repro.core.dct import StallReason
@@ -105,7 +105,6 @@ from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Event
 from repro.sim.hil import HILSimulator
 from repro.sim.request import InlineProgramRef
-from repro.sim.results import TaskTimeline
 from repro.sim.session import _EVENT_CLASSES, SimulationSession, open_session
 
 __all__ = [
@@ -201,25 +200,54 @@ def _payload_to_document(payload: Any) -> Any:
     raise SnapshotError(f"unencodable event payload: {payload!r}")
 
 
+#: Length of each tagged payload document, its tag included.
+_PAYLOAD_LENGTHS = {"none": 1, "t": 3, "task": 2, "j": 3, "fto": 4, "frd": 4}
+
+
 def _payload_from_document(document: Any, program: TaskProgram) -> Any:
-    if type(document) is int:
+    """Decode one queued event's payload, refusing any malformed document.
+
+    Each tag's fields are checked before use, exact types included (a
+    re-stamped document may hold anything), so a malformed payload is a
+    :class:`SnapshotError`, never a bare ``IndexError`` or ``TypeError``.
+    """
+    if type(document) is int:  # exact: isinstance() would let a bool through
         return document
+    if not (isinstance(document, list) and document and type(document[0]) is str):
+        raise SnapshotError(
+            "a queued event's payload is neither an integer nor a tagged list"
+        )
     tag = document[0]
+    length = _PAYLOAD_LENGTHS.get(tag)
+    if length is None:
+        raise SnapshotError(f"unknown payload tag {tag[:32]!r}")
+    if len(document) != length:
+        raise SnapshotError(
+            f"a queued {tag!r} payload holds {len(document) - 1} fields, "
+            f"not {length - 1}"
+        )
     if tag == "none":
         return None
     if tag == "t":
-        return (document[1], document[2])
+        first, second = document[1], document[2]
+        if type(first) is not int or type(second) is not int:
+            raise SnapshotError("a queued 't' payload holds a non-integer")
+        return (first, second)
     if tag == "task":
         return _program_task(program, document[1], "a queued event's task")
     if tag == "j":
+        if type(document[1]) is not str:
+            raise SnapshotError("a queued master job's kind is not a string")
         return (document[1], _payload_from_document(document[2], program))
+    index, name = document[1], document[2]
+    if type(index) is not int or type(name) is not str:
+        raise SnapshotError(f"a queued {tag!r} payload's index or name is malformed")
     if tag == "fto":
-        return FaultTimer(document[1], document[2], document[3])
-    if tag == "frd":
-        return FaultRedeliver(
-            document[1], document[2], _payload_from_document(document[3], program)
-        )
-    raise SnapshotError(f"unknown payload tag {tag!r}")
+        arg = document[3]
+        if arg is not None and type(arg) is not int:
+            raise SnapshotError("a queued fault timer's argument is not an integer")
+        return FaultTimer(index, name, arg)
+    return FaultRedeliver(index, name, _payload_from_document(document[3], program))
 
 
 # ----------------------------------------------------------------------
@@ -273,24 +301,42 @@ def _delta_coded(column: List[int]) -> List[int]:
     return column[:1] + list(map(operator.sub, column[1:], column))
 
 
-def _timelines_document(timelines: Dict[int, TaskTimeline]) -> Dict[str, Any]:
+def _timeline_columns(sim: Any) -> Tuple[List[int], ...]:
+    """The simulator's five stamp columns, in document order."""
+    return (
+        sim._created_at,
+        sim._submitted_at,
+        sim._ready_at,
+        sim._started_at,
+        sim._finished_at,
+    )
+
+
+def _timeline_columns_document(sim: Any) -> Dict[str, Any]:
     """The touched timeline rows as delta-coded columns, sorted by task id.
 
-    A row whose five stamps are all 0 equals ``TaskTimeline(task_id)``,
-    which restore mints for every task the columns do not name, so only
-    the rows a run has touched travel.  Each column is delta-coded along
-    its length: ids and neighbouring tasks' stamps are close, so the
-    differences are short numbers.
+    A row whose five stamps are all 0 is untouched: a simulator starts
+    every row so, and restore leaves so every row the columns do not name.
+    Only touched rows travel: an OR over the five columns marks them and
+    :func:`itertools.compress` picks them out, in program order, which is
+    sorted by task id only when it is not id order already.  Each column
+    is delta-coded along its length: ids and neighbouring tasks' stamps
+    are close, so the differences are short numbers.
     """
-    rows = [
-        (t.task_id, t.created, t.submitted, t.ready, t.started, t.finished)
-        for t in map(timelines.__getitem__, sorted(timelines))
-        if t.created or t.submitted or t.ready or t.started or t.finished
-    ]
-    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(6)]
+    columns = _timeline_columns(sim)
+    mask: Iterable[int] = columns[0]
+    for column in columns[1:]:
+        mask = map(operator.or_, mask, column)
+    touched = list(mask)
+    ids = list(itertools.compress(sim._rows, touched))
+    stamps = [list(itertools.compress(column, touched)) for column in columns]
+    if any(map(operator.ge, ids, ids[1:])):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = list(map(ids.__getitem__, order))
+        stamps = [list(map(column.__getitem__, order)) for column in stamps]
     return {
-        "ids": _delta_coded(columns[0]),
-        "stamps": [_delta_coded(column) for column in columns[1:]],
+        "ids": _delta_coded(ids),
+        "stamps": [_delta_coded(column) for column in stamps],
     }
 
 
@@ -303,7 +349,8 @@ def _check_timelines(
     allocates for them: an ``ids`` column and five stamp columns, all of
     one length and no longer than the program, holding plain integers.
     Decoded, the ids must strictly increase and each name a task of the
-    program, and no stamp may be negative.  Returns the decoded columns.
+    program, and no stamp may be negative.  Returns each named task's row
+    (its position in the program) and the decoded stamp columns.
     """
     if not (isinstance(document, dict) and document.keys() == {"ids", "stamps"}):
         raise SnapshotError(
@@ -327,37 +374,29 @@ def _check_timelines(
         raise SnapshotError("a timeline column of the snapshot holds a non-integer")
     if min(ids[1:], default=1) < 1:
         raise SnapshotError("the snapshot's timeline ids do not strictly increase")
-    ids = list(itertools.accumulate(ids))
-    for task_id in ids:
-        try:
-            program.task(task_id)
-        except KeyError:
-            raise SnapshotError(
-                f"timeline row {task_id} names no task of the program"
-            ) from None
+    try:
+        rows = list(map(program.rows().__getitem__, itertools.accumulate(ids)))
+    except KeyError as error:
+        raise SnapshotError(
+            f"timeline row {error.args[0]} names no task of the program"
+        ) from None
     stamps = [list(itertools.accumulate(column)) for column in stamps]
     if any(column and min(column) < 0 for column in stamps):
         raise SnapshotError("the snapshot's timelines hold a negative stamp")
-    return ids, stamps
+    return rows, stamps
 
 
-def _minted_timelines(
-    program: TaskProgram, ids: List[int], stamps: List[List[int]]
-) -> Dict[int, TaskTimeline]:
-    """One ``TaskTimeline`` per program task, in program order, each minted once.
+def _restore_timeline_columns(
+    sim: Any, rows: List[int], stamps: List[List[int]]
+) -> None:
+    """Write the checked stamp columns into a freshly built simulator's.
 
-    Every row starts all zero, as it was before the run touched it; the
-    rows the columns name then take their stamps in place.
+    Its columns hold all zeros, as every row did before the run touched
+    it; the rows the document names take their stamps.
     """
-    timelines = {task.task_id: TaskTimeline(task.task_id) for task in program}
-    for task_id, created, submitted, ready, started, finished in zip(ids, *stamps):
-        timeline = timelines[task_id]
-        timeline.created = created
-        timeline.submitted = submitted
-        timeline.ready = ready
-        timeline.started = started
-        timeline.finished = finished
-    return timelines
+    for column, values in zip(_timeline_columns(sim), stamps):
+        for row, value in zip(rows, values):
+            column[row] = value
 
 
 def _stats_document(stats: PicosStats) -> Dict[str, Any]:
@@ -1016,7 +1055,7 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
     return _fault_plan_document(sim, {
         "simulator": "hil",
         "queue": _queue_document(sim.queue),
-        "timelines": _timelines_document(sim._timelines),
+        "timelines": _timeline_columns_document(sim),
         "log": _log_document(sim._lifecycle_log),
         "pending_new": [task.task_id for task in sim._pending_new],
         "new_free_at": sim._picos_new_free_at,
@@ -1063,7 +1102,7 @@ def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
     return _fault_plan_document(sim, {
         "simulator": "nanos",
         "queue": _queue_document(sim.queue),
-        "timelines": _timelines_document(sim._timelines),
+        "timelines": _timeline_columns_document(sim),
         "log": _log_document(sim._lifecycle_log),
         "master_joins_at": sim._master_joins_at,
         "idle_workers": list(sim._idle_workers),
@@ -1080,6 +1119,33 @@ def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
     })
 
 
+def _checked_remaining_preds(document: Any, program: TaskProgram) -> Dict[int, int]:
+    """The Nanos++ unfinished-predecessor counts, refusing any forged one.
+
+    A captured run counts every task of the program once: one ``[task_id,
+    count]`` pair per task, each id an ``int`` task of the program and
+    each count a non-negative ``int``.
+    """
+    if not (isinstance(document, list) and len(document) == program.num_tasks):
+        raise SnapshotError(
+            "the Nanos++ predecessor counts are not a list of one pair per task"
+        )
+    remaining: Dict[int, int] = {}
+    for pair in document:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SnapshotError("a Nanos++ predecessor count is not a [task, count] pair")
+        task_id, count = pair
+        _program_task(program, task_id, "a Nanos++ predecessor count's task")
+        if type(count) is not int or count < 0:
+            raise SnapshotError(
+                f"the predecessor count of task {task_id} is not a non-negative integer"
+            )
+        remaining[task_id] = count
+    if len(remaining) != len(document):
+        raise SnapshotError("the Nanos++ predecessor counts name a task twice")
+    return remaining
+
+
 def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
     program = sim.program
     sim._prepared = True
@@ -1088,12 +1154,13 @@ def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
     sim._master_joins_at = state["master_joins_at"]
     sim._idle_workers = list(state["idle_workers"])
-    sim._remaining_preds = {
-        task_id: count for task_id, count in state["remaining_preds"]
-    }
+    sim._remaining_preds = _checked_remaining_preds(state["remaining_preds"], program)
     submitted = set(state["submitted"])
     sim._submitted = {task.task_id: task.task_id in submitted for task in program}
-    sim._ready_pool = deque(state["ready_pool"])
+    sim._ready_pool = deque(
+        _program_task(program, task_id, "the Nanos++ ready pool's task").task_id
+        for task_id in state["ready_pool"]
+    )
     sim._finished = state["finished"]
     sim._makespan = state["makespan"]
     _restore_fault_plan(sim, state)
@@ -1125,8 +1192,8 @@ def _restore_simulator_state(sim: Any, state: Dict[str, Any], cycle: int) -> Non
             f"runs {expected!r}"
         )
     _check_lifecycle_log(state.get("log"), cycle, sim.program)
-    ids, stamps = _check_timelines(state.get("timelines"), sim.program)
-    sim._timelines = _minted_timelines(sim.program, ids, stamps)
+    rows, stamps = _check_timelines(state.get("timelines"), sim.program)
+    _restore_timeline_columns(sim, rows, stamps)
     if expected == "hil":
         _restore_hil(sim, state)
     else:

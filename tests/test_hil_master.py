@@ -29,7 +29,6 @@ from repro.runtime.task import Direction
 from repro.sim.engine import EventQueue
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
-from repro.sim.results import TaskTimeline
 from repro.traces.synthetic import random_program
 
 from tests.helpers import assert_delivery_paths_agree, make_program, run_delivery_paths
@@ -57,10 +56,12 @@ def delivery_paths(program, *, mode, num_workers, config=None, policy=Scheduling
 
 
 def primed_simulator(program, **kwargs) -> HILSimulator:
-    """A simulator with timelines initialised, as ``run()`` would do."""
+    """A simulator whose master can be kicked before ``run()``: its
+    timeline columns exist from construction, one zero per task."""
     sim = HILSimulator(program, **kwargs)
-    for task in program:
-        sim._timelines[task.task_id] = TaskTimeline(task_id=task.task_id)
+    columns = (sim._created_at, sim._submitted_at, sim._ready_at,
+               sim._started_at, sim._finished_at)
+    assert all(column == [0] * program.num_tasks for column in columns)
     return sim
 
 
@@ -70,15 +71,17 @@ class TestMasterRearm:
     def test_second_kick_while_in_flight_is_a_noop(self):
         program = fanout_program()
         sim = primed_simulator(program, mode=HILMode.FULL_SYSTEM, num_workers=2)
-        sim._kick_master(0)
+        sim._kick_master(5)
         assert sim._master_busy
         assert sim.queue.pending == 1  # one master-done event in flight
         assert sim._next_create_index == 1
+        assert sim._created_at[:2] == [5, 0]  # the create stamp, in its row
         # A re-arm point firing again while the job is in flight must not
         # double-book the ARM core or consume another job.
-        sim._kick_master(0)
+        sim._kick_master(7)
         assert sim.queue.pending == 1
         assert sim._next_create_index == 1
+        assert sim._created_at[:2] == [5, 0]
 
     def test_rearm_picks_finish_over_dispatch_over_create(self):
         program = fanout_program()

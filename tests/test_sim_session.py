@@ -11,6 +11,7 @@ import pytest
 from tests.helpers import make_program
 
 from repro.apps.registry import build_benchmark
+from repro.faults.scenario import parse_fault_spec
 from repro.sim.backend import (
     BUILTIN_BACKENDS,
     register_backend,
@@ -374,6 +375,8 @@ class TestSimulatorLifetime:
     waits for the cyclic collector (whose runs a workload can thin out)."""
 
     BACKENDS = ["hil-comm", "hil-full", "hil-hw", "nanos"]
+    #: Fault scenarios every request arms.
+    FAULTS: tuple = ()
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -400,7 +403,7 @@ class TestSimulatorLifetime:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_close_frees_the_simulator(self, backend, built, cholesky_small):
         request = SimulationRequest.for_program(
-            cholesky_small, backend=backend, num_workers=4
+            cholesky_small, backend=backend, num_workers=4, faults=self.FAULTS
         )
         session = open_session(request)
         assert not session.advance(10_000).finished
@@ -412,7 +415,18 @@ class TestSimulatorLifetime:
         self, backend, built, cholesky_small
     ):
         request = SimulationRequest.for_program(
-            cholesky_small, backend=backend, num_workers=4
+            cholesky_small, backend=backend, num_workers=4, faults=self.FAULTS
         )
         assert simulate_request(request).num_tasks == cholesky_small.num_tasks
         assert built and all(ref() is None for ref in built)
+
+
+class TestFaultedSimulatorLifetime(TestSimulatorLifetime):
+    """The same, with a fault plan armed: the plan refers back to its
+    simulator only weakly and keeps no table of its bound handlers.  The
+    scenario's window opens long after the run has finished, so it never
+    fires."""
+
+    FAULTS = (
+        parse_fault_spec("delay-event@window=10000000000..10000000001:class=ready"),
+    )

@@ -214,6 +214,34 @@ class TestWorkloadGoldenDigests:
             )
 
 
+class TestPinnedCaptureDigests:
+    """The version-3 bytes of a mid-run capture, pinned by their digest.
+
+    A change to how the simulators hold their state must not move a byte
+    of the document: the digest covers the whole canonical payload.
+    """
+
+    DIGESTS = {
+        "hil-comm": "25c6a251249be32179bc6ada",
+        "hil-full": "e8b53735db73ce8408001cdd",
+        "hil-hw": "08901030ba3d0826a3fe9ec3",
+        "nanos": "1211723c64aac1aad9aa0864",
+    }
+
+    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    def test_a_mid_run_capture_keeps_its_digest(self, backend):
+        request = SimulationRequest.for_workload(
+            "cholesky", block_size=128, problem_size=1024,
+            backend=backend, num_workers=4,
+        )
+        session = open_session(request)
+        assert not session.advance(1_000_000).finished
+        snapshot = capture(session)
+        session.close()
+        assert snapshot.kind == KIND_MID_RUN
+        assert snapshot.digest == self.DIGESTS[backend]
+
+
 # ----------------------------------------------------------------------
 # idempotence: snapshots of restored runs, double restores
 # ----------------------------------------------------------------------
@@ -283,18 +311,18 @@ def _redigested(document, payload):
     return dict(document, payload=text, digest=stable_digest(text))
 
 
-def _mid_run_nanos_document():
-    session = open_session(_workload_request("cholesky", "nanos"))
-    session.advance(30_000)
+def _mid_run_document(backend, cycles):
+    session = open_session(_workload_request("cholesky", backend))
+    assert not session.advance(cycles).finished
     document = capture(session).document()
     session.close()
     return document
 
 
-def _forged_state_snapshot(edit):
-    """A mid-run ``nanos`` snapshot whose payload went through ``edit``,
+def _forged_state_snapshot(edit, backend="nanos", cycles=30_000):
+    """A mid-run ``backend`` snapshot whose payload went through ``edit``,
     re-digested so that it loads."""
-    document = _mid_run_nanos_document()
+    document = _mid_run_document(backend, cycles)
     payload = _payload(document)
     edit(payload)
     return SimulationSnapshot.from_document(_redigested(document, payload))
@@ -375,9 +403,24 @@ class TestForgedLifecycleLogs:
 # ----------------------------------------------------------------------
 # timeline columns and forged timelines
 # ----------------------------------------------------------------------
-def _stamps(timeline):
-    return [timeline.created, timeline.submitted, timeline.ready,
-            timeline.started, timeline.finished]
+def _timeline_rows(sim):
+    """The simulator's five stamps of every task, keyed by task id in
+    program order, read from its timeline columns."""
+    columns = (sim._created_at, sim._submitted_at, sim._ready_at,
+               sim._started_at, sim._finished_at)
+    return {
+        task_id: [column[row] for column in columns]
+        for task_id, row in sim.program.rows().items()
+    }
+
+
+def _decoded_columns(snapshot):
+    """The snapshot's touched timeline rows: stamps keyed by task id, in
+    document order."""
+    columns = snapshot.state["timelines"]
+    ids = list(itertools.accumulate(columns["ids"]))
+    stamps = [list(itertools.accumulate(c)) for c in columns["stamps"]]
+    return dict(zip(ids, map(list, zip(*stamps))))
 
 
 class TestTimelineColumns:
@@ -388,25 +431,45 @@ class TestTimelineColumns:
         # program hil-hw and nanos have touched every row already.
         session = open_session(_workload_request("cholesky", backend))
         session.advance(2_000)
-        live = session._stepper._sim._timelines
+        live = _timeline_rows(session._stepper._sim)
         touched = {
-            task_id: _stamps(live[task_id]) for task_id in sorted(live)
-            if any(_stamps(live[task_id]))
+            task_id: stamps for task_id, stamps in sorted(live.items())
+            if any(stamps)
         }
         snapshot = capture(session)
         session.close()
         assert touched
-        columns = snapshot.state["timelines"]
-        ids = list(itertools.accumulate(columns["ids"]))
-        stamps = [list(itertools.accumulate(c)) for c in columns["stamps"]]
-        assert dict(zip(ids, map(list, zip(*stamps)))) == touched
-        restored = restore(snapshot)._stepper._sim._timelines
+        assert _decoded_columns(snapshot) == touched
+        restored = _timeline_rows(restore(snapshot)._stepper._sim)
         assert list(restored) == list(live)  # every task, in program order
-        assert all(
-            restored[task_id].task_id == task_id
-            and _stamps(restored[task_id]) == _stamps(timeline)
-            for task_id, timeline in live.items()
+        assert restored == live
+
+    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    def test_ids_that_are_not_positions_travel_sorted_and_restore(self, backend):
+        # Created in reverse, task id i sits in row n - 1 - i: capture
+        # must sort the touched rows by id, and restore must put every
+        # stamp back in its task's row.
+        program = _workload_request("cholesky", backend).build_program()
+        ids = [task.task_id for task in program]
+        reversed_program = program.with_creation_order(ids[::-1])
+        request = SimulationRequest.for_program(
+            reversed_program, backend=backend, num_workers=4
         )
+        straight = simulate_request(request)
+        session = open_session(request)
+        assert not session.advance(10_000).finished
+        live = _timeline_rows(session._stepper._sim)
+        snapshot = capture(session)
+        session.close()
+        columns = _decoded_columns(snapshot)
+        assert len(columns) > 1
+        assert list(columns) == sorted(columns)
+        assert columns == {t: live[t] for t in sorted(live) if any(live[t])}
+        restored = restore(snapshot)
+        assert _timeline_rows(restored._stepper._sim) == live
+        _drain(restored, 50_000)
+        assert restored.result() == straight
+        assert list(restored.result().timelines) == ids[::-1]
 
 
 def _forged_timelines_snapshot(edit):
@@ -509,30 +572,137 @@ def _forge_gateway_pending(state, task_id):
     }
 
 
+def _forge_remaining_preds(state, task_id):
+    """Give the first Nanos++ predecessor count to ``task_id``."""
+    state["remaining_preds"][0][0] = task_id
+
+
 class TestForgedTaskIds:
-    """Every task id in a restored HIL state must name a task of the
-    program; a re-digested document naming any other is refused with a
-    ``SnapshotError``, not a bare ``KeyError``."""
+    """Every task id in a restored state must name a task of the program;
+    restore refuses a re-digested document naming any other with a
+    ``SnapshotError``, where a bare ``KeyError`` used to escape from
+    restore or from the first ``advance``."""
 
     @pytest.mark.parametrize(
-        "edit",
+        "backend, edit",
         [
-            _forge_create_job,
-            lambda state, task_id: state.update(pending_new=[task_id]),
-            _forge_gateway_pending,
+            ("hil-full", _forge_create_job),
+            ("hil-full", lambda state, task_id: state.update(pending_new=[task_id])),
+            ("hil-full", _forge_gateway_pending),
+            ("nanos", lambda state, task_id: state.update(ready_pool=[task_id])),
+            ("nanos", _forge_remaining_preds),
         ],
-        ids=["event-payload", "pending-new", "gateway-pending"],
+        ids=[
+            "event-payload",
+            "pending-new",
+            "gateway-pending",
+            "nanos-ready-pool",
+            "nanos-remaining-preds",
+        ],
     )
     @pytest.mark.parametrize("task_id", [10**9, "1"], ids=["unknown", "string"])
-    def test_a_forged_task_id_is_refused_at_restore(self, edit, task_id):
-        session = open_session(_workload_request("cholesky", "hil-full"))
-        session.advance(10_000)
-        document = capture(session).document()
-        session.close()
-        payload = _payload(document)
-        edit(payload["state"], task_id)
-        snapshot = SimulationSnapshot.from_document(_redigested(document, payload))
+    def test_a_forged_task_id_is_refused_at_restore(self, backend, edit, task_id):
+        snapshot = _forged_state_snapshot(
+            lambda payload: edit(payload["state"], task_id), backend, 10_000
+        )
         with pytest.raises(SnapshotError, match="names no task"):
+            restore(snapshot)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda counts: counts.__setitem__(0, [counts[0][0], -1]), "non-negative"),
+            (lambda counts: counts.__setitem__(0, [counts[0][0], True]), "non-negative"),
+            (lambda counts: counts.__setitem__(0, [counts[0][0], 1.0]), "non-negative"),
+            (lambda counts: counts.__setitem__(0, counts[0][:1]), r"not a \[task, count\] pair"),
+            (lambda counts: counts.__setitem__(0, {"task": 0}), r"not a \[task, count\] pair"),
+            (lambda counts: counts.__setitem__(0, counts[1]), "twice"),
+            (lambda counts: counts.pop(), "one pair per task"),
+            (lambda counts: counts.append(counts[0]), "one pair per task"),
+        ],
+        ids=[
+            "negative-count",
+            "bool-count",
+            "float-count",
+            "short-pair",
+            "object-pair",
+            "repeated-task",
+            "missing-task",
+            "extra-pair",
+        ],
+    )
+    def test_forged_nanos_predecessor_counts_are_refused(self, edit, message):
+        snapshot = _forged_state_snapshot(
+            lambda payload: edit(payload["state"]["remaining_preds"])
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+
+def _forge_first_queued_payload(forged):
+    """Replace the payload of the first event in the queue's buckets."""
+
+    def edit(payload):
+        payload["state"]["queue"]["buckets"][0][1][0][1] = forged
+
+    return edit
+
+
+class TestForgedPayloads:
+    """A queued event's payload of the wrong shape is refused with a
+    ``SnapshotError``, not a bare ``IndexError``, ``TypeError`` or
+    ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            ["task"],
+            ["t", 1],
+            None,
+            {},
+            "t",
+            True,
+            [1, 2],
+            ["zzz"],
+            ["none", 1],
+            ["t", 1, "2"],
+            ["t", 1, 2.0],
+            ["task", 1, 2],
+            ["j", 1, 2],
+            ["j", "create", []],
+            ["fto", "0", "kill", None],
+            ["fto", 0, "kill", "1"],
+            ["frd", 0, 7, 1],
+            ["frd", 0, "ready", ["t"]],
+        ],
+        ids=[
+            "empty-list",
+            "task-without-id",
+            "short-pair",
+            "null",
+            "object",
+            "string",
+            "bool",
+            "untagged-list",
+            "unknown-tag",
+            "long-none",
+            "string-in-pair",
+            "float-in-pair",
+            "long-task",
+            "job-kind-not-a-string",
+            "job-of-an-empty-payload",
+            "timer-index-not-an-int",
+            "timer-argument-not-an-int",
+            "redelivery-kind-not-a-string",
+            "redelivery-of-a-short-payload",
+        ],
+    )
+    def test_a_malformed_payload_is_refused_at_restore(self, payload):
+        snapshot = _forged_state_snapshot(
+            _forge_first_queued_payload(payload), "hil-full", 10_000
+        )
+        with pytest.raises(SnapshotError):
             restore(snapshot)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.apps.common import BlockAddressMap, validate_blocking
-from repro.runtime.task import Dependence, Direction, TaskProgram
+from repro.runtime.task import DependencePool, TaskProgram
 
 #: Relative work units of the block kernels (proportional to their flops:
 #: potrf ~ b^3/3, trsm ~ b^3, syrk ~ b^3, gemm ~ 2 b^3).
@@ -39,38 +39,31 @@ def cholesky_program(
     nb = validate_blocking(problem_size, block_size)
     matrix = BlockAddressMap(nb, block_size, base_address or BlockAddressMap(nb, block_size).base)
     program = TaskProgram(name=f"cholesky-{problem_size}-{block_size}")
+    block = matrix.address
+    pool = DependencePool()
 
     for k in range(nb):
-        program.create_task(
-            [Dependence(matrix.address(k, k), Direction.INOUT)],
-            duration=_POTRF_WORK,
-            label="potrf",
-        )
+        diagonal = block(k, k)
+        program.create_task([pool.inout(diagonal)], duration=_POTRF_WORK, label="potrf")
+        reads_diagonal = pool.input(diagonal)
+        # A(r, k) for every row r: step k's panel column.
+        column = [block(r, k) for r in range(nb)]
         for i in range(k + 1, nb):
             program.create_task(
-                [
-                    Dependence(matrix.address(k, k), Direction.IN),
-                    Dependence(matrix.address(i, k), Direction.INOUT),
-                ],
+                [reads_diagonal, pool.inout(column[i])],
                 duration=_TRSM_WORK,
                 label="trsm",
             )
         for i in range(k + 1, nb):
+            reads_ik = pool.input(column[i])
             program.create_task(
-                [
-                    Dependence(matrix.address(i, k), Direction.IN),
-                    Dependence(matrix.address(i, i), Direction.INOUT),
-                ],
+                [reads_ik, pool.inout(block(i, i))],
                 duration=_SYRK_WORK,
                 label="syrk",
             )
             for j in range(k + 1, i):
                 program.create_task(
-                    [
-                        Dependence(matrix.address(i, k), Direction.IN),
-                        Dependence(matrix.address(j, k), Direction.IN),
-                        Dependence(matrix.address(i, j), Direction.INOUT),
-                    ],
+                    [reads_ik, pool.input(column[j]), pool.inout(block(i, j))],
                     duration=_GEMM_WORK,
                     label="gemm",
                 )

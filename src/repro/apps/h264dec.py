@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.apps.common import DEFAULT_BASE_ADDRESS
-from repro.runtime.task import Dependence, Direction, TaskProgram
+from repro.runtime.task import Dependence, DependencePool, TaskProgram
 
 #: Macroblock grid of one HD frame at the finest granularity.
 DEFAULT_MB_COLS = 120
@@ -70,12 +70,11 @@ def h264dec_program(
         return base + frame * frame_bytes + (y * cols + x) * region_bytes
 
     program = TaskProgram(name=f"h264dec-{frames}f-{block_size}")
+    pool = DependencePool()
     for frame in range(frames):
         for y in range(rows):
             for x in range(cols):
-                deps: List[Dependence] = [
-                    Dependence(region_address(frame, x, y), Direction.INOUT)
-                ]
+                deps: List[Dependence] = [pool.inout(region_address(frame, x, y))]
                 neighbours = (
                     (x - 1, y),      # left
                     (x - 1, y - 1),  # top-left
@@ -84,13 +83,9 @@ def h264dec_program(
                 )
                 for nx, ny in neighbours:
                     if 0 <= nx < cols and 0 <= ny < rows:
-                        deps.append(
-                            Dependence(region_address(frame, nx, ny), Direction.IN)
-                        )
+                        deps.append(pool.input(region_address(frame, nx, ny)))
                 if frame > 0:
-                    deps.append(
-                        Dependence(region_address(frame - 1, x, y), Direction.IN)
-                    )
+                    deps.append(pool.input(region_address(frame - 1, x, y)))
                 program.create_task(deps, duration=4, label="macroblock_region")
     return program
 

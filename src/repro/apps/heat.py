@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.apps.common import BlockAddressMap, validate_blocking
-from repro.runtime.task import Dependence, Direction, TaskProgram
+from repro.runtime.task import Dependence, DependencePool, TaskProgram
 
 
 def heat_program(
@@ -48,16 +48,15 @@ def heat_program(
     nb = validate_blocking(problem_size, block_size)
     grid = BlockAddressMap(nb, block_size, base_address or BlockAddressMap(nb, block_size).base)
     program = TaskProgram(name=f"heat-{problem_size}-{block_size}")
+    pool = DependencePool()
 
     for _ in range(sweeps):
         for i in range(nb):
             for j in range(nb):
-                deps: List[Dependence] = [
-                    Dependence(grid.address(i, j), Direction.INOUT)
-                ]
+                deps: List[Dependence] = [pool.inout(grid.address(i, j))]
                 for ni, nj in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)):
                     if 0 <= ni < nb and 0 <= nj < nb:
-                        deps.append(Dependence(grid.address(ni, nj), Direction.IN))
+                        deps.append(pool.input(grid.address(ni, nj)))
                 # The relaxation work per block is proportional to the block
                 # area; all blocks are the same size, so all tasks weigh the
                 # same in relative units.

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.apps.common import BlockAddressMap, validate_blocking
-from repro.runtime.task import Dependence, Direction, TaskProgram
+from repro.runtime.task import Dependence, DependencePool, TaskProgram
 
 #: Relative work units of the diagonal (getrf-like) task.
 _DIAG_WORK = 2
@@ -49,22 +49,23 @@ def _build(
     nb = validate_blocking(problem_size, block_size)
     matrix = BlockAddressMap(nb, block_size, base_address or BlockAddressMap(nb, block_size).base)
     program = TaskProgram(name=f"{name}-{problem_size}-{block_size}")
+    block = matrix.address
+    pool = DependencePool()
 
     for k in range(nb):
-        deps: List[Dependence] = [Dependence(matrix.address(k, k), Direction.INOUT)]
+        diagonal = block(k, k)
+        deps: List[Dependence] = [pool.inout(diagonal)]
         if k > 0:
-            deps.append(Dependence(matrix.address(k - 1, k), Direction.IN))
+            deps.append(pool.input(block(k - 1, k)))
         program.create_task(deps, duration=_DIAG_WORK, label="lu_diag")
 
+        reads_diagonal = pool.input(diagonal)
         columns: Iterable[int] = range(k + 1, nb)
         if panel_order_reversed:
             columns = reversed(range(k + 1, nb))
         for j in columns:
             program.create_task(
-                [
-                    Dependence(matrix.address(k, k), Direction.IN),
-                    Dependence(matrix.address(k, j), Direction.INOUT),
-                ],
+                [reads_diagonal, pool.inout(block(k, j))],
                 duration=_PANEL_WORK,
                 label="lu_panel",
             )

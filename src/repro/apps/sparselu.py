@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Set, Tuple
 
 from repro.apps.common import BlockAddressMap, validate_blocking
-from repro.runtime.task import Dependence, Direction, TaskProgram
+from repro.runtime.task import DependencePool, TaskProgram
 
 #: Relative work units of the sparse kernels.
 _LU0_WORK = 2
@@ -64,47 +64,38 @@ def sparselu_program(
     matrix = BlockAddressMap(nb, block_size, base_address or BlockAddressMap(nb, block_size).base)
     program = TaskProgram(name=f"sparselu-{problem_size}-{block_size}")
     non_null = initial_structure(nb)
+    block = matrix.address
+    pool = DependencePool()
 
     for k in range(nb):
-        program.create_task(
-            [Dependence(matrix.address(k, k), Direction.INOUT)],
-            duration=_LU0_WORK,
-            label="lu0",
-        )
+        diagonal = block(k, k)
+        program.create_task([pool.inout(diagonal)], duration=_LU0_WORK, label="lu0")
+        reads_diagonal = pool.input(diagonal)
         for j in range(k + 1, nb):
             if (k, j) in non_null:
                 program.create_task(
-                    [
-                        Dependence(matrix.address(k, k), Direction.IN),
-                        Dependence(matrix.address(k, j), Direction.INOUT),
-                    ],
+                    [reads_diagonal, pool.inout(block(k, j))],
                     duration=_FWD_WORK,
                     label="fwd",
                 )
         for i in range(k + 1, nb):
             if (i, k) in non_null:
                 program.create_task(
-                    [
-                        Dependence(matrix.address(k, k), Direction.IN),
-                        Dependence(matrix.address(i, k), Direction.INOUT),
-                    ],
+                    [reads_diagonal, pool.inout(block(i, k))],
                     duration=_BDIV_WORK,
                     label="bdiv",
                 )
         for i in range(k + 1, nb):
             if (i, k) not in non_null:
                 continue
+            reads_ik = pool.input(block(i, k))
             for j in range(k + 1, nb):
                 if (k, j) not in non_null:
                     continue
                 # The update allocates A(i, j) as fill-in when it was null.
                 non_null.add((i, j))
                 program.create_task(
-                    [
-                        Dependence(matrix.address(i, k), Direction.IN),
-                        Dependence(matrix.address(k, j), Direction.IN),
-                        Dependence(matrix.address(i, j), Direction.INOUT),
-                    ],
+                    [reads_ik, pool.input(block(k, j)), pool.inout(block(i, j))],
                     duration=_BMOD_WORK,
                     label="bmod",
                 )

@@ -8,8 +8,8 @@ system the paper evaluates:
   annotation conveys to the runtime).
 * :mod:`repro.runtime.dependence_analysis` -- exact software dependence
   analysis (last-writer / reader-set semantics), used both as the reference
-  model the hardware must agree with and as the graph builder for the
-  Perfect and Nanos++ simulators.
+  model the hardware must agree with and as the builder of the row-indexed
+  (CSR) graph the Perfect and Nanos++ simulators walk.
 * :mod:`repro.runtime.overhead` -- the Nanos++ per-task creation and
   submission overhead model of Figure 10.
 * :mod:`repro.runtime.nanos` -- the Nanos++ software-only runtime simulator
@@ -24,7 +24,6 @@ when the core package pulls in the task model).
 
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
 from repro.runtime.dependence_analysis import (
-    DependenceAnalyzer,
     TaskGraph,
     build_task_graph,
     task_graph,
@@ -36,7 +35,6 @@ __all__ = [
     "Direction",
     "Task",
     "TaskProgram",
-    "DependenceAnalyzer",
     "TaskGraph",
     "build_task_graph",
     "task_graph",

@@ -17,82 +17,109 @@ It serves three purposes:
   relations realised by the Picos chain mechanism matches this analysis);
 * it provides graph metrics (critical path, maximum parallelism) used by the
   experiment drivers.
+
+The graph is a CSR (compressed sparse rows) over the program's *rows*, the
+tasks' positions in creation order: a handful of flat int lists, not one
+set per task.  Task ids are client-chosen keys, not indices, so they appear
+only where a query answers in ids.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.runtime.task import Task, TaskProgram
+from repro.runtime.task import Direction, TaskProgram
 
 
 @dataclass
 class TaskGraph:
-    """An explicit task dependence graph.
+    """The task dependence graph of one program, as a CSR over its rows.
 
-    ``predecessors[t]`` is the set of task ids that must finish before task
-    ``t`` may start; ``successors`` is the inverse relation.  Tasks with no
-    predecessors are ready at program start.
+    Row ``r`` is the ``r``-th task created.  Its successors -- the tasks
+    that wait for it -- are ``succ_rows[succ_offsets[r]:succ_offsets[r +
+    1]]``, and ``pred_counts[r]`` is the number of distinct tasks it waits
+    for.  Every edge runs from an earlier row to a later one: creation
+    order is a valid serialisation of the program.
+
+    The successors of a row are listed in the order a Python ``set`` of
+    those rows, filled in creation order, iterates.  That order is the
+    Nanos++ model's order of releasing them, so it is part of its
+    cycle-exact results.
     """
 
-    num_tasks: int
-    predecessors: Dict[int, Set[int]] = field(default_factory=dict)
-    successors: Dict[int, Set[int]] = field(default_factory=dict)
-    durations: Dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for task_id in range(self.num_tasks):
-            self.predecessors.setdefault(task_id, set())
-            self.successors.setdefault(task_id, set())
-            self.durations.setdefault(task_id, 1)
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def add_edge(self, src: int, dst: int) -> None:
-        """Add a dependence edge ``src -> dst`` (``dst`` waits for ``src``)."""
-        if src == dst:
-            return
-        self.predecessors[dst].add(src)
-        self.successors[src].add(dst)
+    #: Task id of each row.
+    task_ids: List[int]
+    #: Number of distinct predecessors of each row.
+    pred_counts: List[int]
+    #: ``num_tasks + 1`` offsets into :attr:`succ_rows`.
+    succ_offsets: List[int]
+    #: The successor rows of every row, concatenated.
+    succ_rows: List[int]
+    #: Execution time of each row's task body, in cycles.
+    durations: List[int]
 
     # ------------------------------------------------------------------
-    # queries
+    # row queries
     # ------------------------------------------------------------------
+    @property
+    def num_tasks(self) -> int:
+        """Number of tasks (rows) in the graph."""
+        return len(self.task_ids)
+
     @property
     def num_edges(self) -> int:
         """Total number of dependence edges."""
-        return sum(len(preds) for preds in self.predecessors.values())
+        return len(self.succ_rows)
 
+    def successor_rows(self, row: int) -> List[int]:
+        """The rows waiting for ``row``, in release order."""
+        offsets = self.succ_offsets
+        return self.succ_rows[offsets[row]:offsets[row + 1]]
+
+    # ------------------------------------------------------------------
+    # id queries
+    # ------------------------------------------------------------------
     def roots(self) -> List[int]:
         """Tasks with no predecessors (ready at program start)."""
-        return [t for t in range(self.num_tasks) if not self.predecessors[t]]
+        ids = self.task_ids
+        return [ids[row] for row, count in enumerate(self.pred_counts) if not count]
 
     def edges(self) -> List[Tuple[int, int]]:
-        """All edges as ``(src, dst)`` pairs."""
-        result: List[Tuple[int, int]] = []
-        for dst, preds in self.predecessors.items():
-            for src in preds:
-                result.append((src, dst))
-        return result
+        """All edges as ``(src, dst)`` task-id pairs, by source row."""
+        ids = self.task_ids
+        return [
+            (ids[row], ids[succ])
+            for row in range(len(ids))
+            for succ in self.successor_rows(row)
+        ]
 
-    def topological_order(self) -> List[int]:
-        """Return the tasks in a topological order.
+    def predecessors(self, task_id: int) -> FrozenSet[int]:
+        """Ids of the tasks ``task_id`` waits for.
 
-        Because edges always point from an earlier-created task to a
-        later-created one (program order is a valid serialisation), creation
-        order itself is a topological order; this method validates that
-        property and returns it.
+        A query for tests and inspection: it scans every earlier row's
+        successors, O(tasks + edges) per call.  The simulators only walk
+        successors.
         """
-        for dst, preds in self.predecessors.items():
-            for src in preds:
-                if src >= dst:
-                    raise ValueError(
-                        f"edge {src}->{dst} violates program-order topology"
-                    )
-        return list(range(self.num_tasks))
+        ids = self.task_ids
+        try:
+            row = ids.index(task_id)
+        except ValueError:
+            raise KeyError(task_id) from None
+        return frozenset(ids[src] for src in range(row) if row in self.successor_rows(src))
+
+    def _longest_paths(self, weights: Sequence[int]) -> List[int]:
+        """Per row, the heaviest path ending there (``weights`` by row)."""
+        offsets = self.succ_offsets
+        succ_rows = self.succ_rows
+        start = [0] * len(weights)
+        end = [0] * len(weights)
+        for row, weight in enumerate(weights):
+            finish = end[row] = start[row] + weight
+            for succ in succ_rows[offsets[row]:offsets[row + 1]]:
+                if finish > start[succ]:
+                    start[succ] = finish
+        return end
 
     def critical_path_length(self) -> int:
         """Length (in cycles) of the longest dependence chain.
@@ -101,21 +128,14 @@ class TaskGraph:
         and zero management overhead would achieve -- the asymptote of the
         paper's Perfect Simulator.
         """
-        finish: Dict[int, int] = {}
-        for task_id in self.topological_order():
-            start = 0
-            for pred in self.predecessors[task_id]:
-                start = max(start, finish[pred])
-            finish[task_id] = start + self.durations[task_id]
-        return max(finish.values()) if finish else 0
+        return max(self._longest_paths(self.durations), default=0)
 
     def max_parallelism(self) -> float:
         """Average available parallelism: total work / critical path."""
         cp = self.critical_path_length()
         if cp == 0:
             return 0.0
-        total = sum(self.durations.values())
-        return total / cp
+        return sum(self.durations) / cp
 
     def level_widths(self) -> List[int]:
         """Number of tasks per dependence level (depth in the DAG).
@@ -124,24 +144,22 @@ class TaskGraph:
         longest predecessor chain has ``k`` edges.  Useful to characterise
         wavefront-style applications in tests.
         """
-        level: Dict[int, int] = {}
-        for task_id in self.topological_order():
-            preds = self.predecessors[task_id]
-            level[task_id] = 0 if not preds else 1 + max(level[p] for p in preds)
-        widths: Dict[int, int] = defaultdict(int)
-        for depth in level.values():
-            widths[depth] += 1
-        return [widths[d] for d in range(max(widths) + 1)] if widths else []
+        # The longest chain of unit weights ending at a row counts its
+        # tasks, one more than its edges.
+        depths = self._longest_paths([1] * self.num_tasks)
+        widths = [0] * max(depths, default=0)
+        for depth in depths:
+            widths[depth - 1] += 1
+        return widths
 
 
-class DependenceAnalyzer:
-    """Incremental last-writer / reader-set dependence analysis.
+def build_task_graph(program: TaskProgram) -> TaskGraph:
+    """Build the :class:`TaskGraph` of ``program`` in one pass.
 
-    The analyzer is fed tasks one at a time, in creation order, exactly as
-    the Nanos++ submission path would see them, and reports for each new
-    task the set of predecessor tasks it must wait for.
-
-    The OmpSs rules implemented here (and by the Picos hardware) are:
+    The graph encodes exactly the inter-task synchronisation that both the
+    Nanos++ runtime and the Picos hardware must enforce for the program.
+    Tasks are analysed in creation order, as the Nanos++ submission path
+    sees them, under the OmpSs rules the Picos hardware implements too:
 
     * an ``input`` dependence waits for the last writer of the address (RAW);
     * an ``output`` or ``inout`` dependence waits for the last writer *and*
@@ -149,56 +167,58 @@ class DependenceAnalyzer:
       hardware does not rename versions to distinct storage, so
       anti-dependences are honoured rather than removed).
     """
+    tasks = program.tasks
+    num_tasks = len(tasks)
+    reads_only = Direction.IN
+    # Address -> row of its last writer.
+    last_writer: Dict[int, int] = {}
+    # Address -> rows that read it since its last writer.
+    readers: Dict[int, List[int]] = {}
+    # Row -> the set of its successor rows, filled in creation order; the
+    # sets fix each row's release order (see TaskGraph).
+    successors: List[Optional[Set[int]]] = [None] * num_tasks
+    pred_counts = [0] * num_tasks
 
-    def __init__(self) -> None:
-        self._last_writer: Dict[int, Optional[int]] = {}
-        self._readers_since_writer: Dict[int, List[int]] = {}
-        self._predecessors: Dict[int, Set[int]] = {}
-
-    def submit(self, task: Task) -> FrozenSet[int]:
-        """Analyse ``task`` and return the ids of its predecessor tasks."""
-        preds: Set[int] = set()
+    for row, task in enumerate(tasks):
+        preds = 0
         for dep in task.dependences:
             address = dep.address
-            writer = self._last_writer.get(address)
-            readers = self._readers_since_writer.setdefault(address, [])
-            if dep.direction.reads and not dep.direction.writes:
-                # Pure input: wait for the last writer only.
-                if writer is not None:
-                    preds.add(writer)
+            writer = last_writer.get(address)
+            if dep.direction is reads_only:
+                waits_for: Sequence[int] = () if writer is None else (writer,)
+                readers.setdefault(address, []).append(row)
             else:
-                # output / inout: wait for the last writer and all readers.
+                since_writer = readers.pop(address, [])
                 if writer is not None:
-                    preds.add(writer)
-                preds.update(readers)
-            # Update the address state *after* computing the predecessors.
-            if dep.direction.writes:
-                self._last_writer[address] = task.task_id
-                self._readers_since_writer[address] = []
-            elif dep.direction.reads:
-                readers.append(task.task_id)
-        preds.discard(task.task_id)
-        self._predecessors[task.task_id] = preds
-        return frozenset(preds)
+                    since_writer.append(writer)
+                waits_for = since_writer
+                last_writer[address] = row
+            for pred in waits_for:
+                if pred == row:  # no self-edge, should an address repeat
+                    continue
+                succ = successors[pred]
+                if succ is None:
+                    successors[pred] = {row}
+                elif row in succ:
+                    continue
+                else:
+                    succ.add(row)
+                preds += 1
+        pred_counts[row] = preds
 
-    def predecessors(self, task_id: int) -> FrozenSet[int]:
-        """Predecessor set of an already-submitted task."""
-        return frozenset(self._predecessors[task_id])
-
-
-def build_task_graph(program: TaskProgram) -> TaskGraph:
-    """Build the explicit :class:`TaskGraph` of ``program``.
-
-    The graph encodes exactly the inter-task synchronisation that both the
-    Nanos++ runtime and the Picos hardware must enforce for the program.
-    """
-    graph = TaskGraph(num_tasks=program.num_tasks)
-    analyzer = DependenceAnalyzer()
-    for task in program:
-        graph.durations[task.task_id] = task.duration
-        for pred in analyzer.submit(task):
-            graph.add_edge(pred, task.task_id)
-    return graph
+    succ_offsets = [0]
+    succ_rows: List[int] = []
+    for succ in successors:
+        if succ:
+            succ_rows.extend(succ)
+        succ_offsets.append(len(succ_rows))
+    return TaskGraph(
+        task_ids=[task.task_id for task in tasks],
+        pred_counts=pred_counts,
+        succ_offsets=succ_offsets,
+        succ_rows=succ_rows,
+        durations=[task.duration for task in tasks],
+    )
 
 
 def task_graph(program: TaskProgram) -> TaskGraph:
@@ -226,16 +246,25 @@ def ready_order_is_valid(program: TaskProgram, start_order: Sequence[int]) -> bo
     """Check that ``start_order`` respects every dependence of ``program``.
 
     ``start_order`` lists task ids in the order they *started executing* in
-    some simulation.  The function returns ``True`` when no task starts
-    before all of its predecessors appear earlier in the order.  It is the
-    main cross-simulator correctness oracle used by the test suite.
+    some simulation.  The function returns ``True`` when every task of the
+    program appears and none starts before all of its predecessors appear
+    earlier in the order.  It is the main cross-simulator correctness
+    oracle used by the test suite.
     """
     graph = task_graph(program)
-    position = {task_id: index for index, task_id in enumerate(start_order)}
-    if len(position) != program.num_tasks:
+    rows = program.rows()
+    position = [-1] * graph.num_tasks
+    for index, task_id in enumerate(start_order):
+        row = rows.get(task_id)
+        if row is None:
+            return False
+        position[row] = index
+    if -1 in position:
         return False
-    for dst, preds in graph.predecessors.items():
-        for src in preds:
-            if position[src] >= position[dst]:
+    offsets = graph.succ_offsets
+    succ_rows = graph.succ_rows
+    for row, start in enumerate(position):
+        for succ in succ_rows[offsets[row]:offsets[row + 1]]:
+            if start >= position[succ]:
                 return False
     return True

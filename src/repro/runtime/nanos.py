@@ -115,9 +115,12 @@ class NanosRuntimeSimulator:
         self._prepared = False
         self._master_joins_at = 0
         self._idle_workers: List[int] = []
-        self._remaining_preds: Dict[int, int] = {}
-        self._submitted: Dict[int, bool] = {}
-        self._ready_pool: Deque[int] = deque()  # FIFO by readiness
+        #: Per row, as in the graph: unfinished predecessors, whether the
+        #: master has submitted the task, and the ready rows in FIFO order.
+        #: Task ids appear only in event payloads, the log and the result.
+        self._remaining_preds: List[int] = []
+        self._submitted: List[bool] = []
+        self._ready_pool: Deque[int] = deque()
         self._finished = 0
         self._makespan = 0
 
@@ -219,11 +222,8 @@ class NanosRuntimeSimulator:
         if self.num_threads == 1:
             self._idle_workers = []
 
-        self._remaining_preds = {
-            task_id: len(preds)
-            for task_id, preds in self.graph.predecessors.items()
-        }
-        self._submitted = {task.task_id: False for task in program}
+        self._remaining_preds = list(self.graph.pred_counts)
+        self._submitted = [False] * program.num_tasks
 
     # ------------------------------------------------------------------
     # event handlers
@@ -231,7 +231,7 @@ class NanosRuntimeSimulator:
     def _try_dispatch(self, now: int) -> None:
         idle_workers = self._idle_workers
         ready_pool = self._ready_pool
-        rows = self._rows
+        program = self.program
         started = self._started_at
         finished = self._finished_at
         log = self._lifecycle_log
@@ -240,8 +240,9 @@ class NanosRuntimeSimulator:
         release_cycles = self._release_cycles
         while idle_workers and ready_pool:
             worker = idle_workers.pop()
-            task_id = ready_pool.popleft()
-            task = self.program.task(task_id)
+            row = ready_pool.popleft()
+            task = program[row]
+            task_id = task.task_id
             deps = task.num_dependences
             release = release_cycles.get(deps)
             if release is None:
@@ -250,7 +251,6 @@ class NanosRuntimeSimulator:
                 )
             start = now + pickup
             finish = start + task.duration
-            row = rows[task_id]
             started[row] = start
             finished[row] = finish
             if log is not None:
@@ -260,16 +260,25 @@ class NanosRuntimeSimulator:
             self.queue.schedule(finish + release, _EV_TASK_DONE, (worker, task_id))
         self._makespan = makespan
 
-    def _mark_ready_if_possible(self, task_id: int, now: int) -> None:
-        if self._submitted[task_id] and self._remaining_preds[task_id] == 0:
-            self._ready_at[self._rows[task_id]] = now
+    def _mark_ready_if_possible(self, row: int, now: int) -> None:
+        if self._submitted[row] and self._remaining_preds[row] == 0:
+            self._ready_at[row] = now
             if self._lifecycle_log is not None:
-                self._lifecycle_log.append((now, _LOG_READY, task_id))
-            self._ready_pool.append(task_id)
+                self._lifecycle_log.append((now, _LOG_READY, self.graph.task_ids[row]))
+            self._ready_pool.append(row)
+
+    def _release_successors(self, task_id: int, now: int) -> None:
+        """Count one retired task and mark its successors that became ready."""
+        self._finished += 1
+        remaining = self._remaining_preds
+        for successor in self.graph.successor_rows(self._rows[task_id]):
+            remaining[successor] -= 1
+            self._mark_ready_if_possible(successor, now)
 
     def _on_submitted(self, task_id: int, now: int) -> None:
-        self._submitted[task_id] = True
-        self._mark_ready_if_possible(task_id, now)
+        row = self._rows[task_id]
+        self._submitted[row] = True
+        self._mark_ready_if_possible(row, now)
         self._try_dispatch(now)
 
     def _on_master_joins(self, _payload: object, now: int) -> None:
@@ -279,11 +288,8 @@ class NanosRuntimeSimulator:
     def _on_task_done(self, payload: Tuple[int, int], now: int) -> None:
         """Retire one task completion and release its successors."""
         worker, task_id = payload
-        self._finished += 1
         self._idle_workers.append(worker)
-        for successor in self.graph.successors[task_id]:
-            self._remaining_preds[successor] -= 1
-            self._mark_ready_if_possible(successor, now)
+        self._release_successors(task_id, now)
         self._try_dispatch(now)
 
     # perfbench/layers.py looks this retired handler name up in the class
@@ -446,10 +452,7 @@ class _NanosFaultAdapter:
         worker, task_id = payload
         if armed.watching != worker:
             return False
-        sim._finished += 1
-        for successor in sim.graph.successors[task_id]:
-            sim._remaining_preds[successor] -= 1
-            sim._mark_ready_if_possible(successor, now)
+        sim._release_successors(task_id, now)
         sim._try_dispatch(now)
         armed.watching = None
         plan.schedule_timer(

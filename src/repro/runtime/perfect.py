@@ -13,12 +13,12 @@ prototype and this roofline is what Figure 11 discusses.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.runtime.dependence_analysis import TaskGraph, task_graph
 from repro.runtime.task import TaskProgram
 from repro.sim.backend import BACKEND_PERFECT, register_backend
-from repro.sim.results import SimulationResult, TaskTimeline
+from repro.sim.results import SimulationResult, mint_timelines
 
 
 class PerfectScheduler:
@@ -38,17 +38,20 @@ class PerfectScheduler:
         """Schedule the program and return the roofline result."""
         graph = self.graph
         program = self.program
-        remaining_preds: Dict[int, int] = {
-            task_id: len(preds) for task_id, preds in graph.predecessors.items()
-        }
-        timelines: Dict[int, TaskTimeline] = {}
+        num_tasks = program.num_tasks
+        successor_rows = graph.successor_rows
+        durations = graph.durations
+        remaining_preds = list(graph.pred_counts)
+        # Stamps by row; the result's timelines are minted from them.
+        ready_at = [0] * num_tasks
+        started = [0] * num_tasks
+        finished = [0] * num_tasks
 
-        # Ready tasks ordered by the time they became ready (then creation
-        # order, which keeps the schedule deterministic).
-        ready: List[Tuple[int, int]] = []
-        for task_id in range(program.num_tasks):
-            if remaining_preds[task_id] == 0:
-                heapq.heappush(ready, (0, task_id))
+        # Ready rows ordered by the time they became ready, then by row
+        # (creation order), which keeps the schedule deterministic.
+        ready: List[Tuple[int, int]] = [
+            (0, row) for row in range(num_tasks) if remaining_preds[row] == 0
+        ]
 
         # Workers ordered by the time they become free.
         workers: List[Tuple[int, int]] = [(0, w) for w in range(self.num_workers)]
@@ -56,27 +59,27 @@ class PerfectScheduler:
 
         makespan = 0
         scheduled = 0
-        # Running tasks ordered by completion time, so successors are
+        # Running rows ordered by completion time, so successors are
         # released in the right order even when the ready pool is empty.
         running: List[Tuple[int, int]] = []
 
-        while scheduled < program.num_tasks:
+        def release(finish: int, row: int) -> None:
+            for successor in successor_rows(row):
+                remaining_preds[successor] -= 1
+                if remaining_preds[successor] == 0:
+                    heapq.heappush(ready, (finish, successor))
+
+        while scheduled < num_tasks:
             if ready:
-                ready_time, task_id = heapq.heappop(ready)
+                ready_time, row = heapq.heappop(ready)
                 free_time, worker_id = heapq.heappop(workers)
                 start = max(ready_time, free_time)
-                duration = program.task(task_id).duration
-                finish = start + duration
+                finish = start + durations[row]
                 heapq.heappush(workers, (finish, worker_id))
-                heapq.heappush(running, (finish, task_id))
-                timelines[task_id] = TaskTimeline(
-                    task_id=task_id,
-                    created=0,
-                    submitted=0,
-                    ready=ready_time,
-                    started=start,
-                    finished=finish,
-                )
+                heapq.heappush(running, (finish, row))
+                ready_at[row] = ready_time
+                started[row] = start
+                finished[row] = finish
                 makespan = max(makespan, finish)
                 scheduled += 1
             else:
@@ -87,32 +90,27 @@ class PerfectScheduler:
                         "perfect scheduler stalled with no running task "
                         "(cyclic dependence graph?)"
                     )
-                finish, finished_task = heapq.heappop(running)
-                for successor in graph.successors[finished_task]:
-                    remaining_preds[successor] -= 1
-                    if remaining_preds[successor] == 0:
-                        heapq.heappush(ready, (finish, successor))
+                release(*heapq.heappop(running))
 
             # Release successors of any task that completed no later than the
             # earliest moment a new task could start; this keeps ready times
             # exact without a full event queue.
             while running and ready and running[0][0] <= ready[0][0]:
-                finish, finished_task = heapq.heappop(running)
-                for successor in graph.successors[finished_task]:
-                    remaining_preds[successor] -= 1
-                    if remaining_preds[successor] == 0:
-                        heapq.heappush(ready, (finish, successor))
+                release(*heapq.heappop(running))
 
-        # Drain any remaining running tasks to release successors (they are
-        # all scheduled already, so this is bookkeeping only).
+        # Tasks still running are all scheduled already: releasing their
+        # successors would be bookkeeping only.
+        zeros = [0] * num_tasks
         return SimulationResult(
             simulator="perfect",
             program_name=program.name,
             num_workers=self.num_workers,
             makespan=makespan,
             sequential_cycles=program.sequential_cycles,
-            num_tasks=program.num_tasks,
-            timelines=timelines,
+            num_tasks=num_tasks,
+            timelines=mint_timelines(
+                graph.task_ids, zeros, zeros, ready_at, started, finished
+            ),
             counters={"critical_path": graph.critical_path_length()},
             drain_time=makespan,
         )

@@ -172,6 +172,22 @@ def _program_task(program: TaskProgram, task_id: Any, where: str) -> Task:
     raise SnapshotError(f"{where} {task_id!r} names no task of the program")
 
 
+def _program_row(program: TaskProgram, task_id: Any, where: str) -> int:
+    """The row of the task :func:`_program_task` would return."""
+    if type(task_id) is int:
+        row = program.rows().get(task_id)
+        if row is not None:
+            return row
+    raise SnapshotError(f"{where} {task_id!r} names no task of the program")
+
+
+def _checked_list(document: Any, what: str) -> List[Any]:
+    """``document`` if it is a list, else a :class:`SnapshotError`."""
+    if not isinstance(document, list):
+        raise SnapshotError(f"{what} is not a list")
+    return document
+
+
 # ----------------------------------------------------------------------
 # event payload codec
 # ----------------------------------------------------------------------
@@ -1099,6 +1115,9 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
 
 
 def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
+    # The simulator keeps its state by row; the document names tasks by id,
+    # counts and submissions sorted by id, the ready pool in pool order.
+    task_ids = sim.graph.task_ids
     return _fault_plan_document(sim, {
         "simulator": "nanos",
         "queue": _queue_document(sim.queue),
@@ -1107,20 +1126,20 @@ def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
         "master_joins_at": sim._master_joins_at,
         "idle_workers": list(sim._idle_workers),
         "remaining_preds": [
-            [task_id, sim._remaining_preds[task_id]]
-            for task_id in sorted(sim._remaining_preds)
+            [task_id, count]
+            for task_id, count in sorted(zip(task_ids, sim._remaining_preds))
         ],
         "submitted": sorted(
-            task_id for task_id, done in sim._submitted.items() if done
+            task_ids[row] for row, done in enumerate(sim._submitted) if done
         ),
-        "ready_pool": list(sim._ready_pool),
+        "ready_pool": [task_ids[row] for row in sim._ready_pool],
         "finished": sim._finished,
         "makespan": sim._makespan,
     })
 
 
-def _checked_remaining_preds(document: Any, program: TaskProgram) -> Dict[int, int]:
-    """The Nanos++ unfinished-predecessor counts, refusing any forged one.
+def _checked_remaining_preds(document: Any, program: TaskProgram) -> List[int]:
+    """The Nanos++ unfinished-predecessor counts by row, refusing any forged one.
 
     A captured run counts every task of the program once: one ``[task_id,
     count]`` pair per task, each id an ``int`` task of the program and
@@ -1130,19 +1149,19 @@ def _checked_remaining_preds(document: Any, program: TaskProgram) -> Dict[int, i
         raise SnapshotError(
             "the Nanos++ predecessor counts are not a list of one pair per task"
         )
-    remaining: Dict[int, int] = {}
+    remaining = [-1] * program.num_tasks  # -1: no count read yet
     for pair in document:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SnapshotError("a Nanos++ predecessor count is not a [task, count] pair")
         task_id, count = pair
-        _program_task(program, task_id, "a Nanos++ predecessor count's task")
+        row = _program_row(program, task_id, "a Nanos++ predecessor count's task")
         if type(count) is not int or count < 0:
             raise SnapshotError(
                 f"the predecessor count of task {task_id} is not a non-negative integer"
             )
-        remaining[task_id] = count
-    if len(remaining) != len(document):
-        raise SnapshotError("the Nanos++ predecessor counts name a task twice")
+        if remaining[row] >= 0:
+            raise SnapshotError("the Nanos++ predecessor counts name a task twice")
+        remaining[row] = count
     return remaining
 
 
@@ -1155,11 +1174,13 @@ def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
     sim._master_joins_at = state["master_joins_at"]
     sim._idle_workers = list(state["idle_workers"])
     sim._remaining_preds = _checked_remaining_preds(state["remaining_preds"], program)
-    submitted = set(state["submitted"])
-    sim._submitted = {task.task_id: task.task_id in submitted for task in program}
+    submitted = [False] * program.num_tasks
+    for task_id in _checked_list(state["submitted"], "the Nanos++ submitted tasks"):
+        submitted[_program_row(program, task_id, "a Nanos++ submitted task")] = True
+    sim._submitted = submitted
     sim._ready_pool = deque(
-        _program_task(program, task_id, "the Nanos++ ready pool's task").task_id
-        for task_id in state["ready_pool"]
+        _program_row(program, task_id, "the Nanos++ ready pool's task")
+        for task_id in _checked_list(state["ready_pool"], "the Nanos++ ready pool")
     )
     sim._finished = state["finished"]
     sim._makespan = state["makespan"]

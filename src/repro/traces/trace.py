@@ -29,7 +29,7 @@ import io
 from pathlib import Path
 from typing import Iterable, List, TextIO, Union
 
-from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.runtime.task import Dependence, DependencePool, Direction, Task, TaskProgram
 
 _HEADER_PREFIX = "# picos-trace v1"
 
@@ -90,6 +90,7 @@ class TaskTrace:
         if "name=" in header:
             name = header.split("name=", 1)[1].strip()
         program = TaskProgram(name=name)
+        pool = DependencePool()
         current: List[Dependence] = []
         pending_task: dict | None = None
 
@@ -100,7 +101,7 @@ class TaskTrace:
             program.add_task(
                 Task(
                     task_id=pending_task["task_id"],
-                    dependences=list(current),
+                    dependences=current,
                     duration=pending_task["duration"],
                     creation_cycles=pending_task["creation"],
                     label=pending_task["label"],
@@ -122,7 +123,7 @@ class TaskTrace:
                     raise TraceFormatError(
                         f"line {line_number}: dependence before any task"
                     )
-                current.append(_parse_dep_line(fields, line_number))
+                current.append(_parse_dep_line(fields, line_number, pool))
             else:
                 raise TraceFormatError(
                     f"line {line_number}: unknown record {fields[0]!r}"
@@ -159,7 +160,9 @@ def _parse_task_line(fields: List[str], line_number: int) -> dict:
     return record
 
 
-def _parse_dep_line(fields: List[str], line_number: int) -> Dependence:
+def _parse_dep_line(
+    fields: List[str], line_number: int, pool: DependencePool
+) -> Dependence:
     if len(fields) != 3:
         raise TraceFormatError(f"line {line_number}: malformed dep record")
     try:
@@ -170,7 +173,7 @@ def _parse_dep_line(fields: List[str], line_number: int) -> Dependence:
         direction = Direction.parse(fields[2])
     except ValueError as exc:
         raise TraceFormatError(f"line {line_number}: {exc}") from exc
-    return Dependence(address=address, direction=direction)
+    return pool.get(address, direction)
 
 
 # ----------------------------------------------------------------------

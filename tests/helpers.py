@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
 from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
+from repro.runtime.dependence_analysis import task_graph
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
 from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
@@ -35,6 +36,23 @@ def make_task(
         for address, direction in deps
     ]
     return Task(task_id=task_id, dependences=dependences, duration=duration, label=label)
+
+
+def relabelled(program: TaskProgram, task_ids: Sequence[int]) -> TaskProgram:
+    """``program`` with its ``i``-th created task renamed ``task_ids[i]``."""
+    return TaskProgram(
+        (
+            Task(task_id, task.dependences, task.duration, task.creation_cycles, task.label)
+            for task_id, task in zip(task_ids, program)
+        ),
+        name=program.name,
+    )
+
+
+def makespan_lower_bound(program: TaskProgram, num_workers: int) -> int:
+    """``max(critical path, ceil(work / workers))``: a bound no schedule beats."""
+    critical_path = task_graph(program).critical_path_length()
+    return max(critical_path, -(-program.sequential_cycles // num_workers))
 
 
 def make_program(spec: Sequence[Sequence[tuple]], durations: Sequence[int] = (), name: str = "test") -> TaskProgram:

@@ -66,8 +66,8 @@ class TestHeat:
         program = heat_program(512, 128)  # 4x4 blocks
         graph = build_task_graph(program)
         # The first task has no predecessors, the last depends on neighbours.
-        assert graph.predecessors[0] == set()
-        assert graph.predecessors[program.num_tasks - 1] != set()
+        assert graph.predecessors(0) == set()
+        assert graph.predecessors(program.num_tasks - 1) != set()
         # Wavefront parallelism: the level widths rise and then fall.
         widths = graph.level_widths()
         assert widths[0] == 1
@@ -111,8 +111,8 @@ class TestLu:
         # The last diagonal task transitively depends on the first one.
         diag_ids = [t.task_id for t in program if t.label == "lu_diag"]
         levels = {tid: 0 for tid in range(program.num_tasks)}
-        for tid in graph.topological_order():
-            preds = graph.predecessors[tid]
+        for tid in graph.task_ids:  # creation order is topological
+            preds = graph.predecessors(tid)
             levels[tid] = 0 if not preds else 1 + max(levels[p] for p in preds)
         assert levels[diag_ids[-1]] == 2 * (len(diag_ids) - 1)
 
@@ -122,7 +122,36 @@ class TestLu:
         diag0 = 0
         panel_ids = [t.task_id for t in program if t.label == "lu_panel"][:3]
         for panel in panel_ids:
-            assert diag0 in graph.predecessors[panel]
+            assert diag0 in graph.predecessors(panel)
+
+
+def _distinct_dependences(program):
+    """(dependences, distinct objects, distinct values) of ``program``."""
+    deps = [dep for task in program for dep in task.dependences]
+    return len(deps), len({id(dep) for dep in deps}), len(set(deps))
+
+
+class TestSharedDependences:
+    """Each generator hands out one Dependence per distinct value."""
+
+    def test_cholesky_32_holds_its_distinct_values_once(self):
+        assert _distinct_dependences(cholesky_program(2048, 32)) == (133_120, 4_159, 4_159)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cholesky_program(1024, 128),
+            lambda: heat_program(1024, 128),
+            lambda: lu_program(1024, 128),
+            lambda: modified_lu_program(1024, 128),
+            lambda: sparselu_program(1024, 128),
+            lambda: h264dec_program(frames=2, block_size=8, mb_cols=32, mb_rows=32),
+        ],
+        ids=["cholesky", "heat", "lu", "mlu", "sparselu", "h264dec"],
+    )
+    def test_every_generator_shares_its_values(self, build):
+        total, objects, values = _distinct_dependences(build())
+        assert objects == values < total
 
 
 class TestCholesky:
@@ -152,13 +181,13 @@ class TestCholesky:
         for earlier, later in zip(potrf_ids, potrf_ids[1:]):
             # Each potrf transitively depends on the previous one; check via
             # reachability over at most two hops (potrf <- syrk <- trsm).
-            preds = graph.predecessors[later]
+            preds = graph.predecessors(later)
             two_hops = set(preds)
             for p in preds:
-                two_hops |= graph.predecessors[p]
+                two_hops |= graph.predecessors(p)
             three_hops = set(two_hops)
             for p in two_hops:
-                three_hops |= graph.predecessors[p]
+                three_hops |= graph.predecessors(p)
             assert earlier in three_hops
 
 
@@ -194,7 +223,7 @@ class TestSparseLu:
         # Every non-first lu0 has at least one predecessor (the trailing
         # update of the previous step touches the diagonal block).
         for task_id in lu0_ids[1:]:
-            assert graph.predecessors[task_id]
+            assert graph.predecessors(task_id)
 
 
 class TestH264Dec:
@@ -217,7 +246,7 @@ class TestH264Dec:
         # A block in the second frame depends on its co-located block in the
         # first frame.
         second_frame_task = per_frame  # block (0, 0) of frame 1
-        assert 0 in graph.predecessors[second_frame_task]
+        assert 0 in graph.predecessors(second_frame_task)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

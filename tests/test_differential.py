@@ -12,6 +12,8 @@ backends.  Four families of invariants pin the whole stack:
   Graham scheduling anomalies (a backend that pays overhead can still beat
   the greedy order on adversarial graphs -- the committed golden matrix
   contains a real instance: ``heat/256 nanos w4`` beats ``perfect w4``);
+* **labels only** -- renaming the tasks to sparse, shuffled ids moves no
+  stamp on any backend: the simulators index tasks by creation order;
 * **session parity** -- streaming a program through the ``Session`` API is
   cycle-identical to the batch path, for every backend;
 * **cache-key stability** -- request cache keys are reproducible across
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +63,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import repro
 from repro.core.config import DMDesign, PicosConfig
 from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
-from repro.runtime.dependence_analysis import build_task_graph
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.sim.engine import EventQueue, HeapEventQueue
@@ -70,7 +72,7 @@ from repro.sim.session import lifecycle_events, open_session
 from repro.sim.snapshot import KIND_MID_RUN, capture, restore
 from repro.traces.synthetic import random_program
 
-from tests.helpers import make_program
+from tests.helpers import make_program, makespan_lower_bound, relabelled
 
 #: Keep the graphs small: five backends x many examples must stay in CI
 #: budget, and the invariants are shape-driven, not size-driven.
@@ -87,21 +89,12 @@ graph_params = st.fixed_dictionaries(
 workers = st.sampled_from([1, 2, 4, 7])
 
 
-def analytic_lower_bound(program, num_workers: int) -> int:
-    """``max(critical path, ceil(work / P))``: a bound no schedule beats."""
-    graph = build_task_graph(program)
-    work = program.sequential_cycles
-    return max(
-        graph.critical_path_length(), -(-work // num_workers)  # ceil division
-    )
-
-
 class TestCrossBackendInvariants:
     @settings(max_examples=25, deadline=None)
     @given(params=graph_params, num_workers=workers)
     def test_roofline_bound_holds_for_every_backend(self, params, num_workers):
         program = random_program(**params)
-        bound = analytic_lower_bound(program, num_workers)
+        bound = makespan_lower_bound(program, num_workers)
         for backend in sorted(BUILTIN_BACKENDS):
             result = simulate_request(
                 SimulationRequest.for_program(
@@ -158,6 +151,34 @@ class TestCrossBackendInvariants:
             first = simulate_request(request)
             second = simulate_request(request)
             assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        params=graph_params,
+        num_workers=workers,
+        relabel_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_task_ids_are_labels_only(self, params, num_workers, relabel_seed):
+        """Renaming the tasks to sparse, shuffled ids changes no stamp."""
+        program = random_program(**params)
+        task_ids = random.Random(relabel_seed).sample(
+            range(10 * program.num_tasks + 10), program.num_tasks
+        )
+        renamed = relabelled(program, task_ids)
+        for backend in sorted(BUILTIN_BACKENDS):
+            dense, result = (
+                simulate_request(
+                    SimulationRequest.for_program(
+                        p, backend=backend, num_workers=num_workers
+                    )
+                )
+                for p in (program, renamed)
+            )
+            assert result.makespan == dense.makespan
+            assert result.counters == dense.counters
+            assert [result.timelines[t]._astuple()[1:] for t in task_ids] == [
+                dense.timelines[row]._astuple()[1:] for row in range(program.num_tasks)
+            ]
 
 
 class TestSnapshotRestoreEquivalence:

@@ -14,9 +14,13 @@ from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.perfect import PerfectScheduler
+from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
+
+from tests.helpers import relabelled
 
 #: Reduced problem size used throughout this module (same dependence
 #: structure as the paper's 2048, four times fewer blocks per dimension).
@@ -60,12 +64,8 @@ class TestEndToEndCorrectness:
         perfect = PerfectScheduler(cholesky_medium, num_workers=6).run()
         nanos = NanosRuntimeSimulator(cholesky_medium, num_threads=6).run()
         for result in (picos, perfect, nanos):
-            for task_id, preds in graph.predecessors.items():
-                for pred in preds:
-                    assert (
-                        result.timelines[task_id].started
-                        >= result.timelines[pred].finished
-                    )
+            for pred, task_id in graph.edges():
+                assert result.timelines[task_id].started >= result.timelines[pred].finished
 
 
 class TestPaperQualitativeClaims:
@@ -167,3 +167,55 @@ class TestPaperQualitativeClaims:
         program = build_benchmark("lu", 128, problem_size=SMALL)
         speedups = [run_picos(program, w).speedup for w in (2, 4, 8)]
         assert speedups[0] < speedups[1] <= speedups[2] * 1.05
+
+
+def _two_tasks():
+    """A writer and its reader: one edge, created in that order."""
+    return TaskProgram(
+        [
+            Task(0, [Dependence(0x1000, Direction.OUT)], duration=500),
+            Task(1, [Dependence(0x1000, Direction.IN)], duration=700),
+        ]
+    )
+
+
+def _sparselu_tasks():
+    return build_benchmark("sparselu", 128, problem_size=512)
+
+
+class TestNonDenseTaskIds:
+    """Task ids are client-chosen keys: every backend gives a program with
+    ids other than 0..n-1 the dense program's result, ids aside."""
+
+    @pytest.mark.parametrize("backend", sorted(BUILTIN_BACKENDS))
+    @pytest.mark.parametrize(
+        "build, relabel",
+        [
+            (_two_tasks, lambda n: [10, 3]),
+            (_two_tasks, lambda n: [1, 2]),
+            (_sparselu_tasks, lambda n: [7 * i + 1000 for i in range(n)]),
+            (_sparselu_tasks, lambda n: list(reversed(range(n)))),
+        ],
+        ids=["ids-10-3", "ids-1-2", "sparselu-7i+1000", "sparselu-reversed"],
+    )
+    def test_relabelled_program_matches_the_dense_run(self, backend, build, relabel):
+        dense = build()
+        task_ids = relabel(dense.num_tasks)
+        program = relabelled(dense, task_ids)
+
+        def run(program):
+            return simulate_request(
+                SimulationRequest.for_program(program, backend=backend, num_workers=4)
+            )
+
+        expected, result = run(dense), run(program)
+        assert set(result.timelines) == set(task_ids)
+        assert (result.makespan, result.drain_time, result.counters) == (
+            expected.makespan,
+            expected.drain_time,
+            expected.counters,
+        )
+        for row, task_id in enumerate(task_ids):
+            got, want = result.timelines[task_id], expected.timelines[row]
+            assert got._astuple()[1:] == want._astuple()[1:]
+        assert ready_order_is_valid(program, result.start_order())

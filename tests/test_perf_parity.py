@@ -18,6 +18,8 @@ independent nets pin that down:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.config import PicosConfig
@@ -28,7 +30,11 @@ from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest, build_workload
 
-from tests.helpers import assert_delivery_paths_agree, run_delivery_paths
+from tests.helpers import (
+    assert_delivery_paths_agree,
+    makespan_lower_bound,
+    run_delivery_paths,
+)
 
 
 def result_digest(result) -> str:
@@ -109,6 +115,19 @@ GOLDEN = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def golden_run(workload, block_size, problem_size, backend, workers):
+    """The program and result of one golden cell, simulated once per session."""
+    request = SimulationRequest.for_workload(
+        workload,
+        block_size=block_size,
+        problem_size=problem_size,
+        backend=backend,
+        num_workers=workers,
+    )
+    return request.build_program(), simulate_request(request)
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize(
         "workload,block_size,problem_size,backend,workers",
@@ -120,17 +139,24 @@ class TestGoldenDigests:
         expected_makespan, expected_digest = GOLDEN[
             (workload, block_size, problem_size, backend, workers)
         ]
-        result = simulate_request(
-            SimulationRequest.for_workload(
-                workload,
-                block_size=block_size,
-                problem_size=problem_size,
-                backend=backend,
-                num_workers=workers,
-            )
-        )
+        _, result = golden_run(workload, block_size, problem_size, backend, workers)
         assert result.makespan == expected_makespan
         assert result_digest(result) == expected_digest
+
+    @pytest.mark.parametrize(
+        "workload,block_size,problem_size,backend,workers",
+        sorted(GOLDEN, key=repr),
+    )
+    def test_makespan_respects_the_analytic_bound(
+        self, workload, block_size, problem_size, backend, workers
+    ):
+        """No backend beats max(critical path, ceil(work / workers)).
+
+        ``perfect`` is a greedy list schedule, not this bound: other
+        backends finish before it in some cells (heat/256 at 4 workers).
+        """
+        program, result = golden_run(workload, block_size, problem_size, backend, workers)
+        assert result.makespan >= makespan_lower_bound(program, workers)
 
     def test_every_builtin_backend_has_a_golden_row(self):
         covered = {key[3] for key in GOLDEN}

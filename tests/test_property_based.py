@@ -101,12 +101,8 @@ class TestPicosMatchesReferenceSemantics:
             program, mode=HILMode.HW_ONLY, num_workers=3
         ).run()
         assert result.completed_all()
-        for task_id, preds in graph.predecessors.items():
-            for pred in preds:
-                assert (
-                    result.timelines[task_id].started
-                    >= result.timelines[pred].finished
-                )
+        for pred, task_id in graph.edges():
+            assert result.timelines[task_id].started >= result.timelines[pred].finished
 
 
 # ----------------------------------------------------------------------

@@ -115,9 +115,8 @@ class TestPerfectScheduler:
         result = PerfectScheduler(program, num_workers=2).run()
         assert ready_order_is_valid(program, result.start_order())
         graph = build_task_graph(program)
-        for task_id, preds in graph.predecessors.items():
-            for pred in preds:
-                assert result.timelines[task_id].started >= result.timelines[pred].finished
+        for pred, task_id in graph.edges():
+            assert result.timelines[task_id].started >= result.timelines[pred].finished
 
     def test_zero_overhead_means_no_management_latency(self):
         program = wide_program(count=4)

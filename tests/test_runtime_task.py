@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.runtime.task import Dependence, DependencePool, Direction, Task, TaskProgram
 
 
 class TestDirection:
@@ -100,6 +100,14 @@ class TestTask:
         assert set(task.reads()) == {0x10, 0x30}
         assert set(task.writes()) == {0x20, 0x30}
 
+    def test_a_task_owns_its_list_and_shares_its_values(self):
+        dependences = [Dependence(0x10, Direction.IN), Dependence(0x20, Direction.OUT)]
+        task = Task(task_id=0, dependences=dependences)
+        assert task.dependences is not dependences
+        assert all(a is b for a, b in zip(task.dependences, dependences))
+        dependences.append(Dependence(0x30, Direction.IN))
+        assert task.num_dependences == 2
+
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
             Task(task_id=-1)
@@ -116,6 +124,12 @@ class TestTaskProgram:
         second = program.create_task()
         assert (first.task_id, second.task_id) == (0, 1)
         assert len(program) == 2
+
+    def test_create_task_accepts_any_sequence(self):
+        program = TaskProgram()
+        shared = (Dependence(0x10, Direction.IN),)
+        task = program.create_task(shared)
+        assert task.dependences == list(shared) and task.dependences[0] is shared[0]
 
     def test_duplicate_task_ids_rejected(self):
         program = TaskProgram()
@@ -183,3 +197,25 @@ class TestTaskProgram:
         program.create_task()
         with pytest.raises(ValueError):
             program.with_creation_order([0, 0])
+
+
+class TestDependencePool:
+    def test_one_value_per_address_and_direction(self):
+        pool = DependencePool()
+        assert pool.input(0x10) is pool.input(0x10)
+        assert pool.inout(0x10) is pool.get(0x10, Direction.INOUT)
+        assert pool.output(0x10) is pool.get(0x10, Direction.OUT)
+        assert pool.get(0x10, Direction.IN) is pool.input(0x10)
+        values = {pool.input(0x10), pool.output(0x10), pool.inout(0x10)}
+        assert values == {
+            Dependence(0x10, Direction.IN),
+            Dependence(0x10, Direction.OUT),
+            Dependence(0x10, Direction.INOUT),
+        }
+
+    def test_pools_do_not_share(self):
+        assert DependencePool().input(0x10) is not DependencePool().input(0x10)
+
+    def test_negative_address_still_rejected(self):
+        with pytest.raises(ValueError):
+            DependencePool().input(-1)

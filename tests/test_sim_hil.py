@@ -101,12 +101,8 @@ class TestDependenceEnforcement:
         )
         graph = build_task_graph(program)
         result = HILSimulator(program, mode=HILMode.FULL_SYSTEM, num_workers=4).run()
-        for task_id, preds in graph.predecessors.items():
-            for pred in preds:
-                assert (
-                    result.timelines[task_id].started
-                    >= result.timelines[pred].finished
-                )
+        for pred, task_id in graph.edges():
+            assert result.timelines[task_id].started >= result.timelines[pred].finished
 
 
 class TestModesAndCosts:

@@ -25,6 +25,7 @@ from repro.sim.request import (
     InvalidRequestError,
     SimulationRequest,
     WorkloadRef,
+    workload_trace_digest,
 )
 from repro.sim.results import SimulationResult
 
@@ -225,6 +226,27 @@ class TestCacheKey:
             == request.cache_key()
         )
         assert request.cache_key(trace_digest="something-else") != request.cache_key()
+
+
+#: The trace digests behind every workload cache key.  A generator change
+#: that moves one serves stale cached results under the old key, or misses
+#: every entry under a new one; moving one on purpose means salting the key.
+TRACE_DIGESTS = {
+    ("cholesky", 32, None): "fdb6fc524e4841785f37ef60",
+    ("cholesky", 128, 512): "60949b1b640b72ac528ffe3c",
+    ("sparselu", 128, 512): "f03a836e157cccdb4bc8b57f",
+    ("lu", 128, 512): "6fc28d3c703a85ad0f240e91",
+    ("mlu", 128, 512): "cc417cc72409a61feb5b52a0",
+    ("heat", 256, None): "2b20d8a14c6ac3b0363bcb33",
+    ("h264dec", 8, None): "c908ff7f20bbbe2ff342a852",
+    ("case3", None, None): "3e944a35d4c74ff4bff61043",
+}
+
+
+class TestWorkloadTraceDigests:
+    @pytest.mark.parametrize("workload", sorted(TRACE_DIGESTS, key=repr), ids=repr)
+    def test_trace_digest_is_pinned(self, workload):
+        assert workload_trace_digest(*workload) == TRACE_DIGESTS[workload]
 
 
 class TestAcceptedParameters:

@@ -591,6 +591,7 @@ class TestForgedTaskIds:
             ("hil-full", _forge_gateway_pending),
             ("nanos", lambda state, task_id: state.update(ready_pool=[task_id])),
             ("nanos", _forge_remaining_preds),
+            ("nanos", lambda state, task_id: state.update(submitted=[task_id])),
         ],
         ids=[
             "event-payload",
@@ -598,9 +599,12 @@ class TestForgedTaskIds:
             "gateway-pending",
             "nanos-ready-pool",
             "nanos-remaining-preds",
+            "nanos-submitted",
         ],
     )
-    @pytest.mark.parametrize("task_id", [10**9, "1"], ids=["unknown", "string"])
+    @pytest.mark.parametrize(
+        "task_id", [10**9, "1", [1]], ids=["unknown", "string", "list"]
+    )
     def test_a_forged_task_id_is_refused_at_restore(self, backend, edit, task_id):
         snapshot = _forged_state_snapshot(
             lambda payload: edit(payload["state"], task_id), backend, 10_000
@@ -636,6 +640,14 @@ class TestForgedTaskIds:
             lambda payload: edit(payload["state"]["remaining_preds"])
         )
         with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    @pytest.mark.parametrize("field", ["submitted", "ready_pool"])
+    def test_a_nanos_task_list_that_is_not_a_list_is_refused(self, field):
+        snapshot = _forged_state_snapshot(
+            lambda payload: payload["state"].update({field: 1})
+        )
+        with pytest.raises(SnapshotError, match="is not a list"):
             restore(snapshot)
 
 

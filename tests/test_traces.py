@@ -47,6 +47,11 @@ class TestTraceSerialisation:
             assert original.label == restored.label
             assert original.dependences == restored.dependences
 
+    def test_parsing_shares_one_dependence_per_distinct_value(self):
+        text = "# picos-trace v1 name=x\ntask 0\ndep 0x1000 in\ntask 1\ndep 0x1000 in\n"
+        first, second = TaskTrace.parses(text).program
+        assert first.dependences[0] is second.dependences[0]
+
     def test_file_round_trip(self, tmp_path):
         trace = self._example()
         path = save_trace(trace, tmp_path / "example.trace")

@@ -11,7 +11,7 @@ and-reduce workload that is *not* one of the paper's benchmarks:
    followed by a tree reduction);
 2. save it as a portable text trace and load it back;
 3. simulate it on the Picos prototype, the Nanos++ runtime and the Perfect
-   scheduler and print a comparison.
+   simulator (the zero-overhead Nanos++ schedule) and print a comparison.
 
 Run with::
 
@@ -26,7 +26,6 @@ from pathlib import Path
 
 from repro.analysis.report import render_table
 from repro.runtime.nanos import NanosRuntimeSimulator
-from repro.runtime.perfect import PerfectScheduler
 from repro.runtime.task import Dependence, Direction, TaskProgram
 from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
@@ -115,14 +114,16 @@ def main() -> None:
         SimulationRequest.for_program(restored, backend="hil-full", num_workers=workers)
     )
     nanos = NanosRuntimeSimulator(restored, num_threads=workers).run()
-    perfect = PerfectScheduler(restored, num_workers=workers).run()
+    perfect = simulate_request(
+        SimulationRequest.for_program(restored, backend="perfect", num_workers=workers)
+    )
 
     rows = [
         ["Picos full-system", picos.makespan, round(picos.speedup, 2),
          round(picos.worker_busy_fraction(), 2)],
         ["Nanos++ software-only", nanos.makespan, round(nanos.speedup, 2),
          round(nanos.worker_busy_fraction(), 2)],
-        ["Perfect roofline", perfect.makespan, round(perfect.speedup, 2),
+        ["Perfect (zero overhead)", perfect.makespan, round(perfect.speedup, 2),
          round(perfect.worker_busy_fraction(), 2)],
     ]
     print(

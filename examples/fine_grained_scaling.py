@@ -7,7 +7,7 @@ shrinks the task granularity step by step, and compares three runtimes --
 
 * the Picos prototype in the HIL Full-system mode,
 * the Nanos++ software-only runtime,
-* the Perfect (roofline) simulator --
+* the Perfect simulator (the zero-overhead Nanos++ schedule) --
 
 showing how the software runtime collapses once tasks become small while
 the hardware accelerator keeps scaling.
@@ -24,7 +24,6 @@ import sys
 from repro.analysis.report import render_series
 from repro.apps.registry import build_benchmark
 from repro.runtime.nanos import NanosRuntimeSimulator
-from repro.runtime.perfect import PerfectScheduler
 from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
 
@@ -49,7 +48,9 @@ def main() -> None:
             SimulationRequest.for_program(program, backend="hil-full", num_workers=workers)
         )
         nanos = NanosRuntimeSimulator(program, num_threads=workers).run()
-        perfect = PerfectScheduler(program, num_workers=workers).run()
+        perfect = simulate_request(
+            SimulationRequest.for_program(program, backend="perfect", num_workers=workers)
+        )
 
         picos_curve.append(picos.speedup)
         nanos_curve.append(nanos.speedup)
@@ -59,7 +60,7 @@ def main() -> None:
             f"  block {block_size:4d}: {program.num_tasks:6d} tasks of "
             f"~{program.average_task_size:,.0f} cycles -> "
             f"Picos {picos.speedup:5.2f}x, Nanos++ {nanos.speedup:5.2f}x, "
-            f"roofline {perfect.speedup:5.2f}x"
+            f"Perfect {perfect.speedup:5.2f}x"
         )
 
     print()
@@ -71,7 +72,7 @@ def main() -> None:
             series={
                 "Picos full-system": picos_curve,
                 "Nanos++ software-only": nanos_curve,
-                "Perfect roofline": perfect_curve,
+                "Perfect (zero overhead)": perfect_curve,
             },
         )
     )

@@ -16,8 +16,8 @@ The package is organised around the subsystems the paper builds or relies on:
 
 ``repro.runtime``
     The OmpSs-side substrate: task/dependence model, exact software
-    dependence analysis, the Nanos++ software-only runtime model and the
-    Perfect (roofline) scheduler.
+    dependence analysis and the Nanos++ software-only runtime model, which
+    with every cost at zero is also the paper's Perfect simulator.
 
 ``repro.sim``
     The Hardware-In-the-Loop execution platform: workers, communication
@@ -72,4 +72,4 @@ __all__ = [
     "simulate_request",
 ]
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"

@@ -764,8 +764,8 @@ def require_config_sensitive_backend(experiment: str, backend: Optional[str]) ->
     """Reject built-in backends that ignore the Picos configuration.
 
     Experiments that sweep the DM-design axis (or read Picos hardware
-    counters) are meaningless on the software runtime and the roofline
-    scheduler: every design would simulate identically and hardware
+    counters) are meaningless on the software runtime and its zero-cost
+    ``perfect`` schedule: every design would simulate identically and hardware
     counters like ``dm_conflicts`` do not exist.  Unknown (plug-in)
     backends pass through -- a custom hardware model may well be
     configuration sensitive.

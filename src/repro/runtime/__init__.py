@@ -9,17 +9,17 @@ system the paper evaluates:
 * :mod:`repro.runtime.dependence_analysis` -- exact software dependence
   analysis (last-writer / reader-set semantics), used both as the reference
   model the hardware must agree with and as the builder of the row-indexed
-  (CSR) graph the Perfect and Nanos++ simulators walk.
+  (CSR) graph the Nanos++ simulator walks.
 * :mod:`repro.runtime.overhead` -- the Nanos++ per-task creation and
   submission overhead model of Figure 10.
 * :mod:`repro.runtime.nanos` -- the Nanos++ software-only runtime simulator
-  used as the paper's baseline.
-* :mod:`repro.runtime.perfect` -- the Perfect (roofline) simulator.
+  used as the paper's baseline; with every cost at zero it is also the
+  paper's Perfect simulator (the ``perfect`` backend).
 
-``NanosRuntimeSimulator`` and ``PerfectScheduler`` are re-exported lazily
-(they depend on :mod:`repro.sim`, which in turn depends on
-:mod:`repro.core`; loading them eagerly here would create an import cycle
-when the core package pulls in the task model).
+``NanosRuntimeSimulator`` is re-exported lazily (it depends on
+:mod:`repro.sim`, which in turn depends on :mod:`repro.core`; loading it
+eagerly here would create an import cycle when the core package pulls in
+the task model).
 """
 
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
@@ -40,18 +40,13 @@ __all__ = [
     "task_graph",
     "NanosOverheadModel",
     "NanosRuntimeSimulator",
-    "PerfectScheduler",
 ]
 
 
 def __getattr__(name: str):
-    """Lazily expose the simulators that depend on :mod:`repro.sim`."""
+    """Lazily expose the simulator that depends on :mod:`repro.sim`."""
     if name == "NanosRuntimeSimulator":
         from repro.runtime.nanos import NanosRuntimeSimulator
 
         return NanosRuntimeSimulator
-    if name == "PerfectScheduler":
-        from repro.runtime.perfect import PerfectScheduler
-
-        return PerfectScheduler
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

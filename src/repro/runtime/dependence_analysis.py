@@ -9,8 +9,8 @@ the DM/VM/TMX chain mechanism of Section III.
 This module implements those semantics directly on a :class:`TaskProgram`.
 It serves three purposes:
 
-* it is the graph builder for the Perfect (roofline) scheduler and the
-  Nanos++ software-only model, which share one graph per program through
+* it is the graph builder for the Nanos++ model (the ``nanos`` and
+  ``perfect`` backends), which shares one graph per program through
   :func:`task_graph`;
 * it is the *reference* against which the hardware model is validated
   (property-based tests assert that the set of predecessor/successor
@@ -226,7 +226,7 @@ def task_graph(program: TaskProgram) -> TaskGraph:
 
     The graph depends on the program alone, so the first call builds it
     with :func:`build_task_graph` and keeps it on the program; the Nanos++
-    model, the Perfect scheduler and :func:`ready_order_is_valid` then
+    model (``nanos`` and ``perfect``) and :func:`ready_order_is_valid` then
     reuse it on every run instead of redoing the analysis.  Every caller
     gets the same object and must treat it as read-only.
 

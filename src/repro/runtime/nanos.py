@@ -35,6 +35,9 @@ and the snapshot codec (:mod:`repro.sim.snapshot`) work over it unchanged.
 Every event is delivered one at a time through one fixed handler table,
 which an armed fault plan wraps; straight, sliced, faulted and restored
 runs therefore all execute the same handlers.
+
+With every cost at zero (:data:`ZERO_OVERHEAD`) the same model is the
+paper's Perfect simulator: the ``perfect`` backend registered below.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.runtime.dependence_analysis import TaskGraph, task_graph
 from repro.runtime.overhead import NanosOverheadModel
 from repro.runtime.task import TaskProgram
-from repro.sim.backend import BACKEND_NANOS, register_backend
+from repro.sim.backend import BACKEND_NANOS, BACKEND_PERFECT, register_backend
 from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult, mint_timelines
 from repro.sim.session import EngineStepper
@@ -67,6 +70,9 @@ _LOG_RETIRED = 2
 
 class NanosRuntimeSimulator:
     """Discrete-event model of the Nanos++ software-only runtime."""
+
+    #: The ``simulator`` label of the results this model builds.
+    simulator_name = "nanos-software"
 
     def __init__(
         self,
@@ -339,7 +345,7 @@ class NanosRuntimeSimulator:
             if not aborted:
                 plan.verify(timelines)
         return SimulationResult(
-            simulator="nanos-software",
+            simulator=self.simulator_name,
             program_name=program.name,
             num_workers=self.num_threads,
             makespan=makespan,
@@ -525,3 +531,49 @@ class NanosBackend:
 
 
 register_backend(NanosBackend(), replace=True)
+
+
+#: The Nanos++ model with every cost at zero: the paper's Perfect simulator
+#: (Section IV-A).  Tasks are created and submitted at cycle 0, start the
+#: cycle a thread takes them and release their dependences the cycle they
+#: end.  This zero-overhead Nanos++ schedule is a greedy FIFO list
+#: schedule, not a bound; the bound is max(critical path, ceil(work /
+#: workers)).
+ZERO_OVERHEAD = NanosOverheadModel(
+    creation_base=0,
+    submission_base=0,
+    submission_per_dep=0,
+    scheduling_cycles=0,
+    release_per_dep=0,
+)
+
+
+class _ZeroOverheadSimulator(NanosRuntimeSimulator):
+    """The Nanos++ model at :data:`ZERO_OVERHEAD`, labelled ``perfect``."""
+
+    simulator_name = "perfect"
+
+
+class PerfectBackend:
+    """The Perfect simulator: the zero-overhead Nanos++ schedule.
+
+    It has no overhead model, Picos configuration, policy or faults to
+    set, so a request carrying any of them is rejected by the typed API.
+    """
+
+    name = BACKEND_PERFECT
+    description = "Perfect simulator (the zero-overhead Nanos++ schedule)"
+    accepts = frozenset()
+
+    def make_stepper(
+        self, program: TaskProgram, *, num_workers: int = 12, **kwargs: object
+    ) -> EngineStepper:
+        return EngineStepper(_ZeroOverheadSimulator(program, num_workers, ZERO_OVERHEAD))
+
+    def simulate(
+        self, program: TaskProgram, *, num_workers: int = 12, **kwargs: object
+    ) -> SimulationResult:
+        return _ZeroOverheadSimulator(program, num_workers, ZERO_OVERHEAD).run()
+
+
+register_backend(PerfectBackend(), replace=True)

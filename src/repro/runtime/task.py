@@ -243,7 +243,7 @@ class TaskProgram:
     A :class:`TaskProgram` is what the master thread of an OmpSs application
     produces: tasks in *creation order*, each with its dependences and its
     measured execution time.  It is the single input format consumed by the
-    Picos simulator, the Nanos++ model and the Perfect scheduler, which makes
+    Picos simulator, the Nanos++ model and the Perfect simulator, which makes
     head-to-head comparisons meaningful (exactly the trace-driven methodology
     of Section IV-A of the paper).
     """

@@ -2,10 +2,11 @@
 
 The paper compares a single workload across several dependence-management
 implementations: the Picos hardware prototype in its three HIL modes, the
-Nanos++ software-only runtime and the Perfect (roofline) scheduler.  This
-module gives those implementations one common face, so every experiment
-driver -- and every future runtime model -- talks to them through a single
-string-keyed dispatch point instead of hard-coding simulator classes.
+Nanos++ software-only runtime and the Perfect simulator (its zero-overhead
+schedule).  This module gives those implementations one common face, so
+every experiment driver -- and every future runtime model -- talks to them
+through a single string-keyed dispatch point instead of hard-coding
+simulator classes.
 
 A backend is any object satisfying :class:`SimulatorBackend`: it has a
 ``name``, a ``description``, a ``simulate(program, ...)`` method returning
@@ -23,7 +24,7 @@ register themselves when their module is imported:
 ``hil-comm``  Picos HIL platform, HW+communication mode (row 2)
 ``hil-hw``    Picos HIL platform, HW-only mode (row 1)
 ``nanos``     Nanos++ software-only runtime (the paper's baseline)
-``perfect``   Perfect scheduler (zero-overhead roofline)
+``perfect``   Perfect simulator (the zero-overhead Nanos++ schedule)
 ========== ==========================================================
 
 New backends plug in with :func:`register_backend`::
@@ -152,8 +153,7 @@ def _load_builtin_backends() -> None:
     if _BUILTINS_LOADED:
         return
     _BUILTINS_LOADED = True
-    import repro.runtime.nanos  # noqa: F401  (registers "nanos")
-    import repro.runtime.perfect  # noqa: F401  (registers "perfect")
+    import repro.runtime.nanos  # noqa: F401  (registers "nanos" and "perfect")
     import repro.sim.hil  # noqa: F401  (registers the three HIL modes)
 
 

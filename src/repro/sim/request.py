@@ -291,7 +291,7 @@ class SimulationRequest:
     faults:
         Armed fault scenarios (:class:`repro.faults.FaultScenario`),
         injected deterministically by the engine-driven backends; the
-        analytical ``perfect`` backend rejects them.  Part of the cache
+        zero-overhead ``perfect`` backend rejects them.  Part of the cache
         key: a faulted run is a different simulation.
     tenant:
         Accounting identity for the serving layer (admission control and

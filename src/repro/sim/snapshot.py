@@ -15,8 +15,8 @@ Three snapshot kinds cover a session's lifecycle:
 ``initial``
     Taken before the first :meth:`~repro.sim.session.SimulationSession.
     advance`; only the (fully assembled) request is stored.  Restoring
-    yields a fresh session -- this is also the only kind non-stepper
-    backends (the perfect scheduler) can produce mid-lifecycle.
+    yields a fresh session -- this is also the only kind a plug-in
+    backend without a stepper can produce mid-lifecycle.
 ``mid-run``
     Taken between ``advance`` slices at the stepper's cycle horizon; the
     complete mutable simulator state travels in the ``state`` document.
@@ -98,7 +98,7 @@ from repro.core.reference.dependence_memory import DMWay
 from repro.core.reference.task_memory import DependenceSlot, TaskEntry
 from repro.core.reference.version_memory import VersionEntry
 from repro.core.stats import PicosStats
-from repro.faults.payloads import FaultRedeliver, FaultTimer
+from repro.faults.payloads import TIMER_KILL, TIMER_REJOIN, FaultRedeliver, FaultTimer
 from repro.faults.plan import LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.task import Task, TaskProgram
@@ -188,6 +188,33 @@ def _checked_list(document: Any, what: str) -> List[Any]:
     return document
 
 
+def _checked_workers(document: Any, workers: int, what: str) -> List[int]:
+    """``document`` if it lists distinct worker indices below ``workers``."""
+    for worker in _checked_list(document, what):
+        if type(worker) is not int or not 0 <= worker < workers:
+            raise SnapshotError(f"{what} entry {worker!r} names no worker of the {workers}")
+    if len(set(document)) != len(document):
+        raise SnapshotError(f"{what} name a worker twice")
+    return list(document)
+
+
+def _checked_count(value: Any, what: str, limit: Optional[int] = None) -> int:
+    """``value`` if it is an ``int`` of at least 0 and at most ``limit``."""
+    if type(value) is not int or value < 0 or (limit is not None and value > limit):
+        most = "" if limit is None else f" and at most {limit}"
+        raise SnapshotError(f"{what} {value!r} is not an integer of at least 0{most}")
+    return value
+
+
+def _checked_task_ids(document: Any, program: TaskProgram, what: str) -> List[int]:
+    """``document`` if it is a list of task ids of ``program``."""
+    rows = program.rows()
+    for task_id in _checked_list(document, what):
+        if type(task_id) is not int or task_id not in rows:
+            raise SnapshotError(f"{what} entry {task_id!r} names no task of the program")
+    return document
+
+
 # ----------------------------------------------------------------------
 # event payload codec
 # ----------------------------------------------------------------------
@@ -266,6 +293,61 @@ def _payload_from_document(document: Any, program: TaskProgram) -> Any:
     return FaultRedeliver(index, name, _payload_from_document(document[3], program))
 
 
+#: What the fields of a queued payload name, by event kind (a master job's
+#: by job kind): a task of the program or a worker index.
+_PAYLOAD_FIELDS = {
+    "task-visible": ("task",),
+    "worker-done": ("worker", "task"),
+    "dispatch": ("task", "worker"),
+    "finish": ("task",),
+    "submitted": ("task",),
+    "task-done": ("worker", "task"),
+}
+
+
+def _check_payload(
+    kind: str, payload: Any, rows: Dict[int, int], workers: int, faults: int
+) -> None:
+    """Refuse a decoded payload naming no task, worker or armed fault.
+
+    The decoder checks a payload's shape; its event kind says what each
+    field names.  A fault timer or redelivery must index one of the
+    ``faults`` the restored plan arms, a timer must carry a known tag, and
+    a redelivered payload is checked by the kind it was withheld from.
+    """
+    if isinstance(payload, (FaultTimer, FaultRedeliver)):
+        if not 0 <= payload.index < faults:
+            raise SnapshotError(
+                f"a queued fault event's index {payload.index} names none of "
+                f"the {faults} faults the restored plan arms"
+            )
+        if isinstance(payload, FaultTimer):
+            if payload.tag not in (TIMER_KILL, TIMER_REJOIN):
+                raise SnapshotError(f"a queued fault timer's tag {payload.tag[:32]!r} is unknown")
+            return
+        kind, payload = payload.kind, payload.payload
+    if kind == "master-done" and isinstance(payload, tuple):
+        kind, payload = payload
+    fields = _PAYLOAD_FIELDS.get(kind)
+    if fields is not None:
+        _check_names(fields, payload, rows, workers, kind)
+
+
+def _check_names(
+    fields: Tuple[str, ...], values: Any, rows: Dict[int, int], workers: int, what: str
+) -> None:
+    """Refuse ``values`` unless each names a task in ``rows`` (the program's)
+    or a worker below ``workers``, as its entry in ``fields`` says; ``what``
+    names the values in the error."""
+    if not isinstance(values, (tuple, list)):
+        values = (values,)
+    if len(values) != len(fields):
+        raise SnapshotError(f"a {what} payload is not {' and '.join(fields)}")
+    for field, value in zip(fields, values):
+        if type(value) is not int or value not in (rows if field == "task" else range(workers)):
+            raise SnapshotError(f"a {what} payload's {field} {value!r} names no {field}")
+
+
 # ----------------------------------------------------------------------
 # engine queue codec
 # ----------------------------------------------------------------------
@@ -291,22 +373,26 @@ def _queue_document(queue: Any) -> Dict[str, Any]:
     }
 
 
-def _restore_queue(queue: Any, document: Dict[str, Any], program: TaskProgram) -> None:
+def _restore_queue(sim: Any, document: Dict[str, Any], workers: int) -> None:
+    """Rebuild ``sim``'s queue, checking each payload by its event kind."""
+    program = sim.program
+    rows = program.rows()
+    plan = sim._fault_plan
+    faults = 0 if plan is None else len(plan.armed_faults)
+
+    def event(time: int, kind: str, payload_document: Any) -> Event:
+        payload = _payload_from_document(payload_document, program)
+        _check_payload(kind, payload, rows, workers, faults)
+        return Event(time, kind, payload)
+
     current = [
-        Event(time, kind, _payload_from_document(payload, program))
-        for time, kind, payload in document["current"]
+        event(time, kind, payload) for time, kind, payload in document["current"]
     ]
     buckets = [
-        (
-            time,
-            [
-                Event(time, kind, _payload_from_document(payload, program))
-                for kind, payload in events
-            ],
-        )
+        (time, [event(time, kind, payload) for kind, payload in events])
         for time, events in document["buckets"]
     ]
-    queue.restore_events(document["now"], document["processed"], current, buckets)
+    sim.queue.restore_events(document["now"], document["processed"], current, buckets)
 
 
 # ----------------------------------------------------------------------
@@ -896,8 +982,12 @@ def _scheduler_document(scheduler: Any) -> Dict[str, Any]:
     }
 
 
-def _restore_scheduler(scheduler: Any, document: Dict[str, Any]) -> None:
-    scheduler._queue = deque(document["queue"])
+def _restore_scheduler(
+    scheduler: Any, document: Dict[str, Any], program: TaskProgram
+) -> None:
+    scheduler._queue = deque(
+        _checked_task_ids(document["queue"], program, "a ready queue")
+    )
     scheduler._total_scheduled = document["scheduled"]
     scheduler._max_occupancy = document["max_occupancy"]
 
@@ -953,7 +1043,7 @@ def _restore_accel(accel: Any, document: Dict[str, Any], program: TaskProgram) -
     }
     accel._submitted = document["submitted"]
     accel._finished = document["finished"]
-    _restore_scheduler(accel.scheduler, document["scheduler"])
+    _restore_scheduler(accel.scheduler, document["scheduler"], program)
 
 
 def _workers_document(pool: Any) -> Dict[str, Any]:
@@ -978,7 +1068,9 @@ def _restore_workers(pool: Any, document: Dict[str, Any]) -> None:
         worker.tasks_executed = row[1]
         worker.busy_cycles = row[2]
         worker.current_task = row[3]
-    pool._idle[:] = list(document["idle"])
+    pool._idle[:] = _checked_workers(
+        document["idle"], pool.num_workers, "the idle workers"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1090,8 +1182,9 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
 
 def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     program = sim.program
+    workers = sim.workers.num_workers
     sim._prepared = True
-    _restore_queue(sim.queue, state["queue"], program)
+    _restore_queue(sim, state["queue"], workers)
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
     sim._pending_new = deque(
@@ -1101,14 +1194,21 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     sim._picos_new_free_at = state["new_free_at"]
     sim._picos_finish_free_at = state["finish_free_at"]
     sim._master_busy = state["master_busy"]
-    sim._master_finish_jobs = deque(state["finish_jobs"])
-    sim._master_dispatch_jobs = deque(
-        (task_id, worker) for task_id, worker in state["dispatch_jobs"]
+    sim._master_finish_jobs = deque(
+        _checked_task_ids(state["finish_jobs"], program, "the master's finish jobs")
     )
-    sim._next_create_index = state["next_create_index"]
-    sim._finished_tasks = state["finished_tasks"]
+    jobs = _checked_list(state["dispatch_jobs"], "the master's dispatch jobs")
+    for job in jobs:
+        _check_names(_PAYLOAD_FIELDS["dispatch"], job, program.rows(), workers, "dispatch job")
+    sim._master_dispatch_jobs = deque(map(tuple, jobs))
+    sim._next_create_index = _checked_count(
+        state["next_create_index"], "the master's next creation", program.num_tasks
+    )
+    sim._finished_tasks = _checked_count(
+        state["finished_tasks"], "the HIL finished-task count", program.num_tasks
+    )
     sim._submission_blocked = state["submission_blocked"]
-    _restore_scheduler(sim.ready, state["ready"])
+    _restore_scheduler(sim.ready, state["ready"], program)
     _restore_workers(sim.workers, state["workers"])
     _restore_accel(sim.accel, state["accel"], program)
     _restore_fault_plan(sim, state)
@@ -1168,11 +1268,15 @@ def _checked_remaining_preds(document: Any, program: TaskProgram) -> List[int]:
 def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
     program = sim.program
     sim._prepared = True
-    _restore_queue(sim.queue, state["queue"], program)
+    _restore_queue(sim, state["queue"], sim.num_threads)
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
-    sim._master_joins_at = state["master_joins_at"]
-    sim._idle_workers = list(state["idle_workers"])
+    sim._master_joins_at = _checked_count(
+        state["master_joins_at"], "the Nanos++ master's join cycle"
+    )
+    sim._idle_workers = _checked_workers(
+        state["idle_workers"], sim.num_threads, "the Nanos++ idle threads"
+    )
     sim._remaining_preds = _checked_remaining_preds(state["remaining_preds"], program)
     submitted = [False] * program.num_tasks
     for task_id in _checked_list(state["submitted"], "the Nanos++ submitted tasks"):
@@ -1182,8 +1286,10 @@ def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
         _program_row(program, task_id, "the Nanos++ ready pool's task")
         for task_id in _checked_list(state["ready_pool"], "the Nanos++ ready pool")
     )
-    sim._finished = state["finished"]
-    sim._makespan = state["makespan"]
+    sim._finished = _checked_count(
+        state["finished"], "the Nanos++ finished-task count", program.num_tasks
+    )
+    sim._makespan = _checked_count(state["makespan"], "the Nanos++ makespan")
     _restore_fault_plan(sim, state)
 
 

@@ -33,6 +33,9 @@ from repro.runtime.task import Dependence, DependencePool, Direction, Task, Task
 
 _HEADER_PREFIX = "# picos-trace v1"
 
+#: The integer ``task`` fields: trace key -> :class:`Task` field.
+_CYCLE_FIELDS = {"dur": "duration", "create": "creation_cycles"}
+
 
 class TraceFormatError(ValueError):
     """Raised when a trace file does not follow the expected format."""
@@ -98,15 +101,10 @@ class TaskTrace:
             nonlocal pending_task, current
             if pending_task is None:
                 return
-            program.add_task(
-                Task(
-                    task_id=pending_task["task_id"],
-                    dependences=current,
-                    duration=pending_task["duration"],
-                    creation_cycles=pending_task["creation"],
-                    label=pending_task["label"],
-                )
-            )
+            try:
+                program.add_task(Task(dependences=current, **pending_task))
+            except ValueError as exc:  # a negative or repeated value
+                raise TraceFormatError(f"line {task_line}: {exc}") from exc
             pending_task = None
             current = []
 
@@ -118,6 +116,7 @@ class TaskTrace:
             if fields[0] == "task":
                 flush()
                 pending_task = _parse_task_line(fields, line_number)
+                task_line = line_number
             elif fields[0] == "dep":
                 if pending_task is None:
                     raise TraceFormatError(
@@ -144,17 +143,20 @@ def _parse_task_line(fields: List[str], line_number: int) -> dict:
         task_id = int(fields[1])
     except ValueError as exc:
         raise TraceFormatError(f"line {line_number}: bad task id") from exc
-    record = {"task_id": task_id, "duration": 1, "creation": 0, "label": ""}
+    record = {"task_id": task_id, "duration": 1, "creation_cycles": 0, "label": ""}
     for field in fields[2:]:
         if "=" not in field:
             raise TraceFormatError(f"line {line_number}: bad task field {field!r}")
         key, value = field.split("=", 1)
-        if key == "dur":
-            record["duration"] = int(value)
-        elif key == "create":
-            record["creation"] = int(value)
-        elif key == "label":
+        if key == "label":
             record["label"] = value
+        elif key in _CYCLE_FIELDS:
+            try:
+                record[_CYCLE_FIELDS[key]] = int(value)
+            except ValueError as exc:
+                raise TraceFormatError(
+                    f"line {line_number}: bad {key} value {value!r}"
+                ) from exc
         else:
             raise TraceFormatError(f"line {line_number}: unknown task field {key!r}")
     return record
@@ -170,10 +172,9 @@ def _parse_dep_line(
     except ValueError as exc:
         raise TraceFormatError(f"line {line_number}: bad dep address") from exc
     try:
-        direction = Direction.parse(fields[2])
-    except ValueError as exc:
+        return pool.get(address, Direction.parse(fields[2]))
+    except ValueError as exc:  # a negative address or an unknown direction
         raise TraceFormatError(f"line {line_number}: {exc}") from exc
-    return pool.get(address, direction)
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,13 @@ module); this file only declares pytest fixtures.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import pytest
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
+from repro.sim.backend import get_backend, register_backend, unregister_backend
 
 
 @pytest.fixture
@@ -28,3 +31,27 @@ def any_design_config(request) -> PicosConfig:
 def accelerator(default_config: PicosConfig) -> PicosAccelerator:
     """A fresh accelerator with the default configuration."""
     return PicosAccelerator(default_config)
+
+
+class _BatchOnlyBackend:
+    """A plug-in backend without ``make_stepper``: ``simulate`` only.
+
+    Every built-in backend slices; this one runs the ``perfect`` schedule
+    in one batch call, so the session's one-shot fallback and restore's
+    no-stepper refusal stay covered.
+    """
+
+    name = "batch-only"
+    description = "the perfect schedule, without a stepper"
+    accepts = frozenset()
+
+    def simulate(self, program, *, num_workers=12, **kwargs):
+        return get_backend("perfect").simulate(program, num_workers=num_workers)
+
+
+@pytest.fixture
+def batch_only_backend() -> Iterator[str]:
+    """The name of a registered plug-in backend that has no stepper."""
+    backend = register_backend(_BatchOnlyBackend())
+    yield backend.name
+    unregister_backend(backend.name)

@@ -6,12 +6,13 @@ backends.  Four families of invariants pin the whole stack:
 
 * **roofline bound** -- the analytic lower bound ``max(critical path,
   ceil(total work / workers))`` holds for every backend's makespan.  The
-  perfect backend realises that roofline with *zero* overhead, so it
-  anchors the bound family; its makespan is **not** asserted to lower-bound
-  the other backends directly because greedy list scheduling is subject to
-  Graham scheduling anomalies (a backend that pays overhead can still beat
-  the greedy order on adversarial graphs -- the committed golden matrix
-  contains a real instance: ``heat/256 nanos w4`` beats ``perfect w4``);
+  perfect backend -- the zero-overhead Nanos++ schedule -- anchors the
+  bound family (it hits the bound on one worker); its makespan is **not**
+  asserted to lower-bound the other backends directly because greedy list
+  scheduling is subject to Graham scheduling anomalies (a backend that
+  pays overhead can still beat the greedy order on adversarial graphs --
+  ``hil-full`` Picos finishes 0.37 % before it on Fig. 11's cholesky/256
+  at two workers);
 * **labels only** -- renaming the tasks to sparse, shuffled ids moves no
   stamp on any backend: the simulators index tasks by creation order;
 * **session parity** -- streaming a program through the ``Session`` API is
@@ -22,7 +23,8 @@ backends.  Four families of invariants pin the whole stack:
 * **engine equivalence** -- the calendar-queue :class:`EventQueue` delivers
   random schedules event-for-event identically to the binary-heap
   reference :class:`HeapEventQueue` (including ``pop_same_kind`` and
-  ``iter_until`` interleavings);
+  ``iter_until`` interleavings, and the ``dispatch`` loop the simulators
+  run, with handlers that schedule follow-ups up to a horizon);
 * **datapath equivalence** -- the flat integer-handle DM/VM/TM/TRS/DCT
   core produces results identical field-for-field to the object-based
   reference implementation (``repro.core.reference``), including under
@@ -492,11 +494,66 @@ def _drive(queue, ops):
     return trace
 
 
+#: One fuzzed ``dispatch`` run: the events scheduled up front, the
+#: follow-ups each delivery schedules in turn (delay 0 is the current
+#: cycle), and the steps between successive horizons.
+dispatch_runs = st.tuples(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), st.sampled_from("abc")),
+        max_size=8,
+    ),
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=10), st.sampled_from("abc")),
+            max_size=3,
+        ),
+        max_size=40,
+    ),
+    st.lists(st.integers(min_value=0, max_value=15), max_size=6),
+)
+
+
+def _dispatch(queue, run):
+    """Drive ``queue.dispatch`` through horizons, then a drain; returns the
+    deliveries and the queue's state after each call."""
+    seeds, follow_ups, steps = run
+    trace = []
+    scheduled = iter(range(10**6))  # payloads: the scheduling order
+    replies = iter(follow_ups)
+    for delay, kind in seeds:
+        queue.schedule(delay, kind, next(scheduled))
+
+    def handler(kind):
+        def deliver(payload, time):
+            trace.append(("deliver", time, kind, payload, queue.now))
+            for delay, follow in next(replies, ()):
+                queue.schedule(time + delay, follow, next(scheduled))
+
+        return deliver
+
+    handlers = {kind: handler(kind) for kind in "abc"}
+    horizon = 0
+    for step in steps:
+        horizon += step
+        queue.dispatch(handlers, horizon)
+        trace.append(("horizon", horizon, queue.now, queue.pending, queue.processed))
+    queue.dispatch(handlers)
+    trace.append(("drained", queue.now, queue.pending, queue.processed, queue.empty))
+    return trace
+
+
 class TestCalendarQueueMatchesHeapReference:
     @settings(max_examples=200, deadline=None)
     @given(ops=queue_ops)
     def test_identical_delivery_under_fuzzed_interleavings(self, ops):
         assert _drive(EventQueue(), ops) == _drive(HeapEventQueue(), ops)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=dispatch_runs)
+    def test_identical_dispatch_with_handlers_that_schedule(self, run):
+        # The simulators' production loop: handlers schedule follow-ups,
+        # some at the cycle being delivered.
+        assert _dispatch(EventQueue(), run) == _dispatch(HeapEventQueue(), run)
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,12 @@ class TestFig11:
         assert checks["picos_beats_nanos_peak"]
         assert checks["nanos_saturates_earlier"]
 
+    def test_picos_stays_below_the_perfect_schedule_on_heat(self):
+        point = fig11_scalability.run_fig11_point(
+            "heat", 128, worker_counts=(4, 8, 12)
+        )
+        assert fig11_scalability.qualitative_checks(point)["picos_below_roofline"]
+
     def test_matrix_run_and_render(self):
         results = fig11_scalability.run_fig11(
             matrix={"heat": (64,)}, worker_counts=(2, 8), problem_size=SMALL

@@ -13,7 +13,6 @@ from repro.core.config import DMDesign, PicosConfig
 from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
 from repro.runtime.nanos import NanosRuntimeSimulator
-from repro.runtime.perfect import PerfectScheduler
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
@@ -28,7 +27,8 @@ SMALL = 1024
 
 
 def run_picos(program, workers, backend="hil-full"):
-    """The Picos prototype's result for ``program`` on ``workers`` workers."""
+    """The result of ``backend`` (by default the Picos prototype in
+    Full-system mode) for ``program`` on ``workers`` workers."""
     return simulate_request(
         SimulationRequest.for_program(program, backend=backend, num_workers=workers)
     )
@@ -61,7 +61,7 @@ class TestEndToEndCorrectness:
     def test_all_three_simulators_agree_on_dependence_constraints(self, cholesky_medium):
         graph = build_task_graph(cholesky_medium)
         picos = run_picos(cholesky_medium, 6, backend="hil-hw")
-        perfect = PerfectScheduler(cholesky_medium, num_workers=6).run()
+        perfect = run_picos(cholesky_medium, 6, backend="perfect")
         nanos = NanosRuntimeSimulator(cholesky_medium, num_threads=6).run()
         for result in (picos, perfect, nanos):
             for pred, task_id in graph.edges():
@@ -74,7 +74,7 @@ class TestPaperQualitativeClaims:
         speedup for medium block sizes."""
         for workers in (4, 8):
             picos = run_picos(cholesky_medium, workers).speedup
-            perfect = PerfectScheduler(cholesky_medium, num_workers=workers).run().speedup
+            perfect = run_picos(cholesky_medium, workers, backend="perfect").speedup
             assert picos >= 0.85 * perfect
 
     def test_picos_beats_nanos_for_fine_granularity(self, heat_fine):

@@ -25,9 +25,9 @@ class TestPublicApi:
         import repro.runtime as runtime
 
         assert runtime.NanosRuntimeSimulator.__name__ == "NanosRuntimeSimulator"
-        assert runtime.PerfectScheduler.__name__ == "PerfectScheduler"
-        with pytest.raises(AttributeError):
-            runtime.DoesNotExist  # noqa: B018
+        for retired in ("PerfectScheduler", "DoesNotExist"):
+            with pytest.raises(AttributeError):
+                getattr(runtime, retired)
 
     def test_subpackage_exports_resolve(self):
         import repro.analysis as analysis

@@ -17,10 +17,14 @@ from repro.core.config import DMDesign, PicosConfig
 from repro.core.hashing import pearson_fold, pearson_index
 from repro.core.picos import PicosAccelerator
 from repro.core.scheduler import SchedulingPolicy, TaskScheduler
-from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
+from repro.runtime.dependence_analysis import (
+    build_task_graph,
+    ready_order_is_valid,
+    task_graph,
+)
 from repro.runtime.nanos import NanosRuntimeSimulator
-from repro.runtime.perfect import PerfectScheduler
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.sim.backend import get_backend
 from repro.sim.hil import HILMode, HILSimulator
 from repro.traces.trace import TaskTrace
 
@@ -111,8 +115,14 @@ class TestPicosMatchesReferenceSemantics:
 class TestCrossSimulatorInvariants:
     @_SETTINGS
     @given(program=task_programs(max_tasks=16), workers=st.integers(1, 6))
-    def test_perfect_is_an_upper_bound(self, program, workers):
-        perfect = PerfectScheduler(program, num_workers=workers).run()
+    def test_no_simulated_system_beats_perfect_on_small_graphs(self, program, workers):
+        """On graphs of up to 16 tasks neither HW-only Picos nor Nanos++
+        finishes before ``perfect``.
+
+        That does not hold in general: the zero-overhead Nanos++ schedule
+        is a greedy list schedule, not a bound.
+        """
+        perfect = get_backend("perfect").simulate(program, num_workers=workers)
         hw_only = HILSimulator(program, mode=HILMode.HW_ONLY, num_workers=workers).run()
         nanos = NanosRuntimeSimulator(program, num_threads=workers).run()
         assert hw_only.makespan >= perfect.makespan
@@ -121,10 +131,9 @@ class TestCrossSimulatorInvariants:
     @_SETTINGS
     @given(program=task_programs(max_tasks=16), workers=st.integers(1, 6))
     def test_speedup_never_exceeds_workers_or_parallelism(self, program, workers):
-        perfect = PerfectScheduler(program, num_workers=workers)
-        result = perfect.run()
+        result = get_backend("perfect").simulate(program, num_workers=workers)
         assert result.speedup <= workers + 1e-9
-        assert result.speedup <= perfect.roofline_speedup() + 1e-9
+        assert result.speedup <= task_graph(program).max_parallelism() + 1e-9
 
 
 # ----------------------------------------------------------------------

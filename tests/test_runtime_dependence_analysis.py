@@ -16,8 +16,8 @@ from repro.runtime.dependence_analysis import (
     task_graph,
 )
 from repro.runtime.nanos import NanosRuntimeSimulator
-from repro.runtime.perfect import PerfectScheduler
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.sim.backend import get_backend
 
 from tests.helpers import make_program
 
@@ -211,7 +211,8 @@ class TestSharedTaskGraph:
         first = NanosRuntimeSimulator(program, num_threads=4)
         second = NanosRuntimeSimulator(program, num_threads=4)
         assert first.graph is graph and second.graph is graph
-        assert PerfectScheduler(program, num_workers=4).graph is graph
+        stepper = get_backend("perfect").make_stepper(program, num_workers=4)
+        assert stepper._sim.graph is graph
 
     def test_adding_a_task_drops_the_memo(self):
         program = make_program([[(A, Direction.OUT)], [(B, Direction.OUT)]])
@@ -235,7 +236,7 @@ class TestSharedTaskGraph:
         # simulators now share its graph, so none of them may edit it.
         program = build_benchmark("cholesky", 128, problem_size=512)
         NanosRuntimeSimulator(program, num_threads=4).run()
-        PerfectScheduler(program, num_workers=4).run()
+        get_backend("perfect").simulate(program, num_workers=4)
         killed = NanosRuntimeSimulator(
             program,
             num_threads=4,

@@ -1,17 +1,22 @@
-"""Tests for the Nanos++ model, the Perfect scheduler and the overhead model."""
+"""Tests for the Nanos++ model, the Perfect backend and the overhead model."""
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 import pytest
 
 from repro.apps.registry import build_benchmark
-from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
-from repro.runtime.nanos import NanosRuntimeSimulator, nanos_speedup
+from repro.runtime.dependence_analysis import (
+    build_task_graph,
+    ready_order_is_valid,
+    task_graph,
+)
+from repro.runtime.nanos import ZERO_OVERHEAD, NanosRuntimeSimulator, nanos_speedup
 from repro.runtime.overhead import NanosOverheadModel
-from repro.runtime.perfect import PerfectScheduler, perfect_speedup
 from repro.runtime.task import Direction, TaskProgram
+from repro.sim.backend import get_backend
 
 from tests.helpers import make_program
 
@@ -75,7 +80,29 @@ class TestNanosOverheadModel:
             model.submission_cycles(-1, 4)
 
 
-class TestPerfectScheduler:
+def perfect(program: TaskProgram, workers: int):
+    """The ``perfect`` backend's result for ``program`` on ``workers``."""
+    return get_backend("perfect").simulate(program, num_workers=workers)
+
+
+def perfect_speedup(program: TaskProgram, workers: int) -> float:
+    return perfect(program, workers).speedup
+
+
+class TestPerfectBackend:
+    def test_it_is_the_nanos_model_with_every_cost_at_zero(self):
+        costs = dataclasses.asdict(ZERO_OVERHEAD)
+        assert {name for name, value in costs.items() if value} == {
+            "creation_contention",
+            "submission_contention",
+        }
+        program = build_benchmark("cholesky", 128, problem_size=512)
+        result = perfect(program, 4)
+        zero = NanosRuntimeSimulator(program, 4, ZERO_OVERHEAD).run()
+        assert result.simulator == "perfect"
+        assert dataclasses.replace(zero, simulator="perfect") == result
+        assert result.counters["master_creation_cycles"] == 0
+
     def test_independent_tasks_scale_linearly(self):
         program = wide_program(count=32)
         for workers in (1, 2, 4, 8):
@@ -83,7 +110,7 @@ class TestPerfectScheduler:
 
     def test_chain_never_exceeds_speedup_one(self):
         program = chain(length=12)
-        result = PerfectScheduler(program, num_workers=8).run()
+        result = perfect(program, 8)
         assert result.speedup == pytest.approx(1.0)
         assert result.makespan == program.sequential_cycles
 
@@ -97,10 +124,10 @@ class TestPerfectScheduler:
             ],
             durations=[100, 100, 100, 100],
         )
-        scheduler = PerfectScheduler(program, num_workers=16)
-        result = scheduler.run()
-        assert result.speedup <= scheduler.roofline_speedup() + 1e-9
-        assert scheduler.critical_path() == 200
+        result = perfect(program, 16)
+        graph = task_graph(program)
+        assert result.speedup <= graph.max_parallelism() + 1e-9
+        assert result.makespan == graph.critical_path_length() == 200
 
     def test_respects_dependences(self):
         program = make_program(
@@ -112,7 +139,7 @@ class TestPerfectScheduler:
             ],
             durations=[10, 20, 30, 40],
         )
-        result = PerfectScheduler(program, num_workers=2).run()
+        result = perfect(program, 2)
         assert ready_order_is_valid(program, result.start_order())
         graph = build_task_graph(program)
         for pred, task_id in graph.edges():
@@ -120,14 +147,14 @@ class TestPerfectScheduler:
 
     def test_zero_overhead_means_no_management_latency(self):
         program = wide_program(count=4)
-        result = PerfectScheduler(program, num_workers=4).run()
+        result = perfect(program, 4)
         for timeline in result.timelines.values():
             assert timeline.ready == 0
             assert timeline.started == 0
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            PerfectScheduler(wide_program(), num_workers=0)
+            perfect(wide_program(), 0)
 
 
 class TestNanosSimulator:

@@ -10,8 +10,7 @@ from tests.helpers import make_program
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.scheduler import SchedulingPolicy
-from repro.runtime.nanos import NanosRuntimeSimulator
-from repro.runtime.perfect import PerfectScheduler
+from repro.runtime.nanos import ZERO_OVERHEAD, NanosRuntimeSimulator
 from repro.sim.backend import (
     BUILTIN_BACKENDS,
     SimulatorBackend,
@@ -144,8 +143,9 @@ class TestDispatch:
 
     def test_perfect_dispatch_matches_direct_simulator(self, diamond_program):
         via_backend = _simulate(diamond_program, "perfect", num_workers=4)
-        direct = PerfectScheduler(diamond_program, num_workers=4).run()
+        direct = NanosRuntimeSimulator(diamond_program, 4, ZERO_OVERHEAD).run()
         assert via_backend.makespan == direct.makespan
+        assert via_backend.timelines == direct.timelines
         assert via_backend.simulator == "perfect"
 
     def test_dm_design_and_policy_reach_the_hil_backend(self, diamond_program):

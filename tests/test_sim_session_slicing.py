@@ -268,11 +268,10 @@ class TestCloseAndRestartParity:
 
 
 class TestFallbackSlicing:
-    @pytest.mark.parametrize("backend", ["perfect"])
-    def test_non_stepper_backends_finish_in_one_slice(self, backend):
-        # nanos grew a real stepper alongside the snapshot subsystem, so
-        # the perfect scheduler is the only remaining fallback backend.
-        request = _workload_request(backend)
+    def test_non_stepper_backends_finish_in_one_slice(self, batch_only_backend):
+        # Every built-in backend has a stepper; a plug-in backend without
+        # one still streams, as a single slice.
+        request = _workload_request(batch_only_backend)
         batch = simulate_request(request)
         session = open_session(request)
         slices, events = _drain_in_slices(session, 1_000)
@@ -280,10 +279,11 @@ class TestFallbackSlicing:
         assert session.result() == batch
         assert events == lifecycle_events(batch)
 
-    def test_nanos_slices_like_a_stepper_backend(self):
-        # The software baseline now honours slice horizons instead of
-        # collapsing into the one-shot fallback.
-        request = _workload_request("nanos")
+    @pytest.mark.parametrize("backend", ["nanos", "perfect"])
+    def test_nanos_slices_like_a_stepper_backend(self, backend):
+        # The software baseline, at its own costs and at zero, honours
+        # slice horizons instead of collapsing into the one-shot fallback.
+        request = _workload_request(backend)
         batch = simulate_request(request)
         session = open_session(request)
         slices, events = _drain_in_slices(session, 1_000)

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.hashing import stable_digest
+from repro.faults.scenario import parse_fault_spec
 from repro.service.protocol import result_to_document
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
@@ -47,9 +48,9 @@ from repro.traces.synthetic import random_program
 
 SMALL = 512
 
+#: Every built-in backend has a resumable stepper, so mid-run snapshots
+#: exist for all of them.
 ALL_BACKENDS = sorted(BUILTIN_BACKENDS)
-#: Backends with a resumable stepper (mid-run snapshots exist for these).
-STEPPER_BACKENDS = [b for b in ALL_BACKENDS if b != "perfect"]
 
 
 def _workload_request(workload, backend, **fields):
@@ -114,13 +115,25 @@ class TestSnapshotKinds:
         restored = restore(snapshot)
         assert restored.result() == session.result()
 
-    def test_non_stepper_backend_still_checkpoints_at_the_edges(self):
-        session = open_session(_workload_request("cholesky", "perfect"))
+    def test_non_stepper_backend_still_checkpoints_at_the_edges(
+        self, batch_only_backend
+    ):
+        session = open_session(_workload_request("cholesky", batch_only_backend))
         assert capture(session).kind == KIND_INITIAL
         _drain(session)
         snapshot = capture(session)
         assert snapshot.kind == KIND_FINISHED
         assert restore(snapshot).result() == session.result()
+
+    def test_a_mid_run_snapshot_of_a_non_stepper_backend_is_refused(
+        self, batch_only_backend
+    ):
+        snapshot = _forged_state_snapshot(
+            lambda payload: payload["request"].update(backend=batch_only_backend),
+            "perfect",
+        )
+        with pytest.raises(SnapshotError, match="provides no stepper"):
+            restore(snapshot)
 
     def test_capturing_a_closed_session_raises(self):
         session = open_session(_workload_request("cholesky", "hil-full"))
@@ -133,7 +146,7 @@ class TestSnapshotKinds:
 # the tentpole sweep: snapshot at every event boundary of a small trace
 # ----------------------------------------------------------------------
 class TestEventBoundarySweep:
-    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_restore_is_bit_exact_at_every_event_boundary(
         self, small_trace, backend
     ):
@@ -198,9 +211,7 @@ class TestWorkloadGoldenDigests:
         _drain(restored, 50_000)
         assert _result_digest(restored.result()) == golden
 
-        # N = mid-run (stepper backends only; perfect has no mid-run).
-        if backend == "perfect":
-            return
+        # N = mid-run.
         for cycles in (10_000, 60_000):
             session = open_session(request)
             step = session.advance(cycles)
@@ -226,9 +237,10 @@ class TestPinnedCaptureDigests:
         "hil-full": "e8b53735db73ce8408001cdd",
         "hil-hw": "08901030ba3d0826a3fe9ec3",
         "nanos": "1211723c64aac1aad9aa0864",
+        "perfect": "000245ad39933484bdaf3370",
     }
 
-    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_a_mid_run_capture_keeps_its_digest(self, backend):
         request = SimulationRequest.for_workload(
             "cholesky", block_size=128, problem_size=1024,
@@ -246,7 +258,7 @@ class TestPinnedCaptureDigests:
 # idempotence: snapshots of restored runs, double restores
 # ----------------------------------------------------------------------
 class TestRestoreIdempotence:
-    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_recapturing_a_restored_session_is_digest_identical(self, backend):
         session = open_session(_workload_request("cholesky", backend))
         session.advance(30_000)
@@ -311,18 +323,18 @@ def _redigested(document, payload):
     return dict(document, payload=text, digest=stable_digest(text))
 
 
-def _mid_run_document(backend, cycles):
-    session = open_session(_workload_request("cholesky", backend))
+def _mid_run_document(backend, cycles, **fields):
+    session = open_session(_workload_request("cholesky", backend, **fields))
     assert not session.advance(cycles).finished
     document = capture(session).document()
     session.close()
     return document
 
 
-def _forged_state_snapshot(edit, backend="nanos", cycles=30_000):
+def _forged_state_snapshot(edit, backend="nanos", cycles=30_000, **fields):
     """A mid-run ``backend`` snapshot whose payload went through ``edit``,
-    re-digested so that it loads."""
-    document = _mid_run_document(backend, cycles)
+    re-digested so that it loads; ``fields`` go to the request."""
+    document = _mid_run_document(backend, cycles, **fields)
     payload = _payload(document)
     edit(payload)
     return SimulationSnapshot.from_document(_redigested(document, payload))
@@ -424,7 +436,7 @@ def _decoded_columns(snapshot):
 
 
 class TestTimelineColumns:
-    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_only_touched_rows_travel_and_every_task_is_restored(self, backend):
         # At this early cycle the hil-comm and hil-full runs have touched
         # only a few rows, so the others must be left out; on this small
@@ -444,7 +456,7 @@ class TestTimelineColumns:
         assert list(restored) == list(live)  # every task, in program order
         assert restored == live
 
-    @pytest.mark.parametrize("backend", STEPPER_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_ids_that_are_not_positions_travel_sorted_and_restore(self, backend):
         # Created in reverse, task id i sits in row n - 1 - i: capture
         # must sort the touched rows by id, and restore must put every
@@ -457,7 +469,10 @@ class TestTimelineColumns:
         )
         straight = simulate_request(request)
         session = open_session(request)
-        assert not session.advance(10_000).finished
+        # Past the first task's end: ``perfect`` creates, submits and
+        # readies tasks at cycle 0, so before that end only the one
+        # dispatched task's row is touched.
+        assert not session.advance(400_000).finished
         live = _timeline_rows(session._stepper._sim)
         snapshot = capture(session)
         session.close()
@@ -577,6 +592,17 @@ def _forge_remaining_preds(state, task_id):
     state["remaining_preds"][0][0] = task_id
 
 
+def _queue_last(kind, payload):
+    """An edit queuing one more ``kind`` event carrying ``payload``, after
+    every queued event."""
+
+    def edit(state):
+        buckets = state["queue"]["buckets"]
+        buckets.append([buckets[-1][0] + 1, [[kind, payload]]])
+
+    return edit
+
+
 class TestForgedTaskIds:
     """Every task id in a restored state must name a task of the program;
     restore refuses a re-digested document naming any other with a
@@ -592,6 +618,12 @@ class TestForgedTaskIds:
             ("nanos", lambda state, task_id: state.update(ready_pool=[task_id])),
             ("nanos", _forge_remaining_preds),
             ("nanos", lambda state, task_id: state.update(submitted=[task_id])),
+            ("hil-full", lambda state, task_id: state.update(finish_jobs=[task_id])),
+            (
+                "hil-full",
+                lambda state, task_id: state.update(dispatch_jobs=[[task_id, 0]]),
+            ),
+            ("hil-full", lambda state, task_id: state["ready"].update(queue=[task_id])),
         ],
         ids=[
             "event-payload",
@@ -600,6 +632,9 @@ class TestForgedTaskIds:
             "nanos-ready-pool",
             "nanos-remaining-preds",
             "nanos-submitted",
+            "finish-jobs",
+            "dispatch-job-task",
+            "ready-queue",
         ],
     )
     @pytest.mark.parametrize(
@@ -649,6 +684,191 @@ class TestForgedTaskIds:
         )
         with pytest.raises(SnapshotError, match="is not a list"):
             restore(snapshot)
+
+    @pytest.mark.parametrize(
+        "backend, kind, payload, message",
+        [
+            ("hil-full", "worker-done", ["t", 0, 10**9], "names no task"),
+            ("hil-full", "worker-done", ["t", 4, 0], "names no worker"),
+            ("hil-full", "worker-done", ["t", -1, 0], "names no worker"),
+            ("hil-full", "worker-done", 0, "is not worker and task"),
+            ("hil-full", "master-done", ["j", "dispatch", ["t", 10**9, 0]], "names no task"),
+            ("hil-full", "master-done", ["j", "dispatch", ["t", 0, 4]], "names no worker"),
+            ("hil-full", "master-done", ["j", "finish", 10**9], "names no task"),
+            ("hil-full", "task-visible", 10**9, "names no task"),
+            ("nanos", "task-done", ["t", 0, 10**9], "names no task"),
+            ("nanos", "task-done", ["t", 4, 0], "names no worker"),
+            ("nanos", "submitted", 10**9, "names no task"),
+        ],
+        ids=[
+            "worker-done-task",
+            "worker-done-worker",
+            "worker-done-negative-worker",
+            "worker-done-not-a-pair",
+            "dispatch-task",
+            "dispatch-worker",
+            "finish-task",
+            "visible-task",
+            "nanos-done-task",
+            "nanos-done-thread",
+            "nanos-submitted-task",
+        ],
+    )
+    def test_a_queued_payload_is_checked_by_its_kind(
+        self, backend, kind, payload, message
+    ):
+        snapshot = _forged_state_snapshot(
+            lambda document: _queue_last(kind, payload)(document["state"]),
+            backend,
+            10_000,
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+
+class TestForgedWorkersAndCounts:
+    """Worker indices, counts and cycles in a restored state are checked:
+    a forged one is a ``SnapshotError``, not a different run or a bare
+    error later."""
+
+    @pytest.mark.parametrize(
+        "backend, edit, message",
+        [
+            (
+                "hil-full",
+                lambda state: state.update(dispatch_jobs=[[0, 4]]),
+                "names no worker",
+            ),
+            (
+                "hil-full",
+                lambda state: state.update(dispatch_jobs=[[0]]),
+                "is not task and worker",
+            ),
+            ("hil-full", lambda state: state["workers"].update(idle=[4]), "names no worker"),
+            ("hil-full", lambda state: state["workers"].update(idle=[0, 0]), "twice"),
+            ("hil-full", lambda state: state.update(next_create_index=-3), "at least 0"),
+            ("hil-full", lambda state: state.update(finished_tasks=21), "at most 20"),
+            (
+                "nanos",
+                lambda state: state["idle_workers"].extend([10**9, 10**9 + 1]),
+                "names no worker",
+            ),
+            ("nanos", lambda state: state.update(idle_workers=[0, 0]), "twice"),
+            ("nanos", lambda state: state.update(idle_workers=[True]), "names no worker"),
+            ("nanos", lambda state: state.update(idle_workers=None), "not a list"),
+            ("nanos", lambda state: state.update(finished=-5), "at least 0"),
+            ("nanos", lambda state: state.update(finished=21), "at most 20"),
+            ("nanos", lambda state: state.update(finished=1.0), "not an integer"),
+            ("nanos", lambda state: state.update(master_joins_at="x"), "not an integer"),
+            ("nanos", lambda state: state.update(master_joins_at=-1), "at least 0"),
+            ("nanos", lambda state: state.update(makespan=-7), "at least 0"),
+        ],
+        ids=[
+            "dispatch-job-worker",
+            "dispatch-job-short",
+            "hil-idle-worker",
+            "hil-idle-twice",
+            "hil-negative-creation-index",
+            "hil-finished-past-the-tasks",
+            "nanos-extra-idle-threads",
+            "nanos-idle-twice",
+            "nanos-bool-idle-thread",
+            "nanos-idle-not-a-list",
+            "nanos-negative-finished",
+            "nanos-finished-past-the-tasks",
+            "nanos-float-finished",
+            "nanos-string-join-cycle",
+            "nanos-negative-join-cycle",
+            "nanos-negative-makespan",
+        ],
+    )
+    def test_a_forged_field_is_refused_at_restore(self, backend, edit, message):
+        snapshot = _forged_state_snapshot(
+            lambda payload: edit(payload["state"]), backend, 10_000
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+
+def _forge_fault_timer_index(index):
+    """An edit pointing the queued fault timer at armed fault ``index``."""
+
+    def edit(payload):
+        for _, events in payload["state"]["queue"]["buckets"]:
+            for kind, queued in events:
+                if kind == "fault-timer":
+                    queued[1] = index
+                    return
+        raise AssertionError("the snapshot queues no fault timer")
+
+    return edit
+
+
+class TestForgedFaultIndices:
+    """A queued fault timer or redelivery must index a fault the restored
+    plan arms; another index used to raise a bare ``IndexError`` mid-run."""
+
+    KILL = (parse_fault_spec("kill-worker@cycle=2000000:worker=1"),)
+
+    @pytest.mark.parametrize("backend", ["hil-full", "nanos"])
+    @pytest.mark.parametrize("index", [5, 1, -1])
+    def test_a_fault_timer_index_past_the_plan_is_refused(self, backend, index):
+        snapshot = _forged_state_snapshot(
+            _forge_fault_timer_index(index), backend, 10_000, faults=self.KILL
+        )
+        with pytest.raises(SnapshotError, match="names none of the 1 faults"):
+            restore(snapshot)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (["frd", 5, "worker-done", ["t", 0, 0]], "names none of the 1 faults"),
+            (["frd", 0, "worker-done", ["t", 0, 10**9]], "names no task"),
+        ],
+        ids=["index", "redelivered-task"],
+    )
+    def test_a_redelivery_is_checked(self, payload, message):
+        snapshot = _forged_state_snapshot(
+            lambda document: _queue_last("fault-redeliver", payload)(document["state"]),
+            "hil-full",
+            10_000,
+            faults=self.KILL,
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    def test_a_fault_timer_of_an_unknown_tag_is_refused(self):
+        snapshot = _forged_state_snapshot(
+            lambda document: _queue_last(
+                "fault-timer", ["fto", 0, "zzz", None]
+            )(document["state"]),
+            "hil-full",
+            10_000,
+            faults=self.KILL,
+        )
+        with pytest.raises(SnapshotError, match="tag 'zzz' is unknown"):
+            restore(snapshot)
+
+    def test_a_fault_event_without_a_plan_is_refused(self):
+        snapshot = _forged_state_snapshot(
+            lambda document: _queue_last(
+                "fault-timer", ["fto", 0, "kill", None]
+            )(document["state"]),
+            "hil-full",
+            10_000,
+        )
+        with pytest.raises(SnapshotError, match="names none of the 0 faults"):
+            restore(snapshot)
+
+    def test_the_queued_timer_of_an_armed_plan_restores(self):
+        request = _workload_request("cholesky", "nanos", faults=self.KILL)
+        straight = simulate_request(request)
+        snapshot = _forged_state_snapshot(
+            _forge_fault_timer_index(0), "nanos", 10_000, faults=self.KILL
+        )
+        restored = restore(snapshot)
+        _drain(restored, 50_000)
+        assert restored.result() == straight
 
 
 def _forge_first_queued_payload(forged):

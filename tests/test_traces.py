@@ -89,6 +89,30 @@ class TestTraceSerialisation:
             with pytest.raises(TraceFormatError):
                 TaskTrace.parses(text)
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("task 0 dur=1\ndep -0x10 in", 3),
+            ("task 0\ntask 0", 3),
+            ("task -1", 2),
+            ("task 0 dur=x", 2),
+            ("task 0 create=y", 2),
+            ("task 0 dur=-3", 2),
+        ],
+        ids=[
+            "negative-address",
+            "repeated-task",
+            "negative-task",
+            "non-integer-duration",
+            "non-integer-creation",
+            "negative-duration",
+        ],
+    )
+    def test_bad_values_are_format_errors_naming_their_line(self, body, line):
+        text = f"# picos-trace v1 name=x\n{body}\n"
+        with pytest.raises(TraceFormatError, match=rf"^line {line}: "):
+            TaskTrace.parses(text)
+
     def test_comments_and_blank_lines_ignored(self):
         text = (
             "# picos-trace v1 name=x\n"

@@ -384,21 +384,16 @@ class FaultPlan:
         }
 
     def restore_state(self, document: Mapping[str, Any]) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        scenarios = document["scenarios"]
-        if len(scenarios) != len(self.armed_faults):
-            raise ValueError(
-                f"snapshot carries {len(scenarios)} armed faults, "
-                f"the request arms {len(self.armed_faults)}"
-            )
-        self.armed = bool(document["armed"])
-        self.injected = int(document["injected"])
-        self.recovered = int(document["recovered"])
-        self._last_completion = int(document["last_completion"])
-        for armed, state in zip(self.armed_faults, scenarios):
-            armed.fires = int(state["fires"])
-            armed.injected = int(state["injected"])
-            armed.recovered = int(state["recovered"])
+        """Inverse of :meth:`snapshot_state`, for a document the snapshot
+        schema in ``sim/snapshot.py`` has checked."""
+        self.armed = document["armed"]
+        self.injected = document["injected"]
+        self.recovered = document["recovered"]
+        self._last_completion = document["last_completion"]
+        for armed, state in zip(self.armed_faults, document["scenarios"]):
+            armed.fires = state["fires"]
+            armed.injected = state["injected"]
+            armed.recovered = state["recovered"]
             version, internal, gauss = state["rng"]
             armed.rng.setstate((version, tuple(internal), gauss))
             armed.killed = {(pair[0], pair[1]) for pair in state["killed"]}

@@ -368,5 +368,5 @@ def result_from_document(document: Mapping[str, Any]) -> SimulationResult:
             counters=dict(document["counters"]),
             drain_time=document["drain_time"],
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"invalid result document: {error}") from error

@@ -27,11 +27,8 @@ Three snapshot kinds cover a session's lifecycle:
 Copy-on-capture
 ---------------
 
-:func:`capture` encodes every piece of mutable state into fresh lists and
-dictionaries *at capture time* -- a snapshot never aliases live simulator
-state, so closing (or further advancing) the captured session cannot
-invalidate it.  The regression tests in ``tests/test_sim_session_slicing.py``
-pin this.
+:func:`capture` encodes all mutable state into fresh lists and dictionaries,
+so closing or advancing the captured session cannot invalidate a snapshot.
 
 Canonical state schema
 ----------------------
@@ -66,17 +63,12 @@ On-disk format
 --------------
 
 A snapshot's document is an envelope around its payload: the format tag,
-the schema version, the payload as one string of canonical JSON, and a
-:func:`~repro.core.hashing.stable_digest` over that string.  The payload
-is encoded once per snapshot and the text is memoized, so the digest,
-:func:`save_snapshot` and the service's ``checkpoint`` frame share one
-encode.  :meth:`SimulationSnapshot.from_document` (and with it
-:func:`load_snapshot`) checks the format and the version, hashes the
-payload string as it was read and parses it once; silent corruption (or a
-schema drift without a version bump) fails loudly instead of replaying
-garbage.  A digest cannot vouch for a document someone edited and
-re-stamped, so :func:`restore` also checks the pending lifecycle log and
-the timeline columns before the session exists.
+the schema version, the payload as one string of canonical JSON, encoded
+once, and a :func:`~repro.core.hashing.stable_digest` over that string,
+which :meth:`SimulationSnapshot.from_document` checks as it reads.  A
+digest cannot vouch for a document someone edited and re-stamped, so every
+field of the payload is checked against the restore schema below before
+the session uses it.
 """
 
 from __future__ import annotations
@@ -98,8 +90,16 @@ from repro.core.reference.dependence_memory import DMWay
 from repro.core.reference.task_memory import DependenceSlot, TaskEntry
 from repro.core.reference.version_memory import VersionEntry
 from repro.core.stats import PicosStats
-from repro.faults.payloads import TIMER_KILL, TIMER_REJOIN, FaultRedeliver, FaultTimer
+from repro.faults.payloads import (
+    FAULT_REDELIVER,
+    FAULT_TIMER,
+    TIMER_KILL,
+    TIMER_REJOIN,
+    FaultRedeliver,
+    FaultTimer,
+)
 from repro.faults.plan import LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED
+from repro.faults.scenario import FaultKind
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Event
@@ -157,62 +157,390 @@ class SnapshotError(RuntimeError):
     """A snapshot could not be captured, decoded, restored or forked."""
 
 
-def _program_task(program: TaskProgram, task_id: Any, where: str) -> Task:
-    """The task of ``program`` that ``task_id``, read from ``where``, names.
+# ----------------------------------------------------------------------
+# the restore schema
+# ----------------------------------------------------------------------
+# Every payload field is checked against these tables before restore uses
+# it; consistency rules then cover what a shape check cannot.  A table is a
+# dict (exactly its keys, in order; ``faults`` only if the plan arms faults),
+# a tuple (a fixed-length row), a _List, a _OneOf or a _Leaf.  A bound is
+# an int, a name in the walk's context or a function of it: the context holds
+# the program, the workers, the armed faults, the snapshot cycle, the restore
+# target's geometry (a fork may widen the DM and VM) and stored header fields.
+class _Refused(Exception):
+    def __init__(self, message: str = "") -> None:
+        super().__init__(message)
+        self.path: List[Any] = []  # innermost key first
 
-    The digest only proves a document is self-consistent, and a client can
-    re-stamp an edited one, so restore looks up the task ids of its state
-    here: anything but an ``int`` task id of the program is refused.
-    """
-    if type(task_id) is int:  # exact: isinstance() would let a bool through
+
+def _bound(bound: Any, c: Dict[str, Any]) -> Any:
+    return c[bound] if type(bound) is str else bound(c) if callable(bound) else bound
+
+
+def _check(spec: Any, value: Any, c: Dict[str, Any]) -> None:
+    if type(spec) is dict:
+        keys = [key for key in spec if key != "faults" or c["faults"]]
+        if type(value) is not dict or value.keys() != set(keys):
+            raise _Refused(f"is not an object of {', '.join(keys)}")
+        items: Iterable[Tuple[Any, Any]] = ((key, spec[key]) for key in keys)
+    elif type(spec) is tuple:
+        if type(value) is not list or len(value) != len(spec):
+            raise _Refused(f"{value!r:.40} is not a list of {len(spec)}")
+        items = enumerate(spec)
+    else:
+        return spec.check(value, c)
+    for key, item in items:
         try:
-            return program.task(task_id)
-        except KeyError:
-            pass
-    raise SnapshotError(f"{where} {task_id!r} names no task of the program")
+            _check(item, value[key], c)
+        except _Refused as refused:
+            refused.path.append(key)
+            raise
 
 
-def _program_row(program: TaskProgram, task_id: Any, where: str) -> int:
-    """The row of the task :func:`_program_task` would return."""
-    if type(task_id) is int:
-        row = program.rows().get(task_id)
-        if row is not None:
-            return row
-    raise SnapshotError(f"{where} {task_id!r} names no task of the program")
+def _accepts(spec: Any, values: List[Any], c: Dict[str, Any]) -> bool:
+    """Whether all of ``values`` fit ``spec``, tested in bulk."""
+    if type(spec) is tuple:
+        return set(map(type, values)) <= {list} and set(map(len, values)) <= {len(spec)} and all(
+            _accepts(item, list(map(operator.itemgetter(i), values)), c)
+            for i, item in enumerate(spec)
+        )
+    return type(spec) is not dict and spec.accepts(values, c)
 
 
-def _checked_list(document: Any, what: str) -> List[Any]:
-    """``document`` if it is a list, else a :class:`SnapshotError`."""
-    if not isinstance(document, list):
-        raise SnapshotError(f"{what} is not a list")
-    return document
+def _check_all(spec: Any, values: List[Any], c: Dict[str, Any]) -> None:
+    if not _accepts(spec, values, c):
+        for index, value in enumerate(values):  # to name the refused one
+            try:
+                _check(spec, value, c)
+            except _Refused as refused:
+                refused.path.append(index)
+                raise
 
 
-def _checked_workers(document: Any, workers: int, what: str) -> List[int]:
-    """``document`` if it lists distinct worker indices below ``workers``."""
-    for worker in _checked_list(document, what):
-        if type(worker) is not int or not 0 <= worker < workers:
-            raise SnapshotError(f"{what} entry {worker!r} names no worker of the {workers}")
-    if len(set(document)) != len(document):
-        raise SnapshotError(f"{what} name a worker twice")
-    return list(document)
+class _Leaf:
+    """A scalar that ``accepts`` tests a column at a time, in bulk."""
+
+    def __init__(self, accepts: Any, why: str, store: Optional[str] = None) -> None:
+        self.accepts, self.why, self.store = accepts, why, store
+
+    def check(self, value: Any, c: Dict[str, Any]) -> None:
+        if not self.accepts((value,), c):
+            raise _Refused(f"{value!r:.40} {self.why.format(**c)}")
+        if self.store is not None:
+            c[self.store] = value
 
 
-def _checked_count(value: Any, what: str, limit: Optional[int] = None) -> int:
-    """``value`` if it is an ``int`` of at least 0 and at most ``limit``."""
-    if type(value) is not int or value < 0 or (limit is not None and value > limit):
-        most = "" if limit is None else f" and at most {limit}"
-        raise SnapshotError(f"{what} {value!r} is not an integer of at least 0{most}")
-    return value
+class _List:
+    """``item``s, ``length`` of them if given, ``distinct`` (or distinct in a column)."""
+
+    def __init__(self, item: Any, length: Any = None, distinct: Any = None) -> None:
+        self.item, self.length, self.distinct = item, length, distinct
+
+    def check(self, value: Any, c: Dict[str, Any]) -> None:
+        if type(value) is not list:
+            raise _Refused(f"{value!r:.40} is not a list")
+        length = _bound(self.length, c)
+        if length is not None and len(value) != length:
+            raise _Refused(f"holds {len(value)} entries, not {length}")
+        _check_all(self.item, value, c)
+        if self.distinct is not None:
+            keys = value if self.distinct is True else [row[self.distinct] for row in value]
+            if len(set(keys)) != len(keys):
+                raise _Refused("holds an entry twice")
+
+    def accepts(self, values: List[Any], c: Dict[str, Any]) -> bool:
+        return self.length is self.distinct is None and set(map(type, values)) <= {list} and (
+            _accepts(self.item, list(itertools.chain.from_iterable(values)), c)
+        )
 
 
-def _checked_task_ids(document: Any, program: TaskProgram, what: str) -> List[int]:
-    """``document`` if it is a list of task ids of ``program``."""
-    rows = program.rows()
-    for task_id in _checked_list(document, what):
-        if type(task_id) is not int or task_id not in rows:
-            raise SnapshotError(f"{what} entry {task_id!r} names no task of the program")
-    return document
+class _OneOf:
+    """A list whose entry at ``position`` picks the table of the whole."""
+
+    def __init__(self, position: int, options: Dict[str, Any]) -> None:
+        self.position, self.options = position, options
+
+    def _pick(self, value: Any) -> Any:
+        key = value[self.position] if type(value) is list and len(value) > self.position else 0
+        return key if type(key) is str and key in self.options else None
+
+    def check(self, value: Any, c: Dict[str, Any]) -> None:
+        if self._pick(value) is None:
+            raise _Refused(f"{value!r:.60} is not one of {', '.join(self.options)}")
+        _check(self.options[self._pick(value)], value, c)
+
+    def accepts(self, values: List[Any], c: Dict[str, Any]) -> bool:
+        keys = list(map(self._pick, values))
+        return None not in keys and all(
+            _accepts(self.options[key], [v for v, k in zip(values, keys) if k == key], c)
+            for key in dict.fromkeys(keys)
+        )
+
+
+def _or_null(leaf: _Leaf) -> _Leaf:
+    return _Leaf(lambda values, c: leaf.accepts([v for v in values if v is not None], c), leaf.why)
+
+
+def _int(lo: Any = 0, hi: Any = None, why: str = "", store: Optional[str] = None) -> _Leaf:
+    """A plain ``int`` (a ``bool`` is refused) in ``[lo, hi]``."""
+
+    def accepts(values: Any, c: Dict[str, Any]) -> bool:
+        low, high = _bound(lo, c), _bound(hi, c)
+        return set(map(type, values)) <= {int} and (not values or (
+            (low is None or min(values) >= low) and (high is None or max(values) <= high)
+        ))
+
+    words = [f"{word} {{{b}}}" if type(b) is str else f"{word} {b}" for word, b in (
+        (" of at least", lo), (" and at most", hi)) if b is not None]
+    return _Leaf(accepts, why or "is not an integer" + "".join(words), store)
+
+
+def _index(size: str, what: str, lo: int = 0) -> _Leaf:
+    """An index below the context's ``size`` (and ``-1`` for none if ``lo`` is)."""
+    return _int(lo, lambda c: c[size] - 1, f"names no {what} of the {{{size}}}")
+
+
+def _is(*options: Any) -> _Leaf:
+    """One of ``options``, of its exact type (``True`` is not ``1``)."""
+    pairs = [(type(option), option) for option in options]
+    why = "is not one of " + ", ".join(map(repr, options))
+    return _Leaf(lambda values, c: all((type(v), v) in pairs for v in values), why)
+
+
+def _tasks(values: Any, c: Dict[str, Any]) -> bool:
+    return set(map(type, values)) <= {int} and all(map(c["rows"].__contains__, values))
+
+
+def _dm_ways(c: Dict[str, Any]) -> int:
+    return c["dm_sets"] * c["ways"]
+
+
+ANY, COUNT = _Leaf(lambda values, c: True, ""), _int()
+BOOL = _Leaf(lambda values, c: set(map(type, values)) <= {bool}, "is not a bool")
+STR = _Leaf(lambda values, c: set(map(type, values)) <= {str}, "is not a string")
+FLOAT = _Leaf(lambda values, c: set(map(type, values)) <= {float}, "is not a float")
+TASK = _Leaf(_tasks, "names no task of the program")
+TASK_OR_NONE = _Leaf(  # -1: a free TM entry, or a fault event that names no task
+    lambda values, c: _tasks([v for v in values if type(v) is not int or v != -1], c),
+    "names no task of the program, nor is it -1",
+)
+WORKER, FAULT = _index("workers", "worker"), _index("faults", "fault")
+TRS, TM_INDEX = _index("num_trs", "TRS"), _index("tm_entries", "TM entry")
+VM_INDEX = _index("vm", "VM entry")
+SLOT, VERSION = _index("slots", "slot", -1), _index("vm", "VM entry", -1)
+LATER = _int(lambda c: c["cycle"] + 1, why="is not an integer after the snapshot cycle {cycle}")
+DEPS, IDS = _int(0, "max_deps_per_task"), _List(_int(None))
+DM_COUNT = _int(0, _dm_ways, "is not an integer of at least 0 and at most the DM's ways")
+
+
+def _queue(events: Dict[str, Any], timers: Dict[str, Any]) -> Dict[str, Any]:
+    """``[kind, payload]`` events, the payload's table picked by the kind; a fault
+    timer carries its tag's argument, a redelivery the kind it withheld."""
+    events = dict(events, **{
+        FAULT_TIMER: _OneOf(2, {tag: (_is("fto"), FAULT, ANY, arg) for tag, arg in timers.items()}),
+        FAULT_REDELIVER: _OneOf(2, {k: (_is("frd"), FAULT, ANY, i) for k, i in events.items()}),
+    })
+    return {
+        "now": _int(0, "cycle"), "processed": COUNT,
+        "current": _List(ANY, 0),  # every slice drains the bucket it detached
+        "buckets": _List((LATER, _List(_OneOf(0, {k: (ANY, i) for k, i in events.items()}))),
+                         distinct=0),
+    }
+
+
+_SCHEDULER = {"queue": _List(TASK), "scheduled": COUNT, "max_occupancy": COUNT}
+_TIMELINES = {"ids": IDS, "stamps": (IDS,) * 5}
+_LOG = _List((LATER, _int(0, len(_EVENT_CLASSES) - 1), TASK_OR_NONE))
+_FAULTS = {
+    "armed": BOOL, "injected": COUNT, "recovered": COUNT, "last_completion": _int(-1, "cycle"),
+    "scenarios": _List({
+        "fires": COUNT, "injected": COUNT, "recovered": COUNT,
+        # random.getstate(): version 3, 624 words and a position, gauss_next
+        "rng": (_is(3), (_int(0, 2**32 - 1),) * 624 + (_int(0, 624),), _or_null(FLOAT)),
+        "killed": _List((WORKER, TASK)), "awaiting": _List(TASK, distinct=True),
+        "watching": _or_null(WORKER),
+    }, "faults"),
+}
+_TM = {
+    "entries": _int("tm_entries", "tm_entries"),
+    "stride": _int("max_deps_per_task", "max_deps_per_task"),
+    "valid": _List(BOOL, "tm_entries"), "task_id": _List(TASK_OR_NONE, "tm_entries"),
+    "num_deps": _List(DEPS, "tm_entries"), "ready_deps": _List(DEPS, "tm_entries"),
+    "dep_count": _List(DEPS, "tm_entries"), "slot_address": _List(COUNT, "tm_slots"),
+    "slot_vm_index": _List(VERSION, "tm_slots"), "slot_ready": _List(BOOL, "tm_slots"),
+    "slot_predecessor": _List(SLOT, "tm_slots"), "slot_is_producer": _List(BOOL, "tm_slots"),
+    "free": _List(TM_INDEX, distinct=True), "high_water": _int(0, "tm_entries"),
+}
+_DCT = {  # the VM first: DM ways and TM slots hold its indices
+    "vm": {
+        "entries": _int(1, "effective_vm_entries", store="vm"), "valid": _List(BOOL, "vm"),
+        "address": _List(COUNT, "vm"), "producer": _List(SLOT, "vm"),
+        "producer_finished": _List(BOOL, "vm"), "last_consumer": _List(SLOT, "vm"),
+        "consumers_arrived": _List(_int(0, "arrivals"), "vm"),
+        "consumers_finished": _List(_int(0, "arrivals"), "vm"),
+        "next_version": _List(VERSION, "vm"), "free": _List(VM_INDEX, distinct=True),
+        "high_water": _int(0, "vm"), "total_allocations": COUNT,
+    },
+    "dm": {
+        "sets": _int("dm_sets", "dm_sets"), "ways": _int(1, "dm_ways", store="ways"),
+        "valid": _List(BOOL, _dm_ways), "input_only": _List(BOOL, _dm_ways),
+        "tag": _List(_int(-1), _dm_ways), "latest": _List(VERSION, _dm_ways),
+        "live": _List(_int(0, "vm"), _dm_ways), "access": _List(COUNT, _dm_ways),
+        "conflicts": COUNT, "allocations": COUNT,
+        "occupied": DM_COUNT, "high_water": DM_COUNT,
+    },
+    "blocked": _List(COUNT, distinct=True),
+}
+_HIL_STATE = {
+    "simulator": _is("hil"),
+    "queue": _queue({
+        "task-visible": TASK,
+        "worker-done": (_is("t"), WORKER, TASK),
+        "master-done": _OneOf(1, {
+            "create": (_is("j"), ANY, (_is("task"), TASK)),
+            "dispatch": (_is("j"), ANY, (_is("t"), TASK, WORKER)),
+            "finish": (_is("j"), ANY, TASK),
+        }),
+    }, {TIMER_KILL: _is(None)}),
+    "timelines": _TIMELINES, "log": _LOG, "pending_new": _List(TASK),
+    "new_free_at": COUNT, "finish_free_at": COUNT, "master_busy": BOOL,
+    "finish_jobs": _List(TASK), "dispatch_jobs": _List((TASK, WORKER)),
+    "next_create_index": _int(0, "tasks"), "finished_tasks": _int(0, "tasks"),
+    "submission_blocked": BOOL, "ready": _SCHEDULER,
+    "workers": {
+        "states": _List((COUNT, COUNT, COUNT, _or_null(TASK)), "workers"),
+        "idle": _List(WORKER, distinct=True),
+    },
+    "accel": {
+        "stats": {"fields": _List(COUNT, len(_STATS_FIELDS)), "extra": _List((STR, COUNT))},
+        "arbiter": {"to_trs": COUNT, "to_dct": COUNT, "load": _List(COUNT, "num_dct")},
+        "dct": _List(_DCT, "num_dct"),
+        "trs": _List(_TM, "num_trs"),
+        "gateway": {
+            "next_trs": TRS,
+            "pending": ANY,  # null, or _PENDING
+            "slots": _List((TASK, TRS, TM_INDEX), None, 0),
+        },
+        "deps_of_task": _List((TASK, DEPS), None, 0),
+        "submitted": COUNT, "finished": COUNT, "scheduler": _SCHEDULER,
+    },
+    "faults": _FAULTS,
+}
+_PENDING = {
+    "task": TASK, "trs": TRS, "tm_index": TM_INDEX, "next_dep_index": DEPS,
+    "reason": _is(None, *(reason.value for reason in StallReason)), "retries": COUNT,
+}
+_NANOS_STATE = {
+    "simulator": _is("nanos"),
+    "queue": _queue({
+        "submitted": TASK, "task-done": (_is("t"), WORKER, TASK), "master-joins": (_is("none"),),
+    }, {TIMER_KILL: _is(None), TIMER_REJOIN: WORKER}),
+    "timelines": _TIMELINES, "log": _LOG, "master_joins_at": COUNT,
+    "idle_workers": _List(WORKER, distinct=True),
+    "remaining_preds": _List((TASK, COUNT), "tasks", 0),
+    "submitted": _List(TASK, distinct=True), "ready_pool": _List(TASK),
+    "finished": _int(0, "tasks"), "makespan": COUNT,
+    "faults": _FAULTS,
+}
+_PAYLOAD = {
+    "kind": _is(KIND_INITIAL, KIND_MID_RUN, KIND_FINISHED), "backend": STR,
+    "cycle": _int(store="cycle"), "request": ANY,
+    "counters": {"delivered": COUNT, "ready_seen": COUNT, "retired_seen": COUNT,
+                 "current_cycle": _int(0, "cycle")},
+    "state": ANY, "result": ANY,
+}
+
+
+def _walk(spec: Any, value: Any, c: Dict[str, Any], where: str) -> None:
+    """Check ``value``, found at ``where``, against ``spec``."""
+    try:
+        _check(spec, value, c)
+    except _Refused as refused:
+        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(refused.path))
+        raise SnapshotError(f"{where}{path} {refused}") from None
+
+
+def _rule(message: str) -> SnapshotError:
+    return SnapshotError(f"inconsistent state: {message}")
+
+
+def _queued(state: Dict[str, Any], kind: str, c: Dict[str, Any]) -> List[Any]:
+    """The queued ``kind`` events' payloads, withheld ones too (not a duplicate's echo)."""
+    events = [event for _, bucket in state["queue"]["buckets"] for event in bucket]
+    return [payload for event_kind, payload in events if event_kind == kind] + [
+        payload[3] for event_kind, payload in events
+        if event_kind == FAULT_REDELIVER and payload[2] == kind and payload[1] not in c["echoes"]
+    ]
+
+
+def _check_hil_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
+    """The TM, Gateway, master, ready queues and workers agree where each task is."""
+    accel, gateway, in_tm, valid = state["accel"], state["accel"]["gateway"], {}, 0
+    for trs, tm in enumerate(accel["trs"]):
+        for index in itertools.compress(range(tm["entries"]), tm["valid"]):
+            deps, valid = tm["num_deps"][index], valid + 1
+            in_tm[tm["task_id"][index]] = (trs, index, deps, tm["ready_deps"][index] >= deps)
+    slots = {task: (trs, index) for task, trs, index in gateway["slots"]}
+    if len(in_tm) != valid or slots != {task: at[:2] for task, at in in_tm.items()}:
+        raise _rule("the Gateway's slots are not the tasks of the valid TM entries")
+    accepted, pending = dict(in_tm), gateway["pending"]
+    if pending is not None:  # a stalled submission, at the head of pending_new
+        _walk(_PENDING, pending, c, "state.accel.gateway.pending")
+        if accepted.pop(pending["task"], (None,))[:2] != (pending["trs"], pending["tm_index"]) or (
+            pending["next_dep_index"] >= c["program"].task(pending["task"]).num_dependences
+        ):
+            raise _rule("the Gateway's pending task is not stalled at its TM entry")
+    if dict(map(tuple, accel["deps_of_task"])) != {t: at[2] for t, at in accepted.items()}:
+        raise _rule("deps_of_task are not the accepted tasks and their dependence counts")
+    created = c["tasks"] if c["hw_only"] else state["next_create_index"]
+    creating = sum(job[1] == "create" for job in _queued(state, "master-done", c))
+    pending_new, rows = state["pending_new"], c["rows"]
+    start = c["tail"] = rows[pending_new[0]] if pending_new else c["tasks"]
+    new = range(start, c["tasks"])  # the rows of the program's tail, which HW-only leaves
+    if len(new) != len(pending_new) or not all(
+        map(operator.eq, pending_new, itertools.islice(rows, start, None))
+    ):
+        c["tail"], new = None, set(map(rows.__getitem__, pending_new))
+    if len(new) != len(pending_new) or any(rows[task] in new for task in accepted) or (
+        len(new) + creating + len(accepted) + accel["finished"] != created
+    ) or not c["hw_only"] and max(new, default=-1) >= created:
+        raise _rule("pending_new, the TM and the finished tasks do not hold each created task once")
+    current = [row[3] for row in state["workers"]["states"]]
+    groups = [state["ready"]["queue"], accel["scheduler"]["queue"], state["finish_jobs"]]
+    groups.append([task for task in current if task is not None])
+    tasks = set(itertools.chain(*groups))
+    if len(tasks) != sum(map(len, groups)) or not all(t in in_tm and in_tm[t][3] for t in tasks):
+        raise _rule("the ready queues, workers and finish jobs do not hold distinct ready TM tasks")
+    if any(current[worker] != task for task, worker in state["dispatch_jobs"]):
+        raise _rule("a dispatch job's worker is not reserved for its task")
+    if set(state["workers"]["idle"]) != {w for w, task in enumerate(current) if task is None}:
+        raise _rule("the idle workers are not the workers without a task")
+    scenarios = state.get("faults", {}).get("scenarios", ())
+    killed = {tuple(pair) for scenario in scenarios for pair in scenario["killed"]}
+    for _, worker, task in _queued(state, "worker-done", c):
+        if current[worker] != task and (worker, task) not in killed:
+            raise _rule(f"a queued worker-done names task {task}, not worker {worker}'s")
+
+
+def _check_nanos_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
+    """Submissions, predecessor counts, ready, running and finished tasks agree."""
+    rows = c["rows"]
+    remaining = c["remaining_preds"] = [0] * c["tasks"]
+    for task, count in state["remaining_preds"]:
+        remaining[rows[task]] = count
+    submitted = c["submitted"] = set(map(rows.__getitem__, state["submitted"]))
+    ready = list(map(rows.__getitem__, state["ready_pool"]))
+    ready += [rows[payload[2]] for payload in _queued(state, "task-done", c)]  # and running
+    if any(row not in submitted or remaining[row] for row in ready) or len(set(ready)) < len(ready):
+        raise _rule("the ready and running tasks are not distinct submitted tasks with 0 left")
+    done = {row for row in submitted if not remaining[row]}.difference(ready)
+    if state["finished"] != len(done):
+        raise _rule(f"finished is not the {len(done)} submitted tasks done")
+    expected, graph = list(c["graph"].pred_counts), c["graph"]
+    for successor in itertools.chain.from_iterable(map(graph.successor_rows, done)):
+        expected[successor] -= 1
+    if remaining != expected:
+        raise _rule("remaining_preds are not each task's unfinished predecessors")
 
 
 # ----------------------------------------------------------------------
@@ -243,109 +571,22 @@ def _payload_to_document(payload: Any) -> Any:
     raise SnapshotError(f"unencodable event payload: {payload!r}")
 
 
-#: Length of each tagged payload document, its tag included.
-_PAYLOAD_LENGTHS = {"none": 1, "t": 3, "task": 2, "j": 3, "fto": 4, "frd": 4}
-
-
 def _payload_from_document(document: Any, program: TaskProgram) -> Any:
-    """Decode one queued event's payload, refusing any malformed document.
-
-    Each tag's fields are checked before use, exact types included (a
-    re-stamped document may hold anything), so a malformed payload is a
-    :class:`SnapshotError`, never a bare ``IndexError`` or ``TypeError``.
-    """
-    if type(document) is int:  # exact: isinstance() would let a bool through
+    """Decode one queued event's payload, already checked by the schema."""
+    if type(document) is int:
         return document
-    if not (isinstance(document, list) and document and type(document[0]) is str):
-        raise SnapshotError(
-            "a queued event's payload is neither an integer nor a tagged list"
-        )
     tag = document[0]
-    length = _PAYLOAD_LENGTHS.get(tag)
-    if length is None:
-        raise SnapshotError(f"unknown payload tag {tag[:32]!r}")
-    if len(document) != length:
-        raise SnapshotError(
-            f"a queued {tag!r} payload holds {len(document) - 1} fields, "
-            f"not {length - 1}"
-        )
     if tag == "none":
         return None
     if tag == "t":
-        first, second = document[1], document[2]
-        if type(first) is not int or type(second) is not int:
-            raise SnapshotError("a queued 't' payload holds a non-integer")
-        return (first, second)
+        return (document[1], document[2])
     if tag == "task":
-        return _program_task(program, document[1], "a queued event's task")
+        return program.task(document[1])
     if tag == "j":
-        if type(document[1]) is not str:
-            raise SnapshotError("a queued master job's kind is not a string")
         return (document[1], _payload_from_document(document[2], program))
-    index, name = document[1], document[2]
-    if type(index) is not int or type(name) is not str:
-        raise SnapshotError(f"a queued {tag!r} payload's index or name is malformed")
     if tag == "fto":
-        arg = document[3]
-        if arg is not None and type(arg) is not int:
-            raise SnapshotError("a queued fault timer's argument is not an integer")
-        return FaultTimer(index, name, arg)
-    return FaultRedeliver(index, name, _payload_from_document(document[3], program))
-
-
-#: What the fields of a queued payload name, by event kind (a master job's
-#: by job kind): a task of the program or a worker index.
-_PAYLOAD_FIELDS = {
-    "task-visible": ("task",),
-    "worker-done": ("worker", "task"),
-    "dispatch": ("task", "worker"),
-    "finish": ("task",),
-    "submitted": ("task",),
-    "task-done": ("worker", "task"),
-}
-
-
-def _check_payload(
-    kind: str, payload: Any, rows: Dict[int, int], workers: int, faults: int
-) -> None:
-    """Refuse a decoded payload naming no task, worker or armed fault.
-
-    The decoder checks a payload's shape; its event kind says what each
-    field names.  A fault timer or redelivery must index one of the
-    ``faults`` the restored plan arms, a timer must carry a known tag, and
-    a redelivered payload is checked by the kind it was withheld from.
-    """
-    if isinstance(payload, (FaultTimer, FaultRedeliver)):
-        if not 0 <= payload.index < faults:
-            raise SnapshotError(
-                f"a queued fault event's index {payload.index} names none of "
-                f"the {faults} faults the restored plan arms"
-            )
-        if isinstance(payload, FaultTimer):
-            if payload.tag not in (TIMER_KILL, TIMER_REJOIN):
-                raise SnapshotError(f"a queued fault timer's tag {payload.tag[:32]!r} is unknown")
-            return
-        kind, payload = payload.kind, payload.payload
-    if kind == "master-done" and isinstance(payload, tuple):
-        kind, payload = payload
-    fields = _PAYLOAD_FIELDS.get(kind)
-    if fields is not None:
-        _check_names(fields, payload, rows, workers, kind)
-
-
-def _check_names(
-    fields: Tuple[str, ...], values: Any, rows: Dict[int, int], workers: int, what: str
-) -> None:
-    """Refuse ``values`` unless each names a task in ``rows`` (the program's)
-    or a worker below ``workers``, as its entry in ``fields`` says; ``what``
-    names the values in the error."""
-    if not isinstance(values, (tuple, list)):
-        values = (values,)
-    if len(values) != len(fields):
-        raise SnapshotError(f"a {what} payload is not {' and '.join(fields)}")
-    for field, value in zip(fields, values):
-        if type(value) is not int or value not in (rows if field == "task" else range(workers)):
-            raise SnapshotError(f"a {what} payload's {field} {value!r} names no {field}")
+        return FaultTimer(document[1], document[2], document[3])
+    return FaultRedeliver(document[1], document[2], _payload_from_document(document[3], program))
 
 
 # ----------------------------------------------------------------------
@@ -373,26 +614,13 @@ def _queue_document(queue: Any) -> Dict[str, Any]:
     }
 
 
-def _restore_queue(sim: Any, document: Dict[str, Any], workers: int) -> None:
-    """Rebuild ``sim``'s queue, checking each payload by its event kind."""
+def _restore_queue(sim: Any, document: Dict[str, Any]) -> None:
     program = sim.program
-    rows = program.rows()
-    plan = sim._fault_plan
-    faults = 0 if plan is None else len(plan.armed_faults)
-
-    def event(time: int, kind: str, payload_document: Any) -> Event:
-        payload = _payload_from_document(payload_document, program)
-        _check_payload(kind, payload, rows, workers, faults)
-        return Event(time, kind, payload)
-
-    current = [
-        event(time, kind, payload) for time, kind, payload in document["current"]
-    ]
     buckets = [
-        (time, [event(time, kind, payload) for kind, payload in events])
+        (time, [Event(time, kind, _payload_from_document(p, program)) for kind, p in events])
         for time, events in document["buckets"]
     ]
-    sim.queue.restore_events(document["now"], document["processed"], current, buckets)
+    sim.queue.restore_events(document["now"], document["processed"], [], buckets)
 
 
 # ----------------------------------------------------------------------
@@ -442,65 +670,6 @@ def _timeline_columns_document(sim: Any) -> Dict[str, Any]:
     }
 
 
-def _check_timelines(
-    document: Any, program: TaskProgram
-) -> Tuple[List[int], List[List[int]]]:
-    """Decode the timeline columns, refusing any no captured run could have left.
-
-    Like the lifecycle log, the columns are checked before restore
-    allocates for them: an ``ids`` column and five stamp columns, all of
-    one length and no longer than the program, holding plain integers.
-    Decoded, the ids must strictly increase and each name a task of the
-    program, and no stamp may be negative.  Returns each named task's row
-    (its position in the program) and the decoded stamp columns.
-    """
-    if not (isinstance(document, dict) and document.keys() == {"ids", "stamps"}):
-        raise SnapshotError(
-            "the snapshot's timelines are not an object of 'ids' and 'stamps'"
-        )
-    ids, stamps = document["ids"], document["stamps"]
-    if not (isinstance(stamps, list) and len(stamps) == 5):
-        raise SnapshotError("the snapshot's timelines do not hold five stamp columns")
-    columns = [ids, *stamps]
-    if not all(isinstance(column, list) for column in columns):
-        raise SnapshotError("a timeline column of the snapshot is not a list")
-    if any(len(column) != len(ids) for column in stamps):
-        raise SnapshotError("the snapshot's timeline columns differ in length")
-    if len(ids) > program.num_tasks:
-        raise SnapshotError(
-            f"the snapshot's timelines hold {len(ids)} rows, more than the "
-            f"program's {program.num_tasks} tasks"
-        )
-    # Exact types: isinstance() would let a bool through.
-    if not all(set(map(type, column)) <= {int} for column in columns):
-        raise SnapshotError("a timeline column of the snapshot holds a non-integer")
-    if min(ids[1:], default=1) < 1:
-        raise SnapshotError("the snapshot's timeline ids do not strictly increase")
-    try:
-        rows = list(map(program.rows().__getitem__, itertools.accumulate(ids)))
-    except KeyError as error:
-        raise SnapshotError(
-            f"timeline row {error.args[0]} names no task of the program"
-        ) from None
-    stamps = [list(itertools.accumulate(column)) for column in stamps]
-    if any(column and min(column) < 0 for column in stamps):
-        raise SnapshotError("the snapshot's timelines hold a negative stamp")
-    return rows, stamps
-
-
-def _restore_timeline_columns(
-    sim: Any, rows: List[int], stamps: List[List[int]]
-) -> None:
-    """Write the checked stamp columns into a freshly built simulator's.
-
-    Its columns hold all zeros, as every row did before the run touched
-    it; the rows the document names take their stamps.
-    """
-    for column, values in zip(_timeline_columns(sim), stamps):
-        for row, value in zip(rows, values):
-            column[row] = value
-
-
 def _stats_document(stats: PicosStats) -> Dict[str, Any]:
     return {
         "fields": [getattr(stats, name) for name in _STATS_FIELDS],
@@ -509,10 +678,7 @@ def _stats_document(stats: PicosStats) -> Dict[str, Any]:
 
 
 def _restore_stats(stats: PicosStats, document: Dict[str, Any]) -> None:
-    values = document["fields"]
-    if len(values) != len(_STATS_FIELDS):
-        raise SnapshotError("stats document does not match the counter inventory")
-    for name, value in zip(_STATS_FIELDS, values):
+    for name, value in zip(_STATS_FIELDS, document["fields"]):
         setattr(stats, name, value)
     stats.extra = {key: value for key, value in document["extra"]}
 
@@ -603,36 +769,20 @@ def _tm_document_reference(tm: Any, codec: Any) -> Dict[str, Any]:
 
 def _restore_tm(trs: Any, document: Dict[str, Any]) -> None:
     inner = getattr(trs, "_inner", None)
-    tm = trs.task_memory
-    if tm.entries != document["entries"] or tm.max_deps_per_task != document["stride"]:
-        raise SnapshotError(
-            "TM geometry mismatch: the snapshot was taken with "
-            f"{document['entries']}x{document['stride']} slots, the restore "
-            f"target has {tm.entries}x{tm.max_deps_per_task}"
-        )
     if inner is None:
-        _restore_tm_flat(tm, document)
+        _restore_tm_flat(trs.task_memory, document)
     else:
         _restore_tm_reference(inner.task_memory, document, trs.trs_id, trs._codec)
 
 
 def _restore_tm_flat(tm: Any, document: Dict[str, Any]) -> None:
-    tm._valid[:] = list(document["valid"])
-    tm._task_id[:] = list(document["task_id"])
-    tm._num_deps[:] = list(document["num_deps"])
-    tm._ready_deps[:] = list(document["ready_deps"])
-    tm._dep_count[:] = list(document["dep_count"])
-    tm._slot_address[:] = list(document["slot_address"])
-    tm._slot_vm_index[:] = list(document["slot_vm_index"])
-    tm._slot_ready[:] = list(document["slot_ready"])
-    tm._slot_predecessor[:] = list(document["slot_predecessor"])
-    tm._slot_is_producer[:] = list(document["slot_is_producer"])
-    tm._free[:] = list(document["free"])
-    tm._by_task_id = {
-        document["task_id"][index]: index
-        for index in range(tm.entries)
-        if document["valid"][index]
-    }
+    for key in ("valid", "task_id", "num_deps", "ready_deps", "dep_count", "free"):
+        getattr(tm, f"_{key}")[:] = document[key]
+    for key in ("address", "vm_index", "ready", "predecessor", "is_producer"):
+        getattr(tm, f"_slot_{key}")[:] = document[f"slot_{key}"]
+    tm._by_task_id = dict(
+        itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
+    )
     tm._high_water = document["high_water"]
 
 
@@ -668,11 +818,9 @@ def _restore_tm_reference(
         slots[index] = entry
     tm._slots = slots
     tm._free[:] = list(document["free"])
-    tm._by_task_id = {
-        document["task_id"][index]: index
-        for index in range(tm.entries)
-        if document["valid"][index]
-    }
+    tm._by_task_id = dict(
+        itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
+    )
     tm._high_water = document["high_water"]
 
 
@@ -725,27 +873,11 @@ def _dm_document(dm: Any) -> Dict[str, Any]:
 
 
 def _restore_dm(dm: Any, document: Dict[str, Any]) -> None:
+    # A fork may widen the DM: each set's ways keep their way indices.
     old_ways = document["ways"]
     new_ways = dm.ways_per_set
-    if dm.num_sets != document["sets"]:
-        raise SnapshotError(
-            f"DM set-count mismatch: snapshot has {document['sets']} sets, "
-            f"the restore target has {dm.num_sets}"
-        )
-    if new_ways < old_ways:
-        raise SnapshotError(
-            f"cannot narrow the DM on restore: snapshot has {old_ways} ways "
-            f"per set, the restore target only {new_ways}"
-        )
     reference_sets = getattr(dm, "_sets", None)
-    if reference_sets is None:
-        total = dm.num_sets * new_ways
-        dm._valid[:] = [False] * total
-        dm._input_only[:] = [True] * total
-        dm._tag[:] = [-1] * total
-        dm._latest_vm_index[:] = [-1] * total
-        dm._live_versions[:] = [0] * total
-        dm._access_count[:] = [0] * total
+    if reference_sets is None:  # the target's ways all start invalid
         for set_index in range(dm.num_sets):
             for way_index in range(old_ways):
                 source = set_index * old_ways + way_index
@@ -839,52 +971,33 @@ def _vm_document(vm: Any, codec: Any) -> Dict[str, Any]:
 def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any, codec: Any) -> None:
     old_entries = document["entries"]
     new_entries = vm.entries
-    if new_entries < old_entries:
-        raise SnapshotError(
-            f"cannot shrink the VM on restore: snapshot has {old_entries} "
-            f"entries, the restore target only {new_entries}"
-        )
     # A widened VM (DM widening implies a larger effective VM) keeps the
     # captured free list behind the brand-new entries, so recycling order
     # for the surviving entries is untouched and fresh entries hand out in
     # ascending index order, exactly like a cold VM's.
-    if new_entries > old_entries:
-        free = list(range(new_entries - 1, old_entries - 1, -1)) + list(
-            document["free"]
-        )
-    else:
-        free = list(document["free"])
+    free = list(range(new_entries - 1, old_entries - 1, -1)) + document["free"]
     reference_slots = getattr(vm, "_slots", None)
     if reference_slots is None:
-        vm._valid[:] = [False] * new_entries
-        vm._address[:] = [0] * new_entries
-        vm._producer[:] = [-1] * new_entries
-        vm._producer_finished[:] = [False] * new_entries
-        vm._last_consumer[:] = [-1] * new_entries
-        vm._consumers_arrived[:] = [0] * new_entries
-        vm._consumers_finished[:] = [0] * new_entries
-        vm._next_version[:] = [-1] * new_entries
-        vm._dm_handle[:] = [-1] * new_entries
-        for index in range(old_entries):
-            if not document["valid"][index]:
-                continue
-            vm._valid[index] = True
-            vm._address[index] = document["address"][index]
-            vm._producer[index] = document["producer"][index]
-            vm._producer_finished[index] = document["producer_finished"][index]
-            vm._last_consumer[index] = document["last_consumer"][index]
-            vm._consumers_arrived[index] = document["consumers_arrived"][index]
-            vm._consumers_finished[index] = document["consumers_finished"][index]
-            vm._next_version[index] = document["next_version"][index]
+        # Columns named like their keys; allocating a free entry rewrites it.
+        for key in ("valid", "address", "producer", "producer_finished", "last_consumer"):
+            getattr(vm, f"_{key}")[:old_entries] = document[key]
+        for key in ("consumers_arrived", "consumers_finished", "next_version"):
+            getattr(vm, f"_{key}")[:old_entries] = document[key]
+        for index in itertools.compress(range(old_entries), document["valid"]):
             # The DM back-link is a cache of the DM's content; recomputing
             # it (instead of storing it) is what re-homes live versions
             # into a forked, wider DM.
-            vm._dm_handle[index] = dm.lookup(document["address"][index])
+            handle = dm.lookup(document["address"][index])
+            if handle < 0:
+                raise _rule(f"VM entry {index}'s address is held by no DM way")
+            vm._dm_handle[index] = handle
     else:
         slots: List[Optional[VersionEntry]] = [None] * new_entries
         for index in range(old_entries):
             if not document["valid"][index]:
                 continue
+            if dm.find_way(document["address"][index]) is None:
+                raise _rule(f"VM entry {index}'s address is held by no DM way")
             producer = document["producer"][index]
             last_consumer = document["last_consumer"][index]
             next_version = document["next_version"][index]
@@ -956,18 +1069,11 @@ def _restore_gateway(
 ) -> None:
     gateway._next_trs = document["next_trs"]
     pending = document["pending"]
-    if pending is None:
-        gateway._pending = None
-    else:
-        reason = pending["reason"]
-        gateway._pending = PendingSubmission(
-            task=_program_task(program, pending["task"], "the Gateway's pending task"),
-            trs_id=pending["trs"],
-            tm_index=pending["tm_index"],
-            next_dep_index=pending["next_dep_index"],
-            reason=None if reason is None else StallReason(reason),
-            retries=pending["retries"],
-        )
+    gateway._pending = None if pending is None else PendingSubmission(
+        program.task(pending["task"]), pending["trs"], pending["tm_index"],
+        pending["next_dep_index"], pending["reason"] and StallReason(pending["reason"]),
+        pending["retries"],
+    )
     gateway._slot_of_task = {
         task_id: (trs_id, tm_index)
         for task_id, trs_id, tm_index in document["slots"]
@@ -982,12 +1088,8 @@ def _scheduler_document(scheduler: Any) -> Dict[str, Any]:
     }
 
 
-def _restore_scheduler(
-    scheduler: Any, document: Dict[str, Any], program: TaskProgram
-) -> None:
-    scheduler._queue = deque(
-        _checked_task_ids(document["queue"], program, "a ready queue")
-    )
+def _restore_scheduler(scheduler: Any, document: Dict[str, Any]) -> None:
+    scheduler._queue = deque(document["queue"])
     scheduler._total_scheduled = document["scheduled"]
     scheduler._max_occupancy = document["max_occupancy"]
 
@@ -1015,35 +1117,22 @@ def _accel_document(accel: Any) -> Dict[str, Any]:
 
 
 def _restore_accel(accel: Any, document: Dict[str, Any], program: TaskProgram) -> None:
-    if len(document["trs"]) != len(accel.trs_instances) or len(
-        document["dct"]
-    ) != len(accel.dct_instances):
-        raise SnapshotError(
-            "accelerator geometry mismatch: the snapshot has "
-            f"{len(document['trs'])} TRS / {len(document['dct'])} DCT "
-            f"instances, the restore target "
-            f"{len(accel.trs_instances)} / {len(accel.dct_instances)}"
-        )
     # All TRS/DCT/Gateway instances share the accelerator's PicosStats
     # object; restoring it once in place keeps that aliasing intact.
     _restore_stats(accel.stats, document["stats"])
     arbiter = accel.arbiter
     arbiter.messages_to_trs = document["arbiter"]["to_trs"]
     arbiter.messages_to_dct = document["arbiter"]["to_dct"]
-    arbiter._per_dct_load = {
-        index: load for index, load in enumerate(document["arbiter"]["load"])
-    }
+    arbiter._per_dct_load = dict(enumerate(document["arbiter"]["load"]))
     for trs, trs_document in zip(accel.trs_instances, document["trs"]):
         _restore_tm(trs, trs_document)
     for dct, dct_document in zip(accel.dct_instances, document["dct"]):
         _restore_dct(dct, dct_document)
     _restore_gateway(accel.gateway, document["gateway"], program)
-    accel._deps_of_task = {
-        task_id: count for task_id, count in document["deps_of_task"]
-    }
+    accel._deps_of_task = dict(map(tuple, document["deps_of_task"]))
     accel._submitted = document["submitted"]
     accel._finished = document["finished"]
-    _restore_scheduler(accel.scheduler, document["scheduler"], program)
+    _restore_scheduler(accel.scheduler, document["scheduler"])
 
 
 def _workers_document(pool: Any) -> Dict[str, Any]:
@@ -1057,20 +1146,9 @@ def _workers_document(pool: Any) -> Dict[str, Any]:
 
 
 def _restore_workers(pool: Any, document: Dict[str, Any]) -> None:
-    states = document["states"]
-    if len(states) != pool.num_workers:
-        raise SnapshotError(
-            f"worker-count mismatch: snapshot has {len(states)} workers, "
-            f"the restore target {pool.num_workers}"
-        )
-    for worker, row in zip(pool._workers, states):
-        worker.busy_until = row[0]
-        worker.tasks_executed = row[1]
-        worker.busy_cycles = row[2]
-        worker.current_task = row[3]
-    pool._idle[:] = _checked_workers(
-        document["idle"], pool.num_workers, "the idle workers"
-    )
+    for worker, row in zip(pool._workers, document["states"]):
+        worker.busy_until, worker.tasks_executed, worker.busy_cycles, worker.current_task = row
+    pool._idle[:] = document["idle"]
 
 
 # ----------------------------------------------------------------------
@@ -1088,24 +1166,6 @@ def _fault_plan_document(sim: Any, document: Dict[str, Any]) -> Dict[str, Any]:
     return document
 
 
-def _restore_fault_plan(sim: Any, state: Dict[str, Any]) -> None:
-    plan = sim._fault_plan
-    document = state.get("faults")
-    if document is None:
-        if plan is not None:
-            raise SnapshotError(
-                "the restore request arms fault scenarios but the snapshot "
-                "carries no armed-fault state"
-            )
-        return
-    if plan is None:
-        raise SnapshotError(
-            "snapshot carries armed-fault state but the restore request "
-            "arms no fault scenarios"
-        )
-    plan.restore_state(document)
-
-
 def _log_document(log: Optional[List[Tuple[int, int, int]]]) -> List[List[int]]:
     """The pending lifecycle log, sorted.
 
@@ -1114,49 +1174,6 @@ def _log_document(log: Optional[List[Tuple[int, int, int]]]) -> List[List[int]]:
     function of the simulation at the captured cycle alone.
     """
     return [] if log is None else [list(entry) for entry in sorted(log)]
-
-
-def _check_lifecycle_log(entries: Any, cycle: Any, program: TaskProgram) -> None:
-    """Refuse a pending lifecycle log no captured run could have left.
-
-    The digest only proves a document is self-consistent, and a client can
-    re-stamp an edited one, so each entry is checked before the session
-    exists: three plain integers, an order code naming an event class, a
-    stamp after the snapshot's cycle (earlier entries were handed out
-    before the capture) and a task of the program -- or ``-1`` for a
-    fault event that targets a worker or bank.
-    """
-    if type(cycle) is not int:
-        raise SnapshotError(f"snapshot cycle {cycle!r} is not an integer")
-    if not isinstance(entries, list):
-        raise SnapshotError("the snapshot's lifecycle log is not a list")
-    for entry in entries:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 3
-            and all(type(value) is int for value in entry)
-        ):
-            raise SnapshotError(
-                f"lifecycle log entry {entry!r} is not three integers"
-            )
-        stamp, order, task_id = entry
-        if not 0 <= order < len(_EVENT_CLASSES):
-            raise SnapshotError(
-                f"lifecycle log entry {entry!r} has an unknown order code"
-            )
-        if stamp <= cycle:
-            raise SnapshotError(
-                f"lifecycle log entry {entry!r} is stamped at or before the "
-                f"snapshot cycle {cycle}"
-            )
-        if task_id == -1 and order in (LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED):
-            continue
-        try:
-            program.task(task_id)
-        except KeyError:
-            raise SnapshotError(
-                f"lifecycle log entry {entry!r} names no task of the program"
-            ) from None
 
 
 def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
@@ -1180,38 +1197,29 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
     })
 
 
-def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
+def _restore_hil(sim: HILSimulator, state: Dict[str, Any], c: Dict[str, Any]) -> None:
     program = sim.program
-    workers = sim.workers.num_workers
     sim._prepared = True
-    _restore_queue(sim, state["queue"], workers)
+    _restore_queue(sim, state["queue"])
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
+    tail, pending = c["tail"], state["pending_new"]  # the program's tail, or None
     sim._pending_new = deque(
-        _program_task(program, task_id, "the HIL master's pending_new task")
-        for task_id in state["pending_new"]
+        map(program.task, pending) if tail is None else itertools.islice(program, tail, None)
     )
     sim._picos_new_free_at = state["new_free_at"]
     sim._picos_finish_free_at = state["finish_free_at"]
     sim._master_busy = state["master_busy"]
-    sim._master_finish_jobs = deque(
-        _checked_task_ids(state["finish_jobs"], program, "the master's finish jobs")
-    )
-    jobs = _checked_list(state["dispatch_jobs"], "the master's dispatch jobs")
-    for job in jobs:
-        _check_names(_PAYLOAD_FIELDS["dispatch"], job, program.rows(), workers, "dispatch job")
-    sim._master_dispatch_jobs = deque(map(tuple, jobs))
-    sim._next_create_index = _checked_count(
-        state["next_create_index"], "the master's next creation", program.num_tasks
-    )
-    sim._finished_tasks = _checked_count(
-        state["finished_tasks"], "the HIL finished-task count", program.num_tasks
-    )
+    sim._master_finish_jobs = deque(state["finish_jobs"])
+    sim._master_dispatch_jobs = deque(map(tuple, state["dispatch_jobs"]))
+    sim._next_create_index = state["next_create_index"]
+    sim._finished_tasks = state["finished_tasks"]
     sim._submission_blocked = state["submission_blocked"]
-    _restore_scheduler(sim.ready, state["ready"], program)
+    _restore_scheduler(sim.ready, state["ready"])
     _restore_workers(sim.workers, state["workers"])
     _restore_accel(sim.accel, state["accel"], program)
-    _restore_fault_plan(sim, state)
+    if sim._fault_plan is not None:
+        sim._fault_plan.restore_state(state["faults"])
 
 
 def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
@@ -1238,59 +1246,23 @@ def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
     })
 
 
-def _checked_remaining_preds(document: Any, program: TaskProgram) -> List[int]:
-    """The Nanos++ unfinished-predecessor counts by row, refusing any forged one.
-
-    A captured run counts every task of the program once: one ``[task_id,
-    count]`` pair per task, each id an ``int`` task of the program and
-    each count a non-negative ``int``.
-    """
-    if not (isinstance(document, list) and len(document) == program.num_tasks):
-        raise SnapshotError(
-            "the Nanos++ predecessor counts are not a list of one pair per task"
-        )
-    remaining = [-1] * program.num_tasks  # -1: no count read yet
-    for pair in document:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SnapshotError("a Nanos++ predecessor count is not a [task, count] pair")
-        task_id, count = pair
-        row = _program_row(program, task_id, "a Nanos++ predecessor count's task")
-        if type(count) is not int or count < 0:
-            raise SnapshotError(
-                f"the predecessor count of task {task_id} is not a non-negative integer"
-            )
-        if remaining[row] >= 0:
-            raise SnapshotError("the Nanos++ predecessor counts name a task twice")
-        remaining[row] = count
-    return remaining
-
-
-def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
-    program = sim.program
+def _restore_nanos(
+    sim: NanosRuntimeSimulator, state: Dict[str, Any], c: Dict[str, Any]
+) -> None:
+    rows = c["rows"]
     sim._prepared = True
-    _restore_queue(sim, state["queue"], sim.num_threads)
+    _restore_queue(sim, state["queue"])
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
-    sim._master_joins_at = _checked_count(
-        state["master_joins_at"], "the Nanos++ master's join cycle"
-    )
-    sim._idle_workers = _checked_workers(
-        state["idle_workers"], sim.num_threads, "the Nanos++ idle threads"
-    )
-    sim._remaining_preds = _checked_remaining_preds(state["remaining_preds"], program)
-    submitted = [False] * program.num_tasks
-    for task_id in _checked_list(state["submitted"], "the Nanos++ submitted tasks"):
-        submitted[_program_row(program, task_id, "a Nanos++ submitted task")] = True
-    sim._submitted = submitted
-    sim._ready_pool = deque(
-        _program_row(program, task_id, "the Nanos++ ready pool's task")
-        for task_id in _checked_list(state["ready_pool"], "the Nanos++ ready pool")
-    )
-    sim._finished = _checked_count(
-        state["finished"], "the Nanos++ finished-task count", program.num_tasks
-    )
-    sim._makespan = _checked_count(state["makespan"], "the Nanos++ makespan")
-    _restore_fault_plan(sim, state)
+    sim._master_joins_at = state["master_joins_at"]
+    sim._idle_workers = list(state["idle_workers"])
+    sim._remaining_preds = c["remaining_preds"]
+    sim._submitted = [row in c["submitted"] for row in range(c["tasks"])]
+    sim._ready_pool = deque(map(rows.__getitem__, state["ready_pool"]))
+    sim._finished = state["finished"]
+    sim._makespan = state["makespan"]
+    if sim._fault_plan is not None:
+        sim._fault_plan.restore_state(state["faults"])
 
 
 def _simulator_state_document(sim: Any) -> Dict[str, Any]:
@@ -1303,28 +1275,60 @@ def _simulator_state_document(sim: Any) -> Dict[str, Any]:
     )
 
 
-def _restore_simulator_state(sim: Any, state: Dict[str, Any], cycle: int) -> None:
-    label = state.get("simulator")
-    if isinstance(sim, HILSimulator):
-        expected = "hil"
-    elif isinstance(sim, NanosRuntimeSimulator):
-        expected = "nanos"
+def _restore_simulator_state(sim: Any, state: Any, cycle: int) -> None:
+    """Check ``state`` against the tables and the rules for ``sim``, a
+    freshly built restore target, then restore ``sim`` from it."""
+    hil, program, plan = isinstance(sim, HILSimulator), sim.program, sim._fault_plan
+    if not hil and not isinstance(sim, NanosRuntimeSimulator):
+        raise SnapshotError(f"no snapshot codec for simulator type {type(sim).__name__}")
+    armed = [] if plan is None else plan.armed_faults
+    c = {
+        "program": program, "rows": program.rows(), "tasks": program.num_tasks, "cycle": cycle,
+        "faults": len(armed), "workers": sim.num_workers if hil else sim.num_threads,
+        "graph": None if hil else sim.graph,
+        "echoes": {a.index for a in armed if a.scenario.kind is FaultKind.DUPLICATE_EVENT},
+    }
+    if hil:
+        config = sim.config
+        c.update((name, getattr(config, name)) for name in _GEOMETRY_FIELDS + ("dm_ways",))
+        c.update(effective_vm_entries=config.effective_vm_entries, hw_only=sim._hw_only)
+        c["tm_slots"] = config.tm_entries * config.max_deps_per_task
+        c.update(slots=config.num_trs * c["tm_slots"], arrivals=c["tasks"] * c["max_deps_per_task"])
+    _walk(_HIL_STATE if hil else _NANOS_STATE, state, c, "state")
+    ids, stamps = state["timelines"]["ids"], state["timelines"]["stamps"]
+    try:
+        if min(ids[1:], default=1) < 1 or len(ids) > c["tasks"]:
+            raise KeyError
+        rows = list(map(c["rows"].__getitem__, itertools.accumulate(ids)))
+    except KeyError:
+        raise _rule("the timeline ids do not strictly increase through tasks") from None
+    decoded = [list(itertools.accumulate(column)) for column in stamps]
+    if any(len(column) != len(ids) or column and min(column) < 0 for column in decoded):
+        raise _rule("a timeline stamp column does not hold one stamp >= 0 per id")
+    if any(task == -1 and order not in (LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED)
+           for _, order, task in state["log"]):
+        raise _rule("a lifecycle log entry of a task names no task")
+    (_check_hil_rules if hil else _check_nanos_rules)(state, c)
+    if plan is not None:  # each scenario's open faults are the ones it waits on
+        faults = state["faults"]
+        waits = [payload[1] for payload in _queued(state, FAULT_REDELIVER, c)]
+        waits += [p[1] for p in _queued(state, FAULT_TIMER, c) if p[2] == TIMER_REJOIN]
+        for index, scenario in enumerate(faults["scenarios"]):
+            awaited = len(scenario["awaiting"]) + (scenario["watching"] is not None)
+            if scenario["injected"] - scenario["recovered"] != awaited + waits.count(index):
+                raise _rule(f"fault scenario {index}'s open faults are not what it waits on")
+        for count in ("injected", "recovered"):
+            if faults[count] != sum(scenario[count] for scenario in faults["scenarios"]):
+                raise _rule(f"the fault plan's {count} count is not its scenarios' sum")
+    prefix = len(rows) if all(map(operator.eq, rows, range(len(rows)))) else 0  # rows 0 .. n-1
+    for column, values in zip(_timeline_columns(sim), decoded):  # all zeros so far
+        column[:prefix] = values[:prefix]
+        for row, value in zip(rows[prefix:], values[prefix:]):
+            column[row] = value
+    if hil:
+        _restore_hil(sim, state, c)
     else:
-        raise SnapshotError(
-            f"no snapshot codec for simulator type {type(sim).__name__}"
-        )
-    if label != expected:
-        raise SnapshotError(
-            f"snapshot state is for simulator {label!r}, the restore target "
-            f"runs {expected!r}"
-        )
-    _check_lifecycle_log(state.get("log"), cycle, sim.program)
-    rows, stamps = _check_timelines(state.get("timelines"), sim.program)
-    _restore_timeline_columns(sim, rows, stamps)
-    if expected == "hil":
-        _restore_hil(sim, state)
-    else:
-        _restore_nanos(sim, state)
+        _restore_nanos(sim, state, c)
 
 
 # ----------------------------------------------------------------------
@@ -1401,9 +1405,9 @@ class SimulationSnapshot:
         received, then parses it once; the text seeds the memo, so saving
         the loaded snapshot again encodes nothing.  Raises
         :class:`SnapshotError` on a foreign format, an unsupported version,
-        a payload that is not a string of JSON text encoding an object, a
-        digest mismatch (corruption, or hand-edited state) or a missing
-        field.
+        a payload that is not a string of JSON text, a digest mismatch
+        (corruption, or hand-edited state) or a payload that ``_PAYLOAD``
+        refuses.
         """
         if not isinstance(document, dict):
             raise SnapshotError("a snapshot document must be a JSON object")
@@ -1435,22 +1439,8 @@ class SimulationSnapshot:
             payload = json.loads(text)
         except (ValueError, RecursionError) as error:
             raise SnapshotError(f"the snapshot payload is not JSON: {error}") from None
-        if not isinstance(payload, dict):
-            raise SnapshotError("the snapshot payload is not a JSON object")
-        try:
-            snapshot = cls(
-                kind=payload["kind"],
-                backend=payload["backend"],
-                cycle=payload["cycle"],
-                request=payload["request"],
-                counters=payload["counters"],
-                state=payload["state"],
-                result=payload["result"],
-            )
-        except KeyError as error:
-            raise SnapshotError(f"snapshot payload misses field {error}") from error
-        if snapshot.kind not in (KIND_INITIAL, KIND_MID_RUN, KIND_FINISHED):
-            raise SnapshotError(f"unknown snapshot kind {snapshot.kind!r}")
+        _walk(_PAYLOAD, payload, {"faults": 0}, "the payload")
+        snapshot = cls(**payload)
         object.__setattr__(snapshot, "_memo", (text, digest))
         return snapshot
 
@@ -1570,9 +1560,16 @@ def restore(
     compatibility rules.
     """
     # Lazy for the same layering reason as in capture().
-    from repro.service.protocol import request_from_document, result_from_document
+    from repro.service.protocol import ProtocolError, request_from_document, result_from_document
 
-    request = request_from_document(snapshot.request)
+    try:
+        request = request_from_document(snapshot.request)
+        if snapshot.kind == KIND_FINISHED and snapshot.result is not None:
+            result = result_from_document(snapshot.result)
+    except ProtocolError as error:
+        raise SnapshotError(f"the snapshot's request or result is refused: {error}") from error
+    if snapshot.backend != request.backend:
+        raise SnapshotError(f"backend {snapshot.backend!r} is not the request's")
     if config is not None:
         request = _forked_request(snapshot, request, config)
     session = open_session(request)
@@ -1582,10 +1579,10 @@ def restore(
             f"{type(session).__name__} session, which restore() cannot "
             "populate"
         )
-    session._delivered = snapshot.counters.get("delivered", 0)
-    session._ready_seen = snapshot.counters.get("ready_seen", 0)
-    session._retired_seen = snapshot.counters.get("retired_seen", 0)
-    session._current_cycle = snapshot.counters.get("current_cycle", 0)
+    session._delivered = snapshot.counters["delivered"]
+    session._ready_seen = snapshot.counters["ready_seen"]
+    session._retired_seen = snapshot.counters["retired_seen"]
+    session._current_cycle = snapshot.counters["current_cycle"]
     if snapshot.kind == KIND_INITIAL:
         return session
     session.seal()
@@ -1596,7 +1593,7 @@ def restore(
             )
         if snapshot.result is None:
             raise SnapshotError("finished snapshot carries no result document")
-        session._result = result_from_document(snapshot.result)
+        session._result = result
         return session
     if snapshot.kind != KIND_MID_RUN:
         raise SnapshotError(f"unknown snapshot kind {snapshot.kind!r}")

@@ -16,9 +16,12 @@ holds under both datapaths.
 from __future__ import annotations
 
 import asyncio
+import copy
 import dataclasses
+import functools
 import itertools
 import json
+import operator
 
 import pytest
 
@@ -128,10 +131,11 @@ class TestSnapshotKinds:
     def test_a_mid_run_snapshot_of_a_non_stepper_backend_is_refused(
         self, batch_only_backend
     ):
-        snapshot = _forged_state_snapshot(
-            lambda payload: payload["request"].update(backend=batch_only_backend),
-            "perfect",
-        )
+        def forge(payload):
+            payload["request"].update(backend=batch_only_backend)
+            payload.update(backend=batch_only_backend)
+
+        snapshot = _forged_state_snapshot(forge, "perfect")
         with pytest.raises(SnapshotError, match="provides no stepper"):
             restore(snapshot)
 
@@ -358,15 +362,15 @@ class TestForgedLifecycleLogs:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda cycle: ["x", 0, 1], "three integers"),
-            (lambda cycle: [cycle + 1, 0], "three integers"),
-            (lambda cycle: [float(cycle + 1), 0, 1], "three integers"),
-            (lambda cycle: [cycle + 1, True, 1], "three integers"),
-            (lambda cycle: {"cycle": cycle + 1}, "three integers"),
-            (lambda cycle: [cycle + 1, 9, 1], "order code"),
-            (lambda cycle: [cycle + 1, -1, 1], "order code"),
-            (lambda cycle: [0, 2, 1], "at or before"),
-            (lambda cycle: [cycle, 2, 1], "at or before"),
+            (lambda cycle: ["x", 0, 1], r"log\[0\]\[0\] 'x' is not an integer"),
+            (lambda cycle: [cycle + 1, 0], r"log\[0\] \[30001, 0\] is not a list of 3"),
+            (lambda cycle: [float(cycle + 1), 0, 1], r"log\[0\]\[0\] 30001.0 is not an integer"),
+            (lambda cycle: [cycle + 1, True, 1], r"log\[0\]\[1\] True is not an integer"),
+            (lambda cycle: {"cycle": cycle + 1}, r"log\[0\] \{'cycle': 30001\} is not a list"),
+            (lambda cycle: [cycle + 1, 9, 1], r"log\[0\]\[1\] 9 is not an integer .* at most 4"),
+            (lambda cycle: [cycle + 1, -1, 1], r"log\[0\]\[1\] -1 is not an integer of at least 0"),
+            (lambda cycle: [0, 2, 1], r"log\[0\]\[0\] 0 is not an integer after the snapshot"),
+            (lambda cycle: [cycle, 2, 1], r"log\[0\]\[0\] 30000 is not an integer after the"),
             (lambda cycle: [cycle + 1, 0, 10**9], "no task"),
             (lambda cycle: [cycle + 1, 2, -1], "no task"),
         ],
@@ -393,15 +397,12 @@ class TestForgedLifecycleLogs:
         snapshot = _forged_state_snapshot(
             lambda payload: payload["state"].update(log="junk")
         )
-        with pytest.raises(SnapshotError, match="not a list"):
+        with pytest.raises(SnapshotError, match="state.log 'junk' is not a list"):
             restore(snapshot)
 
-    def test_a_cycle_that_is_not_an_integer_is_refused(self):
-        snapshot = _forged_state_snapshot(
-            lambda payload: payload.update(cycle=str(payload["cycle"]))
-        )
-        with pytest.raises(SnapshotError, match="not an integer"):
-            restore(snapshot)
+    def test_a_cycle_that_is_not_an_integer_is_refused_at_load(self):
+        with pytest.raises(SnapshotError, match="payload.cycle '30000' is not an integer"):
+            _forged_state_snapshot(lambda payload: payload.update(cycle=str(payload["cycle"])))
 
     def test_fault_events_may_name_no_task(self):
         # Fault events that target a worker or bank carry task id -1.
@@ -527,21 +528,21 @@ class TestForgedTimelines:
             (lambda c, n: [[0, 0, 1, 2, 3, 4]], "not an object"),
             (lambda c, n: dict(c, extra=[]), "not an object"),
             (lambda c, n: {"ids": c["ids"]}, "not an object"),
-            (lambda c, n: dict(c, stamps=c["stamps"][:4]), "five stamp columns"),
-            (lambda c, n: dict(c, stamps={"created": []}), "five stamp columns"),
+            (lambda c, n: dict(c, stamps=c["stamps"][:4]), r"stamps \[\[.* is not a list of 5"),
+            (lambda c, n: dict(c, stamps={"created": []}), r"stamps \{'created': \[\]\} is not a"),
             (lambda c, n: dict(c, ids="junk"), "not a list"),
             (_set("stamps", 2, to="junk"), "not a list"),
-            (_set("stamps", 3, to=lambda column: column[:-1]), "differ in length"),
-            (_set("ids", to=lambda column: column + [1]), "differ in length"),
-            (_one_row_too_many, "more than the program"),
-            (_set("ids", 0, to=True), "non-integer"),
-            (_set("stamps", 4, 1, to=1.0), "non-integer"),
-            (_set("stamps", 0, 0, to=None), "non-integer"),
-            (_set("ids", 1, to=0), "strictly increase"),
-            (_set("ids", 2, to=-1), "strictly increase"),
-            (_set("ids", -1, to=lambda delta: delta + 10**9), "names no task"),
-            (_set("ids", 0, to=-1), "names no task"),
-            (_set("stamps", 4, 1, to=lambda delta: delta - 10**12), "negative"),
+            (_set("stamps", 3, to=lambda column: column[:-1]), "one stamp >= 0 per id"),
+            (_set("ids", to=lambda column: column + [1]), "ids do not strictly increase through"),
+            (_one_row_too_many, "timeline ids do not strictly increase through tasks"),
+            (_set("ids", 0, to=True), r"ids\[0\] True is not an integer"),
+            (_set("stamps", 4, 1, to=1.0), r"stamps\[4\]\[1\] 1.0 is not an integer"),
+            (_set("stamps", 0, 0, to=None), r"stamps\[0\]\[0\] None is not an integer"),
+            (_set("ids", 1, to=0), "timeline ids do not strictly increase"),
+            (_set("ids", 2, to=-1), "timeline ids do not strictly increase"),
+            (_set("ids", -1, to=lambda delta: delta + 10**9), "ids do not strictly increase"),
+            (_set("ids", 0, to=-1), "ids do not strictly increase through tasks"),
+            (_set("stamps", 4, 1, to=lambda delta: delta - 10**12), "one stamp >= 0 per id"),
         ],
         ids=[
             "row-list",
@@ -650,14 +651,29 @@ class TestForgedTaskIds:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda counts: counts.__setitem__(0, [counts[0][0], -1]), "non-negative"),
-            (lambda counts: counts.__setitem__(0, [counts[0][0], True]), "non-negative"),
-            (lambda counts: counts.__setitem__(0, [counts[0][0], 1.0]), "non-negative"),
-            (lambda counts: counts.__setitem__(0, counts[0][:1]), r"not a \[task, count\] pair"),
-            (lambda counts: counts.__setitem__(0, {"task": 0}), r"not a \[task, count\] pair"),
+            (
+                lambda counts: counts.__setitem__(0, [counts[0][0], -1]),
+                r"remaining_preds\[0\]\[1\] -1 is not an integer of at least 0",
+            ),
+            (
+                lambda counts: counts.__setitem__(0, [counts[0][0], True]),
+                r"remaining_preds\[0\]\[1\] True is not an integer",
+            ),
+            (
+                lambda counts: counts.__setitem__(0, [counts[0][0], 1.0]),
+                r"remaining_preds\[0\]\[1\] 1.0 is not an integer",
+            ),
+            (
+                lambda counts: counts.__setitem__(0, counts[0][:1]),
+                r"remaining_preds\[0\] \[0\] is not a list of 2",
+            ),
+            (
+                lambda counts: counts.__setitem__(0, {"task": 0}),
+                r"remaining_preds\[0\] \{'task': 0\} is not a list of 2",
+            ),
             (lambda counts: counts.__setitem__(0, counts[1]), "twice"),
-            (lambda counts: counts.pop(), "one pair per task"),
-            (lambda counts: counts.append(counts[0]), "one pair per task"),
+            (lambda counts: counts.pop(), "remaining_preds holds 19 entries, not 20"),
+            (lambda counts: counts.append(counts[0]), "remaining_preds holds 21 entries, not 20"),
         ],
         ids=[
             "negative-count",
@@ -691,7 +707,7 @@ class TestForgedTaskIds:
             ("hil-full", "worker-done", ["t", 0, 10**9], "names no task"),
             ("hil-full", "worker-done", ["t", 4, 0], "names no worker"),
             ("hil-full", "worker-done", ["t", -1, 0], "names no worker"),
-            ("hil-full", "worker-done", 0, "is not worker and task"),
+            ("hil-full", "worker-done", 0, r"\]\[1\] 0 is not a list of 3"),
             ("hil-full", "master-done", ["j", "dispatch", ["t", 10**9, 0]], "names no task"),
             ("hil-full", "master-done", ["j", "dispatch", ["t", 0, 4]], "names no worker"),
             ("hil-full", "master-done", ["j", "finish", 10**9], "names no task"),
@@ -742,7 +758,7 @@ class TestForgedWorkersAndCounts:
             (
                 "hil-full",
                 lambda state: state.update(dispatch_jobs=[[0]]),
-                "is not task and worker",
+                r"dispatch_jobs\[0\] \[0\] is not a list of 2",
             ),
             ("hil-full", lambda state: state["workers"].update(idle=[4]), "names no worker"),
             ("hil-full", lambda state: state["workers"].update(idle=[0, 0]), "twice"),
@@ -816,13 +832,13 @@ class TestForgedFaultIndices:
         snapshot = _forged_state_snapshot(
             _forge_fault_timer_index(index), backend, 10_000, faults=self.KILL
         )
-        with pytest.raises(SnapshotError, match="names none of the 1 faults"):
+        with pytest.raises(SnapshotError, match=f"\\]\\[1\\] {index} names no fault of the 1$"):
             restore(snapshot)
 
     @pytest.mark.parametrize(
         "payload, message",
         [
-            (["frd", 5, "worker-done", ["t", 0, 0]], "names none of the 1 faults"),
+            (["frd", 5, "worker-done", ["t", 0, 0]], "5 names no fault of the 1"),
             (["frd", 0, "worker-done", ["t", 0, 10**9]], "names no task"),
         ],
         ids=["index", "redelivered-task"],
@@ -846,7 +862,7 @@ class TestForgedFaultIndices:
             10_000,
             faults=self.KILL,
         )
-        with pytest.raises(SnapshotError, match="tag 'zzz' is unknown"):
+        with pytest.raises(SnapshotError, match=r"\['fto', 0, 'zzz', None\] is not one of kill$"):
             restore(snapshot)
 
     def test_a_fault_event_without_a_plan_is_refused(self):
@@ -857,7 +873,7 @@ class TestForgedFaultIndices:
             "hil-full",
             10_000,
         )
-        with pytest.raises(SnapshotError, match="names none of the 0 faults"):
+        with pytest.raises(SnapshotError, match="0 names no fault of the 0"):
             restore(snapshot)
 
     def test_the_queued_timer_of_an_armed_plan_restores(self):
@@ -936,6 +952,247 @@ class TestForgedPayloads:
         )
         with pytest.raises(SnapshotError):
             restore(snapshot)
+
+
+def _swap_first_slots(state):
+    slots = state["accel"]["gateway"]["slots"]
+    slots[0][0], slots[1][0] = slots[1][0], slots[0][0]
+
+
+class TestForgedConsistency:
+    """Known tasks and workers in the wrong place: each layer's state is
+    checked against the others before the session exists."""
+
+    @pytest.mark.parametrize(
+        "backend, edit, message",
+        [
+            (
+                "hil-full",
+                lambda state: state["accel"]["gateway"]["slots"][0].__setitem__(0, 10**9),
+                r"slots\[0\]\[0\] 1000000000 names no task",
+            ),
+            ("hil-full", _swap_first_slots, "slots are not the tasks of the valid TM entries"),
+            (
+                "hil-full",
+                lambda state: state["accel"]["deps_of_task"][0].__setitem__(1, 3),
+                "deps_of_task are not",
+            ),
+            ("hil-full", lambda state: state.update(finish_jobs=[0]), "distinct ready TM tasks"),
+            ("hil-full", lambda state: state["ready"].update(queue=[1]), "distinct ready TM tasks"),
+            ("hil-full", lambda state: state.update(pending_new=[3]), "each created task once"),
+            (
+                "hil-full",
+                lambda state: state["workers"].update(idle=[1, 2]),
+                "the idle workers are not",
+            ),
+            (
+                "hil-full",
+                lambda state: state["queue"]["buckets"][-1][1][0][1].__setitem__(1, 1),
+                "a queued worker-done names task 0, not worker 1's",
+            ),
+            ("nanos", lambda state: state.update(finished=3), "finished is not the"),
+            ("nanos", lambda state: state.update(ready_pool=[19]), "not distinct submitted tasks"),
+            (
+                "nanos",
+                lambda state: state["remaining_preds"][-1].__setitem__(1, 0),
+                "remaining_preds are not",
+            ),
+        ],
+        ids=[
+            "gateway-slot-unknown-task",
+            "gateway-slots-swapped",
+            "deps-of-task",
+            "finish-job-on-a-worker",
+            "ready-task-not-ready",
+            "pending-new-created-twice",
+            "idle-worker-with-a-task",
+            "worker-done-of-another-worker",
+            "nanos-finished",
+            "nanos-ready-not-submitted",
+            "nanos-remaining-preds",
+        ],
+    )
+    def test_a_known_value_in_the_wrong_place_is_refused(self, backend, edit, message):
+        snapshot = _forged_state_snapshot(
+            lambda payload: edit(payload["state"]), backend, 10_000
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    def test_a_request_the_decoder_refuses_is_a_snapshot_error(self):
+        snapshot = _forged_state_snapshot(
+            lambda payload: payload["request"].update(workers="four"), "hil-full", 10_000
+        )
+        with pytest.raises(SnapshotError, match="request or result is refused") as caught:
+            restore(snapshot)
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    def test_a_result_the_decoder_refuses_is_a_snapshot_error(self):
+        session = open_session(_workload_request("cholesky", "nanos"))
+        _drain(session)
+        document = capture(session).document()
+        payload = _payload(document)
+        payload["result"]["timelines"] = [1]
+        snapshot = SimulationSnapshot.from_document(_redigested(document, payload))
+        with pytest.raises(SnapshotError, match="request or result is refused"):
+            restore(snapshot)
+
+
+class TestForgedFaultState:
+    """The armed-fault state and the fault timers are checked like the rest
+    of the state: a value the plan could not hold is a ``SnapshotError``,
+    not a bare error mid-run or a fault invariant that fails at the end."""
+
+    KILL = (parse_fault_spec("kill-worker@cycle=2000000:worker=1"),)
+
+    @pytest.mark.parametrize("backend", ["hil-full", "nanos"])
+    @pytest.mark.parametrize(
+        "timer, message",
+        [
+            (["fto", 0, "rejoin", 99], None),
+            (["fto", 0, "kill", 1], r"\[3\] 1 is not one of None"),
+        ],
+        ids=["rejoin-thread-99", "kill-with-an-argument"],
+    )
+    def test_a_timer_that_does_not_fit_the_backend_is_refused(self, backend, timer, message):
+        if message is None:
+            message = "names no worker of the 4" if backend == "nanos" else "is not one of kill$"
+        snapshot = _forged_state_snapshot(
+            lambda payload: _queue_last("fault-timer", timer)(payload["state"]),
+            backend,
+            10_000,
+            faults=self.KILL,
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    @pytest.mark.parametrize("backend", ["hil-full", "nanos"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("fires", "5", r"fires '5' is not an integer"),
+            ("injected", 5.5, r"injected 5.5 is not an integer"),
+            ("recovered", True, r"recovered True is not an integer"),
+            ("injected", 1, "scenario 0's open faults are not what it waits on"),
+            ("rng", [3, [0] * 625, "x"], r"rng\[2\] 'x' is not a float"),
+            ("rng", [3, [2**32] + [0] * 624, None], r"rng\[1\]\[0\] 4294967296 is not"),
+            ("rng", [3, [0] * 624 + [625], None], r"rng\[1\]\[624\] 625 is not"),
+            ("rng", [2, [0] * 625, None], r"rng\[0\] 2 is not one of 3"),
+            ("killed", [[0]], r"killed\[0\] \[0\] is not a list of 2"),
+            ("awaiting", [0, 0], "awaiting holds an entry twice"),
+            ("watching", 4, "watching 4 names no worker of the 4"),
+        ],
+        ids=[
+            "string-count",
+            "float-count",
+            "bool-count",
+            "open-fault",
+            "rng-gauss",
+            "rng-word",
+            "rng-position",
+            "rng-version",
+            "killed-pair",
+            "awaiting-twice",
+            "watching",
+        ],
+    )
+    def test_a_forged_scenario_is_refused(self, backend, field, value, message):
+        def forge(payload):
+            payload["state"]["faults"]["scenarios"][0][field] = value
+            if field == "injected":
+                payload["state"]["faults"]["injected"] = value
+
+        snapshot = _forged_state_snapshot(forge, backend, 10_000, faults=self.KILL)
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    @pytest.mark.parametrize("backend", ["hil-full", "nanos"])
+    def test_fault_state_is_present_exactly_when_the_plan_arms_faults(self, backend):
+        def drop(payload):
+            del payload["state"]["faults"]
+
+        snapshot = _forged_state_snapshot(drop, backend, 10_000, faults=self.KILL)
+        with pytest.raises(SnapshotError, match="state is not an object of .*faults"):
+            restore(snapshot)
+
+        def add(payload):
+            payload["state"]["faults"] = {}
+
+        with pytest.raises(SnapshotError, match="state is not an object of"):
+            restore(_forged_state_snapshot(add, backend, 10_000))
+
+
+# ----------------------------------------------------------------------
+# the leaf-forging sweep
+# ----------------------------------------------------------------------
+#: Values that a field of a captured state rarely holds: a string, a
+#: negative and a huge number, null and a list.
+HOSTILE = ("x", -7, 10**9, None, [5])
+
+#: A small accelerator keeps the HIL documents, and so the sweep, small.
+SMALL_ACCELERATOR = PicosConfig(tm_entries=32, vm_entries=64, dm_sets=8)
+
+
+def _leaf_paths(value, path=()):
+    """The path of every leaf of ``value``: each key of an object, the
+    first and the last entry of a list; an empty list is a leaf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        for index in sorted({0, len(value) - 1}):
+            yield from _leaf_paths(value[index], path + (index,))
+    else:
+        yield path
+
+
+class TestLeafForgingSweep:
+    """Each leaf of a mid-run capture, replaced with each hostile value and
+    re-stamped: restore refuses the document with a ``SnapshotError``, or
+    the restored session runs to completion.  A plausible but wrong value,
+    such as a stats counter, may change the result; a bare exception, at
+    restore or mid-run, may not."""
+
+    @pytest.mark.parametrize(
+        "backend, cycles, fault",
+        [
+            ("hil-comm", 10_000, None),
+            ("hil-full", 10_000, None),
+            ("hil-hw", 30_000, None),
+            ("nanos", 30_000, None),
+            ("perfect", 400_000, None),
+            ("hil-full", 30_000, "kill-worker@cycle=20000:worker=1"),
+            ("nanos", 30_000, "kill-worker@cycle=20000:worker=1"),
+        ],
+        ids=["hil-comm", "hil-full", "hil-hw", "nanos", "perfect", "hil-full-kill", "nanos-kill"],
+    )
+    def test_every_forged_leaf_is_refused_or_runs(self, backend, cycles, fault):
+        fields = {"faults": (parse_fault_spec(fault),)} if fault else {}
+        if backend.startswith("hil"):
+            fields["config"] = SMALL_ACCELERATOR
+        document = _mid_run_document(backend, cycles, **fields)
+        payload = _payload(document)
+        paths = [
+            path
+            for key in ("kind", "backend", "cycle", "counters", "state")
+            for path in _leaf_paths(payload[key], (key,))
+        ]
+        assert len(paths) > 30
+        bare = []
+        for path, value in itertools.product(paths, HOSTILE):
+            forged = _payload(document)
+            *parents, leaf = path
+            functools.reduce(operator.getitem, parents, forged)[leaf] = copy.deepcopy(value)
+            try:
+                session = restore(
+                    SimulationSnapshot.from_document(_redigested(document, forged))
+                )
+                _drain(session, 10**9)
+            except SnapshotError:
+                continue
+            except Exception as error:  # the failure this sweep looks for
+                bare.append(f"{path} = {value!r}: {error!r}")
+        assert not bare, "\n".join(bare)
 
 
 # ----------------------------------------------------------------------
@@ -1213,15 +1470,15 @@ class TestEnvelope:
             (lambda p: dict(_enveloped(_canonical(p)), payload=p), "not a string"),
             (lambda p: _enveloped("\ud800", digest="0" * 24), "not encodable"),
             (lambda p: _enveloped(_canonical(p)[:-1]), "not JSON"),
-            (lambda p: _enveloped("[1,2]"), "not a JSON object"),
+            (lambda p: _enveloped("[1,2]"), "payload is not an object of kind, backend"),
             (lambda p: _enveloped(_canonical(p), digest="0" * 24), "digest mismatch"),
             (
                 lambda p: _enveloped(
                     _canonical({k: v for k, v in p.items() if k != "state"})
                 ),
-                "misses field 'state'",
+                "payload is not an object of kind, .* state, result",
             ),
-            (lambda p: _enveloped(_canonical(dict(p, kind="paused"))), "unknown"),
+            (lambda p: _enveloped(_canonical(dict(p, kind="paused"))), "kind 'paused' is not one"),
         ],
         ids=[
             "payload-object",

@@ -18,8 +18,8 @@ of the paper:
 
 Supporting modules: :mod:`repro.core.config` (geometry and calibrated
 latencies), :mod:`repro.core.packets` (inter-module messages),
-:mod:`repro.core.fifo` (bounded queues), :mod:`repro.core.hashing` (direct
-and Pearson index hashing), :mod:`repro.core.stats` (hardware counters).
+:mod:`repro.core.hashing` (direct and Pearson index hashing) and
+:mod:`repro.core.stats` (hardware counters).
 """
 
 from repro.core.config import DMDesign, PicosConfig

@@ -125,11 +125,6 @@ class VersionMemory:
         """Whether ``vm_index`` currently holds a live version."""
         return self._valid[vm_index]
 
-    def live_indices(self) -> List[int]:
-        """Every occupied VM index, in VM-index order (tests/debug)."""
-        valid = self._valid
-        return [index for index in range(self.entries) if valid[index]]
-
     def live_versions_of(self, address: int) -> List[int]:
         """Occupied VM indices holding versions of ``address``."""
         valid = self._valid

@@ -2,8 +2,8 @@
 
 The simulators' structural invariants -- cycle determinism, the
 ``__slots__`` hot-path discipline, handler-table completeness, the
-flat/reference datapath contract, async safety in the service layer,
-backend-registry completeness -- are enforced statically here, with
+flat/reference datapath contract, async safety in the service layer
+-- are enforced statically here, with
 stdlib ``ast`` only.  See :mod:`repro.lint.framework` for the rule and
 suppression model, :mod:`repro.lint.rules` for the built-in rules, and
 ``docs/static-analysis.md`` for the catalogue.

@@ -17,8 +17,6 @@ Each module covers one invariant family:
                            parity and ``-1`` sentinel hygiene
 :mod:`.asyncsafety`        ASY0xx -- no blocking calls / lost tasks in
                            the asyncio service
-:mod:`.registry`           REG0xx -- backend registrations declare their
-                           accepted parameters
 :mod:`.snapshot`           SNP0xx -- hot-path ``__slots__`` state is
                            covered by the checkpoint/restore codec
 ========================= ============================================
@@ -32,5 +30,4 @@ import repro.lint.rules.faults  # noqa: F401
 import repro.lint.rules.handlers  # noqa: F401
 import repro.lint.rules.hotpath  # noqa: F401
 import repro.lint.rules.parity  # noqa: F401
-import repro.lint.rules.registry  # noqa: F401
 import repro.lint.rules.snapshot  # noqa: F401

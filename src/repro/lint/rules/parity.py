@@ -104,7 +104,7 @@ SHARED_CONTRACT: Dict[str, Dict[str, Optional[Tuple[str, ...]]]] = {
 FLAT_ONLY: Dict[str, Tuple[str, ...]] = {
     "DependenceChainTracker": ("process_finish_run",),
     "DependenceMemory": ("release_handle",),
-    "VersionMemory": ("is_occupied", "live_indices"),
+    "VersionMemory": ("is_occupied",),
     "TaskMemory": ("check_occupied", "tm_index_for_task"),
     "TaskReservationStation": ("accept_task", "handle_ready_slot"),
 }

@@ -43,7 +43,7 @@ paper's Perfect simulator: the ``perfect`` backend registered below.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.runtime.dependence_analysis import TaskGraph, task_graph
 from repro.runtime.overhead import NanosOverheadModel
@@ -51,7 +51,6 @@ from repro.runtime.task import TaskProgram
 from repro.sim.backend import BACKEND_NANOS, BACKEND_PERFECT, register_backend
 from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult, mint_timelines
-from repro.sim.session import EngineStepper
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import ArmedFault, FaultPlan
@@ -497,37 +496,15 @@ class NanosBackend:
     #: meaningful request parameters.
     accepts = frozenset({"overhead", "faults"})
 
-    def make_stepper(
+    def simulator(
         self,
         program: TaskProgram,
         *,
         num_workers: int = 12,
         overhead: Optional[NanosOverheadModel] = None,
         faults: Sequence["FaultScenario"] = (),
-        **kwargs: object,
-    ) -> EngineStepper:
-        """A resumable sliced run with the same defaults as :meth:`simulate`."""
-        return EngineStepper(
-            NanosRuntimeSimulator(
-                program,
-                num_threads=num_workers,
-                overhead=overhead,
-                faults=faults,
-            )
-        )
-
-    def simulate(
-        self,
-        program: TaskProgram,
-        *,
-        num_workers: int = 12,
-        overhead: Optional[NanosOverheadModel] = None,
-        faults: Sequence["FaultScenario"] = (),
-        **kwargs: object,
-    ) -> SimulationResult:
-        return NanosRuntimeSimulator(
-            program, num_threads=num_workers, overhead=overhead, faults=faults
-        ).run()
+    ) -> NanosRuntimeSimulator:
+        return NanosRuntimeSimulator(program, num_workers, overhead, faults)
 
 
 register_backend(NanosBackend(), replace=True)
@@ -563,17 +540,12 @@ class PerfectBackend:
 
     name = BACKEND_PERFECT
     description = "Perfect simulator (the zero-overhead Nanos++ schedule)"
-    accepts = frozenset()
+    accepts: FrozenSet[str] = frozenset()
 
-    def make_stepper(
-        self, program: TaskProgram, *, num_workers: int = 12, **kwargs: object
-    ) -> EngineStepper:
-        return EngineStepper(_ZeroOverheadSimulator(program, num_workers, ZERO_OVERHEAD))
-
-    def simulate(
-        self, program: TaskProgram, *, num_workers: int = 12, **kwargs: object
-    ) -> SimulationResult:
-        return _ZeroOverheadSimulator(program, num_workers, ZERO_OVERHEAD).run()
+    def simulator(
+        self, program: TaskProgram, *, num_workers: int = 12
+    ) -> NanosRuntimeSimulator:
+        return _ZeroOverheadSimulator(program, num_workers, ZERO_OVERHEAD)
 
 
 register_backend(PerfectBackend(), replace=True)

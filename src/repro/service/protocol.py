@@ -128,8 +128,6 @@ def request_to_document(request: SimulationRequest) -> Dict[str, Any]:
         document["config"] = _config_to_document(request.config)
     if request.overhead is not None:
         document["overhead"] = dataclasses.asdict(request.overhead)
-    if request.seed is not None:
-        document["seed"] = request.seed
     if request.faults:
         document["faults"] = [scenario.to_document() for scenario in request.faults]
     if request.tenant != DEFAULT_TENANT:
@@ -156,7 +154,7 @@ def request_from_document(document: Mapping[str, Any]) -> SimulationRequest:
     known = {
         "workload", "block_size", "problem_size", "name", "tasks",
         "backend", "workers", "policy", "dm_design", "config", "overhead",
-        "seed", "faults", "tenant", "stream",
+        "faults", "tenant", "stream",
     }
     unknown = sorted(set(document) - known)
     if unknown:
@@ -175,8 +173,6 @@ def request_from_document(document: Mapping[str, Any]) -> SimulationRequest:
         fields["config"] = _config_from_document(document["config"])
     if "overhead" in document:
         fields["overhead"] = _overhead_from_document(document["overhead"])
-    if "seed" in document:
-        fields["seed"] = _require_int(document, "seed")
     if "faults" in document:
         fields["faults"] = _faults_from_document(document["faults"])
     if "tenant" in document:

@@ -19,7 +19,6 @@ from repro.sim.backend import (
     REQUEST_PARAMETERS,
     SimulatorBackend,
     UnknownBackendError,
-    backend_accepted_parameters,
     backend_names,
     describe_backends,
     get_backend,
@@ -76,7 +75,6 @@ __all__ = [
     "TaskTimeline",
     "UnknownBackendError",
     "WorkloadRef",
-    "backend_accepted_parameters",
     "backend_names",
     "describe_backends",
     "get_backend",

@@ -8,16 +8,14 @@ every experiment driver -- and every future runtime model -- talks to them
 through a single string-keyed dispatch point instead of hard-coding
 simulator classes.
 
-A backend is any object satisfying :class:`SimulatorBackend`: it has a
-``name``, a ``description``, a ``simulate(program, ...)`` method returning
-a :class:`~repro.sim.results.SimulationResult`, and (optionally) an
-``accepts`` set declaring which request parameters it understands.
-Backends that predate the typed-request API work unchanged: their accepted
-parameters are inferred from the ``simulate`` signature
-(:func:`backend_accepted_parameters`).  Every backend streams through
-:func:`repro.sim.session.open_session`, which wraps it in a
-:class:`~repro.sim.session.SimulationSession`.  The built-in simulators
-register themselves when their module is imported:
+A backend is any object satisfying :class:`SimulatorBackend`: a ``name``,
+a ``description``, an ``accepts`` frozenset naming the request parameters
+it understands (drawn from :data:`REQUEST_PARAMETERS`), and one factory,
+``simulator(program, num_workers=..., **params)``, that builds an
+engine-driven simulator (:class:`EngineSimulator`).  The batch path runs
+that simulator to completion; sessions slice it, and snapshots capture and
+restore it.  :func:`register_backend` refuses a backend that does not fit.
+The built-in simulators register themselves when their module is imported:
 
 ========== ==========================================================
 ``hil-full``  Picos HIL platform, Full-system mode (Table IV row 3)
@@ -29,84 +27,89 @@ register themselves when their module is imported:
 
 New backends plug in with :func:`register_backend`::
 
-    class MyRuntime:
-        name = "my-runtime"
-        description = "an experimental scheduler"
-        accepts = frozenset({"policy"})          # declared parameter set
-        def simulate(self, program, *, num_workers=12, policy=..., **kwargs):
-            ...
-    register_backend(MyRuntime())
-    simulate_request(SimulationRequest.for_program(program, backend="my-runtime"))
+    class SlowNanos:
+        name = "nanos-slow"
+        description = "Nanos++ with a slower scheduler"
+        accepts = frozenset({"faults"})          # declared parameter set
+        def simulator(self, program, *, num_workers=12, faults=()):
+            return NanosRuntimeSimulator(program, num_workers, SLOW, faults)
+    register_backend(SlowNanos())
+    simulate_request(SimulationRequest.for_program(program, backend="nanos-slow"))
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Dict, FrozenSet, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, FrozenSet, List, Protocol, Tuple, runtime_checkable
 
-from repro.core.config import PicosConfig
-from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.task import TaskProgram
+from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult
 
-#: The request parameters a backend may declare in its ``accepts`` set
-#: (``program`` and ``num_workers`` are universal and always passed).
-REQUEST_PARAMETERS: FrozenSet[str] = frozenset(
-    {"config", "dm_design", "policy", "overhead", "seed", "faults"}
+#: The request parameters a backend may declare in its ``accepts`` set, in
+#: the order they are reported and forwarded (``program`` and
+#: ``num_workers`` are universal and always passed).
+REQUEST_PARAMETERS: Tuple[str, ...] = (
+    "config",
+    "dm_design",
+    "policy",
+    "overhead",
+    "faults",
 )
+
+
+class EngineSimulator(Protocol):
+    """What a backend's ``simulator`` factory builds: one resumable run.
+
+    :class:`~repro.sim.hil.HILSimulator` and
+    :class:`~repro.runtime.nanos.NanosRuntimeSimulator` are the two
+    implementations; the snapshot codec reads and writes their state.
+    """
+
+    program: TaskProgram
+    queue: EventQueue
+
+    def enable_lifecycle_log(self) -> List[Tuple[int, int, int]]:
+        """Start logging ``(cycle, order, task_id)``; before the first step."""
+        ...
+
+    def step(self, stop_at_cycle: int) -> None:
+        """Dispatch every queued event up to ``stop_at_cycle``."""
+        ...
+
+    def run(self) -> SimulationResult:
+        """Run to completion and return the result."""
+        ...
 
 
 @runtime_checkable
 class SimulatorBackend(Protocol):
     """What every simulator backend must provide.
 
-    ``simulate`` receives the program plus the keyword parameters the
-    backend *declares* (via an ``accepts`` frozenset of names drawn from
-    :data:`REQUEST_PARAMETERS`); the typed request layer validates every
-    :class:`~repro.sim.request.SimulationRequest` against that set, so a
-    backend is never handed a knob it did not ask for and callers get an
-    :class:`~repro.sim.request.InvalidRequestError` instead of silent
-    swallowing.  Legacy backends without ``accepts`` keep working: their
-    parameter set is inferred from the ``simulate`` signature.
+    ``simulator`` receives the program, the worker count and the keyword
+    parameters the backend declares in ``accepts``; the typed request
+    layer validates every :class:`~repro.sim.request.SimulationRequest`
+    against that set, so a backend is never handed a knob it did not ask
+    for and callers get an :class:`~repro.sim.request.InvalidRequestError`
+    instead of silent swallowing.
     """
 
     #: Registry key and display identifier of the backend.
     name: str
-    #: One-line human description (shown by ``picos-experiment`` helpers).
+    #: One-line human description (shown by ``picos-experiment backends``).
     description: str
+    #: The request parameters this backend understands.
+    accepts: FrozenSet[str]
 
-    def simulate(
-        self,
-        program: TaskProgram,
-        *,
-        num_workers: int = 12,
-        config: Optional[PicosConfig] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-        **kwargs: object,
-    ) -> SimulationResult:
-        """Run ``program`` on ``num_workers`` workers and return the result."""
+    @property
+    def simulator(self) -> Callable[..., EngineSimulator]:
+        """The factory ``simulator(program, *, num_workers=12, **params)``.
+
+        It builds a fresh simulator of ``program`` on ``num_workers``
+        workers, taking as keywords the parameters named in ``accepts``.
+        Each backend spells out its own keywords, so the protocol types the
+        factory as a callable of any signature.
+        """
         ...
-
-
-def backend_accepted_parameters(backend: SimulatorBackend) -> FrozenSet[str]:
-    """The request parameters ``backend`` understands.
-
-    A backend declares them explicitly through an ``accepts`` attribute
-    (the built-ins all do).  For legacy backends the set is inferred from
-    the ``simulate`` signature: named keyword parameters are accepted, and
-    a bare ``**kwargs`` catch-all -- the historical protocol -- accepts
-    everything, preserving old plug-in behaviour.
-    """
-    declared = getattr(backend, "accepts", None)
-    if declared is not None:
-        return frozenset(declared)
-    try:
-        parameters = inspect.signature(backend.simulate).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/C callables
-        return REQUEST_PARAMETERS
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return REQUEST_PARAMETERS
-    return frozenset(REQUEST_PARAMETERS & set(parameters))
 
 
 class UnknownBackendError(KeyError):
@@ -160,6 +163,9 @@ def _load_builtin_backends() -> None:
 def register_backend(backend: SimulatorBackend, *, replace: bool = False) -> SimulatorBackend:
     """Add ``backend`` to the registry under ``backend.name``.
 
+    Refuses, with :class:`ValueError`, a backend without a non-empty
+    string ``name``, without an ``accepts`` frozenset drawn from
+    :data:`REQUEST_PARAMETERS` or without a callable ``simulator``.
     Registering a name twice is an error unless ``replace=True``; this
     protects against two plug-ins silently shadowing each other.  The
     backend is returned so the call can be used as a decorator-like
@@ -168,8 +174,17 @@ def register_backend(backend: SimulatorBackend, *, replace: bool = False) -> Sim
     name = getattr(backend, "name", None)
     if not name or not isinstance(name, str):
         raise ValueError("a backend must expose a non-empty string 'name'")
-    if not callable(getattr(backend, "simulate", None)):
-        raise ValueError(f"backend {name!r} must expose a callable 'simulate'")
+    accepts = getattr(backend, "accepts", None)
+    if not isinstance(accepts, frozenset):
+        raise ValueError(f"backend {name!r} must declare an 'accepts' frozenset")
+    unknown = sorted(accepts.difference(REQUEST_PARAMETERS))
+    if unknown:
+        raise ValueError(
+            f"backend {name!r} accepts unknown request parameter(s) {unknown}; "
+            f"choose from {list(REQUEST_PARAMETERS)}"
+        )
+    if not callable(getattr(backend, "simulator", None)):
+        raise ValueError(f"backend {name!r} must expose a callable 'simulator'")
     if not replace and name in _REGISTRY:
         raise ValueError(f"a backend named {name!r} is already registered")
     _REGISTRY[name] = backend

@@ -23,10 +23,11 @@ def simulate_request(request: SimulationRequest) -> SimulationResult:
     This is the one batch entry point every other surface (the experiment
     runner, the session ``result()``) funnels through; the request is
     normalized -- validated against the backend's declared parameters,
-    ``dm_design`` folded into a full configuration -- before dispatch.
+    ``dm_design`` folded into a full configuration -- before the backend
+    builds its simulator, which runs to completion.
     """
     normalized = request.normalize()
     backend = get_backend(normalized.backend)
-    return backend.simulate(
+    return backend.simulator(
         normalized.build_program(), **normalized.simulate_kwargs()
-    )
+    ).run()

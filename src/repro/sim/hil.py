@@ -67,7 +67,6 @@ from repro.sim.backend import (
 )
 from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult, mint_timelines
-from repro.sim.session import EngineStepper
 from repro.sim.worker import WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -682,10 +681,9 @@ _HIL_FAULT_ADAPTER = _HILFaultAdapter()
 # backend registration
 # ----------------------------------------------------------------------
 class HILBackend:
-    """Simulator backend wrapping :class:`HILSimulator` in one HIL mode."""
+    """Simulator backend building a :class:`HILSimulator` in one HIL mode."""
 
-    #: Request parameters this backend understands (see
-    #: :func:`repro.sim.backend.backend_accepted_parameters`).
+    #: Request parameters this backend understands.
     accepts = frozenset({"config", "dm_design", "policy", "faults"})
 
     def __init__(self, mode: HILMode) -> None:
@@ -695,7 +693,7 @@ class HILBackend:
             f"Picos hardware prototype, HIL {mode.display_name} mode"
         )
 
-    def make_stepper(
+    def simulator(
         self,
         program: TaskProgram,
         *,
@@ -704,41 +702,11 @@ class HILBackend:
         dm_design: Optional[DMDesign] = None,
         policy: SchedulingPolicy = SchedulingPolicy.FIFO,
         faults: Sequence["FaultScenario"] = (),
-        **kwargs: object,
-    ) -> EngineStepper:
-        """A resumable sliced run with the same defaults as :meth:`simulate`."""
-        if config is None:
-            if dm_design is not None:
-                config = PicosConfig.paper_prototype(dm_design)
-            else:
-                config = PicosConfig()
-        return EngineStepper(
-            HILSimulator(
-                program,
-                config=config,
-                mode=self.mode,
-                num_workers=num_workers,
-                policy=policy,
-                faults=faults,
-            )
-        )
-
-    def simulate(
-        self,
-        program: TaskProgram,
-        *,
-        num_workers: int = 12,
-        config: Optional[PicosConfig] = None,
-        dm_design: Optional[DMDesign] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-        faults: Sequence["FaultScenario"] = (),
-        **kwargs: object,
-    ) -> SimulationResult:
-        if config is None:
-            if dm_design is not None:
-                config = PicosConfig.paper_prototype(dm_design)
-            else:
-                config = PicosConfig()
+    ) -> HILSimulator:
+        """A fresh run; ``dm_design`` selects a paper prototype when no
+        ``config`` is given."""
+        if config is None and dm_design is not None:
+            config = PicosConfig.paper_prototype(dm_design)
         return HILSimulator(
             program,
             config=config,
@@ -746,7 +714,7 @@ class HILBackend:
             num_workers=num_workers,
             policy=policy,
             faults=faults,
-        ).run()
+        )
 
 
 for _mode in HILMode:

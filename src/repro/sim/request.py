@@ -5,12 +5,12 @@ every simulation in the package: which program (by workload reference or as
 an in-memory :class:`~repro.runtime.task.TaskProgram`), which simulator
 backend, how many workers, and the backend-specific knobs (Picos
 configuration, Dependence Memory design shortcut, scheduling policy,
-Nanos++ overhead model, random seed).
+Nanos++ overhead model, fault scenarios).
 
 Instead of every backend silently swallowing the parameters it does not
 understand through ``**kwargs``, a request is checked against the
-backend's declared parameter set (:func:`repro.sim.backend.
-backend_accepted_parameters`) and rejects unknown ones with a clear
+backend's declared parameter set (its ``accepts`` frozenset, see
+:mod:`repro.sim.backend`) and rejects unknown ones with a clear
 :class:`InvalidRequestError`.  Because the request is a frozen dataclass it
 is also the natural unit for cache keys (:meth:`SimulationRequest.
 cache_key`), sweep templates (:mod:`repro.experiments.runner`) and future
@@ -47,6 +47,7 @@ from repro.core.scheduler import SchedulingPolicy
 from repro.faults.scenario import FaultScenario
 from repro.runtime.overhead import NanosOverheadModel
 from repro.runtime.task import TaskProgram
+from repro.sim.backend import REQUEST_PARAMETERS, get_backend
 
 
 class InvalidRequestError(ValueError):
@@ -209,26 +210,6 @@ def config_fields(config: PicosConfig) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # the request itself
 # ----------------------------------------------------------------------
-#: Field names checked against a backend's accepted-parameter set, in the
-#: deterministic order they are reported and forwarded; the program and the
-#: worker count are universal and always allowed.  Kept in lockstep with
-#: the registry-side declaration vocabulary.
-_CHECKED_PARAMETERS: Tuple[str, ...] = (
-    "config",
-    "dm_design",
-    "policy",
-    "overhead",
-    "seed",
-    "faults",
-)
-from repro.sim.backend import REQUEST_PARAMETERS as _REQUEST_PARAMETERS  # noqa: E402
-
-assert frozenset(_CHECKED_PARAMETERS) == _REQUEST_PARAMETERS, (
-    "sim.request._CHECKED_PARAMETERS and sim.backend.REQUEST_PARAMETERS "
-    "must declare the same parameter vocabulary"
-)
-
-
 @dataclass(frozen=True)
 class StreamOptions:
     """Delivery preferences of a streamed/served simulation.
@@ -285,9 +266,6 @@ class SimulationRequest:
         Ready-queue policy of the Task Scheduler (``hil-*`` backends).
     overhead:
         Nanos++ overhead model override (``nanos`` backend).
-    seed:
-        Random seed, reserved for stochastic plug-in backends; the five
-        built-in simulators are deterministic and do not accept it.
     faults:
         Armed fault scenarios (:class:`repro.faults.FaultScenario`),
         injected deterministically by the engine-driven backends; the
@@ -310,7 +288,6 @@ class SimulationRequest:
     dm_design: Optional[DMDesign] = None
     policy: SchedulingPolicy = SchedulingPolicy.FIFO
     overhead: Optional[NanosOverheadModel] = None
-    seed: Optional[int] = None
     faults: Tuple[FaultScenario, ...] = ()
     tenant: str = DEFAULT_TENANT
     stream: Optional[StreamOptions] = None
@@ -374,10 +351,8 @@ class SimulationRequest:
     # validation and normalization
     # ------------------------------------------------------------------
     def accepted_parameters(self) -> FrozenSet[str]:
-        """The backend's declared parameter set (resolved via the registry)."""
-        from repro.sim.backend import backend_accepted_parameters, get_backend
-
-        return backend_accepted_parameters(get_backend(self.backend))
+        """The backend's declared ``accepts`` set (resolved via the registry)."""
+        return get_backend(self.backend).accepts
 
     def rejected_parameters(self) -> Tuple[str, ...]:
         """Names of non-default parameters the backend does not accept.
@@ -388,7 +363,7 @@ class SimulationRequest:
         """
         accepts = self.accepted_parameters()
         rejected: List[str] = []
-        for name in _CHECKED_PARAMETERS:
+        for name in REQUEST_PARAMETERS:
             if name in accepts:
                 continue
             value = getattr(self, name)
@@ -469,12 +444,12 @@ class SimulationRequest:
         The key combines the trace digest, the backend name, the effective
         configuration fingerprint, the worker count and the policy -- the
         exact inputs that determine a deterministic simulation's outcome --
-        plus the overhead model and seed when set.  ``prefix``/``suffix``
-        let callers salt the key with versioning or sweep-specific parts
-        (:func:`repro.experiments.runner.point_cache_key` does exactly
-        that, byte-compatibly with the keys it minted before requests
-        existed); ``trace_digest`` short-circuits digest computation when
-        the caller already holds it.
+        plus the overhead model and the fault scenarios when set.
+        ``prefix``/``suffix`` let callers salt the key with versioning or
+        sweep-specific parts (:func:`repro.experiments.runner.
+        point_cache_key` does exactly that, byte-compatibly with the keys it
+        minted before requests existed); ``trace_digest`` short-circuits
+        digest computation when the caller already holds it.
         """
         parts: List[object] = list(prefix)
         parts.append(trace_digest if trace_digest is not None else self.trace_digest())
@@ -490,8 +465,6 @@ class SimulationRequest:
             parts.append(
                 ("overhead", tuple(sorted(dataclasses.asdict(self.overhead).items())))
             )
-        if self.seed is not None:
-            parts.append(("seed", self.seed))
         if self.faults:
             parts.append(
                 ("faults", tuple(sc.cache_token() for sc in self.faults))
@@ -500,7 +473,7 @@ class SimulationRequest:
         return stable_digest(*parts)
 
     def simulate_kwargs(self) -> Dict[str, object]:
-        """The keyword arguments to pass to ``backend.simulate``.
+        """The keyword arguments to pass to ``backend.simulator``.
 
         ``num_workers`` always travels; the checked parameters travel only
         when the backend declares them, so a backend never sees a knob it
@@ -508,7 +481,7 @@ class SimulationRequest:
         """
         accepts = self.accepted_parameters()
         kwargs: Dict[str, object] = {"num_workers": self.num_workers}
-        for name in _CHECKED_PARAMETERS:
+        for name in REQUEST_PARAMETERS:
             if name in accepts:
                 kwargs[name] = getattr(self, name)
         return kwargs
@@ -519,5 +492,5 @@ class SimulationRequest:
 _FIELD_DEFAULTS: Dict[str, object] = {
     f.name: f.default
     for f in dataclasses.fields(SimulationRequest)
-    if f.name in _CHECKED_PARAMETERS
+    if f.name in REQUEST_PARAMETERS
 }

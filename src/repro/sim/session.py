@@ -18,11 +18,12 @@ batch call cannot express:
 The cardinal guarantee is *batch parity*: streaming a program through a
 session produces a :class:`~repro.sim.results.SimulationResult` that is
 cycle-identical (field for field, timeline for timeline) to running the
-same request through the batch path.  The default session achieves this by
+same request through the batch path.  The session achieves this by
 construction -- submission assembles exactly the program the batch path
-would simulate, the backend's own ``simulate`` produces the result, and
-the event stream is derived from the result's per-task timelines -- so any
-backend, including third-party plug-ins, gets a correct session for free.
+would simulate, and the backend's ``simulator`` factory builds the same
+engine-driven simulator the batch path runs, here wrapped in an
+:class:`EngineStepper` that slices it -- so any backend, including
+third-party plug-ins, gets a correct session for free.
 
 Typical use::
 
@@ -43,7 +44,7 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, List, Optional, Tuple
 
 from repro.runtime.task import Task, TaskProgram
-from repro.sim.backend import SimulatorBackend, get_backend
+from repro.sim.backend import EngineSimulator, SimulatorBackend, get_backend
 from repro.sim.request import SimulationRequest
 from repro.sim.results import SimulationResult
 
@@ -112,6 +113,8 @@ _EVENT_ORDER = {
 #: Event class per lifecycle-log order value (see stepper contract below).
 _EVENT_CLASSES = (TaskSubmitted, TaskReady, TaskRetired, FaultInjected, FaultRecovered)
 
+_SUBMITTED, _READY, _RETIRED = TaskSubmitted.kind, TaskReady.kind, TaskRetired.kind
+
 
 def lifecycle_events(result: SimulationResult) -> List[SessionEvent]:
     """The typed event stream of a finished simulation, in cycle order.
@@ -176,7 +179,9 @@ class SessionStats:
     state: str
     #: Tasks submitted to the session so far.
     tasks_submitted: int
-    #: Lifecycle events delivered through :meth:`SimulationSession.events`.
+    #: Task lifecycle events delivered so far, through
+    #: :meth:`SimulationSession.advance` or :meth:`SimulationSession.events`
+    #: (fault events are not counted).
     events_delivered: int
     #: Ready / retired counts among the delivered events.
     tasks_ready: int
@@ -222,7 +227,7 @@ class EngineStepper:
     log counts as all new.
     """
 
-    def __init__(self, simulator) -> None:  # type: ignore[no-untyped-def]
+    def __init__(self, simulator: EngineSimulator) -> None:
         self._sim = simulator
         self._log: List[Tuple[int, int, int]] = simulator.enable_lifecycle_log()
         #: Length of the pending-entry heap at the front of ``_log``.
@@ -292,12 +297,12 @@ class EngineStepper:
 class SimulationSession:
     """Incremental execution surface over one simulator backend.
 
-    The session of every backend without its own ``open_session``: it
-    slices runs through the backend's ``make_stepper`` when there is one
-    and falls back to its batch ``simulate`` otherwise.  Tasks referenced
-    by the request's program are pre-submitted at open time; more may
-    arrive through :meth:`submit` until the session is sealed (sealing
-    happens implicitly the first time events or the result are demanded).
+    The session of every backend: it slices runs through an
+    :class:`EngineStepper` over the simulator the backend's ``simulator``
+    factory builds.  Tasks referenced by the request's program are
+    pre-submitted at open time; more may arrive through :meth:`submit`
+    until the session is sealed (sealing happens implicitly the first time
+    events, a slice or the result are demanded).
     """
 
     def __init__(self, backend: SimulatorBackend, request: SimulationRequest) -> None:
@@ -312,11 +317,14 @@ class SimulationSession:
         #: released then, but the progress snapshot must not forget it).
         self._submitted_at_close: Optional[int] = None
         #: Live cooperative-slicing adapter (see :meth:`advance`); ``None``
-        #: until the first ``advance`` on a backend that provides one, and
-        #: again once the run finished or the session closed.
-        self._stepper = None
+        #: until the first ``advance``, and again once the run finished or
+        #: the session closed.
+        self._stepper: Optional[EngineStepper] = None
         self._result: Optional[SimulationResult] = None
         self._events: Optional[List[SessionEvent]] = None
+        #: Task events delivered so far, by ``advance`` or ``events``: the
+        #: ``events()`` cursor into :func:`lifecycle_events`.  Fault events
+        #: are not in that stream, so they are not counted.
         self._delivered = 0
         self._ready_seen = 0
         self._retired_seen = 0
@@ -386,11 +394,13 @@ class SimulationSession:
                 self._result = stepper.result()
                 self._stepper = None
             else:
-                program = self._assembled_program()
-                self._result = self._backend.simulate(
-                    program, **self.request.simulate_kwargs()
-                )
+                self._result = self._simulator().run()
         return self._result
+
+    def _simulator(self) -> EngineSimulator:
+        return self._backend.simulator(
+            self._assembled_program(), **self.request.simulate_kwargs()
+        )
 
     def _ensure_events(self) -> List[SessionEvent]:
         # Derived lazily: result()-only consumers never pay for building and
@@ -432,12 +442,10 @@ class SimulationSession:
         service in :mod:`repro.service`) can interleave many long runs on
         one thread.  Concatenating the slices of a run reproduces the full
         :meth:`events` stream exactly, and the final :meth:`result` is
-        cycle-identical to the batch path.
-
-        Backends advertise slicing by providing ``make_stepper(program,
-        **simulate_kwargs)``; for every other backend the first ``advance``
-        falls back to running the whole simulation as a single slice.  The
-        first call seals the session either way.
+        cycle-identical to the batch path.  The first call seals the
+        session.  On a session that already holds its result (``result()``
+        came first, or a finished snapshot was restored) the task events
+        not yet delivered form one last, finished slice.
         """
         self._require_usable("advance")
         if slice_cycles is None:
@@ -447,20 +455,15 @@ class SimulationSession:
                 if stream is not None and stream.slice_cycles is not None
                 else DEFAULT_SLICE_CYCLES
             )
-        if self._result is None and self._stepper is None:
-            self.seal()
-            factory = getattr(self._backend, "make_stepper", None)
-            if factory is not None:
-                self._stepper = factory(
-                    self._assembled_program(), **self.request.simulate_kwargs()
-                )
-        if self._stepper is None:
-            # One-shot fallback: the entire run is a single slice.
-            result = self._ensure_result()
-            events = self._ensure_events()
-            remaining = tuple(events[self._delivered :])
+        if self._result is not None:
+            remaining = tuple(self._ensure_events()[self._delivered :])
             self._count_delivered(remaining)
-            return SessionSlice(finished=True, horizon=result.drain_time, events=remaining)
+            return SessionSlice(
+                finished=True, horizon=self._result.drain_time, events=remaining
+            )
+        if self._stepper is None:
+            self.seal()
+            self._stepper = EngineStepper(self._simulator())
         finished, horizon, entries = self._stepper.advance(slice_cycles)
         classes = _EVENT_CLASSES
         slice_events = tuple(
@@ -477,16 +480,21 @@ class SimulationSession:
 
         Keeps the ``events()`` cursor consistent: sliced delivery follows
         the exact global stream order, so bumping ``_delivered`` by the
-        slice length leaves any later ``events()`` call resuming right
-        after the last sliced event.
+        slice's task events leaves any later ``events()`` call resuming
+        right after the last sliced task event.  The slice's fault events
+        are not in the ``events()`` stream, so they do not move the cursor.
         """
+        faults = 0
         for event in events:
             self._current_cycle = event.cycle
-            if event.kind == TaskReady.kind:
+            kind = event.kind
+            if kind == _READY:
                 self._ready_seen += 1
-            elif event.kind == TaskRetired.kind:
+            elif kind == _RETIRED:
                 self._retired_seen += 1
-        self._delivered += len(events)
+            elif kind != _SUBMITTED:
+                faults += 1
+        self._delivered += len(events) - faults
 
     def _deliver(
         self, events: List[SessionEvent], until_cycle: Optional[int]
@@ -497,9 +505,9 @@ class SimulationSession:
                 return
             self._delivered += 1
             self._current_cycle = event.cycle
-            if event.kind == TaskReady.kind:
+            if event.kind == _READY:
                 self._ready_seen += 1
-            elif event.kind == TaskRetired.kind:
+            elif event.kind == _RETIRED:
                 self._retired_seen += 1
             yield event
 
@@ -612,15 +620,9 @@ class SimulationSession:
 
 
 def open_session(request: SimulationRequest) -> SimulationSession:
-    """Open a session for ``request`` on its backend.
+    """Open a :class:`SimulationSession` for ``request`` on its backend.
 
-    Backends may provide a native ``open_session(request)``; every other
-    backend, the built-ins included, gets a :class:`SimulationSession`.
-    Either way the request is validated first, so
-    an unaccepted parameter fails here rather than mid-stream.
+    The request is validated first, so an unaccepted parameter fails here
+    rather than mid-stream.
     """
-    backend = get_backend(request.backend)
-    opener = getattr(backend, "open_session", None)
-    if opener is not None:
-        return opener(request)
-    return SimulationSession(backend, request)
+    return SimulationSession(get_backend(request.backend), request)

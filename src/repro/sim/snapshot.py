@@ -15,8 +15,7 @@ Three snapshot kinds cover a session's lifecycle:
 ``initial``
     Taken before the first :meth:`~repro.sim.session.SimulationSession.
     advance`; only the (fully assembled) request is stored.  Restoring
-    yields a fresh session -- this is also the only kind a plug-in
-    backend without a stepper can produce mid-lifecycle.
+    yields a fresh session.
 ``mid-run``
     Taken between ``advance`` slices at the stepper's cycle horizon; the
     complete mutable simulator state travels in the ``state`` document.
@@ -105,7 +104,7 @@ from repro.runtime.task import Task, TaskProgram
 from repro.sim.engine import Event
 from repro.sim.hil import HILSimulator
 from repro.sim.request import InlineProgramRef
-from repro.sim.session import _EVENT_CLASSES, SimulationSession, open_session
+from repro.sim.session import _EVENT_CLASSES, EngineStepper, SimulationSession, open_session
 
 __all__ = [
     "KIND_FINISHED",
@@ -1278,9 +1277,10 @@ def _simulator_state_document(sim: Any) -> Dict[str, Any]:
 def _restore_simulator_state(sim: Any, state: Any, cycle: int) -> None:
     """Check ``state`` against the tables and the rules for ``sim``, a
     freshly built restore target, then restore ``sim`` from it."""
-    hil, program, plan = isinstance(sim, HILSimulator), sim.program, sim._fault_plan
+    hil = isinstance(sim, HILSimulator)
     if not hil and not isinstance(sim, NanosRuntimeSimulator):
         raise SnapshotError(f"no snapshot codec for simulator type {type(sim).__name__}")
+    program, plan = sim.program, sim._fault_plan
     armed = [] if plan is None else plan.armed_faults
     c = {
         "program": program, "rows": program.rows(), "tasks": program.num_tasks, "cycle": cycle,
@@ -1573,12 +1573,6 @@ def restore(
     if config is not None:
         request = _forked_request(snapshot, request, config)
     session = open_session(request)
-    if not isinstance(session, SimulationSession):
-        raise SnapshotError(
-            f"backend {request.backend!r} opened a "
-            f"{type(session).__name__} session, which restore() cannot "
-            "populate"
-        )
     session._delivered = snapshot.counters["delivered"]
     session._ready_seen = snapshot.counters["ready_seen"]
     session._retired_seen = snapshot.counters["retired_seen"]
@@ -1599,15 +1593,7 @@ def restore(
         raise SnapshotError(f"unknown snapshot kind {snapshot.kind!r}")
     if snapshot.state is None:
         raise SnapshotError("mid-run snapshot carries no state document")
-    factory = getattr(session._backend, "make_stepper", None)
-    if factory is None:
-        raise SnapshotError(
-            f"backend {request.backend!r} provides no stepper; a mid-run "
-            "snapshot of it cannot exist"
-        )
-    stepper = factory(
-        session._assembled_program(), **session.request.simulate_kwargs()
-    )
+    stepper = EngineStepper(session._simulator())
     _restore_simulator_state(stepper._sim, snapshot.state, snapshot.cycle)
     stepper._horizon = snapshot.cycle
     stepper.finished = stepper._sim.queue.empty

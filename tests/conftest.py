@@ -10,9 +10,12 @@ from typing import Iterator
 
 import pytest
 
+from tests.helpers import SlowNanosBackend
+
+import repro
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
-from repro.sim.backend import get_backend, register_backend, unregister_backend
+from repro.sim.backend import unregister_backend
 
 
 @pytest.fixture
@@ -33,25 +36,9 @@ def accelerator(default_config: PicosConfig) -> PicosAccelerator:
     return PicosAccelerator(default_config)
 
 
-class _BatchOnlyBackend:
-    """A plug-in backend without ``make_stepper``: ``simulate`` only.
-
-    Every built-in backend slices; this one runs the ``perfect`` schedule
-    in one batch call, so the session's one-shot fallback and restore's
-    no-stepper refusal stay covered.
-    """
-
-    name = "batch-only"
-    description = "the perfect schedule, without a stepper"
-    accepts = frozenset()
-
-    def simulate(self, program, *, num_workers=12, **kwargs):
-        return get_backend("perfect").simulate(program, num_workers=num_workers)
-
-
 @pytest.fixture
-def batch_only_backend() -> Iterator[str]:
-    """The name of a registered plug-in backend that has no stepper."""
-    backend = register_backend(_BatchOnlyBackend())
+def plugin_backend() -> Iterator[str]:
+    """The name of the registered ``nanos-slow`` plug-in backend."""
+    backend = repro.register_backend(SlowNanosBackend())
     yield backend.name
     unregister_backend(backend.name)

@@ -16,6 +16,8 @@ from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
 from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
 from repro.runtime.dependence_analysis import task_graph
+from repro.runtime.nanos import NanosRuntimeSimulator
+from repro.runtime.overhead import NanosOverheadModel
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
 from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
@@ -181,6 +183,22 @@ def drain_functional(accelerator: PicosAccelerator, program: TaskProgram) -> Lis
                 f"in flight {accelerator.in_flight}"
             )
     return order
+
+
+#: The ``nanos-slow`` plug-in's overhead model: the calibrated Nanos++
+#: costs with a scheduler four times slower.
+SLOW_SCHEDULER = NanosOverheadModel(scheduling_cycles=4 * NanosOverheadModel().scheduling_cycles)
+
+
+class SlowNanosBackend:
+    """An engine-driven plug-in: the Nanos++ model at its own overhead."""
+
+    name = "nanos-slow"
+    description = "Nanos++ with a four times slower scheduler (test plug-in)"
+    accepts = frozenset({"faults"})
+
+    def simulator(self, program, *, num_workers=12, faults=()):
+        return NanosRuntimeSimulator(program, num_workers, SLOW_SCHEDULER, faults)
 
 
 #: A scenario whose window lies far past the end of any test run: an armed

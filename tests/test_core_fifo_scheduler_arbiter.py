@@ -1,80 +1,12 @@
-"""Unit tests for the FIFO channels, the Task Scheduler and the Arbiter."""
+"""Unit tests for the Task Scheduler and the Arbiter."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.arbiter import Arbiter
-from repro.core.fifo import BoundedFifo, FifoEmptyError, FifoFullError
 from repro.core.packets import TaskSlotRef
 from repro.core.scheduler import SchedulingPolicy, TaskScheduler
-
-
-class TestBoundedFifo:
-    def test_push_pop_order(self):
-        fifo = BoundedFifo(name="t")
-        for value in (1, 2, 3):
-            fifo.push(value)
-        assert [fifo.pop() for _ in range(3)] == [1, 2, 3]
-
-    def test_empty_and_full_status(self):
-        fifo = BoundedFifo(capacity=2)
-        assert fifo.empty and not fifo.full
-        fifo.push("a")
-        fifo.push("b")
-        assert fifo.full and not fifo.empty
-
-    def test_push_to_full_raises(self):
-        fifo = BoundedFifo(capacity=1)
-        fifo.push(1)
-        with pytest.raises(FifoFullError):
-            fifo.push(2)
-
-    def test_try_push_returns_false_when_full(self):
-        fifo = BoundedFifo(capacity=1)
-        assert fifo.try_push(1)
-        assert not fifo.try_push(2)
-
-    def test_pop_empty_raises(self):
-        fifo = BoundedFifo()
-        with pytest.raises(FifoEmptyError):
-            fifo.pop()
-        with pytest.raises(FifoEmptyError):
-            fifo.peek()
-
-    def test_peek_does_not_remove(self):
-        fifo = BoundedFifo()
-        fifo.push(42)
-        assert fifo.peek() == 42
-        assert len(fifo) == 1
-
-    def test_drain_empties_in_order(self):
-        fifo = BoundedFifo()
-        for value in range(5):
-            fifo.push(value)
-        assert fifo.drain() == list(range(5))
-        assert fifo.empty
-
-    def test_statistics(self):
-        fifo = BoundedFifo(capacity=4)
-        for value in range(3):
-            fifo.push(value)
-        fifo.pop()
-        fifo.push(3)
-        assert fifo.total_pushed == 4
-        assert fifo.max_occupancy == 3
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            BoundedFifo(capacity=0)
-
-    def test_iteration_and_bool(self):
-        fifo = BoundedFifo()
-        assert not fifo
-        fifo.push(1)
-        fifo.push(2)
-        assert list(fifo) == [1, 2]
-        assert fifo
 
 
 class TestTaskScheduler:

@@ -26,6 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.overhead import NanosOverheadModel
+from repro.sim.driver import simulate_request
 
 SMALL = 256
 
@@ -221,42 +222,22 @@ class TestExecution:
         require_config_sensitive_backend("x", "hil-hw")
         require_config_sensitive_backend("x", "my-custom-hw")
 
-    def test_plugin_backend_runs_under_parallel_options(self):
-        from repro.sim.backend import register_backend, unregister_backend
-        from repro.sim.results import SimulationResult
-
-        class PluginBackend:
-            name = "plugin-under-test"
-            description = "parent-process-only backend"
-
-            def simulate(self, program, *, num_workers=12, **kwargs):
-                return SimulationResult(
-                    simulator=self.name,
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=7,
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
-
-        register_backend(PluginBackend())
-        try:
-            point = SweepPoint(
-                workload="heat",
-                block_size=64,
-                problem_size=SMALL,
-                backend="plugin-under-test",
-            )
-            # A backend registered only in this process must not be shipped
-            # to pool workers; the runner executes it in-process even when
-            # parallelism is requested.
-            assert not runner._is_pool_safe(point)
-            mixed = TINY_SPEC.expand() + [point]
-            results = run_points(mixed, RunnerOptions(jobs=2))
-            assert results[point].simulator == "plugin-under-test"
-            assert results[point].metrics["makespan"] == 7
-        finally:
-            unregister_backend("plugin-under-test")
+    def test_plugin_backend_runs_under_parallel_options(self, plugin_backend):
+        point = SweepPoint(
+            workload="heat",
+            block_size=64,
+            problem_size=SMALL,
+            backend=plugin_backend,
+        )
+        # A backend registered only in this process must not be shipped
+        # to pool workers; the runner executes it in-process even when
+        # parallelism is requested.
+        assert not runner._is_pool_safe(point)
+        mixed = TINY_SPEC.expand() + [point]
+        results = run_points(mixed, RunnerOptions(jobs=2))
+        straight = simulate_request(point.to_request())
+        assert results[point].simulator == straight.simulator
+        assert results[point].metrics["makespan"] == straight.makespan
 
 
 class TestCache:

@@ -68,7 +68,6 @@ class TestFramework:
             "PAR003",
             "ASY001",
             "ASY002",
-            "REG001",
             "SNP001",
         ):
             assert expected in ids
@@ -674,72 +673,6 @@ class TestAsyncSafetyRules:
                 "async def spawn(coro):\n"
                 "    task = asyncio.create_task(coro)\n"
                 "    await task\n"
-            },
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# REG: backend-registry completeness
-# ----------------------------------------------------------------------
-_BACKEND_OK = (
-    "class GoodBackend:\n"
-    "    name = 'good'\n"
-    "    accepts = frozenset({'config'})\n"
-    "    def open_session(self, request):\n"
-    "        return None\n"
-    "register_backend(GoodBackend())\n"
-)
-
-
-class TestRegistryRule:
-    def test_backend_without_accepts_flagged(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "sim/x.py": "class BadBackend:\n"
-                "    name = 'bad'\n"
-                "register_backend(BadBackend())\n"
-            },
-        )
-        assert rule_ids(findings) == ["REG001"]
-        assert "accepts" in findings[0].message
-
-    def test_complete_backend_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {"sim/x.py": _BACKEND_OK})
-        assert findings == []
-
-    def test_backend_without_open_session_clean(self, tmp_path):
-        # Sessions fall back to the default SimulationSession, so
-        # open_session is optional.
-        findings = lint_tree(
-            tmp_path,
-            {
-                "sim/x.py": "class BatchBackend:\n"
-                "    name = 'batch'\n"
-                "    accepts = frozenset({'config'})\n"
-                "register_backend(BatchBackend())\n"
-            },
-        )
-        assert findings == []
-
-    def test_class_object_registration_checked(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "sim/x.py": "class BadBackend:\n"
-                "    name = 'bad'\n"
-                "register_backend(BadBackend)\n"
-            },
-        )
-        assert sorted(set(rule_ids(findings))) == ["REG001"]
-
-    def test_unresolvable_class_skipped(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "sim/x.py": "from elsewhere import SomeBackend\n"
-                "register_backend(SomeBackend())\n"
             },
         )
         assert findings == []

@@ -122,7 +122,7 @@ class TestCrossSimulatorInvariants:
         That does not hold in general: the zero-overhead Nanos++ schedule
         is a greedy list schedule, not a bound.
         """
-        perfect = get_backend("perfect").simulate(program, num_workers=workers)
+        perfect = get_backend("perfect").simulator(program, num_workers=workers).run()
         hw_only = HILSimulator(program, mode=HILMode.HW_ONLY, num_workers=workers).run()
         nanos = NanosRuntimeSimulator(program, num_threads=workers).run()
         assert hw_only.makespan >= perfect.makespan
@@ -131,7 +131,7 @@ class TestCrossSimulatorInvariants:
     @_SETTINGS
     @given(program=task_programs(max_tasks=16), workers=st.integers(1, 6))
     def test_speedup_never_exceeds_workers_or_parallelism(self, program, workers):
-        result = get_backend("perfect").simulate(program, num_workers=workers)
+        result = get_backend("perfect").simulator(program, num_workers=workers).run()
         assert result.speedup <= workers + 1e-9
         assert result.speedup <= task_graph(program).max_parallelism() + 1e-9
 

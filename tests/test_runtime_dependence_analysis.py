@@ -211,8 +211,7 @@ class TestSharedTaskGraph:
         first = NanosRuntimeSimulator(program, num_threads=4)
         second = NanosRuntimeSimulator(program, num_threads=4)
         assert first.graph is graph and second.graph is graph
-        stepper = get_backend("perfect").make_stepper(program, num_workers=4)
-        assert stepper._sim.graph is graph
+        assert get_backend("perfect").simulator(program, num_workers=4).graph is graph
 
     def test_adding_a_task_drops_the_memo(self):
         program = make_program([[(A, Direction.OUT)], [(B, Direction.OUT)]])
@@ -236,7 +235,7 @@ class TestSharedTaskGraph:
         # simulators now share its graph, so none of them may edit it.
         program = build_benchmark("cholesky", 128, problem_size=512)
         NanosRuntimeSimulator(program, num_threads=4).run()
-        get_backend("perfect").simulate(program, num_workers=4)
+        get_backend("perfect").simulator(program, num_workers=4).run()
         killed = NanosRuntimeSimulator(
             program,
             num_threads=4,

@@ -82,7 +82,7 @@ class TestNanosOverheadModel:
 
 def perfect(program: TaskProgram, workers: int):
     """The ``perfect`` backend's result for ``program`` on ``workers``."""
-    return get_backend("perfect").simulate(program, num_workers=workers)
+    return get_backend("perfect").simulator(program, num_workers=workers).run()
 
 
 def perfect_speedup(program: TaskProgram, workers: int) -> float:

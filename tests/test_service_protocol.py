@@ -91,11 +91,9 @@ class TestRequestDocuments:
             problem_size=512,
             backend="nanos",
             overhead=NanosOverheadModel(scheduling_cycles=99),
-            seed=7,
         )
         rebuilt = request_from_document(request_to_document(request))
         assert rebuilt.overhead == request.overhead
-        assert rebuilt.seed == 7
         assert rebuilt.cache_key() == request.cache_key()
 
     def test_config_round_trips(self):
@@ -113,6 +111,13 @@ class TestRequestDocuments:
         with pytest.raises(ProtocolError) as excinfo:
             request_from_document({"backend": "perfect", "warp_factor": 9})
         assert "warp_factor" in str(excinfo.value)
+
+    def test_a_seed_is_an_unknown_field(self):
+        # No backend takes a request-level seed; fault triggers carry their own.
+        with pytest.raises(ProtocolError) as excinfo:
+            request_from_document({"backend": "nanos", "seed": 7})
+        assert excinfo.value.code == "bad-request"
+        assert "unknown request field(s): seed" in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "document",

@@ -6,8 +6,9 @@ import warnings
 
 import pytest
 
-from tests.helpers import make_program
+from tests.helpers import SLOW_SCHEDULER, SlowNanosBackend, make_program
 
+import repro
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.nanos import ZERO_OVERHEAD, NanosRuntimeSimulator
@@ -24,12 +25,18 @@ from repro.sim.backend import (
 from repro.sim.driver import simulate_request
 from repro.sim.hil import HILBackend, HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
-from repro.sim.results import SimulationResult
-from repro.sim.session import open_session
+from repro.sim.session import lifecycle_events, open_session
+from repro.sim.snapshot import SimulationSnapshot, capture, restore
 
 
 def _simulate(program, backend, **fields):
     return simulate_request(SimulationRequest.for_program(program, backend=backend, **fields))
+
+
+def _cholesky_request(backend):
+    return SimulationRequest.for_workload(
+        "cholesky", block_size=128, problem_size=512, backend=backend, num_workers=4
+    )
 
 
 @pytest.fixture
@@ -83,19 +90,41 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_backend(backend)
 
-    def test_register_rejects_malformed_backends(self):
-        class NoName:
-            def simulate(self, program, **kwargs):
-                return None
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"name": ""}, "name"),
+            ({"name": 42}, "name"),
+            ({"accepts": None}, "accepts"),
+            ({"accepts": {"faults"}}, "accepts"),
+            ({"accepts": frozenset({"seed"})}, "seed"),
+            ({"simulator": None}, "simulator"),
+        ],
+        ids=[
+            "no-name",
+            "name-not-a-string",
+            "no-accepts",
+            "accepts-not-frozen",
+            "accepts-seed",
+            "no-simulator",
+        ],
+    )
+    def test_register_refuses_misfit_backends(self, fields, message):
+        misfit = SlowNanosBackend()
+        for attribute, value in fields.items():
+            setattr(misfit, attribute, value)
+        with pytest.raises(ValueError, match=message):
+            register_backend(misfit)
+        assert misfit.name not in backend_names()
 
-        class NoSimulate:
-            name = "broken"
-            description = "broken"
-
-        with pytest.raises(ValueError):
-            register_backend(NoName())
-        with pytest.raises(ValueError):
-            register_backend(NoSimulate())
+    def test_a_refused_replacement_keeps_the_registered_backend(self):
+        original = get_backend("perfect")
+        misfit = SlowNanosBackend()
+        misfit.name = "perfect"
+        misfit.accepts = frozenset({"seed"})
+        with pytest.raises(ValueError, match="seed"):
+            register_backend(misfit, replace=True)
+        assert get_backend("perfect") is original
 
 
 class TestDispatch:
@@ -114,7 +143,7 @@ class TestDispatch:
         for mode in HILMode:
             backend = HILBackend(mode=mode)
             assert backend.name == mode.backend_name
-            direct = backend.simulate(diamond_program, num_workers=2)
+            direct = backend.simulator(diamond_program, num_workers=2).run()
             via_name = _simulate(diamond_program, mode.backend_name, num_workers=2)
             assert direct.simulator == f"picos-{mode.value}"
             assert direct.makespan == via_name.makespan
@@ -166,56 +195,57 @@ class TestDispatch:
         assert result.makespan == direct.makespan
 
 
-class TestCustomBackend:
-    def test_custom_backend_registers_and_dispatches(self, diamond_program):
-        class InstantBackend:
-            """A degenerate runtime: every task executes at time zero."""
+class TestPluginBackend:
+    """An engine-driven plug-in gets everything a built-in has."""
 
-            name = "instant"
-            description = "all tasks finish instantly (test backend)"
-
-            def simulate(self, program, *, num_workers=12, **kwargs):
-                return SimulationResult(
-                    simulator=self.name,
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=1,
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
-
-        register_backend(InstantBackend())
+    def test_registers_and_dispatches_like_a_direct_run(self, diamond_program):
+        repro.register_backend(SlowNanosBackend())
         try:
-            assert "instant" in backend_names()
-            result = _simulate(diamond_program, "instant", num_workers=7)
-            assert result.simulator == "instant"
-            assert result.makespan == 1
-            assert result.num_workers == 7
+            assert "nanos-slow" in backend_names()
+            result = _simulate(diamond_program, "nanos-slow", num_workers=3)
+            direct = NanosRuntimeSimulator(diamond_program, 3, SLOW_SCHEDULER).run()
+            assert result == direct
+            assert result.makespan > _simulate(diamond_program, "nanos", num_workers=3).makespan
         finally:
-            unregister_backend("instant")
-        assert "instant" not in backend_names()
+            unregister_backend("nanos-slow")
+        assert "nanos-slow" not in backend_names()
+
+    def test_sessions_slice_it(self, plugin_backend):
+        request = _cholesky_request(plugin_backend)
+        batch = simulate_request(request)
+        session = open_session(request)
+        slices = []
+        while not slices or not slices[-1].finished:
+            slices.append(session.advance(20_000))
+        assert len(slices) > 1
+        assert [e for s in slices for e in s.events] == lifecycle_events(batch)
+        assert session.result() == batch
+
+    def test_it_checkpoints_mid_run_and_restores(self, plugin_backend):
+        request = _cholesky_request(plugin_backend)
+        batch = simulate_request(request)
+        session = open_session(request)
+        first = session.advance(20_000)
+        assert not first.finished
+        restored = restore(SimulationSnapshot.from_document(capture(session).document()))
+        rest = []
+        while True:
+            step = restored.advance(20_000)
+            rest.extend(step.events)
+            if step.finished:
+                break
+        assert restored.result() == batch
+        assert list(first.events) + rest == lifecycle_events(batch)
 
     def test_replace_allows_overriding(self, diamond_program):
         original = get_backend("perfect")
-
-        class FakePerfect:
-            name = "perfect"
-            description = "shadowing the roofline"
-
-            def simulate(self, program, *, num_workers=12, **kwargs):
-                return SimulationResult(
-                    simulator="fake-perfect",
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=123,
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
-
-        register_backend(FakePerfect(), replace=True)
+        shadow = SlowNanosBackend()
+        shadow.name = "perfect"
+        shadow.accepts = frozenset()
+        register_backend(shadow, replace=True)
         try:
             result = _simulate(diamond_program, "perfect")
-            assert result.simulator == "fake-perfect"
+            assert result.simulator == "nanos-software"
         finally:
             register_backend(original, replace=True)
         assert get_backend("perfect") is original
@@ -234,23 +264,16 @@ class TestWarnings:
     def test_backend_warnings_reach_the_caller(self, diamond_program):
         class NoisyBackend:
             name = "noisy-deprecated"
-            description = "backend that warns during simulate"
+            description = "backend that warns while building its simulator"
             accepts = frozenset()
 
-            def simulate(self, program, *, num_workers=12, **kwargs):
+            def simulator(self, program, *, num_workers=12):
                 warnings.warn(
-                    "NoisyBackend.simulate is deprecated",
+                    "NoisyBackend.simulator is deprecated",
                     DeprecationWarning,
                     stacklevel=2,
                 )
-                return SimulationResult(
-                    simulator=self.name,
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=1,
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
+                return NanosRuntimeSimulator(program, num_workers, ZERO_OVERHEAD)
 
         register_backend(NoisyBackend())
         try:
@@ -258,4 +281,4 @@ class TestWarnings:
                 result = _simulate(diamond_program, "noisy-deprecated")
         finally:
             unregister_backend("noisy-deprecated")
-        assert result.makespan == 1
+        assert result.makespan == _simulate(diamond_program, "perfect").makespan

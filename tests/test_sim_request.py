@@ -6,19 +6,12 @@ import dataclasses
 
 import pytest
 
-from tests.helpers import make_program
+from tests.helpers import DORMANT_FAULT, make_program
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.overhead import NanosOverheadModel
-from repro.sim.backend import (
-    BUILTIN_BACKENDS,
-    REQUEST_PARAMETERS,
-    backend_accepted_parameters,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.sim.backend import BUILTIN_BACKENDS, REQUEST_PARAMETERS, get_backend
 from repro.sim.driver import simulate_request
 from repro.sim.request import (
     InlineProgramRef,
@@ -27,7 +20,6 @@ from repro.sim.request import (
     WorkloadRef,
     workload_trace_digest,
 )
-from repro.sim.results import SimulationResult
 
 
 @pytest.fixture
@@ -104,7 +96,7 @@ class TestValidation:
             ("perfect", "overhead", NanosOverheadModel()),
             ("perfect", "policy", SchedulingPolicy.LIFO),
             ("hil-full", "overhead", NanosOverheadModel()),
-            ("hil-hw", "seed", 7),
+            ("perfect", "faults", (DORMANT_FAULT,)),
         ],
     )
     def test_unaccepted_parameters_raise(self, diamond_program, backend, field, value):
@@ -138,10 +130,10 @@ class TestValidation:
 
     def test_without_resets_to_defaults(self, diamond_program):
         request = SimulationRequest.for_program(
-            diamond_program, backend="nanos", config=PicosConfig(), seed=3
+            diamond_program, backend="nanos", config=PicosConfig(), policy=SchedulingPolicy.LIFO
         )
-        cleaned = request.without(("config", "seed"))
-        assert cleaned.config is None and cleaned.seed is None
+        cleaned = request.without(("config", "policy"))
+        assert cleaned.config is None and cleaned.policy is SchedulingPolicy.FIFO
         cleaned.validate()
 
     def test_simulate_request_validates(self, diamond_program):
@@ -196,7 +188,7 @@ class TestCacheKey:
             dataclasses.replace(base, config=PicosConfig(tm_entries=16)),
             dataclasses.replace(base, dm_design=DMDesign.WAY16),
             dataclasses.replace(base, backend="nanos", overhead=NanosOverheadModel(creation_base=1)),
-            dataclasses.replace(base, seed=42),
+            dataclasses.replace(base, faults=(DORMANT_FAULT,)),
             SimulationRequest.for_program(make_program([[]], durations=[1]), backend="hil-hw"),
         ]
         keys = {v.cache_key() for v in variants}
@@ -251,64 +243,24 @@ class TestWorkloadTraceDigests:
 
 class TestAcceptedParameters:
     def test_builtin_declarations(self):
-        assert backend_accepted_parameters(get_backend("hil-full")) == {
+        assert get_backend("hil-full").accepts == {
             "config",
             "dm_design",
             "faults",
             "policy",
         }
-        assert backend_accepted_parameters(get_backend("nanos")) == {
-            "faults",
-            "overhead",
-        }
-        assert backend_accepted_parameters(get_backend("perfect")) == frozenset()
+        assert get_backend("nanos").accepts == {"faults", "overhead"}
+        assert get_backend("perfect").accepts == frozenset()
 
-    def test_legacy_backend_with_kwargs_accepts_everything(self):
-        class Legacy:
-            name = "legacy"
-            description = "old-style catch-all"
+    def test_requests_read_the_declaration(self, diamond_program):
+        for name in BUILTIN_BACKENDS:
+            request = SimulationRequest.for_program(diamond_program, backend=name)
+            assert request.accepted_parameters() is get_backend(name).accepts
 
-            def simulate(self, program, *, num_workers=12, **kwargs):
-                raise NotImplementedError
-
-        assert backend_accepted_parameters(Legacy()) == REQUEST_PARAMETERS
-
-    def test_legacy_backend_parameters_inferred_from_signature(self):
-        class Named:
-            name = "named"
-            description = "declares via signature"
-
-            def simulate(self, program, *, num_workers=12, policy=None):
-                raise NotImplementedError
-
-        assert backend_accepted_parameters(Named()) == {"policy"}
-
-    def test_stochastic_plugin_accepts_seed(self, diamond_program):
-        class Stochastic:
-            name = "stochastic"
-            description = "seed-driven test backend"
-            accepts = frozenset({"seed"})
-
-            def simulate(self, program, *, num_workers=12, seed=None):
-                return SimulationResult(
-                    simulator=self.name,
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=1 + (seed or 0),
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
-
-        register_backend(Stochastic())
-        try:
-            result = simulate_request(
-                SimulationRequest.for_program(
-                    diamond_program, backend="stochastic", seed=41
-                )
-            )
-            assert result.makespan == 42
-        finally:
-            unregister_backend("stochastic")
+    def test_every_declaration_is_drawn_from_the_vocabulary(self):
+        assert len(set(REQUEST_PARAMETERS)) == len(REQUEST_PARAMETERS)
+        for name in BUILTIN_BACKENDS:
+            assert get_backend(name).accepts <= set(REQUEST_PARAMETERS)
 
 
 class TestSimulateKwargs:

@@ -8,20 +8,13 @@ import weakref
 
 import pytest
 
-from tests.helpers import make_program
-
 from repro.apps.registry import build_benchmark
 from repro.faults.scenario import parse_fault_spec
-from repro.sim.backend import (
-    BUILTIN_BACKENDS,
-    register_backend,
-    unregister_backend,
-)
+from repro.sim.backend import BUILTIN_BACKENDS
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import InvalidRequestError, SimulationRequest
-from repro.sim.results import SimulationResult
 from repro.sim.session import (
     SessionError,
     SimulationSession,
@@ -172,69 +165,16 @@ class TestSessionValidation:
         with pytest.raises(InvalidRequestError):
             open_session(request)
 
-    def test_plugin_without_open_session_gets_the_adapter(self):
-        program = make_program([[] for _ in range(4)], durations=[10] * 4)
-
-        class BatchOnly:
-            name = "batch-only"
-            description = "legacy backend without open_session"
-
-            def simulate(self, program, *, num_workers=12, **kwargs):
-                return SimulationResult(
-                    simulator=self.name,
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=7,
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
-
-        register_backend(BatchOnly())
-        try:
-            request = SimulationRequest.for_program(program, backend="batch-only")
-            session = open_session(request)
-            assert isinstance(session, SimulationSession)
-            assert session.result().makespan == 7
-        finally:
-            unregister_backend("batch-only")
+    def test_plugin_backends_get_the_default_session(self, plugin_backend, cholesky_small):
+        request = SimulationRequest.for_program(cholesky_small, backend=plugin_backend)
+        session = open_session(request)
+        assert type(session) is SimulationSession
+        assert session.result() == simulate_request(request)
 
     def test_builtin_backends_get_the_default_session(self, cholesky_small):
         for name in BUILTIN_BACKENDS:
             request = SimulationRequest.for_program(cholesky_small, backend=name)
             assert type(open_session(request)) is SimulationSession
-
-    def test_plugin_open_session_is_used(self):
-        program = make_program([[] for _ in range(4)], durations=[10] * 4)
-
-        class TaggedSession(SimulationSession):
-            pass
-
-        class NativeSessions:
-            name = "native-sessions"
-            description = "backend with its own open_session"
-            accepts = frozenset()
-
-            def simulate(self, program, *, num_workers=12, **kwargs):
-                return SimulationResult(
-                    simulator=self.name,
-                    program_name=program.name,
-                    num_workers=num_workers,
-                    makespan=5,
-                    sequential_cycles=program.sequential_cycles,
-                    num_tasks=program.num_tasks,
-                )
-
-            def open_session(self, request):
-                return TaggedSession(self, request)
-
-        register_backend(NativeSessions())
-        try:
-            request = SimulationRequest.for_program(program, backend="native-sessions")
-            session = open_session(request)
-            assert type(session) is TaggedSession
-            assert session.result().makespan == 5
-        finally:
-            unregister_backend("native-sessions")
 
 
 class TestSimulateCommand:

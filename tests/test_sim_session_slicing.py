@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.apps.registry import build_benchmark
+from repro.faults.scenario import parse_fault_spec
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.service.server import next_slice_budget
@@ -24,11 +25,14 @@ from repro.sim.session import (
     DEFAULT_SLICE_CYCLES,
     STATE_CLOSED,
     EngineStepper,
+    FaultInjected,
+    FaultRecovered,
     SessionError,
     SessionSlice,
     lifecycle_events,
     open_session,
 )
+from repro.sim.snapshot import restore
 
 SMALL = 512
 
@@ -149,26 +153,23 @@ class TestSlicedBatchParity:
 
 
 class TestStepperContract:
-    def test_make_stepper_matches_run(self, cholesky_small):
+    def test_stepper_matches_run(self, cholesky_small):
         backend = HILBackend(HILMode.FULL_SYSTEM)
-        stepper = backend.make_stepper(cholesky_small, num_workers=4)
-        assert isinstance(stepper, EngineStepper)
+        stepper = EngineStepper(backend.simulator(cholesky_small, num_workers=4))
         entries = []
         while not stepper.finished:
             done, horizon, chunk = stepper.advance(100_000)
             entries.extend(chunk)
             assert all(entry[0] <= horizon for entry in chunk) or done
         result = stepper.result()
-        batch = HILBackend(HILMode.FULL_SYSTEM).simulate(
-            cholesky_small, num_workers=4
-        )
+        batch = backend.simulator(cholesky_small, num_workers=4).run()
         assert result == batch
         assert entries == sorted(entries)
         assert len(entries) == 3 * result.num_tasks
 
     def test_stepper_result_before_finish_raises(self, cholesky_small):
-        stepper = HILBackend(HILMode.FULL_SYSTEM).make_stepper(
-            cholesky_small, num_workers=4
+        stepper = EngineStepper(
+            HILBackend(HILMode.FULL_SYSTEM).simulator(cholesky_small, num_workers=4)
         )
         with pytest.raises(RuntimeError):
             stepper.result()
@@ -180,8 +181,8 @@ class TestStepperContract:
             simulator.enable_lifecycle_log()
 
     def test_stepper_advance_rejects_non_positive_slices(self, cholesky_small):
-        stepper = HILBackend(HILMode.FULL_SYSTEM).make_stepper(
-            cholesky_small, num_workers=4
+        stepper = EngineStepper(
+            HILBackend(HILMode.FULL_SYSTEM).simulator(cholesky_small, num_workers=4)
         )
         with pytest.raises(ValueError):
             stepper.advance(0)
@@ -267,22 +268,22 @@ class TestCloseAndRestartParity:
         assert session.result().num_tasks > 0
 
 
-class TestFallbackSlicing:
-    def test_non_stepper_backends_finish_in_one_slice(self, batch_only_backend):
-        # Every built-in backend has a stepper; a plug-in backend without
-        # one still streams, as a single slice.
-        request = _workload_request(batch_only_backend)
-        batch = simulate_request(request)
+class TestFinishedSlicing:
+    def test_a_finished_session_delivers_the_rest_in_one_slice(self):
+        # Once result() ran the whole simulation, the events not yet
+        # delivered form one last, finished slice.
+        request = _workload_request("perfect")
         session = open_session(request)
+        batch = session.result()
         slices, events = _drain_in_slices(session, 1_000)
         assert len(slices) == 1 and slices[0].finished
-        assert session.result() == batch
+        assert slices[0].horizon == batch.drain_time
         assert events == lifecycle_events(batch)
 
     @pytest.mark.parametrize("backend", ["nanos", "perfect"])
-    def test_nanos_slices_like_a_stepper_backend(self, backend):
+    def test_nanos_slices_like_a_hil_backend(self, backend):
         # The software baseline, at its own costs and at zero, honours
-        # slice horizons instead of collapsing into the one-shot fallback.
+        # slice horizons.
         request = _workload_request(backend)
         batch = simulate_request(request)
         session = open_session(request)
@@ -293,3 +294,63 @@ class TestFallbackSlicing:
 
     def test_default_slice_constant_is_sane(self):
         assert DEFAULT_SLICE_CYCLES >= 1
+
+
+class TestMixedDelivery:
+    """``advance()`` slices, then ``events()``, on a faulted run.
+
+    The slices interleave fault events with the task events; ``events()``
+    serves the task events only.  Together they must deliver exactly
+    :func:`lifecycle_events` of the result, in order and once each, on a
+    live session and across a mid-run or a finished restore.
+    """
+
+    FAULTS = (parse_fault_spec("kill-worker@cycle=20000:worker=1"),)
+    FAULT_KINDS = (FaultInjected.kind, FaultRecovered.kind)
+
+    @pytest.mark.parametrize("resume", ["live", "mid-run-restore", "finished-restore"])
+    @pytest.mark.parametrize("backend", ["hil-full", "hil-hw", "nanos"])
+    def test_task_events_are_delivered_once_in_order(self, backend, resume):
+        request = dataclasses.replace(_workload_request(backend), faults=self.FAULTS)
+        expected = lifecycle_events(simulate_request(request))
+        session = open_session(request)
+        delivered = []
+        while not any(event.kind in self.FAULT_KINDS for event in delivered):
+            step = session.advance(10_000)
+            assert not step.finished
+            delivered.extend(step.events)
+        if resume == "mid-run-restore":
+            session = restore(session.checkpoint())
+        elif resume == "finished-restore":
+            session.result()
+            session = restore(session.checkpoint())
+        delivered.extend(session.events())
+        tasks = [event for event in delivered if event.kind not in self.FAULT_KINDS]
+        assert tasks == expected
+        stats = session.stats()
+        count = len(expected) // 3
+        assert (stats.events_delivered, stats.tasks_ready, stats.tasks_retired) == (
+            len(expected),
+            count,
+            count,
+        )
+
+    @pytest.mark.parametrize("backend", ["hil-full", "hil-hw", "nanos"])
+    def test_a_later_slice_resumes_after_the_events_pulled(self, backend):
+        # advance() past a fault, pull a few events(), then advance() again:
+        # the last slice starts right after the last task event pulled.
+        request = dataclasses.replace(_workload_request(backend), faults=self.FAULTS)
+        expected = lifecycle_events(simulate_request(request))
+        session = open_session(request)
+        delivered = []
+        while not any(event.kind in self.FAULT_KINDS for event in delivered):
+            delivered.extend(session.advance(10_000).events)
+        pulled = session.events()
+        delivered.extend(next(pulled) for _ in range(3))
+        last = session.advance(10_000)
+        assert last.finished
+        delivered.extend(last.events)
+        tasks = [event for event in delivered if event.kind not in self.FAULT_KINDS]
+        assert tasks == expected
+        assert list(pulled) == []
+        assert session.stats().events_delivered == len(expected)

@@ -29,7 +29,7 @@ from repro.core.config import DMDesign, PicosConfig
 from repro.core.hashing import stable_digest
 from repro.faults.scenario import parse_fault_spec
 from repro.service.protocol import result_to_document
-from repro.sim.backend import BUILTIN_BACKENDS
+from repro.sim.backend import BUILTIN_BACKENDS, get_backend, register_backend, unregister_backend
 from repro.sim.driver import simulate_request
 from repro.sim.request import SimulationRequest
 from repro.sim.session import lifecycle_events, open_session
@@ -118,26 +118,56 @@ class TestSnapshotKinds:
         restored = restore(snapshot)
         assert restored.result() == session.result()
 
-    def test_non_stepper_backend_still_checkpoints_at_the_edges(
-        self, batch_only_backend
-    ):
-        session = open_session(_workload_request("cholesky", batch_only_backend))
-        assert capture(session).kind == KIND_INITIAL
+    def test_a_plugin_backend_checkpoints_at_every_kind(self, plugin_backend):
+        request = _workload_request("cholesky", plugin_backend)
+        straight = simulate_request(request)
+        session = open_session(request)
+        snapshots = [capture(session)]
+        session.advance(30_000)
+        snapshots.append(capture(session))
         _drain(session)
-        snapshot = capture(session)
-        assert snapshot.kind == KIND_FINISHED
-        assert restore(snapshot).result() == session.result()
+        snapshots.append(capture(session))
+        assert [s.kind for s in snapshots] == [KIND_INITIAL, KIND_MID_RUN, KIND_FINISHED]
+        for snapshot in snapshots:
+            restored = restore(snapshot)
+            _drain(restored)
+            assert restored.result() == straight
 
-    def test_a_mid_run_snapshot_of_a_non_stepper_backend_is_refused(
-        self, batch_only_backend
-    ):
+    def test_a_simulator_without_a_codec_is_refused_mid_run(self):
+        class ForeignEngine:
+            """An engine-driven simulator of a type the codec does not know."""
+
+            def __init__(self, inner):
+                self.program, self.queue = inner.program, inner.queue
+                self.enable_lifecycle_log = inner.enable_lifecycle_log
+                self.step, self.run = inner.step, inner.run
+
+        class Foreign:
+            name = "foreign-engine"
+            description = "the perfect schedule behind a foreign simulator type"
+            accepts = frozenset()
+
+            def simulator(self, program, *, num_workers=12):
+                return ForeignEngine(get_backend("perfect").simulator(program, num_workers=num_workers))
+
         def forge(payload):
-            payload["request"].update(backend=batch_only_backend)
-            payload.update(backend=batch_only_backend)
+            payload["request"].update(backend=Foreign.name)
+            payload.update(backend=Foreign.name)
 
-        snapshot = _forged_state_snapshot(forge, "perfect")
-        with pytest.raises(SnapshotError, match="provides no stepper"):
-            restore(snapshot)
+        register_backend(Foreign())
+        try:
+            request = _workload_request("cholesky", Foreign.name)
+            session = open_session(request)
+            session.advance(30_000)
+            with pytest.raises(SnapshotError, match="no snapshot codec"):
+                capture(session)
+            _drain(session)
+            assert session.result() == simulate_request(request)
+            snapshot = _forged_state_snapshot(forge, "perfect")
+            with pytest.raises(SnapshotError, match="no snapshot codec"):
+                restore(snapshot)
+        finally:
+            unregister_backend(Foreign.name)
 
     def test_capturing_a_closed_session_raises(self):
         session = open_session(_workload_request("cholesky", "hil-full"))

@@ -4,9 +4,10 @@
 This example plays the role of the OmpSs master thread and of the workers:
 it creates a handful of tasks with data dependences (the blocked Cholesky
 snippet of Figure 2 of the paper, on a 3x3 block matrix), submits them to a
-:class:`~repro.core.picos.PicosAccelerator`, pulls ready tasks out of the
-Task Scheduler, "executes" them and notifies their completion -- printing
-what the accelerator does at every step.
+:class:`~repro.core.picos.PicosAccelerator`, queues the tasks each operation
+makes ready in a Task Scheduler, pulls them out of it, "executes" them and
+notifies their completion -- printing what the accelerator does at every
+step.
 
 Run with::
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from repro.core.config import PicosConfig
 from repro.core.picos import PicosAccelerator
+from repro.core.scheduler import TaskScheduler
 from repro.runtime.task import Dependence, Direction, Task
 
 
@@ -70,12 +72,18 @@ def main() -> None:
     labels = {task.task_id: task.label for task in tasks}
 
     accelerator = PicosAccelerator(PicosConfig())
+    # The Task Scheduler (a FIFO queue): every submit and finish result
+    # lists the tasks it made ready, in order, and the workers take them
+    # from here.
+    scheduler = TaskScheduler()
     print(f"Submitting {len(tasks)} Cholesky tasks to Picos "
           f"({accelerator.config.dm_design.display_name})\n")
 
     # --- task-creation time: send every task and its dependences ----------
     for task in tasks:
         result = accelerator.submit_task(task)
+        for ready in result.ready:
+            scheduler.push(ready.task_id)
         status = "ready immediately" if result.ready else "waiting on dependences"
         print(
             f"  submit {labels[task.task_id]:<12} "
@@ -87,10 +95,12 @@ def main() -> None:
     print("\nExecution order (as the Task Scheduler releases work):")
     executed = 0
     while executed < len(tasks):
-        task_id = accelerator.pop_ready()
+        task_id = scheduler.try_pop()
         if task_id is None:
             raise RuntimeError("deadlock: no ready task but work remains")
         finish = accelerator.notify_finish(task_id)
+        for ready in finish.ready:
+            scheduler.push(ready.task_id)
         woken = ", ".join(labels[r.task_id] for r in finish.ready) or "-"
         print(f"  run {labels[task_id]:<12} finished; wakes: {woken}")
         executed += 1

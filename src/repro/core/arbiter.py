@@ -7,88 +7,40 @@ DCT tracks which dependence address and which TRS receives each
 notification.  The policy implemented here matches the natural hardware
 choice: dependences are distributed over DCT instances by address hash (so
 one address is always tracked by the same DCT), and notifications are routed
-to the TRS instance encoded in the target slot reference.
+to the TRS instance encoded in the target slot handle.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.hashing import pearson_fold
-from repro.core.packets import TaskSlotRef
 
 
 class Arbiter:
-    """Routes packets between TRS and DCT instances and counts traffic."""
+    """Routes packets between TRS and DCT instances."""
 
     def __init__(self, num_trs: int, num_dct: int) -> None:
         if num_trs < 1 or num_dct < 1:
             raise ValueError("the Arbiter needs at least one TRS and one DCT")
         self.num_trs = num_trs
         self.num_dct = num_dct
-        self.messages_to_trs = 0
-        self.messages_to_dct = 0
-        self._per_dct_load: Dict[int, int] = {i: 0 for i in range(num_dct)}
 
-    # ------------------------------------------------------------------
-    # routing decisions
-    # ------------------------------------------------------------------
     def dct_index_for(self, address: int) -> int:
-        """Pure routing decision: which DCT tracks ``address``.
+        """Which DCT tracks ``address``.
 
         The mapping must be a pure function of the address so every access
         to the same data is matched by the same DCT; a Pearson fold keeps
         the distribution balanced even for block-aligned address streams.
-        No traffic is accounted -- the batched Gateway uses this to group
-        a task's dependences into same-bank runs and accounts the messages
-        only for the dependences actually delivered to the DCT
-        (:meth:`count_dct_messages`).
         """
         if self.num_dct == 1:
             return 0
         return pearson_fold(address) % self.num_dct
 
-    def dct_for_address(self, address: int) -> int:
-        """DCT instance for ``address``, counted as one routed message."""
-        index = self.dct_index_for(address)
-        self._per_dct_load[index] += 1
-        self.messages_to_dct += 1
-        return index
-
-    def iter_dct_runs(self, packets, start: int, end: int):
+    def iter_dct_runs(self, addresses, start: int, end: int):
         """Yield ``(dct_index, run_start, run_end)`` over same-route runs.
 
-        Groups ``packets[start:end]`` (anything with an ``.address``) into
-        maximal consecutive runs tracked by one DCT, hashing every address
-        exactly once.  Routing only -- callers account the traffic
-        (:meth:`count_dct_messages`) for the packets actually delivered,
-        which differs between the dispatch path (a stalled run's tail is
-        never delivered) and the finish path (every packet is).
-        """
-        index_for = self.dct_index_for
-        run_start = start
-        if run_start >= end:
-            return
-        route = index_for(packets[run_start].address)
-        while run_start < end:
-            run_end = run_start + 1
-            next_route = route
-            while run_end < end:
-                next_route = index_for(packets[run_end].address)
-                if next_route != route:
-                    break
-                run_end += 1
-            yield route, run_start, run_end
-            run_start = run_end
-            route = next_route
-
-    def iter_dct_address_runs(self, addresses, start: int, end: int):
-        """Yield ``(dct_index, run_start, run_end)`` over same-route runs.
-
-        The flat-datapath twin of :meth:`iter_dct_runs`: ``addresses`` is a
-        plain sequence of dependence addresses (the finish path of the
-        integer-handle datapath carries parallel lists instead of packet
-        objects).  Routing only -- callers account the traffic.
+        Groups ``addresses[start:end]`` (dependence addresses) into maximal
+        consecutive runs tracked by one DCT, hashing every address exactly
+        once.
         """
         index_for = self.dct_index_for
         run_start = start
@@ -107,50 +59,9 @@ class Arbiter:
             run_start = run_end
             route = next_route
 
-    def count_dct_messages(self, index: int, count: int) -> None:
-        """Record ``count`` dependence packets routed to DCT ``index``.
-
-        The batched Gateway routes a run of dependences with one decision;
-        the traffic stays accounted per dependence *delivered* (on a
-        mid-run stall the undelivered tail is not counted, exactly like
-        the per-dependence reference flow that only routed a dependence
-        when it reached the DCT).
-        """
-        self._per_dct_load[index] += count
-        self.messages_to_dct += count
-
-    def trs_for_slot(self, slot: TaskSlotRef) -> int:
-        """TRS instance that owns the task referenced by ``slot``."""
-        if not 0 <= slot.trs_id < self.num_trs:
-            raise ValueError(f"slot references unknown TRS instance {slot.trs_id}")
-        self.messages_to_trs += 1
-        return slot.trs_id
-
     def trs_for_slot_index(self, trs_index: int) -> int:
-        """TRS instance ``trs_index`` (decoded from a packed slot handle).
-
-        The flat-datapath twin of :meth:`trs_for_slot`: the caller decodes
-        the TRS id from the integer slot handle; the Arbiter validates the
-        route and counts the notification exactly like the packet form.
-        """
+        """TRS instance ``trs_index`` (decoded from a packed slot handle),
+        checked against the number of TRS instances."""
         if not 0 <= trs_index < self.num_trs:
             raise ValueError(f"slot references unknown TRS instance {trs_index}")
-        self.messages_to_trs += 1
         return trs_index
-
-    def count_trs_messages(self, count: int) -> None:
-        """Record ``count`` DCT->TRS notifications routed as one batch.
-
-        The batched Gateway dispatch answers a whole run of dependences
-        with one grouped response instead of one packet each; the message
-        count stays per-dependence, matching what ``trs_for_slot`` would
-        have accumulated packet by packet.
-        """
-        self.messages_to_trs += count
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def dct_load(self) -> Dict[int, int]:
-        """Number of dependence packets routed to each DCT instance."""
-        return dict(self._per_dct_load)

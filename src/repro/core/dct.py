@@ -135,9 +135,7 @@ class DependenceChainTracker:
         dm_input_only = dm._input_only
         dm_latest = dm._latest_vm_index
         dm_live = dm._live_versions
-        dm_access = dm._access_count
         vm_free = vm._free
-        vm_entries = vm.entries
         v_valid = vm._valid
         v_address = vm._address
         v_producer = vm._producer
@@ -154,7 +152,7 @@ class DependenceChainTracker:
         outcomes: List[Tuple[bool, int, int]] = []
         append = outcomes.append
         stall_reason: Optional[StallReason] = None
-        ready_count = 0
+        ready_outcomes = 0
         for index in range(start, end):
             dep = dependences[index]
             address = dep.address
@@ -185,10 +183,7 @@ class DependenceChainTracker:
                 dm_valid[way] = True
                 dm_tag[way] = address
                 dm_input_only[way] = not writes
-                dm.allocations += 1
                 dm._occupied += 1
-                if dm._occupied > dm._high_water:
-                    dm._high_water = dm._occupied
                 vm_index = vm_free.pop()
                 v_valid[vm_index] = True
                 v_address[vm_index] = address
@@ -197,15 +192,10 @@ class DependenceChainTracker:
                 v_consumers_finished[vm_index] = 0
                 v_next_version[vm_index] = -1
                 v_dm_handle[vm_index] = way
-                vm._total_allocations += 1
-                occupied = vm_entries - len(vm_free)
-                if occupied > vm._high_water:
-                    vm._high_water = occupied
                 stats.dm_allocations += 1
                 stats.vm_allocations += 1
                 dm_latest[way] = vm_index
                 dm_live[way] = 1
-                dm_access[way] = 1
                 if writes:
                     v_producer[vm_index] = slot
                     v_consumers_arrived[vm_index] = 0
@@ -213,7 +203,7 @@ class DependenceChainTracker:
                     v_producer[vm_index] = -1
                     v_consumers_arrived[vm_index] = 1
                 # The very first access to an address never waits.
-                ready_count += 1
+                ready_outcomes += 1
                 append((True, vm_index, -1))
             elif writes:
                 # A writer opens a new version chained after the latest
@@ -233,24 +223,18 @@ class DependenceChainTracker:
                 v_consumers_finished[vm_index] = 0
                 v_next_version[vm_index] = -1
                 v_dm_handle[vm_index] = way
-                vm._total_allocations += 1
-                occupied = vm_entries - len(vm_free)
-                if occupied > vm._high_water:
-                    vm._high_water = occupied
                 stats.vm_allocations += 1
                 v_next_version[previous] = vm_index
                 dm_latest[way] = vm_index
                 dm_live[way] += 1
                 dm_input_only[way] = False
-                dm_access[way] += 1
                 append((False, vm_index, -1))
             else:
                 # A reader joins the latest live version of the address.
                 vm_index = dm_latest[way]
-                dm_access[way] += 1
                 v_consumers_arrived[vm_index] += 1
                 if v_producer[vm_index] < 0 or v_producer_finished[vm_index]:
-                    ready_count += 1
+                    ready_outcomes += 1
                     append((True, vm_index, -1))
                 else:
                     predecessor = v_last_consumer[vm_index]
@@ -259,8 +243,8 @@ class DependenceChainTracker:
             blocked.discard(address)
         stored = len(outcomes)
         stats.dependences_processed += stored
-        stats.ready_packets += ready_count
-        stats.dependent_packets += stored - ready_count
+        stats.ready_packets += ready_outcomes
+        stats.dependent_packets += stored - ready_outcomes
         # Occupancy only grows during insertion, so one watermark check per
         # batch observes the same high water as one per dependence.
         self._update_memory_watermarks()
@@ -268,7 +252,6 @@ class DependenceChainTracker:
 
     def _record_conflict(self, address: int) -> None:
         """Count a DM conflict the first time an address becomes blocked."""
-        self.dm.conflicts += 1
         if address not in self._blocked_addresses:
             self.stats.dm_conflicts += 1
             self._blocked_addresses.add(address)

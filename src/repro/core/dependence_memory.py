@@ -4,7 +4,7 @@ For each new dependence entering the DCT, the DM performs an address match
 against the dependences that arrived earlier.  Each way of a set stores a
 ``valid`` bit, an ``input`` bit (all accesses so far are reads), the address
 ``tag`` and a pointer to the Version Memory (the ``data`` of Figure 4) plus
-a live-access counter.
+a live-version counter.
 
 Three designs are modelled, matching the paper:
 
@@ -71,11 +71,7 @@ class DependenceMemory:
         self._tag: List[int] = [-1] * total
         self._latest_vm_index: List[int] = [-1] * total
         self._live_versions: List[int] = [0] * total
-        self._access_count: List[int] = [0] * total
-        self.conflicts = 0
-        self.allocations = 0
         self._occupied = 0
-        self._high_water = 0
         # Memoized per-address index (the Pearson fold is the single
         # hottest pure function of a full-system simulation otherwise).
         self._index_of = make_index_function(design.uses_pearson, num_sets)
@@ -99,11 +95,6 @@ class DependenceMemory:
     def occupied(self) -> int:
         """Number of valid ways (distinct live addresses)."""
         return self._occupied
-
-    @property
-    def high_water(self) -> int:
-        """Maximum simultaneous occupancy observed."""
-        return self._high_water
 
     def set_is_full(self, set_index: int) -> bool:
         """Whether every way of ``set_index`` is valid."""
@@ -130,26 +121,20 @@ class DependenceMemory:
         """Store a new address in its set (the *New DM address* of Figure 4).
 
         Returns the way handle used.  Raises
-        :class:`DependenceMemoryConflict` -- and counts one conflict -- when
-        the set has no free way.
+        :class:`DependenceMemoryConflict` when the set has no free way.
         """
         set_index = self._index_of(address)
         base = set_index * self.ways_per_set
         try:
             handle = self._valid.index(False, base, base + self.ways_per_set)
         except ValueError:
-            self.conflicts += 1
             raise DependenceMemoryConflict(address, set_index) from None
         self._valid[handle] = True
         self._tag[handle] = address
         self._input_only[handle] = input_only
         self._latest_vm_index[handle] = -1
         self._live_versions[handle] = 0
-        self._access_count[handle] = 0
-        self.allocations += 1
         self._occupied += 1
-        if self._occupied > self._high_water:
-            self._high_water = self._occupied
         return handle
 
     def release(self, address: int) -> None:

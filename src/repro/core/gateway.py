@@ -16,11 +16,9 @@ Cycle-identity contract
 
 The Gateway's dependence traffic is batched (maximal consecutive runs per
 DCT bank, see ``docs/engine.md``) but must stay *cycle-identical* to the
-per-dependence reference flow, with exact per-delivered-event accounting:
-every stored dependence still counts one Arbiter TRS message, every
-routed-but-stalled dependence one DCT message, and the stall points,
-stats and resume indices are those of the single-packet path.  The
-contract is pinned by the golden-digest matrix in
+per-dependence reference flow: the stall points, stats and resume indices
+are those of the single-packet path.  The contract is pinned by the
+golden-digest matrix in
 ``tests/test_perf_parity.py``, the Gateway unit suite in
 ``tests/test_core_gateway.py``, and the seed-pinned cross-backend and
 flat-vs-reference datapath fuzz in ``tests/test_differential.py``.
@@ -241,7 +239,7 @@ class Gateway:
             return False
         pending = self._pending
         dep = pending.task.dependences[pending.next_dep_index]
-        dct = self.dct_instances[self._dct_index_for(dep.address)]
+        dct = self.dct_instances[self.arbiter.dct_index_for(dep.address)]
         return dct.can_accept(dep.address, dep.direction)
 
     def _dispatch_dependences(
@@ -270,16 +268,12 @@ class Gateway:
         dependences = task.dependences
         total = len(dependences)
         dct_instances = self.dct_instances
-        single_dct = len(dct_instances) == 1
-        arbiter = self.arbiter
-        # Pure routing decisions group the runs; the GW->DCT traffic is
-        # accounted below, only for the dependences that actually reach
-        # the DCT this attempt (a stalled run's undelivered tail stays
-        # uncounted, exactly like the per-dependence reference flow).
-        if single_dct:
+        if len(dct_instances) == 1:
             runs = ((0, start_index, total),)
         else:
-            runs = arbiter.iter_dct_runs(dependences, start_index, total)
+            runs = self.arbiter.iter_dct_runs(
+                [dep.address for dep in dependences], start_index, total
+            )
         for route, run_start, run_end in runs:
             dct = dct_instances[route]
             slots = trs.record_dependences(tm_index, dependences, run_start, run_end)
@@ -287,18 +281,8 @@ class Gateway:
                 slots, dependences, run_start, run_end
             )
             stored = len(outcomes)
-            if not single_dct:
-                # The stalled dependence (if any) was routed to the DCT
-                # and counts as a message even though it was not stored.
-                attempted = stored + (1 if stall_reason is not None else 0)
-                if attempted:
-                    arbiter.count_dct_messages(route, attempted)
             if stored:
                 result.dependences_dispatched += stored
-                # The grouped response returns to the owning TRS through
-                # the Arbiter, which still counts one message per
-                # dependence.
-                arbiter.count_trs_messages(stored)
                 if trs.apply_submission_outcomes(tm_index, run_start, outcomes):
                     result.execute.append(
                         ExecuteTaskPacket(
@@ -355,9 +339,3 @@ class Gateway:
                 self._next_trs = (candidate + 1) % len(self.trs_instances)
                 return candidate
         return None
-
-    def _dct_index_for(self, address: int) -> int:
-        """DCT instance tracking ``address`` (stable address hash)."""
-        if len(self.dct_instances) == 1:
-            return 0
-        return self.arbiter.dct_for_address(address)

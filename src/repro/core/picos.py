@@ -1,14 +1,16 @@
 """The Picos accelerator facade.
 
-:class:`PicosAccelerator` assembles the Gateway, TRS, DCT, Arbiter and Task
-Scheduler instances described in Section III and exposes the co-processor
-interface the paper describes from the software's point of view:
+:class:`PicosAccelerator` assembles the Gateway, TRS, DCT and Arbiter
+instances described in Section III and exposes the co-processor interface
+the paper describes from the software's point of view:
 
 1. it *receives task dependence information* (task id and its dependences)
    at task-creation time -- :meth:`PicosAccelerator.submit_task`;
 2. it *sends ready-to-execute task information* to the worker threads --
-   :meth:`PicosAccelerator.pop_ready` (or the ready lists attached to each
-   result, for timing-aware drivers);
+   the ``ready`` list of every submit and finish result, in the order the
+   tasks became ready; the caller queues them in its Task Scheduler
+   (:class:`~repro.core.scheduler.TaskScheduler`, the HIL driver's
+   ``ready`` queue);
 3. it receives finished-task notifications and releases the dependences --
    :meth:`PicosAccelerator.notify_finish`.
 
@@ -30,7 +32,6 @@ from repro.core.arbiter import Arbiter
 from repro.core.config import PicosConfig
 from repro.core.dct import DependenceChainTracker, StallReason
 from repro.core.gateway import Gateway, GatewayStatus
-from repro.core.scheduler import SchedulingPolicy, TaskScheduler
 from repro.core.stats import PicosStats
 from repro.core.trs import TaskReservationStation
 from repro.runtime.task import Task
@@ -144,12 +145,7 @@ class FinishResult:
 class PicosAccelerator:
     """Functional + timing model of the full Picos hardware."""
 
-    def __init__(
-        self,
-        config: Optional[PicosConfig] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-        auto_enqueue: bool = True,
-    ) -> None:
+    def __init__(self, config: Optional[PicosConfig] = None) -> None:
         self.config = config if config is not None else PicosConfig()
         self.stats = PicosStats()
         self.arbiter = Arbiter(self.config.num_trs, self.config.num_dct)
@@ -181,8 +177,6 @@ class PicosAccelerator:
         self.gateway = Gateway(
             self.config, self.trs_instances, self.dct_instances, self.arbiter, self.stats
         )
-        self.scheduler = TaskScheduler(policy)
-        self.auto_enqueue = auto_enqueue
         # The pipeline costs are pure functions of the dependence count and
         # the count is bounded by the TMX capacity, so the per-task cost
         # lookups collapse to one list index each.
@@ -245,10 +239,7 @@ class PicosAccelerator:
         )
         latency = self._new_task_ready_latency[num_deps]
         for execute in gateway_result.execute:
-            ready = ReadyTask(task_id=execute.task_id, latency=latency)
-            result.ready.append(ready)
-            if self.auto_enqueue:
-                self.scheduler.push(ready.task_id)
+            result.ready.append(ReadyTask(task_id=execute.task_id, latency=latency))
         return result
 
     @property
@@ -280,9 +271,8 @@ class PicosAccelerator:
         # Route the finish run to its DCTs in consecutive same-bank runs
         # (one batch per finishing task with the prototype's single DCT)
         # and collect the wake-ups, then walk consumer chains through the
-        # owning TRS instances.  Unlike the dispatch path, every finish
-        # notification is delivered (releases cannot stall), so each run's
-        # full length is accounted.
+        # owning TRS instances.  Unlike the dispatch path, releases cannot
+        # stall, so every run is delivered in full.
         pending_wakeups: deque = deque()
         extend_wakeups = pending_wakeups.extend
         dct_instances = self.dct_instances
@@ -295,11 +285,9 @@ class PicosAccelerator:
                 )
             )
         else:
-            arbiter = self.arbiter
-            for route, run_start, run_end in arbiter.iter_dct_address_runs(
+            for route, run_start, run_end in self.arbiter.iter_dct_runs(
                 addresses, 0, total
             ):
-                arbiter.count_dct_messages(route, run_end - run_start)
                 extend_wakeups(
                     (wake_slot, wake_vm, 0)
                     for wake_slot, wake_vm in dct_instances[
@@ -312,8 +300,6 @@ class PicosAccelerator:
         slots_per_trs = self._slots_per_trs
         wake_latency = self.config.wake_latency
         chain_hop_cycles = self.config.chain_hop_cycles
-        auto_enqueue = self.auto_enqueue
-        scheduler_push = self.scheduler.push
         ready_append = result.ready.append
         popleft = pending_wakeups.popleft
         while pending_wakeups:
@@ -325,8 +311,6 @@ class PicosAccelerator:
             if ready_task_id is not None:
                 latency = occupancy + wake_latency + depth * chain_hop_cycles
                 ready_append(ReadyTask(task_id=ready_task_id, latency=latency))
-                if auto_enqueue:
-                    scheduler_push(ready_task_id)
             if chained >= 0:
                 # The chained wake-up carries the same VM index (the
                 # earlier consumer belongs to the same version).
@@ -334,18 +318,6 @@ class PicosAccelerator:
 
         self._finished += 1
         return result
-
-    # ------------------------------------------------------------------
-    # co-processor interface: ready tasks
-    # ------------------------------------------------------------------
-    def pop_ready(self) -> Optional[int]:
-        """Fetch the next ready task from the Task Scheduler, if any."""
-        return self.scheduler.try_pop()
-
-    @property
-    def ready_count(self) -> int:
-        """Number of ready tasks waiting in the Task Scheduler."""
-        return len(self.scheduler)
 
     # ------------------------------------------------------------------
     # aggregate status

@@ -219,13 +219,12 @@ class DependenceChainTracker:
         dm_sets = dm._sets
         vm_free = vm._free
         vm_slots = vm._slots
-        vm_entries = vm.entries
         writer = Direction.OUT
         readwriter = Direction.INOUT
         outcomes: List[Tuple[bool, int, Optional[TaskSlotRef]]] = []
         append = outcomes.append
         stall_reason: Optional[StallReason] = None
-        ready_count = 0
+        ready_outcomes = 0
         for index in range(start, end):
             dep = dependences[index]
             address = dep.address
@@ -256,28 +255,20 @@ class DependenceChainTracker:
                 free_way.valid = True
                 free_way.tag = address
                 free_way.input_only = not writes
-                dm.allocations += 1
                 dm._occupied += 1
-                if dm._occupied > dm._high_water:
-                    dm._high_water = dm._occupied
                 vm_index = vm_free.pop()
                 version = VersionEntry(vm_index=vm_index, address=address)
                 vm_slots[vm_index] = version
-                vm._total_allocations += 1
-                occupied = vm_entries - len(vm_free)
-                if occupied > vm._high_water:
-                    vm._high_water = occupied
                 stats.dm_allocations += 1
                 stats.vm_allocations += 1
                 free_way.latest_vm_index = vm_index
                 free_way.live_versions = 1
-                free_way.access_count = 1
                 if writes:
                     version.producer = slot
                 else:
                     version.consumers_arrived = 1
                 # The very first access to an address never waits.
-                ready_count += 1
+                ready_outcomes += 1
                 append((True, vm_index, None))
             elif writes:
                 # A writer opens a new version chained after the latest
@@ -290,25 +281,19 @@ class DependenceChainTracker:
                 vm_index = vm_free.pop()
                 version = VersionEntry(vm_index=vm_index, address=address)
                 vm_slots[vm_index] = version
-                vm._total_allocations += 1
-                occupied = vm_entries - len(vm_free)
-                if occupied > vm._high_water:
-                    vm._high_water = occupied
                 stats.vm_allocations += 1
                 version.producer = slot
                 previous.next_version = vm_index
                 way.latest_vm_index = vm_index
                 way.live_versions += 1
                 way.input_only = False
-                way.access_count += 1
                 append((False, vm_index, None))
             else:
                 # A reader joins the latest live version of the address.
                 version = vm_slots[way.latest_vm_index]
-                way.access_count += 1
                 version.consumers_arrived += 1
                 if version.producer is None or version.producer_finished:
-                    ready_count += 1
+                    ready_outcomes += 1
                     append((True, version.vm_index, None))
                 else:
                     predecessor = version.last_consumer
@@ -317,8 +302,8 @@ class DependenceChainTracker:
             blocked.discard(address)
         stored = len(outcomes)
         stats.dependences_processed += stored
-        stats.ready_packets += ready_count
-        stats.dependent_packets += stored - ready_count
+        stats.ready_packets += ready_outcomes
+        stats.dependent_packets += stored - ready_outcomes
         # Occupancy only grows during insertion, so one watermark check per
         # batch observes the same high water as one per dependence.
         self._update_memory_watermarks()
@@ -326,7 +311,6 @@ class DependenceChainTracker:
 
     def _record_conflict(self, address: int) -> None:
         """Count a DM conflict the first time an address becomes blocked."""
-        self.dm.conflicts += 1
         if address not in self._blocked_addresses:
             self.stats.dm_conflicts += 1
             self._blocked_addresses.add(address)

@@ -4,7 +4,7 @@ For each new dependence entering the DCT, the DM performs an address match
 against the dependences that arrived earlier.  Each way of a set stores a
 ``valid`` bit, an ``input`` bit (all accesses so far are reads), the address
 ``tag`` and a pointer to the Version Memory (the ``data`` of Figure 4) plus
-a live-access counter.
+a live-version counter.
 
 Three designs are modelled, matching the paper:
 
@@ -46,7 +46,6 @@ class DMWay:
         "tag",
         "latest_vm_index",
         "live_versions",
-        "access_count",
     )
 
     def __init__(
@@ -56,7 +55,6 @@ class DMWay:
         tag: int = 0,
         latest_vm_index: Optional[int] = None,
         live_versions: int = 0,
-        access_count: int = 0,
     ) -> None:
         self.valid = valid
         self.input_only = input_only
@@ -66,15 +64,12 @@ class DMWay:
         #: Number of live versions of this address (the entry is recycled
         #: when this drops to zero).
         self.live_versions = live_versions
-        #: Total accesses (producer or consumer) recorded since allocation;
-        #: mirrors the "count" field of Figure 4.
-        self.access_count = access_count
 
     def __repr__(self) -> str:
         return (
             f"DMWay(valid={self.valid}, input_only={self.input_only}, "
             f"tag={self.tag:#x}, latest_vm_index={self.latest_vm_index}, "
-            f"live_versions={self.live_versions}, access_count={self.access_count})"
+            f"live_versions={self.live_versions})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -88,7 +83,6 @@ class DMWay:
             and self.tag == other.tag
             and self.latest_vm_index == other.latest_vm_index
             and self.live_versions == other.live_versions
-            and self.access_count == other.access_count
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -144,10 +138,7 @@ class DependenceMemory:
         self._sets: List[List[DMWay]] = [
             [DMWay() for _ in range(self.ways_per_set)] for _ in range(num_sets)
         ]
-        self.conflicts = 0
-        self.allocations = 0
         self._occupied = 0
-        self._high_water = 0
         # Memoized per-address index (the Pearson fold is the single
         # hottest pure function of a full-system simulation otherwise).
         self._index_of = make_index_function(design.uses_pearson, num_sets)
@@ -171,11 +162,6 @@ class DependenceMemory:
     def occupied(self) -> int:
         """Number of valid ways (distinct live addresses)."""
         return self._occupied
-
-    @property
-    def high_water(self) -> int:
-        """Maximum simultaneous occupancy observed."""
-        return self._high_water
 
     def set_is_full(self, set_index: int) -> bool:
         """Whether every way of ``set_index`` is valid."""
@@ -212,8 +198,7 @@ class DependenceMemory:
         """Store a new address in its set (the *New DM address* of Figure 4).
 
         Returns the ``(way_index, way)`` pair used.  Raises
-        :class:`DependenceMemoryConflict` -- and counts one conflict -- when
-        the set has no free way.
+        :class:`DependenceMemoryConflict` when the set has no free way.
         """
         set_index = self._index_of(address)
         ways = self._sets[set_index]
@@ -224,12 +209,8 @@ class DependenceMemory:
                 way.input_only = input_only
                 way.latest_vm_index = None
                 way.live_versions = 0
-                way.access_count = 0
-                self.allocations += 1
                 self._occupied += 1
-                self._high_water = max(self._high_water, self._occupied)
                 return way_index, way
-        self.conflicts += 1
         raise DependenceMemoryConflict(address, set_index)
 
     def release(self, address: int) -> None:

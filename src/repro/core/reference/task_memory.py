@@ -123,7 +123,6 @@ class TaskMemory:
         self._slots: List[Optional[TaskEntry]] = [None] * entries
         self._free: List[int] = list(range(entries - 1, -1, -1))
         self._by_task_id: Dict[int, int] = {}
-        self._high_water = 0
 
     # ------------------------------------------------------------------
     # status
@@ -137,11 +136,6 @@ class TaskMemory:
     def full(self) -> bool:
         """``True`` when a New Entry Request would fail."""
         return not self._free
-
-    @property
-    def high_water(self) -> int:
-        """Maximum simultaneous occupancy observed."""
-        return self._high_water
 
     def has_task(self, task_id: int) -> bool:
         """Whether ``task_id`` is currently in flight in this TM."""
@@ -173,9 +167,6 @@ class TaskMemory:
         entry = TaskEntry(tm_index=tm_index, task_id=task_id, num_deps=num_deps)
         self._slots[tm_index] = entry
         self._by_task_id[task_id] = tm_index
-        occupied = self.entries - len(self._free)
-        if occupied > self._high_water:
-            self._high_water = occupied
         return entry
 
     def release(self, tm_index: int) -> None:

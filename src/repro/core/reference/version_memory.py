@@ -101,8 +101,6 @@ class VersionMemory:
         self.entries = entries
         self._slots: List[Optional[VersionEntry]] = [None] * entries
         self._free: List[int] = list(range(entries - 1, -1, -1))
-        self._high_water = 0
-        self._total_allocations = 0
 
     # ------------------------------------------------------------------
     # status
@@ -117,16 +115,6 @@ class VersionMemory:
         """``True`` when a new version cannot be allocated."""
         return not self._free
 
-    @property
-    def high_water(self) -> int:
-        """Maximum simultaneous occupancy observed."""
-        return self._high_water
-
-    @property
-    def total_allocations(self) -> int:
-        """Number of versions allocated over the lifetime of the memory."""
-        return self._total_allocations
-
     # ------------------------------------------------------------------
     # allocation / recycling
     # ------------------------------------------------------------------
@@ -137,10 +125,6 @@ class VersionMemory:
         vm_index = self._free.pop()
         entry = VersionEntry(vm_index=vm_index, address=address)
         self._slots[vm_index] = entry
-        self._total_allocations += 1
-        occupied = self.entries - len(self._free)
-        if occupied > self._high_water:
-            self._high_water = occupied
         return entry
 
     def release(self, vm_index: int) -> None:
@@ -167,10 +151,6 @@ class VersionMemory:
     def live_versions_of(self, address: int) -> List[VersionEntry]:
         """Live versions of one address, oldest-allocated first."""
         return [entry for entry in self.live_entries() if entry.address == address]
-
-    def utilisation(self) -> float:
-        """Fraction of the VM currently occupied (0.0 - 1.0)."""
-        return self.occupied / self.entries
 
     def snapshot(self) -> Dict[int, VersionEntry]:
         """Mapping of occupied VM index to entry (debugging aid)."""

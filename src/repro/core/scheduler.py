@@ -27,7 +27,6 @@ class TaskScheduler:
     def __init__(self, policy: SchedulingPolicy = SchedulingPolicy.FIFO) -> None:
         self.policy = policy
         self._queue: Deque[int] = deque()
-        self._total_scheduled = 0
         self._max_occupancy = 0
 
     # ------------------------------------------------------------------
@@ -42,11 +41,6 @@ class TaskScheduler:
         return len(self._queue)
 
     @property
-    def total_scheduled(self) -> int:
-        """Number of tasks that have ever been queued as ready."""
-        return self._total_scheduled
-
-    @property
     def max_occupancy(self) -> int:
         """High-water mark of the ready queue."""
         return self._max_occupancy
@@ -58,7 +52,6 @@ class TaskScheduler:
         """Add a ready task to the queue."""
         queue = self._queue
         queue.append(task_id)
-        self._total_scheduled += 1
         if len(queue) > self._max_occupancy:
             self._max_occupancy = len(queue)
 

@@ -64,7 +64,6 @@ class TaskMemory:
         self._slot_is_producer: List[bool] = [False] * total
         self._free: List[int] = list(range(entries - 1, -1, -1))
         self._by_task_id: Dict[int, int] = {}
-        self._high_water = 0
 
     # ------------------------------------------------------------------
     # status
@@ -78,11 +77,6 @@ class TaskMemory:
     def full(self) -> bool:
         """``True`` when a New Entry Request would fail."""
         return not self._free
-
-    @property
-    def high_water(self) -> int:
-        """Maximum simultaneous occupancy observed."""
-        return self._high_water
 
     def has_task(self, task_id: int) -> bool:
         """Whether ``task_id`` is currently in flight in this TM."""
@@ -115,9 +109,6 @@ class TaskMemory:
         self._ready_deps[tm_index] = 0
         self._dep_count[tm_index] = 0
         self._by_task_id[task_id] = tm_index
-        occupied = self.entries - len(self._free)
-        if occupied > self._high_water:
-            self._high_water = occupied
         return tm_index
 
     def release(self, tm_index: int) -> None:

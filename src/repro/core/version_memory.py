@@ -58,8 +58,6 @@ class VersionMemory:
         #: first allocation of its address until its last version dies).
         self._dm_handle: List[int] = [-1] * entries
         self._free: List[int] = list(range(entries - 1, -1, -1))
-        self._high_water = 0
-        self._total_allocations = 0
 
     # ------------------------------------------------------------------
     # status
@@ -73,16 +71,6 @@ class VersionMemory:
     def full(self) -> bool:
         """``True`` when a new version cannot be allocated."""
         return not self._free
-
-    @property
-    def high_water(self) -> int:
-        """Maximum simultaneous occupancy observed."""
-        return self._high_water
-
-    @property
-    def total_allocations(self) -> int:
-        """Number of versions allocated over the lifetime of the memory."""
-        return self._total_allocations
 
     # ------------------------------------------------------------------
     # allocation / recycling
@@ -105,10 +93,6 @@ class VersionMemory:
         self._consumers_finished[vm_index] = 0
         self._next_version[vm_index] = -1
         self._dm_handle[vm_index] = -1
-        self._total_allocations += 1
-        occupied = self.entries - len(self._free)
-        if occupied > self._high_water:
-            self._high_water = occupied
         return vm_index
 
     def release(self, vm_index: int) -> None:
@@ -134,7 +118,3 @@ class VersionMemory:
             for index in range(self.entries)
             if valid[index] and addresses[index] == address
         ]
-
-    def utilisation(self) -> float:
-        """Fraction of the VM currently occupied (0.0 - 1.0)."""
-        return self.occupied / self.entries

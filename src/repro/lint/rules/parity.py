@@ -57,7 +57,6 @@ SHARED_CONTRACT: Dict[str, Dict[str, Optional[Tuple[str, ...]]]] = {
         "set_index": ("address",),
         "capacity": (),
         "occupied": (),
-        "high_water": (),
         "set_is_full": ("set_index",),
         "lookup": ("address",),
         "allocate": ("address", "input_only"),
@@ -68,17 +67,13 @@ SHARED_CONTRACT: Dict[str, Dict[str, Optional[Tuple[str, ...]]]] = {
     "VersionMemory": {
         "occupied": (),
         "full": (),
-        "high_water": (),
-        "total_allocations": (),
         "allocate": ("address",),
         "release": ("vm_index",),
         "live_versions_of": ("address",),
-        "utilisation": (),
     },
     "TaskMemory": {
         "occupied": (),
         "full": (),
-        "high_water": (),
         "has_task": ("task_id",),
         "allocate": ("task_id", "num_deps"),
         "release": ("tm_index",),

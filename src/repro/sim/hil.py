@@ -151,8 +151,11 @@ class HILSimulator:
         self._hw_only = mode is HILMode.HW_ONLY
         self._full_system = mode is HILMode.FULL_SYSTEM
 
-        self.accel = PicosAccelerator(self.config, policy=policy, auto_enqueue=False)
+        self.accel = PicosAccelerator(self.config)
         self.workers = WorkerPool(num_workers)
+        #: The Task Scheduler: the accelerator hands out the ready tasks of
+        #: each operation as a list, and each one is queued here once it is
+        #: visible to the workers.
         self.ready = TaskScheduler(policy)
         self.queue = EventQueue()
 

@@ -125,7 +125,7 @@ __all__ = [
 SNAPSHOT_FORMAT = "picos-snapshot"
 #: Schema version; bump on any change to the state documents below.  Other
 #: versions are refused at load, never migrated (see ``docs/snapshots.md``).
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: Snapshot kinds (see the module docstring).
 KIND_INITIAL = "initial"
@@ -145,11 +145,8 @@ _GEOMETRY_FIELDS = (
     "dm_sets",
 )
 
-#: PicosStats counters in dataclass order (the ``extra`` map travels
-#: separately as sorted pairs).
-_STATS_FIELDS = tuple(
-    f.name for f in dataclasses.fields(PicosStats) if f.name != "extra"
-)
+#: PicosStats counters in dataclass order.
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(PicosStats))
 
 
 class SnapshotError(RuntimeError):
@@ -329,7 +326,6 @@ VM_INDEX = _index("vm", "VM entry")
 SLOT, VERSION = _index("slots", "slot", -1), _index("vm", "VM entry", -1)
 LATER = _int(lambda c: c["cycle"] + 1, why="is not an integer after the snapshot cycle {cycle}")
 DEPS, IDS = _int(0, "max_deps_per_task"), _List(_int(None))
-DM_COUNT = _int(0, _dm_ways, "is not an integer of at least 0 and at most the DM's ways")
 
 
 def _queue(events: Dict[str, Any], timers: Dict[str, Any]) -> Dict[str, Any]:
@@ -347,7 +343,6 @@ def _queue(events: Dict[str, Any], timers: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-_SCHEDULER = {"queue": _List(TASK), "scheduled": COUNT, "max_occupancy": COUNT}
 _TIMELINES = {"ids": IDS, "stamps": (IDS,) * 5}
 _LOG = _List((LATER, _int(0, len(_EVENT_CLASSES) - 1), TASK_OR_NONE))
 _FAULTS = {
@@ -368,7 +363,7 @@ _TM = {
     "dep_count": _List(DEPS, "tm_entries"), "slot_address": _List(COUNT, "tm_slots"),
     "slot_vm_index": _List(VERSION, "tm_slots"), "slot_ready": _List(BOOL, "tm_slots"),
     "slot_predecessor": _List(SLOT, "tm_slots"), "slot_is_producer": _List(BOOL, "tm_slots"),
-    "free": _List(TM_INDEX, distinct=True), "high_water": _int(0, "tm_entries"),
+    "free": _List(TM_INDEX, distinct=True),
 }
 _DCT = {  # the VM first: DM ways and TM slots hold its indices
     "vm": {
@@ -378,15 +373,12 @@ _DCT = {  # the VM first: DM ways and TM slots hold its indices
         "consumers_arrived": _List(_int(0, "arrivals"), "vm"),
         "consumers_finished": _List(_int(0, "arrivals"), "vm"),
         "next_version": _List(VERSION, "vm"), "free": _List(VM_INDEX, distinct=True),
-        "high_water": _int(0, "vm"), "total_allocations": COUNT,
     },
     "dm": {
         "sets": _int("dm_sets", "dm_sets"), "ways": _int(1, "dm_ways", store="ways"),
         "valid": _List(BOOL, _dm_ways), "input_only": _List(BOOL, _dm_ways),
         "tag": _List(_int(-1), _dm_ways), "latest": _List(VERSION, _dm_ways),
-        "live": _List(_int(0, "vm"), _dm_ways), "access": _List(COUNT, _dm_ways),
-        "conflicts": COUNT, "allocations": COUNT,
-        "occupied": DM_COUNT, "high_water": DM_COUNT,
+        "live": _List(_int(0, "vm"), _dm_ways),
     },
     "blocked": _List(COUNT, distinct=True),
 }
@@ -401,18 +393,14 @@ _HIL_STATE = {
             "finish": (_is("j"), ANY, TASK),
         }),
     }, {TIMER_KILL: _is(None)}),
-    "timelines": _TIMELINES, "log": _LOG, "pending_new": _List(TASK),
+    "timelines": _TIMELINES, "log": _LOG, "pending_new": _int(0, "tasks"),
     "new_free_at": COUNT, "finish_free_at": COUNT, "master_busy": BOOL,
     "finish_jobs": _List(TASK), "dispatch_jobs": _List((TASK, WORKER)),
     "next_create_index": _int(0, "tasks"), "finished_tasks": _int(0, "tasks"),
-    "submission_blocked": BOOL, "ready": _SCHEDULER,
-    "workers": {
-        "states": _List((COUNT, COUNT, COUNT, _or_null(TASK)), "workers"),
-        "idle": _List(WORKER, distinct=True),
-    },
+    "submission_blocked": BOOL, "ready": {"queue": _List(TASK), "max_occupancy": COUNT},
+    "workers": {"tasks": _List(_or_null(TASK), "workers"), "idle": _List(WORKER, distinct=True)},
     "accel": {
-        "stats": {"fields": _List(COUNT, len(_STATS_FIELDS)), "extra": _List((STR, COUNT))},
-        "arbiter": {"to_trs": COUNT, "to_dct": COUNT, "load": _List(COUNT, "num_dct")},
+        "stats": _List(COUNT, len(_STATS_FIELDS)),
         "dct": _List(_DCT, "num_dct"),
         "trs": _List(_TM, "num_trs"),
         "gateway": {
@@ -421,7 +409,7 @@ _HIL_STATE = {
             "slots": _List((TASK, TRS, TM_INDEX), None, 0),
         },
         "deps_of_task": _List((TASK, DEPS), None, 0),
-        "submitted": COUNT, "finished": COUNT, "scheduler": _SCHEDULER,
+        "submitted": COUNT, "finished": COUNT,
     },
     "faults": _FAULTS,
 }
@@ -483,7 +471,7 @@ def _check_hil_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
     if len(in_tm) != valid or slots != {task: at[:2] for task, at in in_tm.items()}:
         raise _rule("the Gateway's slots are not the tasks of the valid TM entries")
     accepted, pending = dict(in_tm), gateway["pending"]
-    if pending is not None:  # a stalled submission, at the head of pending_new
+    if pending is not None:  # a stalled submission, the first pending_new row
         _walk(_PENDING, pending, c, "state.accel.gateway.pending")
         if accepted.pop(pending["task"], (None,))[:2] != (pending["trs"], pending["tm_index"]) or (
             pending["next_dep_index"] >= c["program"].task(pending["task"]).num_dependences
@@ -491,21 +479,21 @@ def _check_hil_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
             raise _rule("the Gateway's pending task is not stalled at its TM entry")
     if dict(map(tuple, accel["deps_of_task"])) != {t: at[2] for t, at in accepted.items()}:
         raise _rule("deps_of_task are not the accepted tasks and their dependence counts")
+    # Tasks are created in program order and wait in pending_new, in that
+    # order, until the Gateway accepts them: its count names the program
+    # rows just before those of the create jobs still queued.
     created = c["tasks"] if c["hw_only"] else state["next_create_index"]
     creating = sum(job[1] == "create" for job in _queued(state, "master-done", c))
-    pending_new, rows = state["pending_new"], c["rows"]
-    start = c["tail"] = rows[pending_new[0]] if pending_new else c["tasks"]
-    new = range(start, c["tasks"])  # the rows of the program's tail, which HW-only leaves
-    if len(new) != len(pending_new) or not all(
-        map(operator.eq, pending_new, itertools.islice(rows, start, None))
+    count, rows = state["pending_new"], c["rows"]
+    start = c["pending_start"] = created - creating - count
+    if count + creating + len(accepted) + accel["finished"] != created or any(
+        start <= rows[task] < start + count for task in accepted
     ):
-        c["tail"], new = None, set(map(rows.__getitem__, pending_new))
-    if len(new) != len(pending_new) or any(rows[task] in new for task in accepted) or (
-        len(new) + creating + len(accepted) + accel["finished"] != created
-    ) or not c["hw_only"] and max(new, default=-1) >= created:
         raise _rule("pending_new, the TM and the finished tasks do not hold each created task once")
-    current = [row[3] for row in state["workers"]["states"]]
-    groups = [state["ready"]["queue"], accel["scheduler"]["queue"], state["finish_jobs"]]
+    if pending is not None and (not count or rows[pending["task"]] != start):
+        raise _rule("the Gateway's pending task is not the first pending_new row")
+    current = state["workers"]["tasks"]
+    groups = [state["ready"]["queue"], state["finish_jobs"]]
     groups.append([task for task in current if task is not None])
     tasks = set(itertools.chain(*groups))
     if len(tasks) != sum(map(len, groups)) or not all(t in in_tm and in_tm[t][3] for t in tasks):
@@ -669,17 +657,13 @@ def _timeline_columns_document(sim: Any) -> Dict[str, Any]:
     }
 
 
-def _stats_document(stats: PicosStats) -> Dict[str, Any]:
-    return {
-        "fields": [getattr(stats, name) for name in _STATS_FIELDS],
-        "extra": [[key, value] for key, value in sorted(stats.extra.items())],
-    }
+def _stats_document(stats: PicosStats) -> List[int]:
+    return [getattr(stats, name) for name in _STATS_FIELDS]
 
 
-def _restore_stats(stats: PicosStats, document: Dict[str, Any]) -> None:
-    for name, value in zip(_STATS_FIELDS, document["fields"]):
+def _restore_stats(stats: PicosStats, document: List[int]) -> None:
+    for name, value in zip(_STATS_FIELDS, document):
         setattr(stats, name, value)
-    stats.extra = {key: value for key, value in document["extra"]}
 
 
 # ----------------------------------------------------------------------
@@ -702,7 +686,6 @@ def _empty_tm_document(entries: int, stride: int) -> Dict[str, Any]:
         "slot_predecessor": [-1] * total,
         "slot_is_producer": [False] * total,
         "free": [],
-        "high_water": 0,
     }
 
 
@@ -734,7 +717,6 @@ def _tm_document_flat(tm: Any) -> Dict[str, Any]:
             document["slot_predecessor"][offset] = tm._slot_predecessor[offset]
             document["slot_is_producer"][offset] = tm._slot_is_producer[offset]
     document["free"] = list(tm._free)
-    document["high_water"] = tm._high_water
     return document
 
 
@@ -762,7 +744,6 @@ def _tm_document_reference(tm: Any, codec: Any) -> Dict[str, Any]:
             )
             document["slot_is_producer"][offset] = slot.is_producer
     document["free"] = list(tm._free)
-    document["high_water"] = tm._high_water
     return document
 
 
@@ -782,7 +763,6 @@ def _restore_tm_flat(tm: Any, document: Dict[str, Any]) -> None:
     tm._by_task_id = dict(
         itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
     )
-    tm._high_water = document["high_water"]
 
 
 def _restore_tm_reference(
@@ -820,7 +800,6 @@ def _restore_tm_reference(
     tm._by_task_id = dict(
         itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
     )
-    tm._high_water = document["high_water"]
 
 
 # ----------------------------------------------------------------------
@@ -837,11 +816,6 @@ def _dm_document(dm: Any) -> Dict[str, Any]:
         "tag": [-1] * total,
         "latest": [-1] * total,
         "live": [0] * total,
-        "access": [0] * total,
-        "conflicts": dm.conflicts,
-        "allocations": dm.allocations,
-        "occupied": dm._occupied,
-        "high_water": dm._high_water,
     }
     reference_sets = getattr(dm, "_sets", None)
     if reference_sets is None:
@@ -853,7 +827,6 @@ def _dm_document(dm: Any) -> Dict[str, Any]:
             document["tag"][handle] = dm._tag[handle]
             document["latest"][handle] = dm._latest_vm_index[handle]
             document["live"][handle] = dm._live_versions[handle]
-            document["access"][handle] = dm._access_count[handle]
     else:
         for set_index, set_ways in enumerate(reference_sets):
             for way_index, way in enumerate(set_ways):
@@ -867,7 +840,6 @@ def _dm_document(dm: Any) -> Dict[str, Any]:
                     -1 if way.latest_vm_index is None else way.latest_vm_index
                 )
                 document["live"][handle] = way.live_versions
-                document["access"][handle] = way.access_count
     return document
 
 
@@ -888,7 +860,6 @@ def _restore_dm(dm: Any, document: Dict[str, Any]) -> None:
                 dm._tag[handle] = document["tag"][source]
                 dm._latest_vm_index[handle] = document["latest"][source]
                 dm._live_versions[handle] = document["live"][source]
-                dm._access_count[handle] = document["access"][source]
     else:
         for set_index in range(dm.num_sets):
             set_ways = [DMWay() for _ in range(new_ways)]
@@ -903,13 +874,9 @@ def _restore_dm(dm: Any, document: Dict[str, Any]) -> None:
                     tag=document["tag"][source],
                     latest_vm_index=None if latest < 0 else latest,
                     live_versions=document["live"][source],
-                    access_count=document["access"][source],
                 )
             reference_sets[set_index] = set_ways
-    dm.conflicts = document["conflicts"]
-    dm.allocations = document["allocations"]
-    dm._occupied = document["occupied"]
-    dm._high_water = document["high_water"]
+    dm._occupied = sum(document["valid"])  # the count of valid ways, not stored
 
 
 # ----------------------------------------------------------------------
@@ -928,8 +895,6 @@ def _vm_document(vm: Any, codec: Any) -> Dict[str, Any]:
         "consumers_finished": [0] * entries,
         "next_version": [-1] * entries,
         "free": list(vm._free),
-        "high_water": vm._high_water,
-        "total_allocations": vm._total_allocations,
     }
     reference_slots = getattr(vm, "_slots", None)
     if reference_slots is None:
@@ -1014,8 +979,6 @@ def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any, codec: Any) -> None:
             )
         vm._slots = slots
     vm._free[:] = free
-    vm._high_water = document["high_water"]
-    vm._total_allocations = document["total_allocations"]
 
 
 # ----------------------------------------------------------------------
@@ -1079,29 +1042,9 @@ def _restore_gateway(
     }
 
 
-def _scheduler_document(scheduler: Any) -> Dict[str, Any]:
-    return {
-        "queue": list(scheduler._queue),
-        "scheduled": scheduler._total_scheduled,
-        "max_occupancy": scheduler._max_occupancy,
-    }
-
-
-def _restore_scheduler(scheduler: Any, document: Dict[str, Any]) -> None:
-    scheduler._queue = deque(document["queue"])
-    scheduler._total_scheduled = document["scheduled"]
-    scheduler._max_occupancy = document["max_occupancy"]
-
-
 def _accel_document(accel: Any) -> Dict[str, Any]:
-    arbiter = accel.arbiter
     return {
         "stats": _stats_document(accel.stats),
-        "arbiter": {
-            "to_trs": arbiter.messages_to_trs,
-            "to_dct": arbiter.messages_to_dct,
-            "load": [arbiter._per_dct_load[index] for index in range(arbiter.num_dct)],
-        },
         "trs": [_tm_document(trs) for trs in accel.trs_instances],
         "dct": [_dct_document(dct) for dct in accel.dct_instances],
         "gateway": _gateway_document(accel.gateway),
@@ -1111,7 +1054,6 @@ def _accel_document(accel: Any) -> Dict[str, Any]:
         ],
         "submitted": accel._submitted,
         "finished": accel._finished,
-        "scheduler": _scheduler_document(accel.scheduler),
     }
 
 
@@ -1119,10 +1061,6 @@ def _restore_accel(accel: Any, document: Dict[str, Any], program: TaskProgram) -
     # All TRS/DCT/Gateway instances share the accelerator's PicosStats
     # object; restoring it once in place keeps that aliasing intact.
     _restore_stats(accel.stats, document["stats"])
-    arbiter = accel.arbiter
-    arbiter.messages_to_trs = document["arbiter"]["to_trs"]
-    arbiter.messages_to_dct = document["arbiter"]["to_dct"]
-    arbiter._per_dct_load = dict(enumerate(document["arbiter"]["load"]))
     for trs, trs_document in zip(accel.trs_instances, document["trs"]):
         _restore_tm(trs, trs_document)
     for dct, dct_document in zip(accel.dct_instances, document["dct"]):
@@ -1131,22 +1069,15 @@ def _restore_accel(accel: Any, document: Dict[str, Any], program: TaskProgram) -
     accel._deps_of_task = dict(map(tuple, document["deps_of_task"]))
     accel._submitted = document["submitted"]
     accel._finished = document["finished"]
-    _restore_scheduler(accel.scheduler, document["scheduler"])
 
 
 def _workers_document(pool: Any) -> Dict[str, Any]:
-    return {
-        "states": [
-            [w.busy_until, w.tasks_executed, w.busy_cycles, w.current_task]
-            for w in pool._workers
-        ],
-        "idle": list(pool._idle),
-    }
+    return {"tasks": [w.current_task for w in pool._workers], "idle": list(pool._idle)}
 
 
 def _restore_workers(pool: Any, document: Dict[str, Any]) -> None:
-    for worker, row in zip(pool._workers, document["states"]):
-        worker.busy_until, worker.tasks_executed, worker.busy_cycles, worker.current_task = row
+    for worker, task in zip(pool._workers, document["tasks"]):
+        worker.current_task = task
     pool._idle[:] = document["idle"]
 
 
@@ -1181,7 +1112,7 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
         "queue": _queue_document(sim.queue),
         "timelines": _timeline_columns_document(sim),
         "log": _log_document(sim._lifecycle_log),
-        "pending_new": [task.task_id for task in sim._pending_new],
+        "pending_new": len(sim._pending_new),
         "new_free_at": sim._picos_new_free_at,
         "finish_free_at": sim._picos_finish_free_at,
         "master_busy": sim._master_busy,
@@ -1190,7 +1121,7 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
         "next_create_index": sim._next_create_index,
         "finished_tasks": sim._finished_tasks,
         "submission_blocked": sim._submission_blocked,
-        "ready": _scheduler_document(sim.ready),
+        "ready": {"queue": list(sim.ready._queue), "max_occupancy": sim.ready._max_occupancy},
         "workers": _workers_document(sim.workers),
         "accel": _accel_document(sim.accel),
     })
@@ -1202,10 +1133,8 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any], c: Dict[str, Any]) ->
     _restore_queue(sim, state["queue"])
     if sim._lifecycle_log is not None:
         sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
-    tail, pending = c["tail"], state["pending_new"]  # the program's tail, or None
-    sim._pending_new = deque(
-        map(program.task, pending) if tail is None else itertools.islice(program, tail, None)
-    )
+    start = c["pending_start"]
+    sim._pending_new = deque(itertools.islice(program, start, start + state["pending_new"]))
     sim._picos_new_free_at = state["new_free_at"]
     sim._picos_finish_free_at = state["finish_free_at"]
     sim._master_busy = state["master_busy"]
@@ -1214,7 +1143,8 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any], c: Dict[str, Any]) ->
     sim._next_create_index = state["next_create_index"]
     sim._finished_tasks = state["finished_tasks"]
     sim._submission_blocked = state["submission_blocked"]
-    _restore_scheduler(sim.ready, state["ready"])
+    sim.ready._queue = deque(state["ready"]["queue"])
+    sim.ready._max_occupancy = state["ready"]["max_occupancy"]
     _restore_workers(sim.workers, state["workers"])
     _restore_accel(sim.accel, state["accel"], program)
     if sim._fault_plan is not None:

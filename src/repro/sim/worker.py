@@ -4,13 +4,13 @@ Workers execute task bodies for the duration recorded in the trace.  In the
 HW-only mode they live inside the programmable logic and start a ready task
 immediately; in the other modes the ARM core must first retrieve the ready
 task over the AXI stream, so a worker is *reserved* while its dispatch
-message is in flight.  The :class:`WorkerPool` keeps track of idle, reserved
-and busy workers and collects utilisation statistics.
+message is in flight.  The :class:`WorkerPool` keeps track of each
+worker's task and of the idle workers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class WorkerState:
@@ -22,37 +22,20 @@ class WorkerState:
     executing), if any.
     """
 
-    __slots__ = ("worker_id", "busy_until", "tasks_executed", "busy_cycles", "current_task")
+    __slots__ = ("worker_id", "current_task")
 
-    def __init__(
-        self,
-        worker_id: int,
-        busy_until: int = 0,
-        tasks_executed: int = 0,
-        busy_cycles: int = 0,
-        current_task: Optional[int] = None,
-    ) -> None:
+    def __init__(self, worker_id: int, current_task: Optional[int] = None) -> None:
         self.worker_id = worker_id
-        self.busy_until = busy_until
-        self.tasks_executed = tasks_executed
-        self.busy_cycles = busy_cycles
         self.current_task = current_task
 
     def __repr__(self) -> str:
-        return (
-            f"WorkerState(worker_id={self.worker_id}, busy_until={self.busy_until}, "
-            f"tasks_executed={self.tasks_executed}, busy_cycles={self.busy_cycles}, "
-            f"current_task={self.current_task})"
-        )
+        return f"WorkerState(worker_id={self.worker_id}, current_task={self.current_task})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorkerState):
             return NotImplemented
         return (
             self.worker_id == other.worker_id
-            and self.busy_until == other.busy_until
-            and self.tasks_executed == other.tasks_executed
-            and self.busy_cycles == other.busy_cycles
             and self.current_task == other.current_task
         )
 
@@ -81,19 +64,9 @@ class WorkerPool:
     # status
     # ------------------------------------------------------------------
     @property
-    def idle_count(self) -> int:
-        """Number of workers with no task assigned."""
-        return len(self._idle)
-
-    @property
     def has_idle(self) -> bool:
         """Whether at least one worker can accept a task."""
         return bool(self._idle)
-
-    @property
-    def busy_count(self) -> int:
-        """Number of workers currently reserved or executing."""
-        return self.num_workers - len(self._idle)
 
     def state(self, worker_id: int) -> WorkerState:
         """Bookkeeping record of one worker."""
@@ -107,19 +80,14 @@ class WorkerPool:
         if not self._idle:
             raise RuntimeError("no idle worker available")
         worker_id = self._idle.pop()
-        state = self._workers[worker_id]
-        state.current_task = task_id
+        self._workers[worker_id].current_task = task_id
         return worker_id
 
     def start_execution(self, worker_id: int, start: int, duration: int) -> int:
         """Record that a reserved worker starts executing; returns end time."""
-        state = self._workers[worker_id]
-        if state.current_task is None:
+        if self._workers[worker_id].current_task is None:
             raise RuntimeError(f"worker {worker_id} has no task assigned")
-        state.busy_until = start + duration
-        state.busy_cycles += duration
-        state.tasks_executed += 1
-        return state.busy_until
+        return start + duration
 
     def release(self, worker_id: int) -> None:
         """Return a worker to the idle pool after its task finished."""
@@ -128,22 +96,3 @@ class WorkerPool:
             raise RuntimeError(f"worker {worker_id} was not assigned a task")
         state.current_task = None
         self._idle.append(worker_id)
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def total_busy_cycles(self) -> int:
-        """Sum of execution cycles across all workers."""
-        return sum(state.busy_cycles for state in self._workers)
-
-    def tasks_per_worker(self) -> Dict[int, int]:
-        """Number of tasks executed by each worker."""
-        return {
-            state.worker_id: state.tasks_executed for state in self._workers
-        }
-
-    def utilisation(self, makespan: int) -> float:
-        """Average fraction of the makespan each worker spent executing."""
-        if makespan <= 0:
-            return 0.0
-        return self.total_busy_cycles() / (makespan * self.num_workers)

@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
+from repro.core.scheduler import TaskScheduler
 from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
 from repro.runtime.dependence_analysis import task_graph
 from repro.runtime.nanos import NanosRuntimeSimulator
@@ -151,13 +152,15 @@ def drain_functional(accelerator: PicosAccelerator, program: TaskProgram) -> Lis
     """Run a program through the accelerator functionally (no timing).
 
     Tasks are submitted in creation order (retrying stalled submissions
-    whenever a task finishes); ready tasks are "executed" immediately in the
-    order the Task Scheduler returns them.  Returns the execution order.
+    whenever a task finishes); the ``ready`` ids of every result queue in a
+    FIFO Task Scheduler and are "executed" immediately in the order it
+    returns them.  Returns the execution order.
     """
     order: List[int] = []
+    scheduler = TaskScheduler()
     pending = list(program)
     index = 0
-    while index < len(pending) or accelerator.ready_count or accelerator.in_flight:
+    while index < len(pending) or len(scheduler) or accelerator.in_flight:
         progressed = False
         # Submit as many tasks as possible.
         while index < len(pending):
@@ -169,13 +172,16 @@ def drain_functional(accelerator: PicosAccelerator, program: TaskProgram) -> Lis
                 result = accelerator.submit_task(pending[index])
             if not result.accepted:
                 break
+            for ready in result.ready:
+                scheduler.push(ready.task_id)
             index += 1
             progressed = True
         # Execute one ready task and notify its completion.
-        task_id = accelerator.pop_ready()
+        task_id = scheduler.try_pop()
         if task_id is not None:
             order.append(task_id)
-            accelerator.notify_finish(task_id)
+            for ready in accelerator.notify_finish(task_id).ready:
+                scheduler.push(ready.task_id)
             progressed = True
         if not progressed:
             raise AssertionError(

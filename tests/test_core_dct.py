@@ -114,7 +114,7 @@ class TestStalls:
             with pytest.raises(DctStall):
                 dct.process_dependence(dep_packet(8, blocked, Direction.IN))
         assert dct.stats.dm_conflicts == 1
-        assert dct.dm.conflicts == 3  # every attempt is visible at the DM level
+        assert dct.stats.dm_conflict_stall_cycles == 3 * dct.config.dm_conflict_stall_cycles
 
     def test_vm_full_stall(self):
         config = PicosConfig(vm_entries=1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.arbiter import Arbiter
-from repro.core.packets import TaskSlotRef
 from repro.core.scheduler import SchedulingPolicy, TaskScheduler
 
 
@@ -32,7 +31,6 @@ class TestTaskScheduler:
         scheduler = TaskScheduler()
         for task in range(4):
             scheduler.push(task)
-        assert scheduler.total_scheduled == 4
         assert scheduler.max_occupancy == 4
         assert scheduler.peek_all() == [0, 1, 2, 3]
         scheduler.clear()
@@ -42,34 +40,36 @@ class TestTaskScheduler:
 class TestArbiter:
     def test_single_instance_routing(self):
         arbiter = Arbiter(num_trs=1, num_dct=1)
-        assert arbiter.dct_for_address(0x1234) == 0
-        slot = TaskSlotRef(trs_id=0, tm_index=3, dep_index=1)
-        assert arbiter.trs_for_slot(slot) == 0
+        assert arbiter.dct_index_for(0x1234) == 0
+        assert arbiter.trs_for_slot_index(0) == 0
 
     def test_address_routing_is_stable(self):
         arbiter = Arbiter(num_trs=2, num_dct=4)
         address = 0xDEAD_BEEF
-        first = arbiter.dct_for_address(address)
-        assert all(arbiter.dct_for_address(address) == first for _ in range(5))
+        first = arbiter.dct_index_for(address)
+        assert all(arbiter.dct_index_for(address) == first for _ in range(5))
 
     def test_address_routing_spreads_over_instances(self):
         arbiter = Arbiter(num_trs=1, num_dct=4)
-        targets = {arbiter.dct_for_address(0x4000_0000 + i * 0x10_0000) for i in range(64)}
+        targets = {arbiter.dct_index_for(0x4000_0000 + i * 0x10_0000) for i in range(64)}
         assert len(targets) >= 3
 
     def test_slot_routing_validates_instance(self):
         arbiter = Arbiter(num_trs=2, num_dct=1)
         with pytest.raises(ValueError):
-            arbiter.trs_for_slot(TaskSlotRef(trs_id=5, tm_index=0, dep_index=0))
+            arbiter.trs_for_slot_index(5)
 
-    def test_traffic_counters(self):
-        arbiter = Arbiter(num_trs=1, num_dct=2)
-        arbiter.dct_for_address(0x100)
-        arbiter.dct_for_address(0x200)
-        arbiter.trs_for_slot(TaskSlotRef(0, 0, 0))
-        assert arbiter.messages_to_dct == 2
-        assert arbiter.messages_to_trs == 1
-        assert sum(arbiter.dct_load().values()) == 2
+    def test_runs_split_where_the_route_changes(self):
+        arbiter = Arbiter(num_trs=1, num_dct=4)
+        addresses = [0x4000_0000 + i * 0x10_0000 for i in range(16)]
+        routes = [arbiter.dct_index_for(address) for address in addresses]
+        runs = list(arbiter.iter_dct_runs(addresses, 2, 14))
+        assert runs[0][1] == 2 and runs[-1][2] == 14
+        for (route, start, end), (_, next_start, _) in zip(runs, runs[1:] + [(0, 14, 0)]):
+            assert end == next_start
+            assert routes[start:end] == [route] * (end - start)
+            assert end == 14 or routes[end] != route
+        assert list(arbiter.iter_dct_runs(addresses, 5, 5)) == []
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

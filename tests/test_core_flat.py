@@ -70,15 +70,15 @@ class TestFlatDependenceMemory:
         assert dm.allocate(newcomer, input_only=False) == 3
         assert dm.lookup(newcomer) == 3
 
-    def test_conflict_raises_and_counts(self):
+    def test_conflict_raises_and_leaves_the_set_full(self):
         dm = DependenceMemory(DMDesign.WAY8)
         for i in range(8):
             dm.allocate(0x4000_0000 + i * STRIDE, input_only=False)
         with pytest.raises(DependenceMemoryConflict) as exc:
             dm.allocate(0x4000_0000 + 8 * STRIDE, input_only=False)
         assert exc.value.set_index == 0
-        assert dm.conflicts == 1
-        assert dm.occupied == 8 == dm.high_water
+        assert dm.occupied == 8
+        assert dm.set_is_full(0)
 
     def test_release_unknown_address_raises(self):
         dm = DependenceMemory(DMDesign.WAY8)
@@ -103,8 +103,7 @@ class TestFlatVersionMemory:
         assert vm.allocate(0xABC) == 1  # recycled entry, lowest free index
         assert vm.live_versions_of(0xABC) == [1]
         assert vm.live_versions_of(0x100) == []
-        assert vm.high_water == 4
-        assert vm.total_allocations == 5
+        assert vm.occupied == 4
 
     def test_release_unoccupied_raises(self):
         vm = VersionMemory(entries=4)
@@ -239,7 +238,7 @@ class TestFlatDependenceChainTracker:
         outcomes, stall = self.dct.process_batch([30, 31], batch, 0, 2)
         assert stall is StallReason.DM_CONFLICT
         assert len(outcomes) == 1  # the hit before the conflict was stored
-        assert self.dct.dm.conflicts == 1
+        assert self.dct.stats.dm_conflicts == 1
 
     def test_finish_run_wakes_the_chain_and_recycles(self):
         deps = [dep(0x1000, Direction.OUT), dep(0x1000, Direction.IN)]

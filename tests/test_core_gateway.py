@@ -180,20 +180,11 @@ class TestMultiInstanceRouting:
         assert dcts[0].dm.occupied + dcts[1].dm.occupied == 32
         assert dcts[0].dm.occupied > 0 and dcts[1].dm.occupied > 0
 
-    def test_multi_dct_dispatch_counts_one_message_per_dependence(self):
-        config = PicosConfig(num_trs=1, num_dct=2)
-        gateway, _, _ = build_gateway(config)
-        addresses = [0x4000_0000 + i * 0x10_0000 for i in range(6)]
-        gateway.submit(task(0, [(a, Direction.IN) for a in addresses]))
-        arbiter = gateway.arbiter
-        assert arbiter.messages_to_dct == len(addresses)
-        assert sum(arbiter.dct_load().values()) == len(addresses)
-
-    def test_multi_dct_stall_does_not_count_the_undelivered_tail(self):
+    def test_multi_dct_stall_resumes_at_the_blocked_dependence(self):
         # The batched dispatch routes a whole same-bank run before the DCT
-        # processes it; on a mid-run stall only the dependences that
-        # actually reached the DCT (stored ones plus the stalled one) may
-        # be accounted, exactly like the per-dependence reference flow.
+        # processes it; on a mid-run stall only the dependences before the
+        # blocked one are stored, exactly like the per-dependence
+        # reference flow, and the retry starts at the blocked one.
         config = PicosConfig(num_trs=1, num_dct=2, dm_sets=1)
         gateway, _, dcts = build_gateway(config)
         arbiter = gateway.arbiter
@@ -210,7 +201,6 @@ class TestMultiInstanceRouting:
                 task(task_id, [(address, Direction.IN)])
             ).status is GatewayStatus.ACCEPTED
         assert dcts[0].dm.occupied == ways
-        before = arbiter.messages_to_dct
         # One run on DCT 0: a hit, a conflicting miss, an undelivered tail.
         result = gateway.submit(
             task(
@@ -225,5 +215,5 @@ class TestMultiInstanceRouting:
         assert result.status is GatewayStatus.STALLED
         assert result.stall_reason is StallReason.DM_CONFLICT
         assert result.dependences_dispatched == 1
-        # Stored dep + stalled dep are two messages; the tail is not.
-        assert arbiter.messages_to_dct - before == 2
+        assert gateway.pending_submission.next_dep_index == 1
+        assert dcts[0].dm.occupied == ways

@@ -7,7 +7,6 @@ import pytest
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.dct import StallReason
 from repro.core.picos import PicosAccelerator, SubmitStatus
-from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.dependence_analysis import ready_order_is_valid
 from repro.runtime.task import Dependence, Direction, Task
 
@@ -24,7 +23,7 @@ class TestSubmitInterface:
         assert result.occupancy == accelerator.config.new_task_occupancy(0)
         assert len(result.ready) == 1
         assert result.ready[0].latency == accelerator.config.new_task_ready_latency(0)
-        assert accelerator.pop_ready() == 0
+        assert result.ready[0].task_id == 0
 
     def test_dependent_task_not_ready_at_submission(self, accelerator):
         accelerator.submit_task(make_task(0, [(A, Direction.OUT)]))
@@ -60,7 +59,6 @@ class TestFinishInterface:
     def test_finish_wakes_dependent_task(self, accelerator):
         accelerator.submit_task(make_task(0, [(A, Direction.OUT)]))
         accelerator.submit_task(make_task(1, [(A, Direction.IN)]))
-        accelerator.pop_ready()
         result = accelerator.notify_finish(0)
         assert [r.task_id for r in result.ready] == [1]
         assert result.occupancy == accelerator.config.finish_occupancy(1)
@@ -96,6 +94,7 @@ class TestFigure5Chain:
     """
 
     def _submit_chain(self, accelerator):
+        """Submit the six tasks; the ids each submission made ready."""
         directions = {
             1: Direction.INOUT,
             2: Direction.IN,
@@ -104,16 +103,17 @@ class TestFigure5Chain:
             5: Direction.OUT,
             6: Direction.INOUT,
         }
-        for task_id in range(1, 7):
-            accelerator.submit_task(
+        return [
+            ready.task_id
+            for task_id in range(1, 7)
+            for ready in accelerator.submit_task(
                 Task(task_id=task_id, dependences=[Dependence(A, directions[task_id])])
-            )
+            ).ready
+        ]
 
     def test_wake_order_follows_the_paper(self, accelerator):
-        self._submit_chain(accelerator)
         # Only Task1 is ready after the submissions.
-        assert accelerator.pop_ready() == 1
-        assert accelerator.pop_ready() is None
+        assert self._submit_chain(accelerator) == [1]
 
         finish1 = accelerator.notify_finish(1)
         assert [r.task_id for r in finish1.ready] == [4, 3, 2]
@@ -175,21 +175,6 @@ class TestStallsAndResume:
     def test_resume_without_pending_raises(self, accelerator):
         with pytest.raises(RuntimeError):
             accelerator.resume_submission()
-
-
-class TestSchedulerIntegration:
-    def test_lifo_policy_changes_pop_order(self):
-        accelerator = PicosAccelerator(policy=SchedulingPolicy.LIFO)
-        for task_id in range(3):
-            accelerator.submit_task(make_task(task_id))
-        assert accelerator.pop_ready() == 2
-        assert accelerator.ready_count == 2
-
-    def test_auto_enqueue_can_be_disabled(self):
-        accelerator = PicosAccelerator(auto_enqueue=False)
-        result = accelerator.submit_task(make_task(0))
-        assert [r.task_id for r in result.ready] == [0]
-        assert accelerator.ready_count == 0
 
 
 class TestMultiInstanceConfiguration:

@@ -689,7 +689,7 @@ def snp_findings(findings: List[Finding]) -> List[Finding]:
 
 _WORKER_FIXTURE = (
     "class WorkerState:\n"
-    "    __slots__ = ('worker_id', 'busy_until', 'shiny_field')\n"
+    "    __slots__ = ('worker_id', 'current_task', 'shiny_field')\n"
     "class WorkerPool:\n"
     "    __slots__ = ('num_workers',)\n"
 )
@@ -701,10 +701,10 @@ class TestSnapshotPurityRule:
             tmp_path,
             {
                 "sim/worker.py": _WORKER_FIXTURE,
-                # The codec mentions busy_until (attribute) and num_workers
+                # The codec mentions current_task (attribute) and num_workers
                 # (document key) but never shiny_field.
                 "sim/snapshot.py": "def encode(worker, pool):\n"
-                "    return {'num_workers': 1, 'busy': worker.busy_until}\n",
+                "    return {'num_workers': 1, 'task': worker.current_task}\n",
             },
         )
         flagged = snp_findings(findings)
@@ -719,8 +719,8 @@ class TestSnapshotPurityRule:
             {
                 "sim/worker.py": _WORKER_FIXTURE,
                 "sim/snapshot.py": "def encode(worker, pool):\n"
-                "    row = [worker.busy_until, worker.shiny_field]\n"
-                "    return {'num_workers': pool.num_workers, 'states': row}\n",
+                "    row = [worker.current_task, worker.shiny_field]\n"
+                "    return {'num_workers': pool.num_workers, 'tasks': row}\n",
             },
         )
         assert snp_findings(findings) == []

@@ -117,6 +117,69 @@ GOLDEN = {
 }
 
 
+def counters_digest(result) -> str:
+    """Stable digest of a result's full ``counters`` dict."""
+    return stable_digest(*sorted(result.counters.items()))
+
+
+#: (workload, block_size, problem_size, backend, num_workers) -> digest of
+#: the golden cell's full ``counters`` dict, recorded at version 1.3.0 while
+#: the datapath still kept counters that no result reads: deleting them must
+#: not move a single reported counter.
+GOLDEN_COUNTERS = {
+    ('case3', None, None, 'hil-comm', 1): '0b758584707c9848ed68bfc8',
+    ('case3', None, None, 'hil-comm', 4): 'a5658a4fe9e6a70b346e9c19',
+    ('case3', None, None, 'hil-full', 1): 'b0e3b743712deedbfa3ad937',
+    ('case3', None, None, 'hil-full', 4): '5f87f3c3874a8db01674f66f',
+    ('case3', None, None, 'hil-hw', 1): '4c7db3e02fad97e971550678',
+    ('case3', None, None, 'hil-hw', 4): '4c7db3e02fad97e971550678',
+    ('case3', None, None, 'nanos', 1): '9e5e33948804a62b3384011b',
+    ('case3', None, None, 'nanos', 4): 'f84aac8085256688a966c458',
+    ('case3', None, None, 'perfect', 1): 'a71d0904c9365410d0d3ef5c',
+    ('case3', None, None, 'perfect', 4): 'fbba0efc0614a8e5135751bb',
+    ('cholesky', 128, 512, 'hil-comm', 1): '7a5acfb434c00e02b9319725',
+    ('cholesky', 128, 512, 'hil-comm', 4): 'b542bb050791cb2b571b8e53',
+    ('cholesky', 128, 512, 'hil-full', 1): 'cfb7504a87c479c17958dfb5',
+    ('cholesky', 128, 512, 'hil-full', 4): '5fafac51d0293886542412e4',
+    ('cholesky', 128, 512, 'hil-hw', 1): '19309bb7be38bde4fa3f6446',
+    ('cholesky', 128, 512, 'hil-hw', 4): '80294ce5fc8602dee6b44648',
+    ('cholesky', 128, 512, 'nanos', 1): 'a214cebe47c525c3623d6342',
+    ('cholesky', 128, 512, 'nanos', 4): '385bc5bfc01d33ed545a1aaf',
+    ('cholesky', 128, 512, 'perfect', 1): '6e57510b347eab1367e1c60a',
+    ('cholesky', 128, 512, 'perfect', 4): 'd09961bf84db4c73c2d53803',
+    ('h264dec', 8, None, 'hil-comm', 1): '267e5e1976d1d00aef7c9a57',
+    ('h264dec', 8, None, 'hil-comm', 4): '2b0a038dfcb63a927687e545',
+    ('h264dec', 8, None, 'hil-full', 1): '40f8c74b095e892d5261ac70',
+    ('h264dec', 8, None, 'hil-full', 4): 'e41b6dfa3b99524120a59e45',
+    ('h264dec', 8, None, 'hil-hw', 1): '41228c65fad0075537d0fbad',
+    ('h264dec', 8, None, 'hil-hw', 4): 'd97193287ed2bb3d4ac56347',
+    ('h264dec', 8, None, 'nanos', 1): '321df113e6b7ec39f419b02b',
+    ('h264dec', 8, None, 'nanos', 4): '347620ab7a39122f3c3e86f2',
+    ('h264dec', 8, None, 'perfect', 1): '119661a5652f66226cbe5739',
+    ('h264dec', 8, None, 'perfect', 4): '3ec69488bad42972cde52b81',
+    ('heat', 256, None, 'hil-comm', 1): '562458c039ab97b1f1fe9ad1',
+    ('heat', 256, None, 'hil-comm', 4): 'b0757cf78b5a339fa91eb9bd',
+    ('heat', 256, None, 'hil-full', 1): 'c503ee0779291b78ddcbc3ab',
+    ('heat', 256, None, 'hil-full', 4): 'b25244393f1ab5dd4877b8a5',
+    ('heat', 256, None, 'hil-hw', 1): 'eeb1e486200d54a82b2f82f3',
+    ('heat', 256, None, 'hil-hw', 4): '4a06463f5e41a4375f0c4525',
+    ('heat', 256, None, 'nanos', 1): 'f8ba2158aa126e7d4fc9ff74',
+    ('heat', 256, None, 'nanos', 4): '020f9946e5d12efab88929e6',
+    ('heat', 256, None, 'perfect', 1): '1a3bbe9aa9076982d164a42f',
+    ('heat', 256, None, 'perfect', 4): 'e4aaca0faf7ccad366aa1a18',
+    ('sparselu', 128, 512, 'hil-comm', 1): '111d99bb55c57f51ca3094e2',
+    ('sparselu', 128, 512, 'hil-comm', 4): '9e6ef15f5b9391399cbdf973',
+    ('sparselu', 128, 512, 'hil-full', 1): '16955bc406790e6da5b5de5b',
+    ('sparselu', 128, 512, 'hil-full', 4): '6c24af403aff58651010ffb6',
+    ('sparselu', 128, 512, 'hil-hw', 1): '40f67a7449e1ea97a92e1cc8',
+    ('sparselu', 128, 512, 'hil-hw', 4): 'ad31db9f6d8a2ab988c2f7e4',
+    ('sparselu', 128, 512, 'nanos', 1): '01ed19c0edb7537081481ce9',
+    ('sparselu', 128, 512, 'nanos', 4): '96a77782ea2eb82442a32e8f',
+    ('sparselu', 128, 512, 'perfect', 1): '46df4dbb05905527daef76ad',
+    ('sparselu', 128, 512, 'perfect', 4): 'd9abdf46eeec77babe644ca1',
+}
+
+
 @functools.lru_cache(maxsize=None)
 def golden_run(workload, block_size, problem_size, backend, workers):
     """The program and result of one golden cell, simulated once per session."""
@@ -161,6 +224,17 @@ class TestGoldenDigests:
         program, result = golden_run(workload, block_size, problem_size, backend, workers)
         assert result.makespan >= makespan_lower_bound(program, workers)
 
+    @pytest.mark.parametrize(
+        "workload,block_size,problem_size,backend,workers",
+        sorted(GOLDEN, key=repr),
+    )
+    def test_reported_counters_match_the_recorded_digests(
+        self, workload, block_size, problem_size, backend, workers
+    ):
+        key = (workload, block_size, problem_size, backend, workers)
+        _, result = golden_run(*key)
+        assert counters_digest(result) == GOLDEN_COUNTERS[key]
+
     def test_every_builtin_backend_has_a_golden_row(self):
         covered = {key[3] for key in GOLDEN}
         assert covered == set(BUILTIN_BACKENDS)
@@ -203,6 +277,9 @@ class TestReferenceDatapathGolden:
         )
         assert result.makespan == expected_makespan
         assert result_digest(result) == expected_digest
+        assert counters_digest(result) == GOLDEN_COUNTERS[
+            (workload, block_size, problem_size, backend, workers)
+        ]
 
 
 class TestDeliveryPathParity:

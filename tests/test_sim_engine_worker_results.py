@@ -167,14 +167,16 @@ class TestPopSameKindInterleavedKinds:
 class TestWorkerPool:
     def test_reserve_and_release_cycle(self):
         pool = WorkerPool(2)
-        assert pool.idle_count == 2
         worker = pool.reserve(task_id=5)
-        assert pool.idle_count == 1
-        assert pool.busy_count == 1
+        assert pool.state(worker).current_task == 5
+        assert pool.has_idle
+        pool.reserve(task_id=6)
+        assert not pool.has_idle
         end = pool.start_execution(worker, start=100, duration=50)
         assert end == 150
         pool.release(worker)
-        assert pool.idle_count == 2
+        assert pool.state(worker).current_task is None
+        assert pool.has_idle
 
     def test_reserve_exhaustion_raises(self):
         pool = WorkerPool(1)
@@ -191,18 +193,6 @@ class TestWorkerPool:
         pool = WorkerPool(1)
         with pytest.raises(RuntimeError):
             pool.release(0)
-
-    def test_statistics(self):
-        pool = WorkerPool(2)
-        first = pool.reserve(0)
-        pool.start_execution(first, 0, 10)
-        pool.release(first)
-        second = pool.reserve(1)
-        pool.start_execution(second, 10, 30)
-        pool.release(second)
-        assert pool.total_busy_cycles() == 40
-        assert sum(pool.tasks_per_worker().values()) == 2
-        assert pool.utilisation(makespan=40) == pytest.approx(0.5)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -246,10 +236,9 @@ class TestHotPathValueClasses:
         from repro.sim.worker import WorkerState
 
         fresh = WorkerState(2)
-        assert fresh.busy_until == 0
         assert fresh.current_task is None
         assert fresh == WorkerState(2)
-        assert fresh != WorkerState(2, busy_until=9)
+        assert fresh != WorkerState(2, current_task=9)
 
 
 def _result_with_two_tasks() -> SimulationResult:

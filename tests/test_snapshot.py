@@ -260,16 +260,16 @@ class TestWorkloadGoldenDigests:
 
 
 class TestPinnedCaptureDigests:
-    """The version-3 bytes of a mid-run capture, pinned by their digest.
+    """The version-4 bytes of a mid-run capture, pinned by their digest.
 
     A change to how the simulators hold their state must not move a byte
     of the document: the digest covers the whole canonical payload.
     """
 
     DIGESTS = {
-        "hil-comm": "25c6a251249be32179bc6ada",
-        "hil-full": "e8b53735db73ce8408001cdd",
-        "hil-hw": "08901030ba3d0826a3fe9ec3",
+        "hil-comm": "a4f35c5692cec33d461475f1",
+        "hil-full": "327beee1caec385219622366",
+        "hil-hw": "37c6fc6f330c7b39f0979de2",
         "nanos": "1211723c64aac1aad9aa0864",
         "perfect": "000245ad39933484bdaf3370",
     }
@@ -644,7 +644,6 @@ class TestForgedTaskIds:
         "backend, edit",
         [
             ("hil-full", _forge_create_job),
-            ("hil-full", lambda state, task_id: state.update(pending_new=[task_id])),
             ("hil-full", _forge_gateway_pending),
             ("nanos", lambda state, task_id: state.update(ready_pool=[task_id])),
             ("nanos", _forge_remaining_preds),
@@ -658,7 +657,6 @@ class TestForgedTaskIds:
         ],
         ids=[
             "event-payload",
-            "pending-new",
             "gateway-pending",
             "nanos-ready-pool",
             "nanos-remaining-preds",
@@ -794,6 +792,9 @@ class TestForgedWorkersAndCounts:
             ("hil-full", lambda state: state["workers"].update(idle=[0, 0]), "twice"),
             ("hil-full", lambda state: state.update(next_create_index=-3), "at least 0"),
             ("hil-full", lambda state: state.update(finished_tasks=21), "at most 20"),
+            ("hil-full", lambda state: state.update(pending_new=21), "at most 20"),
+            ("hil-full", lambda state: state.update(pending_new=-1), "at least 0"),
+            ("hil-full", lambda state: state.update(pending_new=[3]), "not an integer"),
             (
                 "nanos",
                 lambda state: state["idle_workers"].extend([10**9, 10**9 + 1]),
@@ -816,6 +817,9 @@ class TestForgedWorkersAndCounts:
             "hil-idle-twice",
             "hil-negative-creation-index",
             "hil-finished-past-the-tasks",
+            "hil-pending-new-past-the-tasks",
+            "hil-negative-pending-new",
+            "hil-pending-new-as-task-ids",
             "nanos-extra-idle-threads",
             "nanos-idle-twice",
             "nanos-bool-idle-thread",
@@ -1009,7 +1013,11 @@ class TestForgedConsistency:
             ),
             ("hil-full", lambda state: state.update(finish_jobs=[0]), "distinct ready TM tasks"),
             ("hil-full", lambda state: state["ready"].update(queue=[1]), "distinct ready TM tasks"),
-            ("hil-full", lambda state: state.update(pending_new=[3]), "each created task once"),
+            (
+                "hil-full",
+                lambda state: state.update(pending_new=state["pending_new"] + 1),
+                "each created task once",
+            ),
             (
                 "hil-full",
                 lambda state: state["workers"].update(idle=[1, 2]),
@@ -1034,7 +1042,7 @@ class TestForgedConsistency:
             "deps-of-task",
             "finish-job-on-a-worker",
             "ready-task-not-ready",
-            "pending-new-created-twice",
+            "pending-new-one-too-many",
             "idle-worker-with-a-task",
             "worker-done-of-another-worker",
             "nanos-finished",
@@ -1045,6 +1053,32 @@ class TestForgedConsistency:
     def test_a_known_value_in_the_wrong_place_is_refused(self, backend, edit, message):
         snapshot = _forged_state_snapshot(
             lambda payload: edit(payload["state"]), backend, 10_000
+        )
+        with pytest.raises(SnapshotError, match=message):
+            restore(snapshot)
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            (-1, "the Gateway's pending task is not the first pending_new row"),
+            (1, "each created task once"),
+        ],
+        ids=["stalled-task-not-first", "accepted-task-pending"],
+    )
+    def test_pending_rows_that_still_add_up_are_checked(self, shift, message):
+        # A capture whose Gateway holds task 8 stalled (a full VM), with 12
+        # tasks pending and task 0 finished.  Moving one task between
+        # pending_new and the finished count keeps the sum of created tasks
+        # but shifts the pending rows off the stalled task or onto task 7,
+        # which the TM holds.
+        def edit(payload):
+            state = payload["state"]
+            assert state["accel"]["gateway"]["pending"]["task"] == 8
+            state["pending_new"] += shift
+            state["accel"]["finished"] -= shift
+
+        snapshot = _forged_state_snapshot(
+            edit, "hil-hw", 500_000, config=PicosConfig(vm_entries=8)
         )
         with pytest.raises(SnapshotError, match=message):
             restore(snapshot)
@@ -1425,15 +1459,21 @@ class TestOnDiskFormat:
         with pytest.raises(SnapshotError, match=SNAPSHOT_FORMAT):
             SimulationSnapshot.from_document(foreign)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_versions_are_refused_at_load(self, tmp_path, version):
-        # Older documents inline the payload as an object, digested over
-        # its canonical dump.  Version 1 may hold coalesced ready events no
-        # handler accepts any more, version 2 holds every timeline row as
-        # a list: each must fail at load, not mid-run.
-        document = _payload(self._mid_run_snapshot().document())
-        document.update(format=SNAPSHOT_FORMAT, version=version)
-        document["digest"] = stable_digest(_canonical(document))
+        # Versions 1 and 2 inline the payload as an object, digested over
+        # its canonical dump; version 3 has today's envelope.  Version 1
+        # may hold coalesced ready events no handler accepts any more,
+        # version 2 holds every timeline row as a list, version 3 holds
+        # counters no simulator keeps and pending_new as task ids: each
+        # must fail at load, not mid-run.
+        document = self._mid_run_snapshot().document()
+        if version < 3:
+            document = _payload(document)
+            document.update(format=SNAPSHOT_FORMAT, version=version)
+            document["digest"] = stable_digest(_canonical(document))
+        else:
+            document["version"] = version
         path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(document))
         with pytest.raises(
@@ -1488,7 +1528,7 @@ class TestEnvelope:
     def test_the_document_is_an_envelope_around_canonical_text(self, captured):
         document = captured.document()
         assert set(document) == {"format", "version", "digest", "payload"}
-        assert document["version"] == SNAPSHOT_VERSION == 3
+        assert document["version"] == SNAPSHOT_VERSION == 4
         assert document["payload"] == _canonical(_payload(document))
         assert document["digest"] == stable_digest(document["payload"])
         assert captured.digest == document["digest"]

@@ -137,16 +137,6 @@ class PicosConfig:
     #: Nanos++ submission cost of each additional dependence.
     nanos_extra_dep_cycles: int = 20
 
-    # ------------------------------------------------------------------
-    # model selection
-    # ------------------------------------------------------------------
-    #: Run the accelerator on the object-based reference datapath
-    #: (:mod:`repro.core.reference`) instead of the flat integer-handle
-    #: datapath.  Cycle-identical by contract (see ``docs/datapath.md``);
-    #: used by the differential/parity suites and for debugging.  The
-    #: ``REPRO_REFERENCE_DATAPATH`` environment variable forces it on.
-    reference_datapath: bool = False
-
     def __post_init__(self) -> None:
         if self.num_trs < 1 or self.num_dct < 1:
             raise ValueError("at least one TRS and one DCT instance are required")

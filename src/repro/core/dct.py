@@ -28,9 +28,7 @@ Both halves run directly over the parallel flat arrays of the DM, VM and
 TMX (see ``docs/datapath.md``): the DM compare is a C-speed tag scan
 returning an integer way handle, versions and task slots are integer
 indices with ``-1`` for *none*, and no packet or outcome object is
-allocated per dependence.  The object-based reference implementation lives
-in :mod:`repro.core.reference` and the differential suite pins the two
-cycle-identical.
+allocated per dependence.
 """
 
 from __future__ import annotations
@@ -121,8 +119,7 @@ class DependenceChainTracker:
         hazard the batch stops -- ``outcomes`` covers the dependences
         stored before the blocked one and ``stall_reason`` says why (the
         stalled dependence itself is *not* stored); the Gateway resumes
-        from ``start + len(outcomes)`` once resources free up.  The
-        reference implementation pins this loop branch for branch.
+        from ``start + len(outcomes)`` once resources free up.
         """
         dm = self.dm
         vm = self.vm

@@ -31,9 +31,7 @@ handle (or ``-1`` on a miss) instead of allocating a result object, and
 the tag scan runs through ``list.index`` at C speed.  Released ways reset
 their tag to ``-1`` so a stale tag can never alias a live address; the
 invariant ``valid[h] <=> tag[h] != -1`` is what makes the tag scan
-equivalent to the valid-qualified compare of the reference model
-(:mod:`repro.core.reference.dependence_memory`), which the differential
-suite pins.
+equivalent to the hardware's valid-qualified compare.
 """
 
 from __future__ import annotations
@@ -57,6 +55,11 @@ class DependenceMemoryConflict(RuntimeError):
 
 class DependenceMemory:
     """A 64-set, N-way, cache-like dependence memory (flat SoA layout)."""
+
+    __slots__ = (
+        "design", "num_sets", "ways_per_set", "_valid", "_input_only", "_tag",
+        "_latest_vm_index", "_live_versions", "_occupied", "_index_of",
+    )
 
     def __init__(self, design: DMDesign, num_sets: int = 64) -> None:
         if num_sets < 1:

@@ -15,13 +15,12 @@ Cycle-identity contract
 -----------------------
 
 The Gateway's dependence traffic is batched (maximal consecutive runs per
-DCT bank, see ``docs/engine.md``) but must stay *cycle-identical* to the
-per-dependence reference flow: the stall points, stats and resume indices
-are those of the single-packet path.  The contract is pinned by the
-golden-digest matrix in
-``tests/test_perf_parity.py``, the Gateway unit suite in
-``tests/test_core_gateway.py``, and the seed-pinned cross-backend and
-flat-vs-reference datapath fuzz in ``tests/test_differential.py``.
+DCT bank, see ``docs/engine.md``) but must stay *cycle-identical* to a
+per-dependence flow: the stall points, stats and resume indices are those
+of the single-packet path.  The contract is pinned by the golden-digest
+matrix in ``tests/test_perf_parity.py``, the Gateway unit suite in
+``tests/test_core_gateway.py``, and the seed-pinned cross-backend fuzz in
+``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -261,8 +260,8 @@ class Gateway:
         and one :meth:`~repro.core.trs.TaskReservationStation.
         apply_submission_outcomes` call instead of a packet round-trip per
         dependence.  The stored state, stats, stall points and resume
-        indices are exactly those of the per-dependence reference flow,
-        which the parity suite pins cycle-for-cycle.
+        indices are exactly those of a per-dependence flow, which the
+        golden digests pin cycle-for-cycle.
         """
         trs = self.trs_instances[trs_id]
         dependences = task.dependences

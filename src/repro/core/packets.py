@@ -1,223 +1,15 @@
 """Inter-module packets of the Picos hardware.
 
 Every arrow of Figure 3b is a small fixed-format packet travelling through a
-FIFO.  The classes in this module name those packets after the
-operational-flow steps of Section III-B:
-
-new-task path (N1-N6)
-    :class:`NewTaskPacket` (GW -> TRS), :class:`DependencePacket`
-    (GW -> DCT), :class:`ReadyPacket` and :class:`DependentPacket`
-    (DCT -> TRS, via the Arbiter), :class:`ExecuteTaskPacket` (TRS -> TS).
-
-finished-task path (F1-F4)
-    :class:`FinishedTaskPacket` (GW -> TRS), :class:`FinishPacket`
-    (TRS -> DCT), and again :class:`ReadyPacket` for wake-ups.
-
-Several packets are allocated per dependence of every task, which puts
-their construction on the hottest path of a simulation; they are therefore
-hand-written ``__slots__`` value classes (compare-by-value, hashable)
-rather than frozen dataclasses, whose ``object.__setattr__``-based
-``__init__`` costs several times as much per instance.
+FIFO.  The datapath carries most of them as packed integer handles and
+outcome triples (see ``docs/datapath.md``); the one packet it still builds
+as an object is :class:`ExecuteTaskPacket` (TRS -> TS, step N6), a
+hand-written ``__slots__`` value class (compare-by-value, hashable) because
+a frozen dataclass's ``object.__setattr__``-based ``__init__`` costs several
+times as much per instance.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-from repro.runtime.task import Direction
-
-
-class TaskSlotRef:
-    """Reference to one dependence slot of one in-flight task.
-
-    A task lives in TM entry ``tm_index`` of TRS instance ``trs_id``; its
-    ``dep_index``-th dependence occupies one TMX slot.  The DCT identifies
-    consumers/producers by this triple (the "TRS slot" of the paper).
-    """
-
-    __slots__ = ("trs_id", "tm_index", "dep_index")
-
-    def __init__(self, trs_id: int, tm_index: int, dep_index: int) -> None:
-        self.trs_id = trs_id
-        self.tm_index = tm_index
-        self.dep_index = dep_index
-
-    def task_ref(self) -> "TaskSlotRef":
-        """The same slot with the dependence index cleared (task identity)."""
-        return TaskSlotRef(self.trs_id, self.tm_index, 0)
-
-    def __repr__(self) -> str:
-        return (
-            f"TaskSlotRef(trs_id={self.trs_id}, tm_index={self.tm_index}, "
-            f"dep_index={self.dep_index})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaskSlotRef):
-            return NotImplemented
-        return (
-            self.trs_id == other.trs_id
-            and self.tm_index == other.tm_index
-            and self.dep_index == other.dep_index
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trs_id, self.tm_index, self.dep_index))
-
-
-class NewTaskPacket:
-    """GW -> TRS: a new task has been assigned TM entry ``tm_index`` (N3)."""
-
-    __slots__ = ("task_id", "trs_id", "tm_index", "num_deps")
-
-    def __init__(self, task_id: int, trs_id: int, tm_index: int, num_deps: int) -> None:
-        self.task_id = task_id
-        self.trs_id = trs_id
-        self.tm_index = tm_index
-        self.num_deps = num_deps
-
-    def __repr__(self) -> str:
-        return (
-            f"NewTaskPacket(task_id={self.task_id}, trs_id={self.trs_id}, "
-            f"tm_index={self.tm_index}, num_deps={self.num_deps})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NewTaskPacket):
-            return NotImplemented
-        return (
-            self.task_id == other.task_id
-            and self.trs_id == other.trs_id
-            and self.tm_index == other.tm_index
-            and self.num_deps == other.num_deps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.task_id, self.trs_id, self.tm_index, self.num_deps))
-
-
-class DependencePacket:
-    """GW -> DCT: one dependence of a newly created task (N4)."""
-
-    __slots__ = ("slot", "address", "direction")
-
-    def __init__(self, slot: TaskSlotRef, address: int, direction: Direction) -> None:
-        self.slot = slot
-        self.address = address
-        self.direction = direction
-
-    def __repr__(self) -> str:
-        return (
-            f"DependencePacket(slot={self.slot!r}, address={self.address}, "
-            f"direction={self.direction!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DependencePacket):
-            return NotImplemented
-        return (
-            self.slot == other.slot
-            and self.address == other.address
-            and self.direction == other.direction
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.slot, self.address, self.direction))
-
-
-class ReadyPacket:
-    """DCT -> TRS (via ARB): the referenced dependence slot is ready (N5/F4)."""
-
-    __slots__ = ("slot", "vm_index")
-
-    def __init__(self, slot: TaskSlotRef, vm_index: int) -> None:
-        self.slot = slot
-        self.vm_index = vm_index
-
-    def __repr__(self) -> str:
-        return f"ReadyPacket(slot={self.slot!r}, vm_index={self.vm_index})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReadyPacket):
-            return NotImplemented
-        return self.slot == other.slot and self.vm_index == other.vm_index
-
-    def __hash__(self) -> int:
-        return hash((self.slot, self.vm_index))
-
-
-class DependentPacket:
-    """DCT -> TRS: the slot depends on earlier accesses and must wait (N5).
-
-    ``predecessor`` carries the consumer-chain link of Section III-D: the
-    previous consumer of the same version, which the TRS must wake after
-    this slot itself is woken (links 2 and 3 of Figure 5).  ``None`` when the
-    slot is the first consumer of its version or a producer.
-    """
-
-    __slots__ = ("slot", "vm_index", "predecessor")
-
-    def __init__(
-        self,
-        slot: TaskSlotRef,
-        vm_index: int,
-        predecessor: Optional[TaskSlotRef] = None,
-    ) -> None:
-        self.slot = slot
-        self.vm_index = vm_index
-        self.predecessor = predecessor
-
-    def __repr__(self) -> str:
-        return (
-            f"DependentPacket(slot={self.slot!r}, vm_index={self.vm_index}, "
-            f"predecessor={self.predecessor!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DependentPacket):
-            return NotImplemented
-        return (
-            self.slot == other.slot
-            and self.vm_index == other.vm_index
-            and self.predecessor == other.predecessor
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.slot, self.vm_index, self.predecessor))
-
-
-class FinishPacket:
-    """TRS -> DCT: one dependence of a finished task is being released (F3).
-
-    The dependence address is carried along so the Arbiter can route the
-    packet to the DCT instance that tracks the address (relevant only for
-    multi-DCT configurations).
-    """
-
-    __slots__ = ("slot", "vm_index", "address")
-
-    def __init__(self, slot: TaskSlotRef, vm_index: int, address: int = 0) -> None:
-        self.slot = slot
-        self.vm_index = vm_index
-        self.address = address
-
-    def __repr__(self) -> str:
-        return (
-            f"FinishPacket(slot={self.slot!r}, vm_index={self.vm_index}, "
-            f"address={self.address})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinishPacket):
-            return NotImplemented
-        return (
-            self.slot == other.slot
-            and self.vm_index == other.vm_index
-            and self.address == other.address
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.slot, self.vm_index, self.address))
 
 
 class ExecuteTaskPacket:
@@ -238,35 +30,6 @@ class ExecuteTaskPacket:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecuteTaskPacket):
-            return NotImplemented
-        return (
-            self.task_id == other.task_id
-            and self.trs_id == other.trs_id
-            and self.tm_index == other.tm_index
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.task_id, self.trs_id, self.tm_index))
-
-
-class FinishedTaskPacket:
-    """GW -> TRS: the worker running ``task_id`` reported completion (F2)."""
-
-    __slots__ = ("task_id", "trs_id", "tm_index")
-
-    def __init__(self, task_id: int, trs_id: int, tm_index: int) -> None:
-        self.task_id = task_id
-        self.trs_id = trs_id
-        self.tm_index = tm_index
-
-    def __repr__(self) -> str:
-        return (
-            f"FinishedTaskPacket(task_id={self.task_id}, trs_id={self.trs_id}, "
-            f"tm_index={self.tm_index})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinishedTaskPacket):
             return NotImplemented
         return (
             self.task_id == other.task_id

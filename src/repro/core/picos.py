@@ -24,7 +24,6 @@ schedule; purely functional users may ignore them.
 from __future__ import annotations
 
 import enum
-import os
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -35,18 +34,6 @@ from repro.core.gateway import Gateway, GatewayStatus
 from repro.core.stats import PicosStats
 from repro.core.trs import TaskReservationStation
 from repro.runtime.task import Task
-
-#: Environment override forcing the object-based reference datapath
-#: (:mod:`repro.core.reference`) regardless of the configuration; used by
-#: the CI differential leg.  Any value except ``""`` and ``"0"`` counts.
-REFERENCE_DATAPATH_ENV = "REPRO_REFERENCE_DATAPATH"
-
-
-def _use_reference_datapath(config: PicosConfig) -> bool:
-    if config.reference_datapath:
-        return True
-    return os.environ.get(REFERENCE_DATAPATH_ENV, "0") not in ("", "0")
-
 
 class SubmitStatus(enum.Enum):
     """Outcome of a task submission."""
@@ -149,25 +136,12 @@ class PicosAccelerator:
         self.config = config if config is not None else PicosConfig()
         self.stats = PicosStats()
         self.arbiter = Arbiter(self.config.num_trs, self.config.num_dct)
-        if _use_reference_datapath(self.config):
-            # The object-based oracle, behind the same integer-handle
-            # surface (cycle-identical by contract -- docs/datapath.md).
-            from repro.core.reference.adapter import (
-                ReferenceDependenceChainTracker,
-                ReferenceTaskReservationStation,
-            )
-
-            trs_class = ReferenceTaskReservationStation
-            dct_class = ReferenceDependenceChainTracker
-        else:
-            trs_class = TaskReservationStation
-            dct_class = DependenceChainTracker
         self.trs_instances = [
-            trs_class(i, self.config, self.stats)
+            TaskReservationStation(i, self.config, self.stats)
             for i in range(self.config.num_trs)
         ]
         self.dct_instances = [
-            dct_class(i, self.config, self.stats)
+            DependenceChainTracker(i, self.config, self.stats)
             for i in range(self.config.num_dct)
         ]
         #: Slot handles pack ``trs_id * slots_per_trs + tm_index * max_deps

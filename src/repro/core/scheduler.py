@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 
 class SchedulingPolicy(enum.Enum):
@@ -32,11 +32,6 @@ class TaskScheduler:
     # ------------------------------------------------------------------
     # status
     # ------------------------------------------------------------------
-    @property
-    def empty(self) -> bool:
-        """``True`` when no ready task is waiting."""
-        return not self._queue
-
     def __len__(self) -> int:
         return len(self._queue)
 
@@ -68,11 +63,3 @@ class TaskScheduler:
         if not self._queue:
             return None
         return self.pop()
-
-    def peek_all(self) -> List[int]:
-        """The ready tasks currently queued, in insertion order."""
-        return list(self._queue)
-
-    def clear(self) -> None:
-        """Drop every queued task (used when resetting the accelerator)."""
-        self._queue.clear()

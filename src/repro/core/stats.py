@@ -6,11 +6,11 @@ DM conflicts (Table II), stall causes, packet counts, pipeline occupancy and
 the latency / throughput figures of Table IV.
 
 Per-packet accounting is exact by contract: the batched Gateway->DCT
-dependence runs must leave every counter byte-identical to the
-per-dependence reference flow -- a batch of *n* still accounts *n*
-packets and the same stall/watermark updates.  The flat-vs-reference
-datapath classes in ``tests/test_differential.py`` compare full counter
-dictionaries across both datapaths on every CI run.
+dependence runs must leave every counter byte-identical to a
+per-dependence flow -- a batch of *n* still accounts *n* packets and the
+same stall/watermark updates.  ``GOLDEN_COUNTERS`` in
+``tests/test_perf_parity.py`` pins a digest of every counter of every
+golden run.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ computation).  Consumer-chain predecessors are packed integer slot handles
 with ``-1`` for *none*; see ``docs/datapath.md``.  Recording a dependence
 resets every TMX field of its slot, so an entry recycled through a
 Finished Entry Request can never leak stale chain state into the next
-task -- the property the reference model got for free by allocating fresh
-slot objects (:mod:`repro.core.reference.task_memory`).
+task.
 """
 
 from __future__ import annotations
@@ -39,6 +38,13 @@ class TaskMemoryFullError(RuntimeError):
 
 class TaskMemory:
     """The TM0/TMX memory pair of one TRS instance (flat SoA layout)."""
+
+    __slots__ = (
+        "entries", "max_deps_per_task", "_valid", "_task_id", "_num_deps",
+        "_ready_deps", "_dep_count", "_slot_address", "_slot_vm_index",
+        "_slot_ready", "_slot_predecessor", "_slot_is_producer", "_free",
+        "_by_task_id",
+    )
 
     def __init__(self, entries: int = 256, max_deps_per_task: int = 15) -> None:
         if entries < 1:

@@ -14,12 +14,10 @@ The hot datapath identifies a dependence slot by the packed integer handle
 
     ``slot = trs_id * (tm_entries * max_deps) + tm_index * max_deps + dep_index``
 
-with ``-1`` meaning *none* -- no object is allocated per notification (the
-reference model's :class:`~repro.core.packets.TaskSlotRef` objects survive
-only in :mod:`repro.core.reference`).  The handle arithmetic is exactly the
-TMX SRAM address computation of the prototype; ``docs/datapath.md``
-documents the encoding and the cycle-identity contract against the
-reference implementation.
+with ``-1`` meaning *none* -- no object is allocated per notification.
+The handle arithmetic is exactly the TMX SRAM address computation of the
+prototype; ``docs/datapath.md`` documents the encoding and what pins the
+datapath's cycles.
 """
 
 from __future__ import annotations

@@ -23,9 +23,8 @@ way the hardware addresses its version SRAM.  Task-slot references
 meaning *none* (see ``docs/datapath.md``); each entry also caches the DM
 way handle of its address so the finish path retires versions without
 re-scanning the DM set.  The free list is kept as ``range(entries-1, -1,
--1)`` popped from the end, reproducing the exact VM-index assignment order
-of the reference model (:mod:`repro.core.reference.version_memory`) --
-entries 0, 1, 2, ... -- which the differential suite pins.
+-1)`` popped from the end, so a cold VM hands out entries 0, 1, 2, ...
+in order, and a released entry is the next one reused.
 """
 
 from __future__ import annotations
@@ -39,6 +38,12 @@ class VersionMemoryFullError(RuntimeError):
 
 class VersionMemory:
     """The VM of one DCT instance, held as parallel flat arrays."""
+
+    __slots__ = (
+        "entries", "_valid", "_address", "_producer", "_producer_finished",
+        "_last_consumer", "_consumers_arrived", "_consumers_finished",
+        "_next_version", "_dm_handle", "_free",
+    )
 
     def __init__(self, entries: int = 512) -> None:
         if entries < 1:

@@ -2,7 +2,7 @@
 
 The simulators' structural invariants -- cycle determinism, the
 ``__slots__`` hot-path discipline, handler-table completeness, the
-flat/reference datapath contract, async safety in the service layer
+flat datapath's ``-1`` sentinels, async safety in the service layer
 -- are enforced statically here, with
 stdlib ``ast`` only.  See :mod:`repro.lint.framework` for the rule and
 suppression model, :mod:`repro.lint.rules` for the built-in rules, and

@@ -3,7 +3,7 @@
 The repository's correctness net is mostly dynamic (golden digests,
 differential fuzz, soak tests), but the *invariants* those tests probe --
 cycle determinism, the ``__slots__`` hot-path discipline, handler-table
-completeness, the flat/reference datapath contract, async safety in the
+completeness, the flat datapath's ``-1`` sentinels, async safety in the
 service -- are structural properties of the source.  This module checks
 them at CI time with plain ``ast`` analysis: no third-party dependency,
 same stdlib-only policy as the rest of the package.

@@ -13,8 +13,8 @@ Each module covers one invariant family:
                            tables (cross-module)
 :mod:`.faults`             FLT0xx -- ``FaultKind`` members vs the
                            injector and invariant-checker registries
-:mod:`.parity`             PAR0xx -- flat vs reference datapath surface
-                           parity and ``-1`` sentinel hygiene
+:mod:`.parity`             PAR003 -- ``-1`` sentinel hygiene in the
+                           flat datapath
 :mod:`.asyncsafety`        ASY0xx -- no blocking calls / lost tasks in
                            the asyncio service
 :mod:`.snapshot`           SNP0xx -- hot-path ``__slots__`` state is

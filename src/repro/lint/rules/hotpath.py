@@ -36,16 +36,7 @@ HOT_PATH_CLASSES: Dict[str, Tuple[str, ...]] = {
     "sim/engine.py": ("Event", "EventQueue", "HeapEventQueue"),
     "sim/worker.py": ("WorkerState", "WorkerPool"),
     "sim/results.py": ("TaskTimeline",),
-    "core/packets.py": (
-        "TaskSlotRef",
-        "NewTaskPacket",
-        "DependencePacket",
-        "ReadyPacket",
-        "DependentPacket",
-        "FinishPacket",
-        "ExecuteTaskPacket",
-        "FinishedTaskPacket",
-    ),
+    "core/packets.py": ("ExecuteTaskPacket",),
     "core/gateway.py": ("PendingSubmission", "GatewayResult"),
     "core/picos.py": ("ReadyTask", "SubmitResult", "FinishResult"),
 }

@@ -24,10 +24,11 @@ The rule cross-checks, per inventoried class (:data:`SNAPSHOT_INVENTORY`):
   refactors).
 
 Exemptions are per-slot and deliberate: a field may be skipped only when
-it is construction-fixed identity the restore target rebuilds on its own
-(e.g. ``WorkerState.worker_id``, minted in pool order by ``WorkerPool``'s
-constructor).  When the codec module itself is absent the rule is silent:
-partial-tree lints (single-directory invocations) cannot judge coverage.
+it is construction-fixed identity or geometry the restore target rebuilds
+on its own (e.g. ``WorkerState.worker_id``, minted in pool order by
+``WorkerPool``'s constructor, or a memory's entry count), or a pure memo.
+When the codec module itself is absent the rule is silent: partial-tree
+lints (single-directory invocations) cannot judge coverage.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ SNAPSHOT_CODEC_MODULE = "sim/snapshot.py"
 
 #: ``(module key, class name, exempt slots)`` -- every ``__slots__`` field
 #: of these classes must be covered by the codec.  Exemptions name
-#: construction-fixed identity fields the restore path re-mints itself.
+#: construction-fixed fields the restore path re-mints itself.
 SNAPSHOT_INVENTORY: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
     ("sim/engine.py", "Event", frozenset()),
     ("sim/engine.py", "EventQueue", frozenset()),
@@ -51,19 +52,25 @@ SNAPSHOT_INVENTORY: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
     ("sim/worker.py", "WorkerState", frozenset({"worker_id"})),
     ("sim/worker.py", "WorkerPool", frozenset()),
     ("core/gateway.py", "PendingSubmission", frozenset()),
-    ("core/reference/task_memory.py", "DependenceSlot", frozenset()),
-    ("core/reference/task_memory.py", "TaskEntry", frozenset()),
-    ("core/reference/dependence_memory.py", "DMWay", frozenset()),
-    ("core/reference/version_memory.py", "VersionEntry", frozenset()),
+    # The flat memories' columns.  Their geometry comes from the restore
+    # target's config (the codec checks it against the document), and
+    # _index_of is a memo of the set-index hash.
+    (
+        "core/dependence_memory.py",
+        "DependenceMemory",
+        frozenset({"design", "num_sets", "ways_per_set", "_index_of"}),
+    ),
+    ("core/version_memory.py", "VersionMemory", frozenset({"entries"})),
+    ("core/task_memory.py", "TaskMemory", frozenset({"entries", "max_deps_per_task"})),
 )
 
 
 def _mentioned_names(tree: ast.Module) -> Set[str]:
     """Every name the codec module mentions, in any role.
 
-    Attribute accesses (``way.tag``), keyword arguments (``DMWay(tag=...)``)
-    and string literals (document keys like ``"tag"``) all count: each is a
-    way the codec can handle a field.
+    Attribute accesses (``dm._tag``), keyword arguments and string literals
+    (document keys like ``"tag"``) all count: each is a way the codec can
+    handle a field.
     """
     names: Set[str] = set()
     for node in ast.walk(tree):

@@ -7,8 +7,8 @@ JSON-safe primitives, so that :func:`restore` can rebuild a session that
 continues *bit-exactly* where the captured one stood: same makespan, same
 per-task timelines, same hardware counters, same lifecycle-event stream.
 The differential net in ``tests/test_snapshot.py`` and
-``tests/test_differential.py`` pins this for every backend, at every event
-boundary, under both the flat and the reference datapath.
+``tests/test_differential.py`` pins this for every backend and at every
+event boundary.
 
 Three snapshot kinds cover a session's lifecycle:
 
@@ -32,15 +32,12 @@ so closing or advancing the captured session cannot invalidate a snapshot.
 Canonical state schema
 ----------------------
 
-The flat integer-handle datapath and the object-based reference datapath
-(`core/reference/`) encode to the *same* canonical document: ``-1``
-sentinels for absent handles, packed slot handles (``trs_id * per_trs +
-tm_index * stride + dep_index``) for slot references, and invalid entries
-normalised to their post-allocation reset values (which every allocation
-path overwrites before reading, so canonicalisation is invisible to the
-simulation).  That makes a snapshot datapath-neutral: a run captured under
-``REPRO_REFERENCE_DATAPATH=1`` restores onto the flat datapath and vice
-versa, which is how the differential suite cross-checks the two.
+The accelerator state travels as the flat datapath's own columns (see
+``docs/datapath.md``): ``-1`` sentinels for absent handles, packed slot
+handles (``trs_id * per_trs + tm_index * stride + dep_index``) for slot
+references, and invalid entries normalised to their post-allocation reset
+values (which every allocation path overwrites before reading, so the
+normalisation is invisible to the simulation).
 
 The VM's cached ``_dm_handle`` back-links are deliberately **excluded**
 from the schema and recomputed on restore via ``dm.lookup(address)`` --
@@ -84,10 +81,6 @@ from repro.core.config import PicosConfig
 from repro.core.dct import StallReason
 from repro.core.gateway import PendingSubmission
 from repro.core.hashing import stable_digest
-from repro.core.packets import TaskSlotRef
-from repro.core.reference.dependence_memory import DMWay
-from repro.core.reference.task_memory import DependenceSlot, TaskEntry
-from repro.core.reference.version_memory import VersionEntry
 from repro.core.stats import PicosStats
 from repro.faults.payloads import (
     FAULT_REDELIVER,
@@ -461,7 +454,8 @@ def _queued(state: Dict[str, Any], kind: str, c: Dict[str, Any]) -> List[Any]:
 
 
 def _check_hil_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
-    """The TM, Gateway, master, ready queues and workers agree where each task is."""
+    """The TM, Gateway, master, ready queues and workers agree where each task is,
+    and each TM's and VM's free list holds exactly its invalid entries."""
     accel, gateway, in_tm, valid = state["accel"], state["accel"]["gateway"], {}, 0
     for trs, tm in enumerate(accel["trs"]):
         for index in itertools.compress(range(tm["entries"]), tm["valid"]):
@@ -507,6 +501,11 @@ def _check_hil_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
     for _, worker, task in _queued(state, "worker-done", c):
         if current[worker] != task and (worker, task) not in killed:
             raise _rule(f"a queued worker-done names task {task}, not worker {worker}'s")
+    memories = [(f"TRS {i}'s TM", tm) for i, tm in enumerate(accel["trs"])]
+    memories += [(f"DCT {i}'s VM", dct["vm"]) for i, dct in enumerate(accel["dct"])]
+    for name, memory in memories:  # the walker checked that free is distinct
+        if set(memory["free"]) != {i for i, valid in enumerate(memory["valid"]) if not valid}:
+            raise _rule(f"{name} free list is not its invalid entries")
 
 
 def _check_nanos_rules(state: Dict[str, Any], c: Dict[str, Any]) -> None:
@@ -667,12 +666,13 @@ def _restore_stats(stats: PicosStats, document: List[int]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Task Memory codec (TM0 + TMX, canonical across datapaths)
+# Task Memory codec (TM0 + TMX)
 # ----------------------------------------------------------------------
-def _empty_tm_document(entries: int, stride: int) -> Dict[str, Any]:
-    """The canonical all-invalid TM document (post-reset field values)."""
+def _tm_document(tm: Any) -> Dict[str, Any]:
+    """The TM's columns; invalid entries and unrecorded slots at their reset values."""
+    entries, stride = tm.entries, tm.max_deps_per_task
     total = entries * stride
-    return {
+    document: Dict[str, Any] = {
         "entries": entries,
         "stride": stride,
         "valid": [False] * entries,
@@ -685,21 +685,9 @@ def _empty_tm_document(entries: int, stride: int) -> Dict[str, Any]:
         "slot_ready": [False] * total,
         "slot_predecessor": [-1] * total,
         "slot_is_producer": [False] * total,
-        "free": [],
+        "free": list(tm._free),
     }
-
-
-def _tm_document(trs: Any) -> Dict[str, Any]:
-    inner = getattr(trs, "_inner", None)
-    if inner is None:
-        return _tm_document_flat(trs.task_memory)
-    return _tm_document_reference(inner.task_memory, trs._codec)
-
-
-def _tm_document_flat(tm: Any) -> Dict[str, Any]:
-    stride = tm.max_deps_per_task
-    document = _empty_tm_document(tm.entries, stride)
-    for index in range(tm.entries):
+    for index in range(entries):
         if not tm._valid[index]:
             continue
         document["valid"][index] = True
@@ -716,87 +704,14 @@ def _tm_document_flat(tm: Any) -> Dict[str, Any]:
             document["slot_ready"][offset] = tm._slot_ready[offset]
             document["slot_predecessor"][offset] = tm._slot_predecessor[offset]
             document["slot_is_producer"][offset] = tm._slot_is_producer[offset]
-    document["free"] = list(tm._free)
     return document
 
 
-def _tm_document_reference(tm: Any, codec: Any) -> Dict[str, Any]:
-    stride = tm.max_deps_per_task
-    document = _empty_tm_document(tm.entries, stride)
-    for index, entry in enumerate(tm._slots):
-        if entry is None:
-            continue
-        document["valid"][index] = True
-        document["task_id"][index] = entry.task_id
-        document["num_deps"][index] = entry.num_deps
-        document["ready_deps"][index] = entry.ready_deps
-        document["dep_count"][index] = len(entry.dep_slots)
-        base = index * stride
-        for dep, slot in enumerate(entry.dep_slots):
-            offset = base + dep
-            document["slot_address"][offset] = slot.address
-            document["slot_vm_index"][offset] = (
-                -1 if slot.vm_index is None else slot.vm_index
-            )
-            document["slot_ready"][offset] = slot.ready
-            document["slot_predecessor"][offset] = (
-                -1 if slot.predecessor is None else codec.encode(slot.predecessor)
-            )
-            document["slot_is_producer"][offset] = slot.is_producer
-    document["free"] = list(tm._free)
-    return document
-
-
-def _restore_tm(trs: Any, document: Dict[str, Any]) -> None:
-    inner = getattr(trs, "_inner", None)
-    if inner is None:
-        _restore_tm_flat(trs.task_memory, document)
-    else:
-        _restore_tm_reference(inner.task_memory, document, trs.trs_id, trs._codec)
-
-
-def _restore_tm_flat(tm: Any, document: Dict[str, Any]) -> None:
+def _restore_tm(tm: Any, document: Dict[str, Any]) -> None:
     for key in ("valid", "task_id", "num_deps", "ready_deps", "dep_count", "free"):
         getattr(tm, f"_{key}")[:] = document[key]
     for key in ("address", "vm_index", "ready", "predecessor", "is_producer"):
         getattr(tm, f"_slot_{key}")[:] = document[f"slot_{key}"]
-    tm._by_task_id = dict(
-        itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
-    )
-
-
-def _restore_tm_reference(
-    tm: Any, document: Dict[str, Any], trs_id: int, codec: Any
-) -> None:
-    stride = tm.max_deps_per_task
-    slots: List[Optional[TaskEntry]] = [None] * tm.entries
-    for index in range(tm.entries):
-        if not document["valid"][index]:
-            continue
-        entry = TaskEntry(
-            tm_index=index,
-            task_id=document["task_id"][index],
-            num_deps=document["num_deps"][index],
-            ready_deps=document["ready_deps"][index],
-        )
-        base = index * stride
-        for dep in range(document["dep_count"][index]):
-            offset = base + dep
-            vm_index = document["slot_vm_index"][offset]
-            predecessor = document["slot_predecessor"][offset]
-            slot = DependenceSlot(
-                dep_index=dep,
-                address=document["slot_address"][offset],
-                vm_index=None if vm_index < 0 else vm_index,
-                ready=document["slot_ready"][offset],
-                predecessor=None if predecessor < 0 else codec.decode(predecessor),
-                is_producer=document["slot_is_producer"][offset],
-            )
-            slot.slot_ref = TaskSlotRef(trs_id=trs_id, tm_index=index, dep_index=dep)
-            entry.dep_slots.append(slot)
-        slots[index] = entry
-    tm._slots = slots
-    tm._free[:] = list(document["free"])
     tm._by_task_id = dict(
         itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
     )
@@ -817,72 +732,40 @@ def _dm_document(dm: Any) -> Dict[str, Any]:
         "latest": [-1] * total,
         "live": [0] * total,
     }
-    reference_sets = getattr(dm, "_sets", None)
-    if reference_sets is None:
-        for handle in range(total):
-            if not dm._valid[handle]:
-                continue
-            document["valid"][handle] = True
-            document["input_only"][handle] = dm._input_only[handle]
-            document["tag"][handle] = dm._tag[handle]
-            document["latest"][handle] = dm._latest_vm_index[handle]
-            document["live"][handle] = dm._live_versions[handle]
-    else:
-        for set_index, set_ways in enumerate(reference_sets):
-            for way_index, way in enumerate(set_ways):
-                if not way.valid:
-                    continue
-                handle = set_index * ways + way_index
-                document["valid"][handle] = True
-                document["input_only"][handle] = way.input_only
-                document["tag"][handle] = way.tag
-                document["latest"][handle] = (
-                    -1 if way.latest_vm_index is None else way.latest_vm_index
-                )
-                document["live"][handle] = way.live_versions
+    for handle in range(total):
+        if not dm._valid[handle]:
+            continue
+        document["valid"][handle] = True
+        document["input_only"][handle] = dm._input_only[handle]
+        document["tag"][handle] = dm._tag[handle]
+        document["latest"][handle] = dm._latest_vm_index[handle]
+        document["live"][handle] = dm._live_versions[handle]
     return document
 
 
 def _restore_dm(dm: Any, document: Dict[str, Any]) -> None:
-    # A fork may widen the DM: each set's ways keep their way indices.
+    # A fork may widen the DM: each set's ways keep their way indices, and
+    # the target's ways all start invalid.
     old_ways = document["ways"]
     new_ways = dm.ways_per_set
-    reference_sets = getattr(dm, "_sets", None)
-    if reference_sets is None:  # the target's ways all start invalid
-        for set_index in range(dm.num_sets):
-            for way_index in range(old_ways):
-                source = set_index * old_ways + way_index
-                if not document["valid"][source]:
-                    continue
-                handle = set_index * new_ways + way_index
-                dm._valid[handle] = True
-                dm._input_only[handle] = document["input_only"][source]
-                dm._tag[handle] = document["tag"][source]
-                dm._latest_vm_index[handle] = document["latest"][source]
-                dm._live_versions[handle] = document["live"][source]
-    else:
-        for set_index in range(dm.num_sets):
-            set_ways = [DMWay() for _ in range(new_ways)]
-            for way_index in range(old_ways):
-                source = set_index * old_ways + way_index
-                if not document["valid"][source]:
-                    continue
-                latest = document["latest"][source]
-                set_ways[way_index] = DMWay(
-                    valid=True,
-                    input_only=document["input_only"][source],
-                    tag=document["tag"][source],
-                    latest_vm_index=None if latest < 0 else latest,
-                    live_versions=document["live"][source],
-                )
-            reference_sets[set_index] = set_ways
+    for set_index in range(dm.num_sets):
+        for way_index in range(old_ways):
+            source = set_index * old_ways + way_index
+            if not document["valid"][source]:
+                continue
+            handle = set_index * new_ways + way_index
+            dm._valid[handle] = True
+            dm._input_only[handle] = document["input_only"][source]
+            dm._tag[handle] = document["tag"][source]
+            dm._latest_vm_index[handle] = document["latest"][source]
+            dm._live_versions[handle] = document["live"][source]
     dm._occupied = sum(document["valid"])  # the count of valid ways, not stored
 
 
 # ----------------------------------------------------------------------
 # Version Memory codec
 # ----------------------------------------------------------------------
-def _vm_document(vm: Any, codec: Any) -> Dict[str, Any]:
+def _vm_document(vm: Any) -> Dict[str, Any]:
     entries = vm.entries
     document: Dict[str, Any] = {
         "entries": entries,
@@ -896,88 +779,40 @@ def _vm_document(vm: Any, codec: Any) -> Dict[str, Any]:
         "next_version": [-1] * entries,
         "free": list(vm._free),
     }
-    reference_slots = getattr(vm, "_slots", None)
-    if reference_slots is None:
-        for index in range(entries):
-            if not vm._valid[index]:
-                continue
-            document["valid"][index] = True
-            document["address"][index] = vm._address[index]
-            document["producer"][index] = vm._producer[index]
-            document["producer_finished"][index] = vm._producer_finished[index]
-            document["last_consumer"][index] = vm._last_consumer[index]
-            document["consumers_arrived"][index] = vm._consumers_arrived[index]
-            document["consumers_finished"][index] = vm._consumers_finished[index]
-            document["next_version"][index] = vm._next_version[index]
-    else:
-        for index, entry in enumerate(reference_slots):
-            if entry is None:
-                continue
-            document["valid"][index] = True
-            document["address"][index] = entry.address
-            document["producer"][index] = (
-                -1 if entry.producer is None else codec.encode(entry.producer)
-            )
-            document["producer_finished"][index] = entry.producer_finished
-            document["last_consumer"][index] = (
-                -1
-                if entry.last_consumer is None
-                else codec.encode(entry.last_consumer)
-            )
-            document["consumers_arrived"][index] = entry.consumers_arrived
-            document["consumers_finished"][index] = entry.consumers_finished
-            document["next_version"][index] = (
-                -1 if entry.next_version is None else entry.next_version
-            )
+    for index in range(entries):
+        if not vm._valid[index]:
+            continue
+        document["valid"][index] = True
+        document["address"][index] = vm._address[index]
+        document["producer"][index] = vm._producer[index]
+        document["producer_finished"][index] = vm._producer_finished[index]
+        document["last_consumer"][index] = vm._last_consumer[index]
+        document["consumers_arrived"][index] = vm._consumers_arrived[index]
+        document["consumers_finished"][index] = vm._consumers_finished[index]
+        document["next_version"][index] = vm._next_version[index]
     return document
 
 
-def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any, codec: Any) -> None:
+def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any) -> None:
     old_entries = document["entries"]
-    new_entries = vm.entries
     # A widened VM (DM widening implies a larger effective VM) keeps the
     # captured free list behind the brand-new entries, so recycling order
     # for the surviving entries is untouched and fresh entries hand out in
     # ascending index order, exactly like a cold VM's.
-    free = list(range(new_entries - 1, old_entries - 1, -1)) + document["free"]
-    reference_slots = getattr(vm, "_slots", None)
-    if reference_slots is None:
-        # Columns named like their keys; allocating a free entry rewrites it.
-        for key in ("valid", "address", "producer", "producer_finished", "last_consumer"):
-            getattr(vm, f"_{key}")[:old_entries] = document[key]
-        for key in ("consumers_arrived", "consumers_finished", "next_version"):
-            getattr(vm, f"_{key}")[:old_entries] = document[key]
-        for index in itertools.compress(range(old_entries), document["valid"]):
-            # The DM back-link is a cache of the DM's content; recomputing
-            # it (instead of storing it) is what re-homes live versions
-            # into a forked, wider DM.
-            handle = dm.lookup(document["address"][index])
-            if handle < 0:
-                raise _rule(f"VM entry {index}'s address is held by no DM way")
-            vm._dm_handle[index] = handle
-    else:
-        slots: List[Optional[VersionEntry]] = [None] * new_entries
-        for index in range(old_entries):
-            if not document["valid"][index]:
-                continue
-            if dm.find_way(document["address"][index]) is None:
-                raise _rule(f"VM entry {index}'s address is held by no DM way")
-            producer = document["producer"][index]
-            last_consumer = document["last_consumer"][index]
-            next_version = document["next_version"][index]
-            slots[index] = VersionEntry(
-                vm_index=index,
-                address=document["address"][index],
-                producer=None if producer < 0 else codec.decode(producer),
-                producer_finished=document["producer_finished"][index],
-                last_consumer=(
-                    None if last_consumer < 0 else codec.decode(last_consumer)
-                ),
-                consumers_arrived=document["consumers_arrived"][index],
-                consumers_finished=document["consumers_finished"][index],
-                next_version=None if next_version < 0 else next_version,
-            )
-        vm._slots = slots
+    free = list(range(vm.entries - 1, old_entries - 1, -1)) + document["free"]
+    # Columns named like their keys; allocating a free entry rewrites it.
+    for key in ("valid", "address", "producer", "producer_finished", "last_consumer"):
+        getattr(vm, f"_{key}")[:old_entries] = document[key]
+    for key in ("consumers_arrived", "consumers_finished", "next_version"):
+        getattr(vm, f"_{key}")[:old_entries] = document[key]
+    for index in itertools.compress(range(old_entries), document["valid"]):
+        # The DM back-link is a cache of the DM's content; recomputing it
+        # (instead of storing it) is what re-homes live versions into a
+        # forked, wider DM.
+        handle = dm.lookup(document["address"][index])
+        if handle < 0:
+            raise _rule(f"VM entry {index}'s address is held by no DM way")
+        vm._dm_handle[index] = handle
     vm._free[:] = free
 
 
@@ -985,23 +820,17 @@ def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any, codec: Any) -> None:
 # DCT, Gateway, accelerator facade
 # ----------------------------------------------------------------------
 def _dct_document(dct: Any) -> Dict[str, Any]:
-    inner = getattr(dct, "_inner", None)
-    target = dct if inner is None else inner
-    codec = getattr(dct, "_codec", None)
     return {
-        "dm": _dm_document(target.dm),
-        "vm": _vm_document(target.vm, codec),
-        "blocked": sorted(target._blocked_addresses),
+        "dm": _dm_document(dct.dm),
+        "vm": _vm_document(dct.vm),
+        "blocked": sorted(dct._blocked_addresses),
     }
 
 
 def _restore_dct(dct: Any, document: Dict[str, Any]) -> None:
-    inner = getattr(dct, "_inner", None)
-    target = dct if inner is None else inner
-    codec = getattr(dct, "_codec", None)
-    _restore_dm(target.dm, document["dm"])
-    _restore_vm(target.vm, document["vm"], target.dm, codec)
-    target._blocked_addresses = set(document["blocked"])
+    _restore_dm(dct.dm, document["dm"])
+    _restore_vm(dct.vm, document["vm"], dct.dm)
+    dct._blocked_addresses = set(document["blocked"])
 
 
 def _gateway_document(gateway: Any) -> Dict[str, Any]:
@@ -1045,7 +874,7 @@ def _restore_gateway(
 def _accel_document(accel: Any) -> Dict[str, Any]:
     return {
         "stats": _stats_document(accel.stats),
-        "trs": [_tm_document(trs) for trs in accel.trs_instances],
+        "trs": [_tm_document(trs.task_memory) for trs in accel.trs_instances],
         "dct": [_dct_document(dct) for dct in accel.dct_instances],
         "gateway": _gateway_document(accel.gateway),
         "deps_of_task": [
@@ -1062,7 +891,7 @@ def _restore_accel(accel: Any, document: Dict[str, Any], program: TaskProgram) -
     # object; restoring it once in place keeps that aliasing intact.
     _restore_stats(accel.stats, document["stats"])
     for trs, trs_document in zip(accel.trs_instances, document["trs"]):
-        _restore_tm(trs, trs_document)
+        _restore_tm(trs.task_memory, trs_document)
     for dct, dct_document in zip(accel.dct_instances, document["dct"]):
         _restore_dct(dct, dct_document)
     _restore_gateway(accel.gateway, document["gateway"], program)

@@ -118,9 +118,10 @@ def _burst_program() -> TaskProgram:
 
 
 #: The capacity corners, by name.  ``tests/test_failure_injection.py``
-#: parametrizes its exhaustion matrix over these, and
-#: ``tests/test_faults.py`` arms fault scenarios against the same setups
-#: so chaos is exercised under resource saturation too.
+#: parametrizes its exhaustion matrix over these, ``tests/test_faults.py``
+#: arms fault scenarios against the same setups so chaos is exercised under
+#: resource saturation too, and ``tests/test_snapshot.py`` and
+#: ``tests/test_perf_parity.py`` checkpoint and slice them on every HIL mode.
 SATURATION_CASES: Dict[str, SaturationCase] = {
     "tiny-tm": SaturationCase(
         PicosConfig(tm_entries=1), _tiny_tm_program, 4, "tm_full_stalls"

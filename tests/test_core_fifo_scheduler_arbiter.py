@@ -27,14 +27,15 @@ class TestTaskScheduler:
             scheduler.pop()
         assert scheduler.try_pop() is None
 
-    def test_statistics_and_clear(self):
+    def test_statistics_and_drain(self):
         scheduler = TaskScheduler()
         for task in range(4):
             scheduler.push(task)
         assert scheduler.max_occupancy == 4
-        assert scheduler.peek_all() == [0, 1, 2, 3]
-        scheduler.clear()
-        assert scheduler.empty
+        assert len(scheduler) == 4
+        assert [scheduler.try_pop() for _ in range(5)] == [0, 1, 2, 3, None]
+        assert len(scheduler) == 0
+        assert scheduler.max_occupancy == 4
 
 
 class TestArbiter:

@@ -2,25 +2,19 @@
 
 The hot core (DM/VM/TM/TRS/DCT) stores its per-dependence state in
 parallel flat lists and identifies everything by packed integer handles
-(see ``docs/datapath.md``).  The object-based twins in
-``repro.core.reference`` carry the semantics; the differential and parity
-suites pin the two cycle-identical.  These tests cover what those nets do
-not: the handle encoding itself, the ``-1`` sentinels, the invariants the
-flat layout depends on (released ways clear their tag; recycled TM entries
-expose no stale slot state), and the datapath selection switch.
+(see ``docs/datapath.md``).  These tests cover the handle encoding itself,
+the ``-1`` sentinels, and the invariants the flat layout depends on
+(released ways clear their tag; recycled TM entries expose no stale slot
+state).
 """
 
 from __future__ import annotations
 
-import os
-from unittest import mock
-
 import pytest
 
 from repro.core.config import DMDesign, PicosConfig
-from repro.core.dct import DctStall, DependenceChainTracker, StallReason
+from repro.core.dct import DependenceChainTracker, StallReason
 from repro.core.dependence_memory import DependenceMemory, DependenceMemoryConflict
-from repro.core.picos import REFERENCE_DATAPATH_ENV, PicosAccelerator
 from repro.core.task_memory import TaskMemory, TaskMemoryFullError
 from repro.core.trs import TaskReservationStation
 from repro.core.version_memory import VersionMemory, VersionMemoryFullError
@@ -250,53 +244,3 @@ class TestFlatDependenceChainTracker:
         assert self.dct.process_finish_run([41], [vm_index], 0, 1) == []
         assert self.dct.dm.lookup(0x1000) == -1
         assert self.dct.is_idle()
-
-
-class TestDatapathSelection:
-    def _class_names(self, config):
-        accel = PicosAccelerator(config=config)
-        return {
-            type(accel.trs_instances[0]).__name__,
-            type(accel.dct_instances[0]).__name__,
-        }
-
-    def test_default_config_uses_the_flat_classes(self):
-        assert self._class_names(PicosConfig()) == {
-            "TaskReservationStation",
-            "DependenceChainTracker",
-        }
-
-    def test_config_flag_selects_the_reference_adapters(self):
-        assert self._class_names(PicosConfig(reference_datapath=True)) == {
-            "ReferenceTaskReservationStation",
-            "ReferenceDependenceChainTracker",
-        }
-
-    @pytest.mark.parametrize("value,expect_reference", [
-        ("1", True),
-        ("yes", True),
-        ("0", False),
-        ("", False),
-    ])
-    def test_environment_override(self, value, expect_reference):
-        expected = (
-            {"ReferenceTaskReservationStation", "ReferenceDependenceChainTracker"}
-            if expect_reference
-            else {"TaskReservationStation", "DependenceChainTracker"}
-        )
-        with mock.patch.dict(os.environ, {REFERENCE_DATAPATH_ENV: value}):
-            assert self._class_names(PicosConfig()) == expected
-
-    def test_stall_surface_is_shared_across_datapaths(self):
-        # DctStall and its reason enum are canonical in the flat module so
-        # `except` clauses work identically whichever datapath raised.
-        from repro.core.reference.dct import DependenceChainTracker as ReferenceDct
-
-        assert isinstance(
-            DctStall(StallReason.DM_CONFLICT, address=0x1), Exception
-        )
-        config = PicosConfig.paper_prototype(DMDesign.WAY8)
-        reference = ReferenceDct(0, config)
-        flat = DependenceChainTracker(0, config)
-        for tracker in (flat, reference):
-            assert tracker.can_accept(0x1000, Direction.IN)

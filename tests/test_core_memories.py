@@ -1,27 +1,32 @@
-"""Unit tests for the TM/TMX, VM and DM memory structures."""
+"""Unit tests for the TM/TMX, VM and DM memory structures.
+
+Each memory is a set of parallel flat columns addressed by an integer
+index (the TM entry, the VM index, the DM way handle ``set * ways +
+way``), with ``-1`` for *none*; see ``docs/datapath.md``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import DMDesign
-from repro.core.reference.dependence_memory import (
-    DependenceMemory,
-    DependenceMemoryConflict,
-)
-from repro.core.packets import TaskSlotRef
-from repro.core.reference.task_memory import TaskMemory, TaskMemoryFullError
-from repro.core.reference.version_memory import VersionMemory, VersionMemoryFullError
+from repro.core.dependence_memory import DependenceMemory, DependenceMemoryConflict
+from repro.core.task_memory import TaskMemory, TaskMemoryFullError
+from repro.core.version_memory import VersionMemory, VersionMemoryFullError
+from repro.runtime.task import Dependence, Direction
+
+#: Direct-hash aliases: every ``ALIAS + i * STRIDE`` lands in DM set 0.
+ALIAS, STRIDE = 0x4000_0000, 512 * 1024
 
 
 class TestTaskMemory:
     def test_allocate_and_lookup(self):
         memory = TaskMemory(entries=4, max_deps_per_task=3)
-        entry = memory.allocate(task_id=7, num_deps=2)
+        tm_index = memory.allocate(task_id=7, num_deps=2)
         assert memory.occupied == 1
         assert memory.has_task(7)
-        assert memory.entry(entry.tm_index).task_id == 7
-        assert memory.entry_for_task(7).tm_index == entry.tm_index
+        assert memory.tm_index_for_task(7) == tm_index
+        assert memory.in_flight_task_ids() == [7]
 
     def test_allocation_exhaustion(self):
         memory = TaskMemory(entries=2, max_deps_per_task=3)
@@ -33,10 +38,11 @@ class TestTaskMemory:
 
     def test_release_recycles_entries(self):
         memory = TaskMemory(entries=1, max_deps_per_task=3)
-        entry = memory.allocate(0, 0)
-        memory.release(entry.tm_index)
+        tm_index = memory.allocate(0, 0)
+        memory.release(tm_index)
         assert not memory.full
-        assert memory.allocate(1, 0).tm_index == entry.tm_index
+        assert not memory.has_task(0)
+        assert memory.allocate(1, 0) == tm_index
 
     def test_release_unoccupied_raises(self):
         memory = TaskMemory(entries=2, max_deps_per_task=3)
@@ -56,20 +62,30 @@ class TestTaskMemory:
 
     def test_dependence_slots(self):
         memory = TaskMemory(entries=4, max_deps_per_task=3)
-        entry = memory.allocate(0, 2)
-        memory.add_dependence_slot(entry.tm_index, 0, 0x100, is_producer=True)
-        memory.add_dependence_slot(entry.tm_index, 1, 0x200, is_producer=False)
-        slot = memory.dependence_slot(entry.tm_index, 1)
-        assert slot.address == 0x200
-        assert not slot.is_producer
-        with pytest.raises(KeyError):
-            memory.dependence_slot(entry.tm_index, 9)
+        tm_index = memory.allocate(0, 2)
+        deps = [Dependence(0x100, Direction.INOUT), Dependence(0x200, Direction.IN)]
+        memory.add_dependence_slots(tm_index, deps, 0, 2)
+        offset = tm_index * memory.max_deps_per_task + 1
+        assert memory._slot_address[offset] == 0x200
+        assert not memory._slot_is_producer[offset]
+        assert memory._slot_is_producer[offset - 1]
+        assert memory._dep_count[tm_index] == 2
+        memory.drop_dependence_slots(tm_index, 1)
+        assert memory._dep_count[tm_index] == 1
+        with pytest.raises(ValueError):
+            memory.add_dependence_slots(tm_index, deps * 2, 2, 4)
 
     def test_in_flight_listing(self):
         memory = TaskMemory(entries=4, max_deps_per_task=3)
         memory.allocate(10, 0)
         memory.allocate(20, 0)
         assert set(memory.in_flight_task_ids()) == {10, 20}
+
+    def test_one_dependence_per_task_is_a_valid_geometry(self):
+        memory = TaskMemory(entries=1, max_deps_per_task=1)
+        tm_index = memory.allocate(0, 1)
+        memory.add_dependence_slots(tm_index, [Dependence(0x100, Direction.IN)], 0, 1)
+        assert memory._dep_count[tm_index] == 1
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -81,10 +97,12 @@ class TestTaskMemory:
 class TestVersionMemory:
     def test_allocate_release_cycle(self):
         memory = VersionMemory(entries=2)
-        version = memory.allocate(0x100)
+        vm_index = memory.allocate(0x100)
         assert memory.occupied == 1
-        memory.release(version.vm_index)
+        assert memory.is_occupied(vm_index)
+        memory.release(vm_index)
         assert memory.occupied == 0
+        assert not memory.is_occupied(vm_index)
 
     def test_exhaustion(self):
         memory = VersionMemory(entries=1)
@@ -98,56 +116,37 @@ class TestVersionMemory:
         with pytest.raises(KeyError):
             memory.release(0)
 
-    def test_entry_lookup_and_live_listing(self):
+    def test_live_listing(self):
         memory = VersionMemory(entries=4)
         first = memory.allocate(0x100)
         second = memory.allocate(0x100)
         third = memory.allocate(0x200)
-        assert memory.entry(first.vm_index) is first
-        assert len(memory.live_versions_of(0x100)) == 2
-        assert len(memory.live_entries()) == 3
-        assert third in memory.live_entries()
-
-    def test_snapshot_maps_the_live_entries(self):
-        memory = VersionMemory(entries=4)
-        a = memory.allocate(0x1)
-        memory.allocate(0x2)
-        memory.release(a.vm_index)
-        memory.allocate(0x3)
-        assert memory.occupied == 2
-        assert set(memory.snapshot()) == {e.vm_index for e in memory.live_entries()}
-
-    def test_version_entry_state_machine(self):
-        memory = VersionMemory(entries=4)
-        version = memory.allocate(0x100)
-        # A version with no producer behaves as "readers ready".
-        assert version.readers_ready
-        version.producer = TaskSlotRef(0, 1, 0)
-        assert not version.readers_ready
-        assert not version.complete
-        version.producer_finished = True
-        assert version.readers_ready
-        assert version.complete
-        version.consumers_arrived = 2
-        assert not version.complete
-        version.consumers_finished = 2
-        assert version.complete
+        assert memory.live_versions_of(0x100) == [first, second]
+        assert memory.live_versions_of(0x200) == [third]
+        assert memory.occupied == 3
 
 
 class TestDependenceMemory:
     def test_lookup_miss_then_hit(self):
         dm = DependenceMemory(DMDesign.PEARSON8)
-        assert not dm.lookup(0x100).hit
-        dm.allocate(0x100, input_only=True)
-        result = dm.lookup(0x100)
-        assert result.hit and result.way is not None
-        assert result.way.tag == 0x100
+        assert dm.lookup(0x100) == -1
+        handle = dm.allocate(0x100, input_only=True)
+        assert dm.lookup(0x100) == handle
+        assert dm._tag[handle] == 0x100
 
     def test_release_and_reuse(self):
         dm = DependenceMemory(DMDesign.PEARSON8)
         dm.allocate(0x100, input_only=False)
         dm.release(0x100)
-        assert not dm.lookup(0x100).hit
+        assert dm.lookup(0x100) == -1
+        assert dm.occupied == 0
+
+    def test_release_of_the_first_way_of_the_first_set(self):
+        # Handle 0 is a real way: only a negative lookup is a miss.
+        dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
+        assert dm.allocate(ALIAS, input_only=False) == 0
+        dm.release(ALIAS)
+        assert dm.lookup(ALIAS) == -1
         assert dm.occupied == 0
 
     def test_release_missing_raises(self):
@@ -157,21 +156,20 @@ class TestDependenceMemory:
 
     def test_conflict_on_full_set_direct_hash(self):
         dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        # 512 KiB-aligned addresses all map to set 0 with the direct hash.
-        stride = 512 * 1024
         for i in range(8):
-            dm.allocate(0x4000_0000 + i * stride, input_only=True)
-        with pytest.raises(DependenceMemoryConflict):
-            dm.allocate(0x4000_0000 + 8 * stride, input_only=True)
+            dm.allocate(ALIAS + i * STRIDE, input_only=True)
+        with pytest.raises(DependenceMemoryConflict) as exc:
+            dm.allocate(ALIAS + 8 * STRIDE, input_only=True)
+        assert exc.value.set_index == 0
         assert dm.occupied == 8
+        assert dm.set_is_full(0)
 
     def test_pearson_design_avoids_aligned_conflicts(self):
         dm = DependenceMemory(DMDesign.PEARSON8, num_sets=64)
-        stride = 512 * 1024
         stored = 0
         for i in range(64):
             try:
-                dm.allocate(0x4000_0000 + i * stride, input_only=True)
+                dm.allocate(ALIAS + i * STRIDE, input_only=True)
                 stored += 1
             except DependenceMemoryConflict:
                 pass
@@ -180,11 +178,10 @@ class TestDependenceMemory:
 
     def test_16way_design_has_higher_capacity_per_set(self):
         dm = DependenceMemory(DMDesign.WAY16, num_sets=64)
-        stride = 512 * 1024
         for i in range(16):
-            dm.allocate(0x4000_0000 + i * stride, input_only=True)
+            dm.allocate(ALIAS + i * STRIDE, input_only=True)
         with pytest.raises(DependenceMemoryConflict):
-            dm.allocate(0x4000_0000 + 16 * stride, input_only=True)
+            dm.allocate(ALIAS + 16 * STRIDE, input_only=True)
 
     def test_capacity_and_occupancy(self):
         dm = DependenceMemory(DMDesign.WAY8, num_sets=4)
@@ -195,18 +192,15 @@ class TestDependenceMemory:
 
     def test_way_priority_is_lowest_free_index(self):
         dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        stride = 512 * 1024
-        way0, _ = dm.allocate(0x4000_0000, input_only=True)
-        way1, _ = dm.allocate(0x4000_0000 + stride, input_only=True)
-        assert (way0, way1) == (0, 1)
+        first = dm.allocate(ALIAS, input_only=True)
+        second = dm.allocate(ALIAS + STRIDE, input_only=True)
+        assert (first, second) == (0, 1)
 
     def test_set_occupancy_histogram(self):
         dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        stride = 512 * 1024
         for i in range(4):
-            dm.allocate(0x4000_0000 + i * stride, input_only=True)
-        histogram = dm.set_occupancy_histogram()
-        assert histogram == {0: 4}
+            dm.allocate(ALIAS + i * STRIDE, input_only=True)
+        assert dm.set_occupancy_histogram() == {0: 4}
 
     def test_live_addresses_listing(self):
         dm = DependenceMemory(DMDesign.PEARSON8)
@@ -222,72 +216,49 @@ class TestDependenceMemory:
 class TestDMWayRecycling:
     """The way-recycling edge: live_versions hitting zero frees the way."""
 
-    STRIDE = 512 * 1024  # direct-hash aliases: all addresses land in set 0
-
     def _full_set_dm(self):
         dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        addresses = [0x4000_0000 + i * self.STRIDE for i in range(8)]
+        addresses = [ALIAS + i * STRIDE for i in range(8)]
         for address in addresses:
-            _, way = dm.allocate(address, input_only=False)
-            way.live_versions = 1
+            dm.allocate(address, input_only=False)
         return dm, addresses
 
     def test_release_frees_the_way_for_a_different_tag(self):
         dm, addresses = self._full_set_dm()
-        newcomer = 0x4000_0000 + 8 * self.STRIDE
+        newcomer = ALIAS + 8 * STRIDE
         with pytest.raises(DependenceMemoryConflict):
             dm.allocate(newcomer, input_only=True)
         # Retiring the *third* address must make room for the newcomer
         # (a different tag) in the way that just freed.
         dm.release(addresses[2])
-        way_index, way = dm.allocate(newcomer, input_only=True)
-        assert way.tag == newcomer
-        assert way_index == 2  # priority encoder: the freed way is reused
-        assert dm.lookup(newcomer).hit
-        assert not dm.lookup(addresses[2]).hit
+        assert not dm.set_is_full(0)
+        # Priority encoder: the freed way is reused.
+        assert dm.allocate(newcomer, input_only=True) == 2
+        assert dm.lookup(newcomer) == 2
+        assert dm.lookup(addresses[2]) == -1
         # Occupancy is back at 8.
         assert sum(dm.set_occupancy_histogram().values()) == dm.occupied == 8
 
     def test_dct_conflict_then_recycle_resumes_cleanly(self):
         from repro.core.config import PicosConfig
-        from repro.core.dct import DctStall, StallReason
-        from repro.core.packets import DependencePacket, FinishPacket
-        from repro.core.reference.dct import DependenceChainTracker
-        from repro.runtime.task import Direction
+        from repro.core.dct import DependenceChainTracker, StallReason
 
-        config = PicosConfig.paper_prototype(DMDesign.WAY8)
-        dct = DependenceChainTracker(0, config)
-        outcomes = {}
-        for i in range(8):
-            address = 0x4000_0000 + i * self.STRIDE
-            packet = DependencePacket(
-                slot=TaskSlotRef(0, i, 0), address=address, direction=Direction.OUT
-            )
-            outcomes[address] = dct.process_dependence(packet)
-        ninth = 0x4000_0000 + 8 * self.STRIDE
-        ninth_packet = DependencePacket(
-            slot=TaskSlotRef(0, 8, 0), address=ninth, direction=Direction.OUT
-        )
-        assert not dct.can_accept(ninth, Direction.OUT)
-        with pytest.raises(DctStall) as stall:
-            dct.process_dependence(ninth_packet)
-        assert stall.value.reason is StallReason.DM_CONFLICT
+        dct = DependenceChainTracker(0, PicosConfig.paper_prototype(DMDesign.WAY8))
+        fillers = [Dependence(ALIAS + i * STRIDE, Direction.OUT) for i in range(8)]
+        outcomes, stall = dct.process_batch(list(range(8)), fillers, 0, 8)
+        assert stall is None
+        ninth = Dependence(ALIAS + 8 * STRIDE, Direction.OUT)
+        assert not dct.can_accept(ninth.address, Direction.OUT)
+        assert dct.process_batch([8], [ninth], 0, 1) == ([], StallReason.DM_CONFLICT)
 
         # Finishing the first producer completes its version: live_versions
         # drops to zero and the DM way is recycled for the newcomer.
-        first = 0x4000_0000
-        finish = FinishPacket(
-            slot=TaskSlotRef(0, 0, 0),
-            vm_index=outcomes[first].vm_index,
-            address=first,
-        )
-        outcome = dct.process_finish(finish)
-        assert outcome.version_released and outcome.address_released
-        assert dct.can_accept(ninth, Direction.OUT)
-        accepted = dct.process_dependence(ninth_packet)
-        assert accepted.ready
-        assert dct.dm.lookup(ninth).hit
-        assert not dct.dm.lookup(first).hit
+        assert dct.process_finish_run([0], [outcomes[0][1]], 0, 1) == []
+        assert dct.dm.lookup(ALIAS) == -1
+        assert dct.can_accept(ninth.address, Direction.OUT)
+        accepted, stall = dct.process_batch([8], [ninth], 0, 1)
+        assert stall is None and accepted[0][0]
+        assert dct.dm.lookup(ninth.address) == 0  # the recycled way
 
     def test_conflict_then_recycle_agrees_on_every_delivery_path(self):
         from repro.core.config import PicosConfig
@@ -302,7 +273,7 @@ class TestDMWayRecycling:
         # durations: the DM set fills, submissions stall, and several
         # workers finish in the same cycle, exercising conflict-then-
         # recycle across slicing, fault interception and a snapshot.
-        spec = [[(0x4000_0000 + i * self.STRIDE, "out")] for i in range(12)]
+        spec = [[(ALIAS + i * STRIDE, "out")] for i in range(12)]
         program = make_program(spec, durations=[50] * 12, name="dm-recycle")
         request = SimulationRequest.for_program(
             program,

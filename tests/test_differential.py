@@ -25,22 +25,18 @@ backends.  Four families of invariants pin the whole stack:
   reference :class:`HeapEventQueue` (including ``pop_same_kind`` and
   ``iter_until`` interleavings, and the ``dispatch`` loop the simulators
   run, with handlers that schedule follow-ups up to a horizon);
-* **datapath equivalence** -- the flat integer-handle DM/VM/TM/TRS/DCT
-  core produces results identical field-for-field to the object-based
-  reference implementation (``repro.core.reference``), including under
-  DM-conflict -> recycle -> re-allocate pressure.  The CI job replays
-  this leg a second time with ``REPRO_REFERENCE_DATAPATH=1`` forcing the
-  oracle, so the selection switch itself stays covered;
 * **snapshot determinism** -- checkpointing a session at a fuzz-drawn
   cycle and restoring it (and checkpointing the *restored* run again at a
   later drawn cycle) yields results field-for-field identical to the
-  uninterrupted run, for every backend.  Both CI replays cover it, so the
-  invariant holds under the flat and the reference datapath alike;
+  uninterrupted run, for every backend;
 * **faulted determinism** -- a fuzz-drawn fault plan (worker kill + seeded
   event-level chaos) replays field-for-field identically from the same
-  seeds, on both HIL datapaths, and a checkpoint taken mid-fault restores
-  into exactly the straight faulted run (the CI ``fault-matrix`` job
-  replays this family under ``REPRO_REFERENCE_DATAPATH=1`` as well).
+  seeds, and a checkpoint taken mid-fault restores into exactly the
+  straight faulted run;
+* **DM-conflict pressure** -- graphs whose addresses all alias into one
+  DM set drive the HIL datapath through conflict -> recycle ->
+  re-allocate; no task starts before a predecessor finishes, and a
+  checkpoint at a drawn cycle restores field-for-field.
 
 Run deterministically with ``pytest tests/test_differential.py
 --hypothesis-seed=0`` (the CI job does exactly that).
@@ -65,10 +61,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import repro
 from repro.core.config import DMDesign, PicosConfig
 from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
+from repro.runtime.dependence_analysis import task_graph
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.sim.engine import EventQueue, HeapEventQueue
-from repro.sim.hil import HILMode, HILSimulator
+from repro.sim.hil import HILMode
 from repro.sim.request import SimulationRequest
 from repro.sim.session import lifecycle_events, open_session
 from repro.sim.snapshot import KIND_MID_RUN, capture, restore
@@ -299,11 +296,8 @@ class TestFaultedDeterminism:
 
     @settings(max_examples=8, deadline=None)
     @given(params=graph_params, fault=fault_params)
-    def test_same_seed_and_plan_is_identical_on_both_datapaths(
-        self, params, fault
-    ):
-        """Same seed + same fault plan => field-for-field identical results,
-        and (for HIL) identical across the flat and reference datapaths."""
+    def test_same_seed_and_plan_is_identical(self, params, fault):
+        """Same seed + same fault plan => field-for-field identical results."""
         program = random_program(**params)
         faults = _fault_plan(fault)
         num_workers = 3  # >= kill_worker + 2, so nanos keeps a killable pool
@@ -317,19 +311,6 @@ class TestFaultedDeterminism:
                 f"{backend}: faulted replay diverged"
             )
             assert first.completed_all()
-            if backend.startswith("hil"):
-                reference = simulate_request(
-                    SimulationRequest.for_program(
-                        program,
-                        backend=backend,
-                        num_workers=num_workers,
-                        faults=faults,
-                        config=PicosConfig(reference_datapath=True),
-                    )
-                )
-                assert dataclasses.asdict(reference) == dataclasses.asdict(
-                    first
-                ), f"{backend}: faulted datapaths diverged"
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -557,7 +538,7 @@ class TestCalendarQueueMatchesHeapReference:
 
 
 # ----------------------------------------------------------------------
-# datapath differential: flat integer-handle core vs object reference
+# the datapath under DM-conflict pressure
 # ----------------------------------------------------------------------
 #: 512 KiB stride direct-hash aliases every address into DM set 0 of the
 #: WAY8 paper prototype: a 12-address pool over 8 ways keeps fuzzed graphs
@@ -591,37 +572,23 @@ def _aliasing_program(spec, durations):
     return make_program(deps_per_task, durations=durations, name="dm-alias-fuzz")
 
 
-def _run_both_datapaths(program, config, mode, num_workers):
-    results = []
-    for reference in (False, True):
-        run_config = dataclasses.replace(config, reference_datapath=reference)
-        results.append(
-            HILSimulator(
-                program, config=run_config, mode=mode, num_workers=num_workers
-            ).run()
-        )
-    return results
+def _aliasing_request(program, mode, num_workers):
+    return SimulationRequest.for_program(
+        program,
+        backend=mode.backend_name,
+        num_workers=num_workers,
+        config=PicosConfig.paper_prototype(DMDesign.WAY8),
+    )
 
 
-class TestFlatVsReferenceDatapath:
-    """The flat integer-handle datapath against the object-based oracle.
+class TestDmConflictPressure:
+    """Set-aliasing streams: conflicts, stalls, recycles, re-allocations.
 
-    Full-result identity (``dataclasses.asdict``) covers every per-task
-    timeline stamp, the makespan, and all hardware counters -- DM/VM/TM
-    watermarks, conflict and packet counts -- so a single drifted branch
-    in the flat rewrite fails loudly.
+    Every dependence lands in one DM set, so the DCT keeps stalling on a
+    full set, recycling the ways of retired addresses and re-allocating
+    them to new tags.  The run must still honour every dependence, and a
+    checkpoint taken anywhere in it must restore field-for-field.
     """
-
-    @settings(max_examples=15, deadline=None)
-    @given(params=graph_params, num_workers=workers)
-    def test_random_graphs_are_cycle_identical(self, params, num_workers):
-        program = random_program(**params)
-        config = PicosConfig()
-        for mode in HILMode:
-            flat, reference = _run_both_datapaths(
-                program, config, mode, num_workers
-            )
-            assert dataclasses.asdict(flat) == dataclasses.asdict(reference)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -629,25 +596,55 @@ class TestFlatVsReferenceDatapath:
         durations=st.lists(st.integers(min_value=1, max_value=120), max_size=24),
         num_workers=workers,
     )
-    def test_dm_conflict_recycle_reallocate_is_cycle_identical(
+    def test_dm_conflict_recycle_reallocate_keeps_dependence_order(
         self, spec, durations, num_workers
     ):
-        """Set-aliasing streams: conflicts, stalls, recycles, re-allocations."""
         program = _aliasing_program(spec, durations)
-        config = PicosConfig.paper_prototype(DMDesign.WAY8)
+        edges = task_graph(program).edges()
         for mode in (HILMode.HW_ONLY, HILMode.FULL_SYSTEM):
-            flat, reference = _run_both_datapaths(
-                program, config, mode, num_workers
-            )
-            assert dataclasses.asdict(flat) == dataclasses.asdict(reference)
+            result = simulate_request(_aliasing_request(program, mode, num_workers))
+            assert result.completed_all()
+            assert result.makespan >= makespan_lower_bound(program, num_workers)
+            timelines = result.timelines
+            for src, dst in edges:
+                assert timelines[dst].started >= timelines[src].finished, (
+                    f"{mode.backend_name}: task {dst} started before task {src} finished"
+                )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spec=conflict_specs,
+        durations=st.lists(st.integers(min_value=1, max_value=120), max_size=24),
+        num_workers=workers,
+        cut=st.integers(min_value=1, max_value=2_000),
+    )
+    def test_dm_conflict_recycle_reallocate_restores_bit_exact(
+        self, spec, durations, num_workers, cut
+    ):
+        program = _aliasing_program(spec, durations)
+        for mode in (HILMode.HW_ONLY, HILMode.FULL_SYSTEM):
+            request = _aliasing_request(program, mode, num_workers)
+            straight = simulate_request(request)
+            session = open_session(request)
+            pre = list(session.advance(cut).events)
+            snapshot = capture(session)
+            session.close()
+            restored = restore(snapshot)
+            post = []
+            while True:
+                chunk = restored.advance(cut)
+                post.extend(chunk.events)
+                if chunk.finished:
+                    break
+            assert dataclasses.asdict(restored.result()) == dataclasses.asdict(
+                straight
+            ), f"{mode.backend_name}: restore at cycle {cut} diverged"
+            assert pre + post == lifecycle_events(straight)
 
     def test_conflict_pressure_reaches_the_conflict_path(self):
         """The aliasing generator really exercises DM conflicts."""
         spec = [[(i, "out")] for i in range(12)]
         program = _aliasing_program(spec, [50] * 12)
-        config = PicosConfig.paper_prototype(DMDesign.WAY8)
-        flat, reference = _run_both_datapaths(
-            program, config, HILMode.HW_ONLY, 4
-        )
-        assert flat.counters["dm_conflicts"] >= 1
-        assert dataclasses.asdict(flat) == dataclasses.asdict(reference)
+        result = simulate_request(_aliasing_request(program, HILMode.HW_ONLY, 4))
+        assert result.counters["dm_conflicts"] >= 1
+        assert result.completed_all()

@@ -63,8 +63,6 @@ class TestFramework:
             "HOT001",
             "HOT002",
             "HTB001",
-            "PAR001",
-            "PAR002",
             "PAR003",
             "ASY001",
             "ASY002",
@@ -490,55 +488,41 @@ class TestFaultRegistryRule:
 
 
 # ----------------------------------------------------------------------
-# PAR: flat/reference parity
+# PAR: flat datapath sentinel hygiene
 # ----------------------------------------------------------------------
+_NONE_COMPARE_ON_HANDLE = (
+    "def check(tm_index):\n"
+    "    if tm_index is None:\n"
+    "        return False\n"
+    "    return True\n"
+)
+
+
 class TestParityRules:
-    def test_contract_method_missing_from_flat_flagged(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "core/version_memory.py": "class VersionMemory:\n    pass\n",
-                "core/reference/version_memory.py": (
-                    "class VersionMemory:\n"
-                    "    def occupied(self):\n        return 0\n"
-                ),
-            },
-        )
-        messages = [f.message for f in findings if f.rule_id == "PAR001"]
-        assert any("missing from" in message for message in messages)
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "core/dct.py",
+            "core/dependence_memory.py",
+            "core/version_memory.py",
+            "core/task_memory.py",
+            "core/trs.py",
+        ],
+    )
+    def test_every_flat_datapath_module_is_watched(self, tmp_path, module):
+        findings = lint_tree(tmp_path, {module: _NONE_COMPARE_ON_HANDLE})
+        assert "PAR003" in rule_ids(findings)
 
-    def test_parameter_name_divergence_flagged(self, tmp_path):
+    def test_modules_outside_the_datapath_are_not_watched(self, tmp_path):
+        # The Gateway and the facade speak task ids and objects, not handles.
         findings = lint_tree(
             tmp_path,
             {
-                "core/version_memory.py": (
-                    "class VersionMemory:\n"
-                    "    def allocate(self, addr):\n        return -1\n"
-                ),
-                "core/reference/version_memory.py": (
-                    "class VersionMemory:\n"
-                    "    def allocate(self, address):\n        return None\n"
-                ),
+                "core/gateway.py": _NONE_COMPARE_ON_HANDLE,
+                "core/picos.py": _NONE_COMPARE_ON_HANDLE,
             },
         )
-        assert any(
-            f.rule_id == "PAR001" and "diverge" in f.message for f in findings
-        )
-
-    def test_undeclared_public_method_flagged(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "core/version_memory.py": (
-                    "class VersionMemory:\n"
-                    "    def shiny_new_method(self):\n        return 0\n"
-                ),
-                "core/reference/version_memory.py": "class VersionMemory:\n    pass\n",
-            },
-        )
-        assert any(
-            f.rule_id == "PAR002" and "shiny_new_method" in f.message for f in findings
-        )
+        assert "PAR003" not in rule_ids(findings)
 
     def test_none_compare_on_handle_flagged(self, tmp_path):
         findings = lint_tree(
@@ -773,6 +757,22 @@ class TestSnapshotPurityRule:
             "EventQueue._buckets",
             "EventQueue._now",
         ]
+
+    def test_flat_memory_column_the_codec_never_names_flagged(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "core/version_memory.py": (
+                    "class VersionMemory:\n"
+                    "    __slots__ = ('entries', '_valid', '_shiny_column')\n"
+                ),
+                # The codec names _valid; entries is exempt geometry.
+                "sim/snapshot.py": "def encode(vm):\n"
+                "    return {'valid': list(vm._valid)}\n",
+            },
+        )
+        flagged = snp_findings(findings)
+        assert [f.message.split()[0] for f in flagged] == ["VersionMemory._shiny_column"]
 
     def test_vanished_inventoried_class_flagged(self, tmp_path):
         findings = lint_tree(

@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 import repro
-from repro.core.packets import TaskSlotRef
 from repro.core.stats import PicosStats
 from repro.core.config import DMDesign, PicosConfig
 from repro.runtime.task import Dependence, Direction
@@ -41,16 +40,6 @@ class TestPublicApi:
         for module in (analysis, apps, core, hardware, traces):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
-
-
-class TestPackets:
-    def test_task_slot_ref_task_identity(self):
-        slot = TaskSlotRef(trs_id=1, tm_index=7, dep_index=3)
-        assert slot.task_ref() == TaskSlotRef(1, 7, 0)
-        assert slot != slot.task_ref()
-
-    def test_slot_refs_are_hashable(self):
-        assert len({TaskSlotRef(0, 0, 0), TaskSlotRef(0, 0, 0), TaskSlotRef(0, 0, 1)}) == 2
 
 
 class TestStats:

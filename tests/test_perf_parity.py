@@ -13,7 +13,8 @@ independent nets pin that down:
   event-delivery loop, and a run drives it straight, in
   :class:`~repro.sim.session.EngineStepper` slices, through an armed but
   dormant fault plan, or from a restored mid-run snapshot; all four must
-  produce field-for-field identical results.
+  produce field-for-field identical results, on a paper workload and on
+  every capacity corner of ``tests.helpers.SATURATION_CASES``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import functools
 
 import pytest
 
-from repro.core.config import PicosConfig
 from repro.core.hashing import index_for, make_index_function, stable_digest
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.sim.backend import BUILTIN_BACKENDS
@@ -31,6 +31,8 @@ from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest, build_workload
 
 from tests.helpers import (
+    SATURATION_CASE_NAMES,
+    SATURATION_CASES,
     assert_delivery_paths_agree,
     makespan_lower_bound,
     run_delivery_paths,
@@ -240,62 +242,32 @@ class TestGoldenDigests:
         assert covered == set(BUILTIN_BACKENDS)
 
 
-#: The hil-* golden rows re-run on the object-based reference datapath
-#: (``repro.core.reference`` behind the integer-handle adapters): the
-#: datapath switch must not move a digest by a single cycle.  One row per
-#: (workload, backend) keeps the leg cheap; the differential fuzz suite
-#: covers the combinatorial space.
-REFERENCE_DATAPATH_ROWS = sorted(
-    {
-        (key[0], key[3]): key
-        for key in sorted(GOLDEN, key=repr)
-        if key[3].startswith("hil")
-    }.values(),
-    key=repr,
-)
-
-
-class TestReferenceDatapathGolden:
-    @pytest.mark.parametrize(
-        "workload,block_size,problem_size,backend,workers", REFERENCE_DATAPATH_ROWS
-    )
-    def test_reference_datapath_matches_golden(
-        self, workload, block_size, problem_size, backend, workers
-    ):
-        expected_makespan, expected_digest = GOLDEN[
-            (workload, block_size, problem_size, backend, workers)
-        ]
-        result = simulate_request(
-            SimulationRequest.for_workload(
-                workload,
-                block_size=block_size,
-                problem_size=problem_size,
-                backend=backend,
-                num_workers=workers,
-                config=PicosConfig(reference_datapath=True),
-            )
-        )
-        assert result.makespan == expected_makespan
-        assert result_digest(result) == expected_digest
-        assert counters_digest(result) == GOLDEN_COUNTERS[
-            (workload, block_size, problem_size, backend, workers)
-        ]
-
-
 class TestDeliveryPathParity:
     """Straight, sliced, dormant-fault and restored runs are identical."""
 
-    @pytest.mark.parametrize("datapath", ["flat", "reference"])
     @pytest.mark.parametrize("mode", list(HILMode))
     @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_hil_delivery_paths_agree(self, datapath, mode, workers):
+    def test_hil_delivery_paths_agree(self, mode, workers):
         request = SimulationRequest.for_workload(
             "cholesky",
             block_size=128,
             problem_size=512,
             backend=mode.backend_name,
             num_workers=workers,
-            config=PicosConfig(reference_datapath=datapath == "reference"),
+        )
+        assert_delivery_paths_agree(run_delivery_paths(request))
+
+    @pytest.mark.parametrize("mode", list(HILMode))
+    @pytest.mark.parametrize("name", SATURATION_CASE_NAMES)
+    def test_saturated_delivery_paths_agree(self, name, mode):
+        """The capacity corners: TM/VM-full stalls and DM conflicts pend
+        across slice horizons and the restored snapshot alike."""
+        case = SATURATION_CASES[name]
+        request = SimulationRequest.for_program(
+            case.build_program(),
+            backend=mode.backend_name,
+            num_workers=case.workers,
+            config=case.config,
         )
         assert_delivery_paths_agree(run_delivery_paths(request))
 

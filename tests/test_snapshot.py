@@ -6,11 +6,8 @@ cycle boundary and restoring it yields a run whose result -- makespan,
 per-task timelines, every hardware counter -- and whose remaining
 lifecycle-event stream are *bit-exact* equal to the uninterrupted run's.
 The suite proves it by sweeping snapshots across every event boundary of a
-small trace, by golden-digest comparison on the paper workloads across all
-five backends, and by restoring across the flat/reference datapath switch
-in both directions.  The CI ``snapshot-determinism`` job replays this file
-a second time with ``REPRO_REFERENCE_DATAPATH=1``, so every assertion here
-holds under both datapaths.
+small trace and of every capacity corner in ``tests.helpers``, and by
+golden-digest comparison on the paper workloads across all five backends.
 """
 
 from __future__ import annotations
@@ -49,11 +46,14 @@ from repro.sim.snapshot import (
 )
 from repro.traces.synthetic import random_program
 
+from tests.helpers import SATURATION_CASE_NAMES, SATURATION_CASES
+
 SMALL = 512
 
 #: Every built-in backend has a resumable stepper, so mid-run snapshots
 #: exist for all of them.
 ALL_BACKENDS = sorted(BUILTIN_BACKENDS)
+HIL_BACKENDS = [backend for backend in ALL_BACKENDS if backend.startswith("hil")]
 
 
 def _workload_request(workload, backend, **fields):
@@ -195,35 +195,55 @@ class TestEventBoundarySweep:
         request = SimulationRequest.for_program(
             small_trace, backend=backend, num_workers=4
         )
-        baseline = simulate_request(request)
-        golden = _result_digest(baseline)
-        base_events = lifecycle_events(baseline)
-        boundaries = sorted({event.cycle for event in base_events})
-        assert len(boundaries) >= 5  # the trace is genuinely multi-boundary
-        for boundary in [0] + boundaries:
-            session = open_session(request)
-            pre = []
-            if boundary > 0:
-                step = session.advance(boundary)
-                pre = list(step.events)
-                if step.finished:
-                    # The run drained inside this horizon; the snapshot is
-                    # a finished one and the restore serves the result.
-                    snapshot = capture(session)
-                    assert snapshot.kind == KIND_FINISHED
-                    assert restore(snapshot).result() == baseline
-                    session.close()
-                    continue
-            snapshot = capture(session)
-            session.close()  # the capture must survive the close
-            restored = restore(snapshot)
-            post = _drain(restored, 1_000)
-            assert _result_digest(restored.result()) == golden, (
-                f"{backend}: restore at boundary {boundary} diverged"
-            )
-            assert pre + post == base_events, (
-                f"{backend}: event stream at boundary {boundary} diverged"
-            )
+        _sweep_every_event_boundary(request, backend)
+
+    @pytest.mark.parametrize("backend", HIL_BACKENDS)
+    @pytest.mark.parametrize("name", SATURATION_CASE_NAMES)
+    def test_saturated_restore_is_bit_exact_at_every_event_boundary(
+        self, name, backend
+    ):
+        """The same sweep on each capacity corner, so snapshots land while
+        a submission waits on a full TM or VM or a conflicting DM set."""
+        case = SATURATION_CASES[name]
+        request = SimulationRequest.for_program(
+            case.build_program(),
+            backend=backend,
+            num_workers=case.workers,
+            config=case.config,
+        )
+        _sweep_every_event_boundary(request, f"{name}/{backend}")
+
+
+def _sweep_every_event_boundary(request, label):
+    baseline = simulate_request(request)
+    golden = _result_digest(baseline)
+    base_events = lifecycle_events(baseline)
+    boundaries = sorted({event.cycle for event in base_events})
+    assert len(boundaries) >= 5  # the trace is genuinely multi-boundary
+    for boundary in [0] + boundaries:
+        session = open_session(request)
+        pre = []
+        if boundary > 0:
+            step = session.advance(boundary)
+            pre = list(step.events)
+            if step.finished:
+                # The run drained inside this horizon; the snapshot is
+                # a finished one and the restore serves the result.
+                snapshot = capture(session)
+                assert snapshot.kind == KIND_FINISHED
+                assert restore(snapshot).result() == baseline
+                session.close()
+                continue
+        snapshot = capture(session)
+        session.close()  # the capture must survive the close
+        restored = restore(snapshot)
+        post = _drain(restored, 1_000)
+        assert _result_digest(restored.result()) == golden, (
+            f"{label}: restore at boundary {boundary} diverged"
+        )
+        assert pre + post == base_events, (
+            f"{label}: event stream at boundary {boundary} diverged"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -993,6 +1013,10 @@ def _swap_first_slots(state):
     slots[0][0], slots[1][0] = slots[1][0], slots[0][0]
 
 
+def _free_a_valid_entry(memory):
+    memory["free"].append(memory["valid"].index(True))
+
+
 class TestForgedConsistency:
     """Known tasks and workers in the wrong place: each layer's state is
     checked against the others before the session exists."""
@@ -1028,6 +1052,16 @@ class TestForgedConsistency:
                 lambda state: state["queue"]["buckets"][-1][1][0][1].__setitem__(1, 1),
                 "a queued worker-done names task 0, not worker 1's",
             ),
+            (
+                "hil-full",
+                lambda state: _free_a_valid_entry(state["accel"]["trs"][0]),
+                "TRS 0's TM free list is not its invalid entries",
+            ),
+            (
+                "hil-full",
+                lambda state: _free_a_valid_entry(state["accel"]["dct"][0]["vm"]),
+                "DCT 0's VM free list is not its invalid entries",
+            ),
             ("nanos", lambda state: state.update(finished=3), "finished is not the"),
             ("nanos", lambda state: state.update(ready_pool=[19]), "not distinct submitted tasks"),
             (
@@ -1045,6 +1079,8 @@ class TestForgedConsistency:
             "pending-new-one-too-many",
             "idle-worker-with-a-task",
             "worker-done-of-another-worker",
+            "tm-free-list-names-a-valid-entry",
+            "vm-free-list-names-a-valid-entry",
             "nanos-finished",
             "nanos-ready-not-submitted",
             "nanos-remaining-preds",
@@ -1083,13 +1119,22 @@ class TestForgedConsistency:
         with pytest.raises(SnapshotError, match=message):
             restore(snapshot)
 
-    def test_a_request_the_decoder_refuses_is_a_snapshot_error(self):
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"workers": "four"}, "workers"),
+            ({"config": {"reference_datapath": True}}, "unknown config field"),
+        ],
+        ids=["workers-not-an-int", "retired-config-field"],
+    )
+    def test_a_request_the_decoder_refuses_is_a_snapshot_error(self, fields, message):
         snapshot = _forged_state_snapshot(
-            lambda payload: payload["request"].update(workers="four"), "hil-full", 10_000
+            lambda payload: payload["request"].update(fields), "hil-full", 10_000
         )
         with pytest.raises(SnapshotError, match="request or result is refused") as caught:
             restore(snapshot)
         assert isinstance(caught.value.__cause__, ValueError)
+        assert message in str(caught.value)
 
     def test_a_result_the_decoder_refuses_is_a_snapshot_error(self):
         session = open_session(_workload_request("cholesky", "nanos"))
@@ -1349,39 +1394,6 @@ class TestForks:
         _drain(forked, 50_000)
         straight = simulate_request(dataclasses.replace(request, config=slow))
         assert forked.result().makespan == straight.makespan
-
-
-# ----------------------------------------------------------------------
-# cross-datapath restore
-# ----------------------------------------------------------------------
-class TestCrossDatapathRestore:
-    """Snapshots are datapath-neutral: flat <-> reference both ways."""
-
-    @pytest.mark.parametrize("capture_reference", [False, True])
-    def test_mid_run_restore_across_the_datapath_switch(
-        self, capture_reference
-    ):
-        base = PicosConfig()
-        flat_config = dataclasses.replace(base, reference_datapath=False)
-        ref_config = dataclasses.replace(base, reference_datapath=True)
-        source = ref_config if capture_reference else flat_config
-        target = flat_config if capture_reference else ref_config
-        request = _workload_request("cholesky", "hil-full", config=flat_config)
-        baseline = simulate_request(request)
-        base_events = lifecycle_events(baseline)
-        session = open_session(
-            dataclasses.replace(request, config=source)
-        )
-        pre = list(session.advance(30_000).events)
-        snapshot = capture(session)
-        session.close()
-        restored = fork(snapshot, target)
-        post = _drain(restored, 50_000)
-        assert restored.result().makespan == baseline.makespan
-        assert pre + post == base_events
-        assert (
-            restored.result().counters == baseline.counters
-        )
 
 
 # ----------------------------------------------------------------------

@@ -315,15 +315,13 @@ class DependenceChainTracker:
         stats.wakeup_packets += woken
         return wakeups
 
-    def _retire_version(
-        self, vm_index: int, wakeups: List[Tuple[int, int]]
-    ) -> bool:
+    def _retire_version(self, vm_index: int, wakeups: List[Tuple[int, int]]) -> None:
         """Recycle a completed version, waking the next producer if any.
 
         Appends the producer wake-up (when the address has a next version)
-        to ``wakeups`` and returns whether the DM way was recycled too.
-        The DM way handle was cached at allocation; the tag check guards
-        the cache against any handle-stability bug.
+        to ``wakeups``, and recycles the DM way once the address has no live
+        version left.  The DM way handle was cached at allocation; the tag
+        check guards the cache against any handle-stability bug.
         """
         dm = self.dm
         vm = self.vm
@@ -346,8 +344,6 @@ class DependenceChainTracker:
         dm._live_versions[way] = live
         if live <= 0:
             dm.release_handle(way)
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -362,16 +358,6 @@ class DependenceChainTracker:
         vm_occupied = self.vm.occupied
         if vm_occupied > stats.vm_high_water:
             stats.vm_high_water = vm_occupied
-
-    @property
-    def live_addresses(self) -> int:
-        """Number of addresses currently tracked by the DM."""
-        return self.dm.occupied
-
-    @property
-    def live_versions(self) -> int:
-        """Number of versions currently stored in the VM."""
-        return self.vm.occupied
 
     def is_idle(self) -> bool:
         """``True`` when no dependence state is live (all chains retired)."""

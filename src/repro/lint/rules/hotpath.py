@@ -33,7 +33,7 @@ from repro.lint.framework import Finding, Project, Rule, SourceModule, register_
 #: docstring, the per-class contracts in ``core/gateway.py`` /
 #: ``core/picos.py``, and ``docs/datapath.md``.
 HOT_PATH_CLASSES: Dict[str, Tuple[str, ...]] = {
-    "sim/engine.py": ("Event", "EventQueue", "HeapEventQueue"),
+    "sim/engine.py": ("EventQueue",),
     "sim/worker.py": ("WorkerState", "WorkerPool"),
     "sim/results.py": ("TaskTimeline",),
     "core/packets.py": ("ExecuteTaskPacket",),

@@ -45,7 +45,6 @@ SNAPSHOT_CODEC_MODULE = "sim/snapshot.py"
 #: of these classes must be covered by the codec.  Exemptions name
 #: construction-fixed fields the restore path re-mints itself.
 SNAPSHOT_INVENTORY: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
-    ("sim/engine.py", "Event", frozenset()),
     ("sim/engine.py", "EventQueue", frozenset()),
     # worker_id is positional identity: WorkerPool's constructor mints the
     # states in id order, and the codec stores them as an ordered list.

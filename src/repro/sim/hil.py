@@ -606,16 +606,9 @@ class _HILFaultAdapter:
         """Whether the completion of ``(worker, task)`` is already queued,
         i.e. the worker is genuinely *executing* (not merely reserved with
         its dispatch message still in flight through the ARM core)."""
-        target = (worker_id, task_id)
+        event = (_EV_WORKER_DONE, (worker_id, task_id))
         current, buckets = sim.queue.snapshot_events()
-        for event in current:
-            if event.kind == _EV_WORKER_DONE and event.payload == target:
-                return True
-        for _time, events in buckets:
-            for event in events:
-                if event.kind == _EV_WORKER_DONE and event.payload == target:
-                    return True
-        return False
+        return event in current or any(event in events for _time, events in buckets)
 
     def kill_worker(
         self, sim: "HILSimulator", plan: "FaultPlan", armed: "ArmedFault", now: int

@@ -94,7 +94,6 @@ from repro.faults.plan import LOG_FAULT_INJECTED, LOG_FAULT_RECOVERED
 from repro.faults.scenario import FaultKind
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.task import Task, TaskProgram
-from repro.sim.engine import Event
 from repro.sim.hil import HILSimulator
 from repro.sim.request import InlineProgramRef
 from repro.sim.session import _EVENT_CLASSES, EngineStepper, SimulationSession, open_session
@@ -220,10 +219,11 @@ class _Leaf:
 
 
 class _List:
-    """``item``s, ``length`` of them if given, ``distinct`` (or distinct in a column)."""
+    """``item``s, ``length`` of them if given, at least ``least``, ``distinct``
+    (or distinct in a column)."""
 
-    def __init__(self, item: Any, length: Any = None, distinct: Any = None) -> None:
-        self.item, self.length, self.distinct = item, length, distinct
+    def __init__(self, item: Any, length: Any = None, distinct: Any = None, least: int = 0) -> None:
+        self.item, self.length, self.distinct, self.least = item, length, distinct, least
 
     def check(self, value: Any, c: Dict[str, Any]) -> None:
         if type(value) is not list:
@@ -231,6 +231,8 @@ class _List:
         length = _bound(self.length, c)
         if length is not None and len(value) != length:
             raise _Refused(f"holds {len(value)} entries, not {length}")
+        if len(value) < self.least:
+            raise _Refused(f"holds {len(value)} entries, not at least {self.least}")
         _check_all(self.item, value, c)
         if self.distinct is not None:
             keys = value if self.distinct is True else [row[self.distinct] for row in value]
@@ -239,7 +241,8 @@ class _List:
 
     def accepts(self, values: List[Any], c: Dict[str, Any]) -> bool:
         return self.length is self.distinct is None and set(map(type, values)) <= {list} and (
-            _accepts(self.item, list(itertools.chain.from_iterable(values)), c)
+            min(map(len, values), default=self.least) >= self.least
+            and _accepts(self.item, list(itertools.chain.from_iterable(values)), c)
         )
 
 
@@ -331,8 +334,10 @@ def _queue(events: Dict[str, Any], timers: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "now": _int(0, "cycle"), "processed": COUNT,
         "current": _List(ANY, 0),  # every slice drains the bucket it detached
-        "buckets": _List((LATER, _List(_OneOf(0, {k: (ANY, i) for k, i in events.items()}))),
-                         distinct=0),
+        # Capture never writes an empty bucket, and delivery reads the first
+        # event of every bucket it detaches.
+        "buckets": _List((LATER, _List(_OneOf(0, {k: (ANY, i) for k, i in events.items()}),
+                                       least=1)), distinct=0),
     }
 
 
@@ -584,17 +589,10 @@ def _queue_document(queue: Any) -> Dict[str, Any]:
         "now": queue.now,
         "processed": queue.processed,
         "current": [
-            [event.time, event.kind, _payload_to_document(event.payload)]
-            for event in current
+            [queue.now, kind, _payload_to_document(payload)] for kind, payload in current
         ],
         "buckets": [
-            [
-                time,
-                [
-                    [event.kind, _payload_to_document(event.payload)]
-                    for event in events
-                ],
-            ]
+            [time, [[kind, _payload_to_document(payload)] for kind, payload in events]]
             for time, events in buckets
         ],
     }
@@ -603,10 +601,10 @@ def _queue_document(queue: Any) -> Dict[str, Any]:
 def _restore_queue(sim: Any, document: Dict[str, Any]) -> None:
     program = sim.program
     buckets = [
-        (time, [Event(time, kind, _payload_from_document(p, program)) for kind, p in events])
+        (time, [(kind, _payload_from_document(p, program)) for kind, p in events])
         for time, events in document["buckets"]
     ]
-    sim.queue.restore_events(document["now"], document["processed"], [], buckets)
+    sim.queue.restore_events(document["now"], document["processed"], buckets)
 
 
 # ----------------------------------------------------------------------

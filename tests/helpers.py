@@ -10,7 +10,7 @@ module (imported as ``tests.helpers``) removes the collision.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
@@ -259,3 +259,36 @@ def assert_delivery_paths_agree(documents: Dict[str, Dict[str, Any]]) -> None:
     straight = documents["straight"]
     for path, document in documents.items():
         assert document == straight, f"the {path} run diverged from the straight run"
+
+
+#: One event as the engine tests see it: ``(time, kind, payload)``.
+Delivery = Tuple[int, str, Any]
+
+
+def recording_handlers(
+    kinds: Iterable[str], then: Optional[Callable[[str, Any, int], None]] = None
+) -> Tuple[Dict[str, Callable[[Any, int], None]], List[Delivery]]:
+    """A handler table for ``EventQueue.dispatch`` over ``kinds``, and the
+    list it appends every delivery to, in delivery order.  ``then``, if
+    given, runs as ``then(kind, payload, time)`` after each record (to
+    schedule follow-ups)."""
+    delivered: List[Delivery] = []
+
+    def handler(kind: str) -> Callable[[Any, int], None]:
+        def deliver(payload: Any, time: int) -> None:
+            delivered.append((time, kind, payload))
+            if then is not None:
+                then(kind, payload, time)
+
+        return deliver
+
+    return {kind: handler(kind) for kind in kinds}, delivered
+
+
+def queued(queue: Any) -> List[Delivery]:
+    """Every event still queued, in delivery order, read through
+    ``snapshot_events`` (the draining bucket is stamped ``queue.now``)."""
+    current, buckets = queue.snapshot_events()
+    return [(queue.now, kind, payload) for kind, payload in current] + [
+        (time, kind, payload) for time, events in buckets for kind, payload in events
+    ]

@@ -234,5 +234,5 @@ class TestWatermarks:
         store(dct, 2, B, Direction.OUT)
         assert dct.stats.vm_high_water == 3
         assert dct.stats.dm_high_water == 2
-        assert dct.live_versions == 3
-        assert dct.live_addresses == 2
+        assert dct.vm.occupied == 3
+        assert dct.dm.occupied == 2

@@ -20,11 +20,11 @@ backends.  Four families of invariants pin the whole stack:
 * **cache-key stability** -- request cache keys are reproducible across
   *processes* (they seed the on-disk experiment cache, so any process-local
   state leaking into them would poison shared caches);
-* **engine equivalence** -- the calendar-queue :class:`EventQueue` delivers
-  random schedules event-for-event identically to the binary-heap
-  reference :class:`HeapEventQueue` (including ``pop_same_kind`` and
-  ``iter_until`` interleavings, and the ``dispatch`` loop the simulators
-  run, with handlers that schedule follow-ups up to a horizon);
+* **engine ordering** -- the calendar-queue :class:`EventQueue` delivers
+  random schedules through ``dispatch``, the loop the simulators run,
+  exactly as a list-and-``min`` model of the ordering contract does, with
+  handlers that schedule follow-ups, horizons and schedules between the
+  calls;
 * **snapshot determinism** -- checkpointing a session at a fuzz-drawn
   cycle and restoring it (and checkpointing the *restored* run again at a
   later drawn cycle) yields results field-for-field identical to the
@@ -45,6 +45,8 @@ Run deterministically with ``pytest tests/test_differential.py
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import os
 import random
 import subprocess
@@ -64,14 +66,20 @@ from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
 from repro.runtime.dependence_analysis import task_graph
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
-from repro.sim.engine import EventQueue, HeapEventQueue
+from repro.sim.engine import EventQueue
 from repro.sim.hil import HILMode
 from repro.sim.request import SimulationRequest
 from repro.sim.session import lifecycle_events, open_session
 from repro.sim.snapshot import KIND_MID_RUN, capture, restore
 from repro.traces.synthetic import random_program
 
-from tests.helpers import make_program, makespan_lower_bound, relabelled
+from tests.helpers import (
+    make_program,
+    makespan_lower_bound,
+    queued,
+    recording_handlers,
+    relabelled,
+)
 
 #: Keep the graphs small: five backends x many examples must stay in CI
 #: budget, and the invariants are shape-driven, not size-driven.
@@ -411,130 +419,106 @@ class TestCacheKeyStability:
 
 
 # ----------------------------------------------------------------------
-# engine differential: calendar queue vs binary-heap reference
+# engine differential: calendar queue vs the ordering contract's model
 # ----------------------------------------------------------------------
-#: One fuzzed queue interaction: schedule a batch, then drain some events.
-queue_ops = st.lists(
-    st.tuples(
-        st.lists(  # events to schedule: (delay, kind)
-            st.tuples(
-                st.integers(min_value=0, max_value=30),
-                st.sampled_from(["a", "b", "c"]),
-            ),
-            max_size=6,
-        ),
-        st.sampled_from(["pop", "pop2", "same-a", "same-now", "peek", "iter3"]),
-    ),
-    max_size=40,
-)
+class ModelQueue:
+    """The ordering contract as a list and ``min``: the next delivery is
+    the pending event with the least (time, scheduling index), provided it
+    is stamped at or before the horizon."""
+
+    def __init__(self):
+        self.events = []  # pending (time, scheduling index, kind, payload)
+        self.scheduled = self.now = self.processed = 0
+
+    @property
+    def empty(self):
+        return not self.events
+
+    @property
+    def peek_time(self):
+        return min(self.events)[0] if self.events else None
+
+    def schedule(self, time, kind, payload=None):
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} before {self.now}")
+        self.events.append((time, self.scheduled, kind, payload))
+        self.scheduled += 1
+
+    def dispatch(self, handlers, horizon=None):
+        while self.events and (horizon is None or min(self.events)[0] <= horizon):
+            event = min(self.events)
+            self.events.remove(event)
+            self.now, _, kind, payload = event
+            self.processed += 1
+            handlers[kind](payload, self.now)
+
+    def snapshot_events(self):
+        by_time = itertools.groupby(sorted(self.events), key=operator.itemgetter(0))
+        return [], [(time, [event[2:] for event in group]) for time, group in by_time]
 
 
-def _drive(queue, ops):
-    """Apply a fuzzed op sequence; returns the observable delivery trace."""
-    trace = []
-    payload = 0
-    for schedules, action in ops:
-        for delay, kind in schedules:
-            queue.schedule(queue.now + delay, kind, payload)
-            payload += 1
-        if action == "peek":
-            trace.append(("peek", queue.peek_time))
-        elif action == "same-a":
-            # Head test for a kind at the head's own time: exercises
-            # pop_same_kind against interleaved kinds.
-            time = queue.peek_time
-            if time is not None:
-                event = queue.pop_same_kind("a", time)
-                trace.append(
-                    ("same", None if event is None else (event.time, event.kind, event.payload))
-                )
-        elif action == "same-now":
-            # Miss path: asking at the current clock while the head may be
-            # later must not disturb ordering (the calendar queue once
-            # detached buckets on this peek -- the regression the suite
-            # guards).
-            event = queue.pop_same_kind("b", queue.now)
-            trace.append(
-                ("same-now", None if event is None else (event.time, event.kind, event.payload))
-            )
-        elif action == "iter3":
-            horizon = queue.now + 10
-            for event in queue.iter_until(horizon):
-                trace.append(("iter", event.time, event.kind, event.payload))
-        else:
-            count = 2 if action == "pop2" else 1
-            for _ in range(count):
-                event = queue.pop()
-                trace.append(
-                    ("pop", None if event is None else (event.time, event.kind, event.payload))
-                )
-        trace.append(("state", queue.now, queue.pending, queue.processed))
-    for event in queue:
-        trace.append(("drain", event.time, event.kind, event.payload))
-    trace.append(("final", queue.now, queue.pending, queue.processed, queue.empty))
-    return trace
-
-
-#: One fuzzed ``dispatch`` run: the events scheduled up front, the
+#: One fuzzed ``dispatch`` run: the events scheduled up front; the
 #: follow-ups each delivery schedules in turn (delay 0 is the current
-#: cycle), and the steps between successive horizons.
+#: cycle); and the bounded calls, each a step past the previous horizon
+#: and the events scheduled once it returns, relative to the clock (so
+#: they may land before the next queued bucket).
+_kinds = st.sampled_from("abc")
 dispatch_runs = st.tuples(
+    st.lists(st.tuples(st.integers(min_value=0, max_value=30), _kinds), max_size=8),
     st.lists(
-        st.tuples(st.integers(min_value=0, max_value=30), st.sampled_from("abc")),
-        max_size=8,
-    ),
-    st.lists(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=10), st.sampled_from("abc")),
-            max_size=3,
-        ),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=10), _kinds), max_size=3),
         max_size=40,
     ),
-    st.lists(st.integers(min_value=0, max_value=15), max_size=6),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=15),
+            st.lists(st.tuples(st.integers(min_value=0, max_value=12), _kinds), max_size=3),
+        ),
+        max_size=6,
+    ),
 )
 
 
 def _dispatch(queue, run):
     """Drive ``queue.dispatch`` through horizons, then a drain; returns the
-    deliveries and the queue's state after each call."""
-    seeds, follow_ups, steps = run
-    trace = []
-    scheduled = iter(range(10**6))  # payloads: the scheduling order
+    deliveries and what the queue reads (clock, count, ``empty``, peek and
+    pending schedule) at every delivery and after every call."""
+    seeds, follow_ups, calls = run
+    seen = []
+    scheduled = itertools.count()  # payloads: the scheduling order
     replies = iter(follow_ups)
     for delay, kind in seeds:
         queue.schedule(delay, kind, next(scheduled))
 
-    def handler(kind):
-        def deliver(payload, time):
-            trace.append(("deliver", time, kind, payload, queue.now))
-            for delay, follow in next(replies, ()):
-                queue.schedule(time + delay, follow, next(scheduled))
+    def state():
+        return (queue.now, queue.processed, queue.empty, queue.peek_time, queued(queue))
 
-        return deliver
+    def then(kind, payload, time):
+        seen.append(state())
+        for delay, follow in next(replies, ()):
+            queue.schedule(time + delay, follow, next(scheduled))
 
-    handlers = {kind: handler(kind) for kind in "abc"}
+    handlers, delivered = recording_handlers("abc", then)
     horizon = 0
-    for step in steps:
+    for step, between in calls:
         horizon += step
         queue.dispatch(handlers, horizon)
-        trace.append(("horizon", horizon, queue.now, queue.pending, queue.processed))
+        seen.append(("stop", horizon) + state())
+        for delay, kind in between:
+            queue.schedule(queue.now + delay, kind, next(scheduled))
     queue.dispatch(handlers)
-    trace.append(("drained", queue.now, queue.pending, queue.processed, queue.empty))
-    return trace
+    seen.append(("drained",) + state())
+    return delivered, seen
 
 
-class TestCalendarQueueMatchesHeapReference:
-    @settings(max_examples=200, deadline=None)
-    @given(ops=queue_ops)
-    def test_identical_delivery_under_fuzzed_interleavings(self, ops):
-        assert _drive(EventQueue(), ops) == _drive(HeapEventQueue(), ops)
-
-    @settings(max_examples=200, deadline=None)
+class TestCalendarQueueMatchesModel:
+    @settings(max_examples=300, deadline=None)
     @given(run=dispatch_runs)
-    def test_identical_dispatch_with_handlers_that_schedule(self, run):
+    def test_dispatch_delivers_in_the_model_order(self, run):
         # The simulators' production loop: handlers schedule follow-ups,
-        # some at the cycle being delivered.
-        assert _dispatch(EventQueue(), run) == _dispatch(HeapEventQueue(), run)
+        # some at the cycle being delivered, and runs stop at horizons
+        # with more events scheduled between the calls.
+        assert _dispatch(EventQueue(), run) == _dispatch(ModelQueue(), run)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,13 @@ from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
 from repro.traces.synthetic import random_program
 
-from tests.helpers import assert_delivery_paths_agree, make_program, run_delivery_paths
+from tests.helpers import (
+    assert_delivery_paths_agree,
+    make_program,
+    queued,
+    recording_handlers,
+    run_delivery_paths,
+)
 
 A, B = 0x1000, 0x2000
 
@@ -73,13 +79,13 @@ class TestMasterRearm:
         sim = primed_simulator(program, mode=HILMode.FULL_SYSTEM, num_workers=2)
         sim._kick_master(5)
         assert sim._master_busy
-        assert sim.queue.pending == 1  # one master-done event in flight
+        assert len(queued(sim.queue)) == 1  # one master-done event in flight
         assert sim._next_create_index == 1
         assert sim._created_at[:2] == [5, 0]  # the create stamp, in its row
         # A re-arm point firing again while the job is in flight must not
         # double-book the ARM core or consume another job.
         sim._kick_master(7)
-        assert sim.queue.pending == 1
+        assert len(queued(sim.queue)) == 1
         assert sim._next_create_index == 1
         assert sim._created_at[:2] == [5, 0]
 
@@ -91,8 +97,7 @@ class TestMasterRearm:
         sim._master_finish_jobs.append(7)
         sim._master_dispatch_jobs.append((3, 0))
         sim._kick_master(0)
-        event = sim.queue.pop()
-        kind, payload = event.payload
+        [(_, _, (kind, payload))] = queued(sim.queue)
         assert kind == "finish"
         assert payload == 7
         assert sim._master_dispatch_jobs  # untouched
@@ -104,7 +109,7 @@ class TestMasterRearm:
         sim._next_create_index = program.num_tasks  # nothing left to create
         sim._kick_master(0)
         assert not sim._master_busy
-        assert sim.queue.pending == 0
+        assert sim.queue.empty
 
     def test_create_throttles_on_full_new_task_fifo(self):
         program = fanout_program(readers=30)
@@ -119,17 +124,17 @@ class TestMasterRearm:
 class TestKickAtCurrentCycleAfterPeek:
     """Post-peek overtaking: peeks must not commit the queue head."""
 
-    def test_schedule_at_now_after_pop_same_kind_miss(self):
+    def test_schedule_at_now_after_a_stopped_dispatch(self):
         queue = EventQueue()
         queue.schedule(10, "later", "a")
-        # The miss peeks the head without consuming it ...
-        assert queue.pop_same_kind("other", 0) is None
+        handlers, delivered = recording_handlers(["kick", "later"])
+        # A horizon-bounded dispatch peeks the head without consuming it ...
+        queue.dispatch(handlers, 5)
+        assert delivered == []
         # ... so a kick at the *current* cycle must still overtake it.
         queue.schedule(0, "kick", "b")
-        first = queue.pop()
-        second = queue.pop()
-        assert (first.time, first.kind) == (0, "kick")
-        assert (second.time, second.kind) == (10, "later")
+        queue.dispatch(handlers)
+        assert delivered == [(0, "kick", "b"), (10, "later", "a")]
 
     def test_zero_cost_master_jobs_complete_at_the_peeked_cycle(self):
         # With comm_cycles=0 every re-arm schedules its master-done event
@@ -154,7 +159,7 @@ class _SameCycleMasterJobs:
     def schedule(self, time, kind, payload=None):
         if kind == "master-done" and time == self._inner.now:
             self.same_cycle_jobs += 1
-        return self._inner.schedule(time, kind, payload)
+        self._inner.schedule(time, kind, payload)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -226,36 +226,25 @@ class TestDeterminismRules:
 # ----------------------------------------------------------------------
 # HOT: hot-path discipline
 # ----------------------------------------------------------------------
-_ENGINE_OK = (
-    "class Event:\n    __slots__ = ('cycle',)\n"
-    "class EventQueue:\n    __slots__ = ('_events',)\n"
-    "class HeapEventQueue:\n    __slots__ = ('_heap',)\n"
-)
+_ENGINE_OK = "class EventQueue:\n    __slots__ = ('_buckets',)\n"
 
 
 class TestHotPathRules:
     def test_contract_class_without_slots_flagged(self, tmp_path):
         findings = lint_tree(
             tmp_path,
-            {
-                "sim/engine.py": "class Event:\n    pass\n"
-                "class EventQueue:\n    __slots__ = ('_events',)\n"
-                "class HeapEventQueue:\n    __slots__ = ('_heap',)\n"
-            },
+            {"sim/engine.py": "class EventQueue:\n    pass\n"},
         )
         assert rule_ids(findings) == ["HOT001"]
-        assert "Event" in findings[0].message
+        assert "EventQueue" in findings[0].message
 
     def test_missing_contract_class_flagged(self, tmp_path):
         findings = lint_tree(
             tmp_path,
-            {
-                "sim/engine.py": "class Event:\n    __slots__ = ('cycle',)\n"
-                "class EventQueue:\n    __slots__ = ('_events',)\n"
-            },
+            {"sim/engine.py": "class Queue:\n    __slots__ = ('_buckets',)\n"},
         )
         assert rule_ids(findings) == ["HOT001"]
-        assert "HeapEventQueue" in findings[0].message
+        assert "EventQueue" in findings[0].message
 
     def test_contract_satisfied_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {"sim/engine.py": _ENGINE_OK})
@@ -716,18 +705,13 @@ class TestSnapshotPurityRule:
             tmp_path,
             {
                 "sim/engine.py": (
-                    "class Event:\n"
-                    "    __slots__ = ('time', 'kind', 'payload')\n"
                     "class EventQueue:\n"
                     "    __slots__ = ('_buckets', '_now')\n"
                     "    def snapshot_events(self):\n"
                     "        return (self._buckets, self._now)\n"
-                    "class HeapEventQueue:\n"
-                    "    __slots__ = ('_heap',)\n"
                 ),
-                "sim/snapshot.py": "def encode(queue, event):\n"
-                "    data = queue.snapshot_events()\n"
-                "    return [event.time, event.kind, event.payload, data]\n",
+                "sim/snapshot.py": "def encode(queue):\n"
+                "    return queue.snapshot_events()\n",
             },
         )
         assert snp_findings(findings) == []
@@ -737,19 +721,15 @@ class TestSnapshotPurityRule:
             tmp_path,
             {
                 "sim/engine.py": (
-                    "class Event:\n"
-                    "    __slots__ = ('time', 'kind', 'payload')\n"
                     "class EventQueue:\n"
                     "    __slots__ = ('_buckets', '_now')\n"
                     "    def helper(self):\n"
                     "        return self._buckets\n"
-                    "class HeapEventQueue:\n"
-                    "    __slots__ = ('_heap',)\n"
                 ),
                 # helper() is never called by the codec, so _buckets/_now
                 # stay uncovered.
-                "sim/snapshot.py": "def encode(event):\n"
-                "    return [event.time, event.kind, event.payload]\n",
+                "sim/snapshot.py": "def encode(queue):\n"
+                "    return [queue.now]\n",
             },
         )
         flagged = snp_findings(findings)

@@ -8,6 +8,8 @@ from repro.sim.engine import EventQueue
 from repro.sim.results import SimulationResult, TaskTimeline
 from repro.sim.worker import WorkerPool
 
+from tests.helpers import queued, recording_handlers
+
 
 class TestEventQueue:
     def test_events_delivered_in_time_order(self):
@@ -15,45 +17,37 @@ class TestEventQueue:
         queue.schedule(30, "c")
         queue.schedule(10, "a")
         queue.schedule(20, "b")
-        kinds = [event.kind for event in queue]
-        assert kinds == ["a", "b", "c"]
+        handlers, delivered = recording_handlers("abc")
+        queue.dispatch(handlers)
+        assert delivered == [(10, "a", None), (20, "b", None), (30, "c", None)]
         assert queue.now == 30
+        assert queue.processed == 3
 
     def test_simultaneous_events_keep_scheduling_order(self):
         queue = EventQueue()
         for index in range(5):
             queue.schedule(7, "tick", index)
-        payloads = [event.payload for event in queue]
-        assert payloads == [0, 1, 2, 3, 4]
-
-    def test_schedule_in_uses_current_time(self):
-        queue = EventQueue()
-        queue.schedule(5, "first")
-        queue.pop()
-        event = queue.schedule_in(10, "second")
-        assert event.time == 15
+        handlers, delivered = recording_handlers(["tick"])
+        queue.dispatch(handlers)
+        assert [payload for _, _, payload in delivered] == [0, 1, 2, 3, 4]
 
     def test_scheduling_in_the_past_raises(self):
         queue = EventQueue()
         queue.schedule(5, "first")
-        queue.pop()
+        queue.dispatch(recording_handlers(["first"])[0])
         with pytest.raises(ValueError):
-            queue.schedule(2, "late")
-        with pytest.raises(ValueError):
-            queue.schedule_in(-1, "negative")
+            queue.schedule(4, "late")
+        queue.schedule(5, "now")  # the current cycle is not the past
+        assert queued(queue) == [(5, "now", None)]
 
-    def test_counters_and_empty(self):
+    def test_an_empty_queue_delivers_nothing(self):
         queue = EventQueue()
-        assert queue.empty
-        queue.schedule(1, "x")
-        queue.schedule(2, "y")
-        assert queue.pending == 2
-        queue.pop()
-        assert queue.processed == 1
-        assert not queue.empty
-
-    def test_pop_on_empty_returns_none(self):
-        assert EventQueue().pop() is None
+        handlers, delivered = recording_handlers("a")
+        queue.dispatch(handlers)
+        queue.dispatch(handlers, 10)
+        assert delivered == []
+        assert (queue.now, queue.processed, queue.peek_time, queue.empty) == (0, 0, None, True)
+        assert queue.pop_same_kind("a", 0) is None
 
     def test_peek_time_previews_without_advancing(self):
         queue = EventQueue()
@@ -62,24 +56,87 @@ class TestEventQueue:
         queue.schedule(10, "a")
         assert queue.peek_time == 10
         assert queue.now == 0  # peeking does not advance the clock
-        queue.pop()
+        queue.dispatch(recording_handlers("ab")[0], 10)
         assert queue.peek_time == 30
 
-    def test_iter_until_stops_at_the_horizon_and_resumes(self):
+    def test_a_horizon_stops_before_a_later_bucket_and_resumes(self):
         queue = EventQueue()
         for time in (5, 10, 15, 20):
-            queue.schedule(time, f"t{time}")
-        early = [event.kind for event in queue.iter_until(12)]
-        assert early == ["t5", "t10"]
+            queue.schedule(time, "t", time)
+        handlers, delivered = recording_handlers("t")
+        queue.dispatch(handlers, 12)
+        assert [time for time, _, _ in delivered] == [5, 10]
         assert queue.now == 10  # the clock never passes the horizon
-        assert queue.pending == 2
-        late = [event.kind for event in queue]
-        assert late == ["t15", "t20"]
+        assert queued(queue) == [(15, "t", 15), (20, "t", 20)]
+        queue.dispatch(handlers)
+        assert [time for time, _, _ in delivered] == [5, 10, 15, 20]
 
-    def test_iter_until_includes_events_at_the_horizon(self):
+    def test_a_bucket_stamped_at_the_horizon_is_delivered(self):
         queue = EventQueue()
-        queue.schedule(7, "on-time")
-        assert [e.kind for e in queue.iter_until(7)] == ["on-time"]
+        queue.schedule(7, "a", 0)
+        queue.schedule(7, "a", 1)
+        queue.schedule(8, "a", 2)
+        handlers, delivered = recording_handlers("a")
+        queue.dispatch(handlers, 7)
+        assert delivered == [(7, "a", 0), (7, "a", 1)]
+        assert queued(queue) == [(8, "a", 2)]
+
+    def test_a_same_cycle_follow_up_is_delivered_in_a_bounded_call(self):
+        # A handler scheduling at the cycle it runs in opens a fresh bucket
+        # at that cycle, which the horizon-bounded call still reaches.
+        queue = EventQueue()
+        queue.schedule(4, "a", 0)
+        queue.schedule(9, "b", 1)
+
+        def follow_up(kind, payload, time):
+            if kind == "a":
+                queue.schedule(time, "b", 2)
+
+        handlers, delivered = recording_handlers("ab", follow_up)
+        queue.dispatch(handlers, 4)
+        assert delivered == [(4, "a", 0), (4, "b", 2)]
+        assert queued(queue) == [(9, "b", 1)]
+        assert queue.processed == 2
+
+    def test_a_stop_leaves_the_next_bucket_attached(self):
+        # The horizon stop detaches nothing: an event scheduled afterwards
+        # at an earlier cycle than the next bucket overtakes it.
+        queue = EventQueue()
+        queue.schedule(2, "a", 0)
+        queue.schedule(20, "a", 1)
+        handlers, delivered = recording_handlers("a")
+        queue.dispatch(handlers, 10)
+        queue.schedule(15, "a", 2)
+        queue.schedule(20, "a", 3)
+        assert queue.peek_time == 15
+        queue.dispatch(handlers)
+        assert delivered == [(2, "a", 0), (15, "a", 2), (20, "a", 1), (20, "a", 3)]
+
+    def test_empty_needs_both_the_draining_bucket_and_the_calendar_empty(self):
+        queue = EventQueue()
+        assert queue.empty
+        queue.schedule(1, "a", 0)
+        queue.schedule(1, "a", 1)
+        queue.schedule(3, "b", 2)
+        seen = []
+
+        def look(kind, payload, time):
+            seen.append((payload, queue.empty, queue.peek_time))
+
+        queue.dispatch(recording_handlers("ab", look)[0], 1)
+        # At payload 0 both halves hold events; at payload 1 only the
+        # calendar does; after the stop the draining bucket is spent.
+        assert seen == [(0, False, 1), (1, False, 3)]
+        assert not queue.empty
+        queue.pop_same_kind("b", 3)
+        assert queue.empty
+        queue.schedule(3, "a", 3)
+        queue.schedule(3, "a", 4)
+        assert queue.pop_same_kind("a", 3) == ("a", 3)
+        # Only the draining bucket holds an event now.
+        assert queued(queue) == [(3, "a", 4)]
+        assert not queue.empty
+        assert queue.peek_time == 3
 
     def test_earlier_events_scheduled_after_a_peek_still_go_first(self):
         # Regression: the calendar queue must not commit to the peeked
@@ -91,8 +148,24 @@ class TestEventQueue:
         assert queue.peek_time == 20
         assert queue.pop_same_kind("late", 0) is None  # miss at now=0
         queue.schedule(10, "early")
-        kinds = [event.kind for event in queue]
-        assert kinds == ["early", "late"]
+        handlers, delivered = recording_handlers(["early", "late"])
+        queue.dispatch(handlers)
+        assert [kind for _, kind, _ in delivered] == ["early", "late"]
+
+    def test_restore_rebuilds_the_calendar_half_of_an_export(self):
+        queue = EventQueue()
+        for time, kind in ((3, "a"), (9, "b"), (3, "b"), (9, "a")):
+            queue.schedule(time, kind, time)
+        handlers, delivered = recording_handlers("ab")
+        queue.dispatch(handlers, 3)
+        _, buckets = queue.snapshot_events()
+        twin = EventQueue()
+        twin.restore_events(queue.now, queue.processed, buckets)
+        assert (twin.now, twin.processed, twin.empty) == (3, 2, False)
+        assert queued(twin) == queued(queue) == [(9, "b", 9), (9, "a", 9)]
+        # A restored queue with nothing pending reads empty at once.
+        twin.restore_events(9, 4, [])
+        assert (twin.now, twin.processed, twin.empty, twin.peek_time) == (9, 4, True, None)
 
 
 class TestPopSameKindInterleavedKinds:
@@ -108,8 +181,9 @@ class TestPopSameKindInterleavedKinds:
         queue = EventQueue()
         for index, kind in enumerate(["a", "a", "b", "a", "b"]):
             queue.schedule(5, kind, index)
-        first = queue.pop()
-        assert (first.kind, first.payload) == ("a", 0)
+        assert queue.pop_same_kind("b", 5) is None  # the calendar head is an "a"
+        assert queue.pop_same_kind("a", 5) == ("a", 0)
+        assert (queue.now, queue.processed) == (5, 1)
         # The run of "a"s at the head drains; the first "b" stops it even
         # though more "a"s wait behind it.
         run = []
@@ -117,14 +191,13 @@ class TestPopSameKindInterleavedKinds:
             event = queue.pop_same_kind("a", 5)
             if event is None:
                 break
-            run.append(event.payload)
+            run.append(event[1])
         assert run == [1]
+        assert queue.pop_same_kind("b", 6) is None  # the head is at cycle 5
         # Delivery order of the remainder is untouched.
-        assert [(e.kind, e.payload) for e in queue] == [
-            ("b", 2),
-            ("a", 3),
-            ("b", 4),
-        ]
+        handlers, delivered = recording_handlers("ab")
+        queue.dispatch(handlers)
+        assert delivered == [(5, "b", 2), (5, "a", 3), (5, "b", 4)]
 
     def test_a_miss_is_pure(self):
         # The O(1) guarantee hinges on misses not touching queue state: no
@@ -132,14 +205,15 @@ class TestPopSameKindInterleavedKinds:
         queue = EventQueue()
         for index in range(100):
             queue.schedule(3, "a" if index % 2 else "b", index)
-        queue.pop()  # head is now ("a", 1)
-        before = (queue.now, queue.pending, queue.processed, queue.peek_time)
+        assert queue.pop_same_kind("b", 3) == ("b", 0)  # head is now ("a", 1)
+        before = (queue.now, queued(queue), queue.processed, queue.peek_time)
         for _ in range(1000):
             assert queue.pop_same_kind("b", 3) is None
-        assert (queue.now, queue.pending, queue.processed, queue.peek_time) == before
+        assert (queue.now, queued(queue), queue.processed, queue.peek_time) == before
         # And the full interleaved cycle drains every event exactly once.
-        drained = [event.payload for event in queue]
-        assert drained == list(range(1, 100))
+        handlers, delivered = recording_handlers("ab")
+        queue.dispatch(handlers)
+        assert [payload for _, _, payload in delivered] == list(range(1, 100))
 
     def test_interleaved_kinds_drain_in_linear_operation_count(self):
         # 2000 same-cycle events of alternating kinds: the alternating-popper
@@ -154,7 +228,7 @@ class TestPopSameKindInterleavedKinds:
             queue.schedule(1, "a" if index % 2 else "b", index)
         delivered = 0
         operations = 0
-        while not queue.empty:
+        while not queue.empty and operations <= 2 * total:
             for kind in ("a", "b"):
                 event = queue.pop_same_kind(kind, 1)
                 operations += 1

@@ -1017,6 +1017,16 @@ def _free_a_valid_entry(memory):
     memory["free"].append(memory["valid"].index(True))
 
 
+def _queue_an_empty_bucket(state):
+    """Append a bucket that holds no event: capture never writes one, and
+    delivery reads the first event of every bucket it detaches."""
+    buckets = state["queue"]["buckets"]
+    buckets.append([buckets[-1][0] + 5, []])
+
+
+_EMPTY_BUCKET = r"state\.queue\.buckets\[\d+\]\[1\] holds 0 entries, not at least 1"
+
+
 class TestForgedConsistency:
     """Known tasks and workers in the wrong place: each layer's state is
     checked against the others before the session exists."""
@@ -1062,6 +1072,9 @@ class TestForgedConsistency:
                 lambda state: _free_a_valid_entry(state["accel"]["dct"][0]["vm"]),
                 "DCT 0's VM free list is not its invalid entries",
             ),
+            ("hil-full", _queue_an_empty_bucket, _EMPTY_BUCKET),
+            ("hil-hw", _queue_an_empty_bucket, _EMPTY_BUCKET),
+            ("nanos", _queue_an_empty_bucket, _EMPTY_BUCKET),
             ("nanos", lambda state: state.update(finished=3), "finished is not the"),
             ("nanos", lambda state: state.update(ready_pool=[19]), "not distinct submitted tasks"),
             (
@@ -1081,6 +1094,9 @@ class TestForgedConsistency:
             "worker-done-of-another-worker",
             "tm-free-list-names-a-valid-entry",
             "vm-free-list-names-a-valid-entry",
+            "empty-queue-bucket-hil-full",
+            "empty-queue-bucket-hil-hw",
+            "empty-queue-bucket-nanos",
             "nanos-finished",
             "nanos-ready-not-submitted",
             "nanos-remaining-preds",

@@ -11,7 +11,6 @@ direct-hash DM designs conflict (Section III-C and Table II).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.runtime.task import TaskProgram
 
@@ -88,8 +87,3 @@ def scale_durations_to_mean(program: TaskProgram, target_mean: float) -> TaskPro
         task.duration = max(1, int(round(task.duration * factor)))
     program._graph = None  # a memoized dependence graph holds the old durations
     return program
-
-
-def total_relative_work(durations: Iterable[int]) -> int:
-    """Sum of relative work units (used by generator unit tests)."""
-    return sum(durations)

@@ -207,11 +207,6 @@ def benchmark_names() -> Tuple[str, ...]:
     return tuple(PAPER_BENCHMARKS)
 
 
-def registered_block_sizes(benchmark: str) -> Tuple[int, ...]:
-    """Block sizes of one benchmark, coarse to fine (Table I order)."""
-    return _spec(benchmark).block_sizes
-
-
 def table1_reference(benchmark: str, block_size: int) -> Table1Row:
     """The Table I row for one benchmark / block-size pair."""
     spec = _spec(benchmark)

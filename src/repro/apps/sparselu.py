@@ -102,11 +102,6 @@ def sparselu_program(
     return program
 
 
-def sparselu_task_count(problem_size: int, block_size: int) -> int:
-    """Number of tasks the sparse LU creates for this blocking."""
-    return sparselu_program(problem_size, block_size).num_tasks
-
-
 def density(nb: int) -> float:
     """Initial fraction of non-null blocks (diagnostic helper)."""
     return len(initial_structure(nb)) / float(nb * nb)

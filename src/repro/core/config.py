@@ -127,9 +127,6 @@ class PicosConfig:
     #: and status-register initialisation); calibrated from the L1st rows of
     #: Table IV.
     hil_startup_cycles: int = 880
-    #: Messages exchanged per task in the closed-loop modes (new task in,
-    #: ready task out, finished task in).
-    comm_messages_per_task: int = 3
     #: Nanos++ task-creation cost on the ARM core in full-system mode.
     nanos_creation_cycles: int = 1990
     #: Nanos++ submission cost of the first dependence in full-system mode.

@@ -51,15 +51,6 @@ class StallReason(enum.Enum):
     TM_FULL = "tm-full"
 
 
-class DctStall(Exception):
-    """Raised when a new dependence cannot be stored right now."""
-
-    def __init__(self, reason: StallReason, address: int) -> None:
-        super().__init__(f"DCT stall ({reason.value}) on address {address:#x}")
-        self.reason = reason
-        self.address = address
-
-
 class DependenceChainTracker:
     """One DCT instance: DM + VM plus the chain-tracking control logic."""
 

@@ -31,26 +31,18 @@ handle (or ``-1`` on a miss) instead of allocating a result object, and
 the tag scan runs through ``list.index`` at C speed.  Released ways reset
 their tag to ``-1`` so a stale tag can never alias a live address; the
 invariant ``valid[h] <=> tag[h] != -1`` is what makes the tag scan
-equivalent to the hardware's valid-qualified compare.
+equivalent to the hardware's valid-qualified compare.  A miss is stored
+by ``DependenceChainTracker.process_batch``, which writes the lowest free
+way's columns inline (the *New DM address* of Figure 4); this class keeps
+the compare, the set-full test and the release.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.config import DMDesign
 from repro.core.hashing import make_index_function
-
-
-class DependenceMemoryConflict(RuntimeError):
-    """Raised when a new address cannot be stored because its set is full."""
-
-    def __init__(self, address: int, set_index: int) -> None:
-        super().__init__(
-            f"DM conflict: address {address:#x} maps to full set {set_index}"
-        )
-        self.address = address
-        self.set_index = set_index
 
 
 class DependenceMemory:
@@ -61,7 +53,7 @@ class DependenceMemory:
         "_latest_vm_index", "_live_versions", "_occupied", "_index_of",
     )
 
-    def __init__(self, design: DMDesign, num_sets: int = 64) -> None:
+    def __init__(self, design: DMDesign, num_sets: int) -> None:
         if num_sets < 1:
             raise ValueError("DM needs at least one set")
         self.design = design
@@ -90,11 +82,6 @@ class DependenceMemory:
     # status
     # ------------------------------------------------------------------
     @property
-    def capacity(self) -> int:
-        """Total number of addresses the DM can hold."""
-        return self.num_sets * self.ways_per_set
-
-    @property
     def occupied(self) -> int:
         """Number of valid ways (distinct live addresses)."""
         return self._occupied
@@ -105,7 +92,7 @@ class DependenceMemory:
         return False not in self._valid[base : base + self.ways_per_set]
 
     # ------------------------------------------------------------------
-    # compare / allocate / release
+    # compare / release
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> int:
         """DM compare: the way handle holding ``address``, or ``-1``.
@@ -120,33 +107,6 @@ class DependenceMemory:
         except ValueError:
             return -1
 
-    def allocate(self, address: int, input_only: bool) -> int:
-        """Store a new address in its set (the *New DM address* of Figure 4).
-
-        Returns the way handle used.  Raises
-        :class:`DependenceMemoryConflict` when the set has no free way.
-        """
-        set_index = self._index_of(address)
-        base = set_index * self.ways_per_set
-        try:
-            handle = self._valid.index(False, base, base + self.ways_per_set)
-        except ValueError:
-            raise DependenceMemoryConflict(address, set_index) from None
-        self._valid[handle] = True
-        self._tag[handle] = address
-        self._input_only[handle] = input_only
-        self._latest_vm_index[handle] = -1
-        self._live_versions[handle] = 0
-        self._occupied += 1
-        return handle
-
-    def release(self, address: int) -> None:
-        """Invalidate the way holding ``address`` (all versions finished)."""
-        handle = self.lookup(address)
-        if handle < 0:
-            raise KeyError(f"address {address:#x} is not stored in the DM")
-        self.release_handle(handle)
-
     def release_handle(self, handle: int) -> None:
         """Invalidate the way at ``handle`` directly (already matched).
 
@@ -158,29 +118,3 @@ class DependenceMemory:
         self._latest_vm_index[handle] = -1
         self._live_versions[handle] = 0
         self._occupied -= 1
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def live_addresses(self) -> List[int]:
-        """Every address currently stored (order: set, then way priority)."""
-        valid = self._valid
-        tag = self._tag
-        return [tag[h] for h in range(len(valid)) if valid[h]]
-
-    def set_occupancy_histogram(self) -> Dict[int, int]:
-        """Mapping of set index to the number of valid ways it holds.
-
-        This is the quantity that distinguishes the direct-hash designs from
-        the Pearson design for block-aligned address streams: with the direct
-        hash nearly every address lands in a handful of sets.
-        """
-        histogram: Dict[int, int] = {}
-        ways = self.ways_per_set
-        valid = self._valid
-        for set_index in range(self.num_sets):
-            base = set_index * ways
-            count = sum(valid[base : base + ways])
-            if count:
-                histogram[set_index] = count
-        return histogram

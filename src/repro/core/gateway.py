@@ -149,8 +149,9 @@ class Gateway:
         self._single_trs = trs_instances[0] if len(self.trs_instances) == 1 else None
         self._max_deps = config.max_deps_per_task
         self._pending: Optional[PendingSubmission] = None
-        #: task_id -> (trs_id, tm_index) for in-flight tasks, so finished
-        #: notifications can be routed without a search.
+        #: task_id -> (trs_id, tm_index) for in-flight tasks: the model's one
+        #: task-id map.  Finished notifications are routed through it without
+        #: a search, and a task id it holds is refused at submission.
         self._slot_of_task: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -177,7 +178,9 @@ class Gateway:
         """Process a new task (N1-N6).
 
         Only one submission can be in flight at a time (the GW is in-order);
-        a stalled submission must be resumed before the next task enters.
+        a stalled submission must be resumed before the next task enters.  A
+        task whose id is already in flight in any TRS is refused with
+        :class:`ValueError` before any state changes.
         """
         if self._pending is not None:
             raise RuntimeError(
@@ -188,6 +191,8 @@ class Gateway:
                 f"task {task.task_id} carries {task.num_dependences} dependences; "
                 f"the TMX supports at most {self._max_deps}"
             )
+        if task.task_id in self._slot_of_task:
+            raise ValueError(f"task {task.task_id} is already in flight")
         if self._single_trs is not None:
             trs_id: Optional[int] = 0 if self._single_trs.has_free_slot else None
         else:
@@ -322,10 +327,6 @@ class Gateway:
             raise KeyError(f"task {task_id} is not in flight")
         trs_id, tm_index = self._slot_of_task.pop(task_id)
         return self.trs_instances[trs_id].handle_finished(task_id, tm_index)
-
-    def slot_of(self, task_id: int) -> Tuple[int, int]:
-        """(TRS id, TM index) of an in-flight task."""
-        return self._slot_of_task[task_id]
 
     # ------------------------------------------------------------------
     # routing helpers

@@ -27,7 +27,7 @@ task.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.runtime.task import Direction
 
@@ -43,7 +43,6 @@ class TaskMemory:
         "entries", "max_deps_per_task", "_valid", "_task_id", "_num_deps",
         "_ready_deps", "_dep_count", "_slot_address", "_slot_vm_index",
         "_slot_ready", "_slot_predecessor", "_slot_is_producer", "_free",
-        "_by_task_id",
     )
 
     def __init__(self, entries: int = 256, max_deps_per_task: int = 15) -> None:
@@ -69,7 +68,6 @@ class TaskMemory:
         self._slot_predecessor: List[int] = [-1] * total
         self._slot_is_producer: List[bool] = [False] * total
         self._free: List[int] = list(range(entries - 1, -1, -1))
-        self._by_task_id: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # status
@@ -83,10 +81,6 @@ class TaskMemory:
     def full(self) -> bool:
         """``True`` when a New Entry Request would fail."""
         return not self._free
-
-    def has_task(self, task_id: int) -> bool:
-        """Whether ``task_id`` is currently in flight in this TM."""
-        return task_id in self._by_task_id
 
     # ------------------------------------------------------------------
     # New Entry Request / Finished Entry Request
@@ -104,8 +98,6 @@ class TaskMemory:
                 f"task {task_id} has {num_deps} dependences; the TMX holds at "
                 f"most {self.max_deps_per_task}"
             )
-        if task_id in self._by_task_id:
-            raise ValueError(f"task {task_id} is already in flight")
         if not self._free:
             raise TaskMemoryFullError("no free TM entry")
         tm_index = self._free.pop()
@@ -114,14 +106,12 @@ class TaskMemory:
         self._num_deps[tm_index] = num_deps
         self._ready_deps[tm_index] = 0
         self._dep_count[tm_index] = 0
-        self._by_task_id[task_id] = tm_index
         return tm_index
 
     def release(self, tm_index: int) -> None:
         """Recycle a TM entry after its task retired (Finished Entry Request)."""
         if not self._valid[tm_index]:
             raise KeyError(f"TM entry {tm_index} is not occupied")
-        del self._by_task_id[self._task_id[tm_index]]
         self._valid[tm_index] = False
         self._free.append(tm_index)
 
@@ -132,12 +122,6 @@ class TaskMemory:
         """Raise the canonical diagnostic when ``tm_index`` is free."""
         if not self._valid[tm_index]:
             raise KeyError(f"TM entry {tm_index} is not occupied")
-
-    def tm_index_for_task(self, task_id: int) -> int:
-        """TM entry currently holding ``task_id``."""
-        if task_id not in self._by_task_id:
-            raise KeyError(f"task {task_id} is not in flight")
-        return self._by_task_id[task_id]
 
     def add_dependence_slots(
         self, tm_index: int, dependences: Sequence, start: int, end: int
@@ -183,9 +167,3 @@ class TaskMemory:
         """
         self.check_occupied(tm_index)
         self._dep_count[tm_index] -= count
-
-    def in_flight_task_ids(self) -> List[int]:
-        """Identifiers of every task currently stored, in TM-index order."""
-        valid = self._valid
-        task_id = self._task_id
-        return [task_id[i] for i in range(self.entries) if valid[i]]

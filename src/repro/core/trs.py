@@ -212,14 +212,3 @@ class TaskReservationStation:
         tm.release(tm_index)
         self.stats.tasks_retired += 1
         return range(first, first + count), vm_indices, addresses
-
-    # ------------------------------------------------------------------
-    # lookup helpers used by the Gateway
-    # ------------------------------------------------------------------
-    def tm_index_of(self, task_id: int) -> int:
-        """TM entry currently holding ``task_id``."""
-        return self.task_memory.tm_index_for_task(task_id)
-
-    def holds_task(self, task_id: int) -> bool:
-        """Whether ``task_id`` is in flight in this TRS."""
-        return self.task_memory.has_task(task_id)

@@ -24,16 +24,14 @@ meaning *none* (see ``docs/datapath.md``); each entry also caches the DM
 way handle of its address so the finish path retires versions without
 re-scanning the DM set.  The free list is kept as ``range(entries-1, -1,
 -1)`` popped from the end, so a cold VM hands out entries 0, 1, 2, ...
-in order, and a released entry is the next one reused.
+in order, and a released entry is the next one reused.  New versions are
+written inline by ``DependenceChainTracker.process_batch``; this class
+keeps the occupancy and the release.
 """
 
 from __future__ import annotations
 
 from typing import List
-
-
-class VersionMemoryFullError(RuntimeError):
-    """Raised when a new version is needed but every VM entry is occupied."""
 
 
 class VersionMemory:
@@ -78,48 +76,11 @@ class VersionMemory:
         return not self._free
 
     # ------------------------------------------------------------------
-    # allocation / recycling
+    # recycling
     # ------------------------------------------------------------------
-    def allocate(self, address: int) -> int:
-        """Allocate a VM entry for a new version of ``address``.
-
-        Returns the VM index; every field of the entry is reset so a
-        recycled slot can never leak stale chain state.
-        """
-        if not self._free:
-            raise VersionMemoryFullError("no free VM entry")
-        vm_index = self._free.pop()
-        self._valid[vm_index] = True
-        self._address[vm_index] = address
-        self._producer[vm_index] = -1
-        self._producer_finished[vm_index] = False
-        self._last_consumer[vm_index] = -1
-        self._consumers_arrived[vm_index] = 0
-        self._consumers_finished[vm_index] = 0
-        self._next_version[vm_index] = -1
-        self._dm_handle[vm_index] = -1
-        return vm_index
-
     def release(self, vm_index: int) -> None:
         """Recycle a VM entry once its version is complete and woken."""
         if not self._valid[vm_index]:
             raise KeyError(f"VM entry {vm_index} is not occupied")
         self._valid[vm_index] = False
         self._free.append(vm_index)
-
-    # ------------------------------------------------------------------
-    # access
-    # ------------------------------------------------------------------
-    def is_occupied(self, vm_index: int) -> bool:
-        """Whether ``vm_index`` currently holds a live version."""
-        return self._valid[vm_index]
-
-    def live_versions_of(self, address: int) -> List[int]:
-        """Occupied VM indices holding versions of ``address``."""
-        valid = self._valid
-        addresses = self._address
-        return [
-            index
-            for index in range(self.entries)
-            if valid[index] and addresses[index] == address
-        ]

@@ -259,6 +259,16 @@ class EngineStepper:
         sim.step(target)
         self._horizon = target
         done = queue.empty
+        if not done:
+            # A step delivers every event up to its horizon, so an
+            # unfinished run must hold one past it; otherwise the drain
+            # loops of the session would slice forever.
+            peek = queue.peek_time
+            if peek is None or peek <= target:
+                raise RuntimeError(
+                    f"the simulator stalled at cycle {target}: its queue is not "
+                    f"empty but holds no event past the horizon (next: {peek})"
+                )
         self.finished = done
         log = self._log
         if done:

@@ -710,9 +710,6 @@ def _restore_tm(tm: Any, document: Dict[str, Any]) -> None:
         getattr(tm, f"_{key}")[:] = document[key]
     for key in ("address", "vm_index", "ready", "predecessor", "is_producer"):
         getattr(tm, f"_slot_{key}")[:] = document[f"slot_{key}"]
-    tm._by_task_id = dict(
-        itertools.compress(zip(document["task_id"], range(tm.entries)), document["valid"])
-    )
 
 
 # ----------------------------------------------------------------------

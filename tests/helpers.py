@@ -1,4 +1,4 @@
-"""Importable program-building and run helpers shared by the test suite.
+"""Importable program-building, run and DCT-driving helpers shared by the test suite.
 
 These used to live in ``tests/conftest.py``, but ``conftest`` is not a
 reliably importable module name: when the benchmark harness is collected in
@@ -13,6 +13,7 @@ import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import DMDesign, PicosConfig
+from repro.core.dct import DependenceChainTracker
 from repro.core.picos import PicosAccelerator
 from repro.core.scheduler import TaskScheduler
 from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
@@ -25,6 +26,40 @@ from repro.sim.request import SimulationRequest
 from repro.sim.results import SimulationResult
 from repro.sim.session import SimulationSession, open_session
 from repro.sim.snapshot import KIND_MID_RUN, capture, restore
+
+
+#: Direct-hash aliases: every ``ALIAS + i * STRIDE`` lands in DM set 0.
+ALIAS, STRIDE = 0x4000_0000, 512 * 1024
+
+
+def slot(tm_index: int, dep_index: int = 0) -> int:
+    """The packed slot handle of TRS 0 under the default geometry."""
+    return tm_index * PicosConfig().max_deps_per_task + dep_index
+
+
+def way8(**fields: Any) -> DependenceChainTracker:
+    """A DCT on a direct-hash 8-way DM; ``fields`` set the rest of its config."""
+    return DependenceChainTracker(0, PicosConfig(dm_design=DMDesign.WAY8, **fields))
+
+
+def store(
+    dct: DependenceChainTracker,
+    tm_index: int,
+    address: int,
+    direction: Direction = Direction.OUT,
+) -> Any:
+    """Store one dependence through ``process_batch``, as a run does: its
+    ``(ready, vm_index, predecessor)`` triple, or the stall reason."""
+    outcomes, stall = dct.process_batch(
+        [slot(tm_index)], [Dependence(address, direction)], 0, 1
+    )
+    return outcomes[0] if outcomes else stall
+
+
+def finish(dct: DependenceChainTracker, tm_index: int, vm_index: int) -> List[Tuple[int, int]]:
+    """Finish one dependence through ``process_finish_run``: the
+    ``(slot, vm_index)`` wake-ups it causes."""
+    return dct.process_finish_run([slot(tm_index)], [vm_index], 0, 1)
 
 
 def make_task(

@@ -15,31 +15,9 @@ from repro.core.config import DMDesign, PicosConfig
 from repro.core.dct import DependenceChainTracker, StallReason
 from repro.runtime.task import Dependence, Direction
 
+from tests.helpers import ALIAS, STRIDE, finish, slot, store, way8
+
 A, B = 0x1000, 0x2000
-#: Direct-hash aliases: every ``ALIAS + i * STRIDE`` lands in DM set 0.
-ALIAS, STRIDE = 0x4000_0000, 512 * 1024
-
-
-def slot(tm_index: int, dep_index: int = 0) -> int:
-    """The packed slot handle of TRS 0 under the default geometry."""
-    return tm_index * PicosConfig().max_deps_per_task + dep_index
-
-
-def store(dct: DependenceChainTracker, tm_index: int, address: int, direction: Direction):
-    """Store one dependence: its outcome triple, or the stall reason."""
-    outcomes, stall = dct.process_batch(
-        [slot(tm_index)], [Dependence(address, direction)], 0, 1
-    )
-    return outcomes[0] if outcomes else stall
-
-
-def finish(dct: DependenceChainTracker, tm_index: int, vm_index: int):
-    """Finish one dependence: the wake-ups it causes."""
-    return dct.process_finish_run([slot(tm_index)], [vm_index], 0, 1)
-
-
-def way8() -> DependenceChainTracker:
-    return DependenceChainTracker(0, PicosConfig.paper_prototype(DMDesign.WAY8))
 
 
 def fill_set_zero(dct: DependenceChainTracker, direction: Direction = Direction.IN):
@@ -102,6 +80,28 @@ class TestNewDependencePath:
         assert dct.dm.occupied == 2
         assert dct.dm.lookup(A) != dct.dm.lookup(B)
 
+    def test_one_batch_answers_each_dependence_in_order(self, dct):
+        deps = [
+            Dependence(A, Direction.OUT),  # new address: ready producer
+            Dependence(A, Direction.IN),  # reader of a live version: dependent
+            Dependence(B, Direction.IN),  # new input-only address: ready
+        ]
+        outcomes, stall = dct.process_batch([slot(0), slot(0, 1), slot(0, 2)], deps, 0, 3)
+        assert stall is None
+        (ready, writer, predecessor), reader, fresh = outcomes
+        assert (ready, predecessor) == (True, -1)
+        assert reader == (False, writer, -1)
+        assert fresh[0] and fresh[1] != writer
+
+    def test_second_reader_chains_to_the_first(self, dct):
+        # Within one batch too, each reader links to the reader before it.
+        deps = [Dependence(A, Direction.OUT)] + [Dependence(A, Direction.IN)] * 2
+        outcomes, _ = dct.process_batch([slot(0), slot(1), slot(2)], deps, 0, 3)
+        version = outcomes[0][1]
+        assert outcomes[1:] == [(False, version, -1), (False, version, slot(1))]
+        assert dct.vm._last_consumer[version] == slot(2)
+        assert dct.vm._consumers_arrived[version] == 2
+
     def test_stats_count_ready_and_dependent(self, dct):
         store(dct, 0, A, Direction.OUT)
         store(dct, 1, A, Direction.IN)
@@ -111,11 +111,20 @@ class TestNewDependencePath:
 
 
 class TestStalls:
-    def test_dm_conflict_stall(self):
-        dct = way8()
-        fill_set_zero(dct)
-        assert store(dct, 8, ALIAS + 8 * STRIDE, Direction.IN) is StallReason.DM_CONFLICT
+    @pytest.mark.parametrize(
+        "design, ways", [(DMDesign.WAY8, 8), (DMDesign.WAY16, 16)], ids=["8-way", "16-way"]
+    )
+    def test_dm_conflict_stall(self, design, ways):
+        # Aligned addresses all hash to direct set 0, which holds ``ways``.
+        dct = DependenceChainTracker(0, PicosConfig.paper_prototype(design))
+        for i in range(ways):
+            assert store(dct, i, ALIAS + i * STRIDE, Direction.IN)[0]
+        assert dct.dm.set_is_full(0)
+        newcomer = ALIAS + ways * STRIDE
+        assert store(dct, ways, newcomer, Direction.IN) is StallReason.DM_CONFLICT
         assert dct.stats.dm_conflicts == 1
+        assert dct.dm.occupied == ways and dct.vm.occupied == ways
+        assert dct.dm.lookup(newcomer) == -1
 
     def test_conflict_counted_once_per_blocked_address(self):
         dct = way8()
@@ -139,6 +148,15 @@ class TestStalls:
         assert dct.can_accept(address, Direction.OUT)
         assert store(dct, 1, address, Direction.OUT)[0]
         assert dct.stats.vm_full_stalls == 2
+
+    def test_conflict_stalls_mid_batch(self):
+        dct = way8()
+        fill_set_zero(dct, Direction.OUT)
+        batch = [Dependence(ALIAS, Direction.IN), Dependence(ALIAS + 8 * STRIDE, Direction.OUT)]
+        outcomes, stall = dct.process_batch([slot(8), slot(8, 1)], batch, 0, 2)
+        assert stall is StallReason.DM_CONFLICT
+        assert len(outcomes) == 1  # the hit before the conflict was stored
+        assert dct.stats.dm_conflicts == 1
 
     def test_can_accept_reflects_capacity(self):
         dct = way8()
@@ -167,7 +185,7 @@ class TestFinishPath:
     def test_producer_finish_without_consumers_retires_version(self, dct):
         _, vm_index, _ = store(dct, 0, A, Direction.OUT)
         assert finish(dct, 0, vm_index) == []
-        assert not dct.vm.is_occupied(vm_index)
+        assert not dct.vm._valid[vm_index]
         assert dct.dm.lookup(A) == -1
         assert dct.is_idle()
 
@@ -175,7 +193,7 @@ class TestFinishPath:
         _, first, _ = store(dct, 0, A, Direction.INOUT)
         _, second, _ = store(dct, 1, A, Direction.INOUT)
         assert finish(dct, 0, first) == [(slot(1), second)]
-        assert not dct.vm.is_occupied(first)
+        assert not dct.vm._valid[first]
         assert dct.dm.lookup(A) >= 0  # the second version is still live
         assert finish(dct, 1, second) == []
         assert dct.dm.lookup(A) == -1
@@ -197,19 +215,35 @@ class TestFinishPath:
         _, vm_index, _ = store(dct, 0, A, Direction.IN)
         store(dct, 1, A, Direction.IN)
         assert finish(dct, 0, vm_index) == []
-        assert dct.vm.is_occupied(vm_index)
+        assert dct.vm._valid[vm_index]
         assert finish(dct, 1, vm_index) == []
-        assert not dct.vm.is_occupied(vm_index)
+        assert not dct.vm._valid[vm_index]
         assert dct.dm.lookup(A) == -1
 
-    def test_finish_frees_dm_way_for_conflicting_address(self):
-        dct = way8()
-        outcomes = fill_set_zero(dct)
-        blocked = ALIAS + 8 * STRIDE
-        assert store(dct, 8, blocked, Direction.IN) is StallReason.DM_CONFLICT
-        finish(dct, 0, outcomes[0][1])
-        assert dct.can_accept(blocked, Direction.IN)
-        assert store(dct, 8, blocked, Direction.IN)[0]
+    def test_finish_run_wakes_the_chain_and_recycles(self, dct):
+        # One run carries every dependence of a finishing task: the
+        # wake-ups come back in run order, one per completed step.
+        writes = [Dependence(A, Direction.OUT), Dependence(B, Direction.OUT)]
+        outcomes, _ = dct.process_batch([slot(0), slot(0, 1)], writes, 0, 2)
+        (_, version_a, _), (_, version_b, _) = outcomes
+        store(dct, 1, B, Direction.IN)
+        _, next_a, _ = store(dct, 2, A, Direction.INOUT)
+        wakeups = dct.process_finish_run([slot(0), slot(0, 1)], [version_a, version_b], 0, 2)
+        assert wakeups == [(slot(2), next_a), (slot(1), version_b)]
+        assert not dct.vm._valid[version_a] and dct.vm._valid[version_b]
+        assert dct.stats.finish_packets == 2
+        assert finish(dct, 1, version_b) == []
+        assert dct.dm.lookup(B) == -1
+        assert finish(dct, 2, next_a) == []
+        assert dct.is_idle()
+
+    def test_finish_of_a_retired_version_raises(self, dct):
+        _, vm_index, _ = store(dct, 0, A, Direction.OUT)
+        finish(dct, 0, vm_index)
+        with pytest.raises(KeyError, match=f"VM entry {vm_index} is not occupied"):
+            finish(dct, 0, vm_index)
+        assert dct.stats.finish_packets == 1
+        assert dct.is_idle()
 
     def test_recycled_slot_does_not_alias_finished_producer(self, dct):
         """A consumer reusing the producer's TRS slot must not be mistaken
@@ -224,7 +258,7 @@ class TestFinishPath:
         finish(dct, 0, late)
         # Counted as a consumer, not as the producer finishing again.
         assert dct.vm._consumers_finished[late] == 1
-        assert dct.vm.is_occupied(late)
+        assert dct.vm._valid[late]
 
 
 class TestWatermarks:

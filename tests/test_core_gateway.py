@@ -62,9 +62,39 @@ class TestSubmission:
     def test_slot_tracking(self):
         gateway, _, _ = build_gateway(PicosConfig())
         gateway.submit(task(0))
-        trs_id, tm_index = gateway.slot_of(0)
+        trs_id, tm_index = gateway._slot_of_task[0]
         assert trs_id == 0
         assert gateway.in_flight_tasks() == 1
+
+    def test_duplicate_task_id_rejected(self):
+        # Refused before a TRS is chosen: the round-robin does not move.
+        gateway, trs, _ = build_gateway(PicosConfig(num_trs=2, num_dct=2))
+        gateway.submit(task(0, [(A, Direction.OUT)]))
+        with pytest.raises(ValueError, match="task 0 is already in flight"):
+            gateway.submit(task(0, [(B, Direction.OUT)]))
+        assert not gateway.has_pending_submission
+        gateway.submit(task(1))
+        assert gateway._slot_of_task[1][0] == 1
+        assert [station.in_flight for station in trs] == [1, 1]
+
+    def test_a_retired_task_id_is_accepted_again(self):
+        gateway, _, _ = build_gateway(PicosConfig(num_trs=2, num_dct=2))
+        gateway.submit(task(0))
+        gateway.submit(task(1))
+        gateway.notify_finished(0)
+        assert 0 not in gateway._slot_of_task
+        assert gateway.submit(task(0)).status is GatewayStatus.ACCEPTED
+        assert sorted(gateway._slot_of_task) == [0, 1]
+
+    def test_in_flight_listing(self):
+        # The one task-id map names the TRS and TM entry that hold each task.
+        gateway, trs, _ = build_gateway(PicosConfig(num_trs=2, num_dct=2))
+        for task_id in (10, 20, 30):
+            gateway.submit(task(task_id))
+        assert gateway.in_flight_tasks() == 3
+        for task_id, (trs_id, tm_index) in gateway._slot_of_task.items():
+            assert trs[trs_id].task_memory._task_id[tm_index] == task_id
+            assert trs[trs_id].task_memory._valid[tm_index]
 
 
 class TestTmFullStall:
@@ -123,6 +153,25 @@ class TestConflictStallAndResume:
         assert result.retries == 1
         assert [p.task_id for p in result.execute] == [8]
 
+    def test_a_stored_dependence_of_a_stalled_task_can_be_woken(self):
+        # Only the slots past the last stored dependence are dropped, so a
+        # wake-up of a stored one reaches its TMX slot mid-stall.
+        gateway, trs, dct = build_gateway(PicosConfig.paper_prototype(DMDesign.WAY8))
+        self._fill_set_zero(gateway)
+        stride = 512 * 1024
+        blocked = task(8, [(0x4000_0000, Direction.IN), (0x4000_0000 + 8 * stride, Direction.OUT)])
+        assert gateway.submit(blocked).status is GatewayStatus.STALLED
+        slots, vm_indices, _ = gateway.notify_finished(0)
+        wakeups = dct[0].process_finish_run(slots, vm_indices, 0, len(slots))
+        assert len(wakeups) == 1
+        slot, vm_index = wakeups[0]
+        assert trs[0].handle_ready_slot(slot, vm_index) == (None, -1)
+        slots, vm_indices, _ = gateway.notify_finished(1)  # frees a way in set 0
+        dct[0].process_finish_run(slots, vm_indices, 0, len(slots))
+        resumed = gateway.resume()
+        assert resumed.status is GatewayStatus.ACCEPTED
+        assert [p.task_id for p in resumed.execute] == [8]
+
     def test_resume_without_pending_raises(self):
         gateway, _, _ = build_gateway(PicosConfig())
         with pytest.raises(RuntimeError):
@@ -172,6 +221,20 @@ class TestMultiInstanceRouting:
         assert trs[0].in_flight == 2
         assert trs[1].in_flight == 2
 
+    def test_round_robin_skips_a_full_trs_in_rotation_order(self):
+        # Three one-entry TRSs: with two, a step of +1 and of -1 agree.
+        gateway, trs, _ = build_gateway(PicosConfig(num_trs=3, num_dct=1, tm_entries=1))
+        for task_id in range(3):
+            gateway.submit(task(task_id))
+        assert [gateway._slot_of_task[i][0] for i in range(3)] == [0, 1, 2]
+        gateway.notify_finished(1)
+        gateway.notify_finished(2)
+        # TRS 0 is next but full: the rotation moves on to TRS 1, then 2.
+        gateway.submit(task(3))
+        gateway.submit(task(4))
+        assert [gateway._slot_of_task[i][0] for i in (3, 4)] == [1, 2]
+        assert [station.in_flight for station in trs] == [1, 1, 1]
+
     def test_dependences_distributed_over_dcts(self):
         config = PicosConfig(num_trs=1, num_dct=2)
         gateway, _, dcts = build_gateway(config)
@@ -217,3 +280,30 @@ class TestMultiInstanceRouting:
         assert result.dependences_dispatched == 1
         assert gateway.pending_submission.next_dep_index == 1
         assert dcts[0].dm.occupied == ways
+
+    def test_a_stall_in_a_later_run_keeps_the_earlier_runs_slots(self):
+        # Task 99's first dependence runs on DCT 1 and is stored; its second
+        # starts a run on DCT 0 and stalls.  Only that run's unstored slots
+        # are dropped, so a wake-up of the first still finds its slot.
+        config = PicosConfig(num_trs=1, num_dct=2, dm_sets=1)
+        gateway, trs, dcts = build_gateway(config)
+        addresses = [0x5000_0000 + i * 0x10_0000 for i in range(64)]
+        bank0 = [a for a in addresses if gateway.arbiter.dct_index_for(a) == 0]
+        bank1 = [a for a in addresses if gateway.arbiter.dct_index_for(a) == 1]
+        ways = config.dm_ways
+        gateway.submit(task(0, [(bank1[0], Direction.OUT)]))
+        for task_id, address in enumerate(bank0[:ways], start=1):
+            gateway.submit(task(task_id, [(address, Direction.IN)]))
+        result = gateway.submit(
+            task(99, [(bank1[0], Direction.IN), (bank0[ways], Direction.IN)])
+        )
+        assert result.status is GatewayStatus.STALLED
+        assert gateway.pending_submission.next_dep_index == 1
+        slots, vm_indices, _ = gateway.notify_finished(0)
+        (wakeup,) = dcts[1].process_finish_run(slots, vm_indices, 0, len(slots))
+        assert trs[0].handle_ready_slot(*wakeup) == (None, -1)
+        slots, vm_indices, _ = gateway.notify_finished(1)  # frees DCT 0's way
+        dcts[0].process_finish_run(slots, vm_indices, 0, len(slots))
+        resumed = gateway.resume()
+        assert resumed.status is GatewayStatus.ACCEPTED
+        assert [p.task_id for p in resumed.execute] == [99]

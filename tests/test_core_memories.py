@@ -2,31 +2,50 @@
 
 Each memory is a set of parallel flat columns addressed by an integer
 index (the TM entry, the VM index, the DM way handle ``set * ways +
-way``), with ``-1`` for *none*; see ``docs/datapath.md``.
+way``), with ``-1`` for *none*; see ``docs/datapath.md``.  The DM and the
+VM are driven the way a run drives them: a DCT's ``process_batch`` stores
+a dependence (a DM miss writes a way and a version inline) and
+``process_finish_run`` retires it.  The tests read the columns, ``lookup``
+and ``occupied``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DMDesign
-from repro.core.dependence_memory import DependenceMemory, DependenceMemoryConflict
+from repro.core.config import DMDesign, PicosConfig
+from repro.core.dct import DependenceChainTracker, StallReason
+from repro.core.dependence_memory import DependenceMemory
 from repro.core.task_memory import TaskMemory, TaskMemoryFullError
-from repro.core.version_memory import VersionMemory, VersionMemoryFullError
+from repro.core.version_memory import VersionMemory
 from repro.runtime.task import Dependence, Direction
 
-#: Direct-hash aliases: every ``ALIAS + i * STRIDE`` lands in DM set 0.
-ALIAS, STRIDE = 0x4000_0000, 512 * 1024
+from tests.helpers import ALIAS, STRIDE, finish, slot, store, way8
 
 
 class TestTaskMemory:
-    def test_allocate_and_lookup(self):
+    def test_allocate_and_release(self):
         memory = TaskMemory(entries=4, max_deps_per_task=3)
         tm_index = memory.allocate(task_id=7, num_deps=2)
         assert memory.occupied == 1
-        assert memory.has_task(7)
-        assert memory.tm_index_for_task(7) == tm_index
-        assert memory.in_flight_task_ids() == [7]
+        assert memory._valid[tm_index] and memory._task_id[tm_index] == 7
+        assert memory._num_deps[tm_index] == 2
+        memory.release(tm_index)
+        assert memory.occupied == 0
+        assert not memory._valid[tm_index]
+
+    def test_allocate_and_lookup(self):
+        # A New Entry Request writes every TM0 field: an entry recycled
+        # from a task with ready, recorded dependences starts with none.
+        memory = TaskMemory(entries=1, max_deps_per_task=3)
+        tm_index = memory.allocate(task_id=7, num_deps=2)
+        memory.add_dependence_slots(tm_index, [Dependence(0x100, Direction.IN)] * 2, 0, 2)
+        memory._ready_deps[tm_index] = 2  # as the TRS counts ready slots
+        memory.release(tm_index)
+        assert memory.allocate(task_id=8, num_deps=3) == tm_index
+        assert memory._task_id[tm_index] == 8 and memory._num_deps[tm_index] == 3
+        assert memory._ready_deps[tm_index] == 0
+        assert memory._dep_count[tm_index] == 0
 
     def test_allocation_exhaustion(self):
         memory = TaskMemory(entries=2, max_deps_per_task=3)
@@ -41,19 +60,13 @@ class TestTaskMemory:
         tm_index = memory.allocate(0, 0)
         memory.release(tm_index)
         assert not memory.full
-        assert not memory.has_task(0)
         assert memory.allocate(1, 0) == tm_index
+        assert memory._task_id[tm_index] == 1
 
     def test_release_unoccupied_raises(self):
         memory = TaskMemory(entries=2, max_deps_per_task=3)
         with pytest.raises(KeyError):
             memory.release(0)
-
-    def test_duplicate_task_id_rejected(self):
-        memory = TaskMemory(entries=4, max_deps_per_task=3)
-        memory.allocate(5, 0)
-        with pytest.raises(ValueError):
-            memory.allocate(5, 0)
 
     def test_too_many_dependences_rejected(self):
         memory = TaskMemory(entries=4, max_deps_per_task=2)
@@ -75,12 +88,6 @@ class TestTaskMemory:
         with pytest.raises(ValueError):
             memory.add_dependence_slots(tm_index, deps * 2, 2, 4)
 
-    def test_in_flight_listing(self):
-        memory = TaskMemory(entries=4, max_deps_per_task=3)
-        memory.allocate(10, 0)
-        memory.allocate(20, 0)
-        assert set(memory.in_flight_task_ids()) == {10, 20}
-
     def test_one_dependence_per_task_is_a_valid_geometry(self):
         memory = TaskMemory(entries=1, max_deps_per_task=1)
         tm_index = memory.allocate(0, 1)
@@ -95,118 +102,171 @@ class TestTaskMemory:
 
 
 class TestVersionMemory:
+    def test_versions_take_entries_in_index_order(self):
+        dct = way8(vm_entries=4)
+        stored = [store(dct, i, 0x1000 * (i + 1)) for i in range(4)]
+        assert [vm_index for _, vm_index, _ in stored] == [0, 1, 2, 3]
+        assert dct.vm.full and dct.vm.occupied == 4
+        assert store(dct, 4, 0x9000) is StallReason.VM_FULL
+
+    def test_a_retired_entry_is_reused_first_and_reset(self):
+        dct = way8(vm_entries=4)
+        store(dct, 0, 0x1000)
+        # Entry 1: a producer and one reader, both finished.
+        _, version, _ = store(dct, 1, 0x2000)
+        assert store(dct, 2, 0x2000, Direction.IN) == (False, version, -1)
+        store(dct, 3, 0x3000)
+        assert finish(dct, 1, version) == [(slot(2), version)]
+        assert finish(dct, 2, version) == []
+        vm = dct.vm
+        assert not vm._valid[version] and vm.occupied == 2
+        # The lowest free entry is the one just released, and every field
+        # the first tenant wrote is reset for a reader of a new address.
+        assert store(dct, 4, 0x5000, Direction.IN) == (True, version, -1)
+        assert vm._valid[version] and vm._address[version] == 0x5000
+        assert vm._producer[version] == -1
+        assert not vm._producer_finished[version]
+        assert vm._last_consumer[version] == -1
+        assert vm._consumers_arrived[version] == 1
+        assert vm._consumers_finished[version] == 0
+        assert vm._next_version[version] == -1
+        assert vm._dm_handle[version] == dct.dm.lookup(0x5000)
+
     def test_allocate_release_cycle(self):
-        memory = VersionMemory(entries=2)
-        vm_index = memory.allocate(0x100)
-        assert memory.occupied == 1
-        assert memory.is_occupied(vm_index)
-        memory.release(vm_index)
-        assert memory.occupied == 0
-        assert not memory.is_occupied(vm_index)
+        # A released entry goes on top of the free list: the entry released
+        # last is the next one a new version takes.
+        dct = way8(vm_entries=3)
+        versions = [store(dct, i, 0x1000 * (i + 1))[1] for i in range(3)]
+        assert dct.vm.full
+        assert finish(dct, 0, versions[0]) == []
+        assert finish(dct, 2, versions[2]) == []
+        assert dct.vm.occupied == 1
+        assert store(dct, 3, 0x8000)[1] == versions[2]
+        assert store(dct, 4, 0x9000)[1] == versions[0]
+        assert dct.vm.full
 
     def test_exhaustion(self):
-        memory = VersionMemory(entries=1)
-        memory.allocate(0x100)
-        assert memory.full
-        with pytest.raises(VersionMemoryFullError):
-            memory.allocate(0x200)
+        # A new version the VM cannot hold is not stored: the DM way of its
+        # address keeps its latest version, live count and input bit.
+        dct = way8(vm_entries=1)
+        _, version, _ = store(dct, 0, 0x1000, Direction.IN)
+        dm = dct.dm
+        handle = dm.lookup(0x1000)
+        assert dct.vm.full
+        assert store(dct, 1, 0x1000, Direction.OUT) is StallReason.VM_FULL
+        assert dm._latest_vm_index[handle] == version
+        assert dm._live_versions[handle] == 1
+        assert dm._input_only[handle]
+        assert dct.vm._next_version[version] == -1
+        assert dct.vm._consumers_arrived[version] == 1
+
+    def test_live_listing(self):
+        # Every live version of an address caches the same DM way, which
+        # counts them and points at the latest.
+        dct = way8()
+        first = store(dct, 0, 0x100)[1]
+        second = store(dct, 1, 0x100)[1]
+        third = store(dct, 2, 0x200)[1]
+        dm, vm = dct.dm, dct.vm
+        handle, other = dm.lookup(0x100), dm.lookup(0x200)
+        assert vm._dm_handle[first] == vm._dm_handle[second] == handle
+        assert vm._dm_handle[third] == other != handle
+        assert dm._live_versions[handle] == 2 and dm._latest_vm_index[handle] == second
+        assert dm._live_versions[other] == 1 and dm._latest_vm_index[other] == third
+        assert [vm._address[v] for v in (first, second, third)] == [0x100, 0x100, 0x200]
+        assert vm.occupied == 3 and dm.occupied == 2
 
     def test_release_unoccupied_raises(self):
         memory = VersionMemory(entries=2)
         with pytest.raises(KeyError):
             memory.release(0)
 
-    def test_live_listing(self):
-        memory = VersionMemory(entries=4)
-        first = memory.allocate(0x100)
-        second = memory.allocate(0x100)
-        third = memory.allocate(0x200)
-        assert memory.live_versions_of(0x100) == [first, second]
-        assert memory.live_versions_of(0x200) == [third]
-        assert memory.occupied == 3
-
 
 class TestDependenceMemory:
-    def test_lookup_miss_then_hit(self):
-        dm = DependenceMemory(DMDesign.PEARSON8)
-        assert dm.lookup(0x100) == -1
-        handle = dm.allocate(0x100, input_only=True)
-        assert dm.lookup(0x100) == handle
-        assert dm._tag[handle] == 0x100
-
-    def test_release_and_reuse(self):
-        dm = DependenceMemory(DMDesign.PEARSON8)
-        dm.allocate(0x100, input_only=False)
-        dm.release(0x100)
-        assert dm.lookup(0x100) == -1
-        assert dm.occupied == 0
-
-    def test_release_of_the_first_way_of_the_first_set(self):
-        # Handle 0 is a real way: only a negative lookup is a miss.
-        dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        assert dm.allocate(ALIAS, input_only=False) == 0
-        dm.release(ALIAS)
+    def test_a_miss_takes_the_lowest_free_way_of_its_set(self):
+        dct = way8()
+        dm = dct.dm
         assert dm.lookup(ALIAS) == -1
-        assert dm.occupied == 0
-
-    def test_release_missing_raises(self):
-        dm = DependenceMemory(DMDesign.PEARSON8)
-        with pytest.raises(KeyError):
-            dm.release(0x999)
-
-    def test_conflict_on_full_set_direct_hash(self):
-        dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        for i in range(8):
-            dm.allocate(ALIAS + i * STRIDE, input_only=True)
-        with pytest.raises(DependenceMemoryConflict) as exc:
-            dm.allocate(ALIAS + 8 * STRIDE, input_only=True)
-        assert exc.value.set_index == 0
-        assert dm.occupied == 8
-        assert dm.set_is_full(0)
-
-    def test_pearson_design_avoids_aligned_conflicts(self):
-        dm = DependenceMemory(DMDesign.PEARSON8, num_sets=64)
-        stored = 0
-        for i in range(64):
-            try:
-                dm.allocate(ALIAS + i * STRIDE, input_only=True)
-                stored += 1
-            except DependenceMemoryConflict:
-                pass
-        # The direct hash would have stored only 8; Pearson must do far better.
-        assert stored >= 48
-
-    def test_16way_design_has_higher_capacity_per_set(self):
-        dm = DependenceMemory(DMDesign.WAY16, num_sets=64)
-        for i in range(16):
-            dm.allocate(ALIAS + i * STRIDE, input_only=True)
-        with pytest.raises(DependenceMemoryConflict):
-            dm.allocate(ALIAS + 16 * STRIDE, input_only=True)
-
-    def test_capacity_and_occupancy(self):
-        dm = DependenceMemory(DMDesign.WAY8, num_sets=4)
-        assert dm.capacity == 32
-        dm.allocate(0x1, input_only=True)
-        dm.allocate(0x2, input_only=True)
+        _, vm_index, _ = store(dct, 0, ALIAS)
+        handle = dm.lookup(ALIAS)
+        assert handle == dm.set_index(ALIAS) * dm.ways_per_set == 0
+        assert dm._valid[handle] and dm._tag[handle] == ALIAS
+        assert not dm._input_only[handle]
+        assert dm._latest_vm_index[handle] == vm_index
+        assert dm._live_versions[handle] == 1
+        # The next alias of set 0 takes way 1; a reader-only way is input-only.
+        store(dct, 1, ALIAS + STRIDE, Direction.IN)
+        assert dm.lookup(ALIAS + STRIDE) == handle + 1
+        assert dm._input_only[handle + 1]
         assert dm.occupied == 2
 
-    def test_way_priority_is_lowest_free_index(self):
-        dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        first = dm.allocate(ALIAS, input_only=True)
-        second = dm.allocate(ALIAS + STRIDE, input_only=True)
-        assert (first, second) == (0, 1)
+    def test_pearson_design_avoids_aligned_conflicts(self):
+        dct = DependenceChainTracker(0, PicosConfig.paper_prototype(DMDesign.PEARSON8))
+        outcomes = [store(dct, i, ALIAS + i * STRIDE) for i in range(64)]
+        # The direct hash stores 8 of these; the Pearson hash far more.
+        assert sum(o is not StallReason.DM_CONFLICT for o in outcomes) >= 48
+        assert dct.dm.occupied >= 48
 
-    def test_set_occupancy_histogram(self):
-        dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
-        for i in range(4):
-            dm.allocate(ALIAS + i * STRIDE, input_only=True)
-        assert dm.set_occupancy_histogram() == {0: 4}
+    def test_lookup_miss_then_hit(self):
+        dct = DependenceChainTracker(0, PicosConfig.paper_prototype(DMDesign.PEARSON8))
+        dm = dct.dm
+        assert dm.lookup(0x100) == -1
+        store(dct, 0, 0x100, Direction.IN)
+        handle = dm.lookup(0x100)
+        # The way lies in the row of the address's Pearson set.
+        assert handle // dm.ways_per_set == dm.set_index(0x100)
+        assert dm._tag[handle] == 0x100
+        # A hit stores no new way.
+        store(dct, 1, 0x100, Direction.IN)
+        assert dm.lookup(0x100) == handle and dm.occupied == 1
 
-    def test_live_addresses_listing(self):
-        dm = DependenceMemory(DMDesign.PEARSON8)
-        dm.allocate(0xAAA0, input_only=True)
-        dm.allocate(0xBBB0, input_only=True)
-        assert set(dm.live_addresses()) == {0xAAA0, 0xBBB0}
+    def test_release_and_reuse(self):
+        # A recycled way takes the input bit of its new first access.
+        dct = DependenceChainTracker(0, PicosConfig.paper_prototype(DMDesign.PEARSON8))
+        dm = dct.dm
+        _, version, _ = store(dct, 0, 0x100, Direction.IN)
+        handle = dm.lookup(0x100)
+        assert dm._input_only[handle]
+        assert finish(dct, 0, version) == []
+        assert dm.lookup(0x100) == -1 and dm.occupied == 0
+        store(dct, 1, 0x100, Direction.OUT)
+        assert dm.lookup(0x100) == handle
+        assert not dm._input_only[handle]
+        assert dm._live_versions[handle] == 1
+
+    def test_release_of_the_first_way_of_the_first_set(self):
+        # Handle 0 is a real way: only a negative handle is a miss.
+        dct = way8()
+        _, vm_index, _ = store(dct, 0, ALIAS)
+        assert dct.dm.lookup(ALIAS) == 0
+        assert finish(dct, 0, vm_index) == []
+        assert dct.dm.lookup(ALIAS) == -1
+        assert dct.dm._tag[0] == -1 and dct.dm.occupied == 0
+
+    def test_release_clears_the_tag(self):
+        # The tag scan has no valid qualifier: a released way must never
+        # alias a live address, so the release resets every way column.
+        dct = way8()
+        store(dct, 0, ALIAS)
+        store(dct, 1, ALIAS)
+        dm = dct.dm
+        handle = dm.lookup(ALIAS)
+        dm.release_handle(handle)
+        assert dm.lookup(ALIAS) == -1 and dm.occupied == 0
+        assert not dm._valid[handle] and dm._tag[handle] == -1
+        assert dm._latest_vm_index[handle] == -1 and dm._live_versions[handle] == 0
+
+    def test_a_full_set_leaves_the_other_sets_open(self):
+        dct = way8()
+        dm = dct.dm
+        for i in range(8):
+            store(dct, i, ALIAS + i * STRIDE)
+        other = next(a for a in range(ALIAS, ALIAS + STRIDE, 8) if dm.set_index(a) != 0)
+        assert dm.set_is_full(0) and not dm.set_is_full(dm.set_index(other))
+        assert store(dct, 8, other)[0]
+        assert dm.lookup(other) // dm.ways_per_set == dm.set_index(other)
+        assert dm.occupied == 9
+        assert store(dct, 9, ALIAS + 8 * STRIDE) is StallReason.DM_CONFLICT
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -214,60 +274,39 @@ class TestDependenceMemory:
 
 
 class TestDMWayRecycling:
-    """The way-recycling edge: live_versions hitting zero frees the way."""
+    """The way-recycling edge: live versions reaching zero frees the way."""
 
-    def _full_set_dm(self):
-        dm = DependenceMemory(DMDesign.WAY8, num_sets=64)
+    def test_a_freed_way_is_reused_lowest_index_first(self):
+        dct = way8()
+        dm = dct.dm
         addresses = [ALIAS + i * STRIDE for i in range(8)]
-        for address in addresses:
-            dm.allocate(address, input_only=False)
-        return dm, addresses
-
-    def test_release_frees_the_way_for_a_different_tag(self):
-        dm, addresses = self._full_set_dm()
-        newcomer = ALIAS + 8 * STRIDE
-        with pytest.raises(DependenceMemoryConflict):
-            dm.allocate(newcomer, input_only=True)
-        # Retiring the *third* address must make room for the newcomer
-        # (a different tag) in the way that just freed.
-        dm.release(addresses[2])
-        assert not dm.set_is_full(0)
-        # Priority encoder: the freed way is reused.
-        assert dm.allocate(newcomer, input_only=True) == 2
-        assert dm.lookup(newcomer) == 2
-        assert dm.lookup(addresses[2]) == -1
-        # Occupancy is back at 8.
-        assert sum(dm.set_occupancy_histogram().values()) == dm.occupied == 8
-
-    def test_dct_conflict_then_recycle_resumes_cleanly(self):
-        from repro.core.config import PicosConfig
-        from repro.core.dct import DependenceChainTracker, StallReason
-
-        dct = DependenceChainTracker(0, PicosConfig.paper_prototype(DMDesign.WAY8))
-        fillers = [Dependence(ALIAS + i * STRIDE, Direction.OUT) for i in range(8)]
-        outcomes, stall = dct.process_batch(list(range(8)), fillers, 0, 8)
-        assert stall is None
-        ninth = Dependence(ALIAS + 8 * STRIDE, Direction.OUT)
-        assert not dct.can_accept(ninth.address, Direction.OUT)
-        assert dct.process_batch([8], [ninth], 0, 1) == ([], StallReason.DM_CONFLICT)
-
-        # Finishing the first producer completes its version: live_versions
-        # drops to zero and the DM way is recycled for the newcomer.
-        assert dct.process_finish_run([0], [outcomes[0][1]], 0, 1) == []
-        assert dct.dm.lookup(ALIAS) == -1
-        assert dct.can_accept(ninth.address, Direction.OUT)
-        accepted, stall = dct.process_batch([8], [ninth], 0, 1)
-        assert stall is None and accepted[0][0]
-        assert dct.dm.lookup(ninth.address) == 0  # the recycled way
+        versions = [store(dct, i, address)[1] for i, address in enumerate(addresses)]
+        # A reader keeps way 5's version live after its producer ends.
+        assert store(dct, 8, addresses[5], Direction.IN) == (False, versions[5], -1)
+        newcomers = [ALIAS + i * STRIDE for i in range(8, 11)]
+        assert not dct.can_accept(newcomers[0], Direction.OUT)
+        assert store(dct, 9, newcomers[0]) is StallReason.DM_CONFLICT
+        # The way frees when its address's last live version completes:
+        # here on the reader's finish, not on the producer's.
+        assert finish(dct, 5, versions[5]) == [(slot(8), versions[5])]
+        assert dm.set_is_full(0) and not dct.can_accept(newcomers[0], Direction.OUT)
+        assert finish(dct, 8, versions[5]) == []
+        assert not dm._valid[5] and dm._tag[5] == -1
+        assert dm.lookup(addresses[5]) == -1
+        assert not dm.set_is_full(0) and dct.can_accept(newcomers[0], Direction.OUT)
+        # Ways 5, 2 and 6 free in that order.  The priority encoder takes
+        # the lowest free way first: not the one freed first or last.
+        assert finish(dct, 2, versions[2]) == []
+        assert finish(dct, 6, versions[6]) == []
+        assert dm.occupied == 5
+        for tm_index, newcomer in enumerate(newcomers, start=9):
+            assert store(dct, tm_index, newcomer)[0]
+        assert [dm.lookup(newcomer) for newcomer in newcomers] == [2, 5, 6]
+        assert dm.occupied == 8 and dct.stats.dm_conflicts == 1
 
     def test_conflict_then_recycle_agrees_on_every_delivery_path(self):
-        from repro.core.config import PicosConfig
         from repro.sim.request import SimulationRequest
-        from tests.helpers import (
-            assert_delivery_paths_agree,
-            make_program,
-            run_delivery_paths,
-        )
+        from tests.helpers import assert_delivery_paths_agree, make_program, run_delivery_paths
 
         # 12 independent producers of set-0-aliasing addresses with equal
         # durations: the DM set fills, submissions stall, and several

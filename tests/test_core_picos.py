@@ -47,6 +47,30 @@ class TestSubmitInterface:
         assert accelerator.in_flight == 1
         assert accelerator.tasks_finished == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [PicosConfig(), PicosConfig(num_trs=2, num_dct=2), PicosConfig(tm_entries=1)],
+        ids=["one-trs", "two-trs", "full-tm"],
+    )
+    def test_a_task_id_in_flight_is_refused_before_any_state_changes(self, config):
+        accelerator = PicosAccelerator(config)
+        accelerator.submit_task(make_task(0, [(A, Direction.OUT)]))
+
+        def state():
+            return (
+                accelerator.stats.as_dict(),
+                dict(accelerator.gateway._slot_of_task),
+                [trs.in_flight for trs in accelerator.trs_instances],
+                [dct.dm.occupied for dct in accelerator.dct_instances],
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="task 0 is already in flight"):
+            accelerator.submit_task(make_task(0, [(B, Direction.OUT)]))
+        assert state() == before
+        accelerator.notify_finish(0)
+        assert accelerator.is_drained()
+
     def test_describe_contains_key_counters(self, accelerator):
         accelerator.submit_task(make_task(0))
         description = accelerator.describe()

@@ -39,7 +39,7 @@ class TestNewTaskPath:
     def test_task_without_dependences_is_ready_immediately(self, trs):
         tm_index, ready = trs.accept_task(7, 0)
         assert ready
-        assert trs.tm_index_of(7) == tm_index
+        assert trs.task_memory._task_id[tm_index] == 7
         assert trs.stats.tasks_without_deps == 1
         trs.accept_task(8, 2)
         assert trs.stats.tasks_without_deps == 1
@@ -53,6 +53,18 @@ class TestNewTaskPath:
         tm_index, _ = trs.accept_task(3, 1)
         slots = trs.record_dependences(tm_index, readers(1), 0, 1)
         assert list(slots) == [trs.slot_base + tm_index * trs.slot_stride]
+
+    def test_slot_handles_are_globally_unique_per_trs(self):
+        config = PicosConfig()
+        first = TaskReservationStation(0, config)
+        second = TaskReservationStation(1, config)
+        ti0, _ = first.accept_task(0, 1)
+        ti1, _ = second.accept_task(1, 1)
+        range0 = first.record_dependences(ti0, readers(1), 0, 1)
+        range1 = second.record_dependences(ti1, readers(1), 0, 1)
+        assert range0[0] == ti0 * first.slot_stride
+        assert range1[0] == second.slot_base + ti1 * second.slot_stride
+        assert second.slot_base == config.tm_entries * config.max_deps_per_task
 
     def test_capacity_status(self, trs):
         assert trs.has_free_slot
@@ -105,14 +117,15 @@ class TestReadiness:
 
 class TestFinishPath:
     def test_finish_emits_one_run_entry_per_dependence(self, trs):
+        # Pragma order, not address or version order.
         tm_index, _ = trs.accept_task(4, 2)
-        deps = [Dependence(0x100, Direction.OUT), Dependence(0x200, Direction.IN)]
+        deps = [Dependence(0x200, Direction.OUT), Dependence(0x100, Direction.IN)]
         slots = trs.record_dependences(tm_index, deps, 0, 2)
-        trs.apply_submission_outcomes(tm_index, 0, [(True, 0, -1), (True, 1, -1)])
+        trs.apply_submission_outcomes(tm_index, 0, [(True, 6, -1), (True, 4, -1)])
         finish_slots, vm_indices, addresses = trs.handle_finished(4, tm_index)
         assert list(finish_slots) == list(slots)
-        assert vm_indices == [0, 1]
-        assert addresses == [0x100, 0x200]
+        assert vm_indices == [6, 4]
+        assert addresses == [0x200, 0x100]
         assert trs.in_flight == 0
         assert trs.stats.tasks_retired == 1
 
@@ -126,8 +139,20 @@ class TestFinishPath:
         with pytest.raises(ValueError):
             trs.handle_finished(99, tm_index)
 
-    def test_lookup_helpers(self, trs):
-        tm_index, _ = trs.accept_task(11, 0)
-        assert trs.holds_task(11)
-        assert trs.tm_index_of(11) == tm_index
-        assert not trs.holds_task(12)
+    def test_recycled_entry_exposes_no_stale_slot_state(self, trs):
+        # Allocating over a released entry must reset every TMX field:
+        # a stale ready bit or predecessor link from the previous tenant
+        # would corrupt the readiness count of the new task.
+        tm_index, _ = trs.accept_task(7, 2)
+        deps = [Dependence(0x1000, Direction.OUT), Dependence(0x2000, Direction.OUT)]
+        slots = trs.record_dependences(tm_index, deps, 0, 2)
+        trs.apply_submission_outcomes(tm_index, 0, [(True, 0, -1), (False, 1, slots[0])])
+        trs.handle_ready_slot(slots[1], 1)
+        trs.handle_finished(7, tm_index)
+        # The freed entry is recycled for a different task.
+        new_index, _ = trs.accept_task(8, 2)
+        assert new_index == tm_index
+        new_slots = trs.record_dependences(tm_index, deps, 0, 2)
+        ready_task, chained = trs.handle_ready_slot(new_slots[0], 5)
+        assert ready_task is None  # one of two deps ready, not both
+        assert chained == -1  # no stale predecessor link

@@ -119,13 +119,14 @@ class TestRequestDocuments:
         assert excinfo.value.code == "bad-request"
         assert "unknown request field(s): seed" in str(excinfo.value)
 
-    def test_the_retired_datapath_knob_is_an_unknown_config_field(self):
+    @pytest.mark.parametrize(
+        "knob, value", [("reference_datapath", True), ("comm_messages_per_task", 3)]
+    )
+    def test_the_retired_datapath_knob_is_an_unknown_config_field(self, knob, value):
         with pytest.raises(ProtocolError) as excinfo:
-            request_from_document(
-                {"backend": "hil-full", "config": {"reference_datapath": True}}
-            )
+            request_from_document({"backend": "hil-full", "config": {knob: value}})
         assert excinfo.value.code == "bad-request"
-        assert "unknown config field(s): reference_datapath" in str(excinfo.value)
+        assert f"unknown config field(s): {knob}" in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "document",

@@ -180,6 +180,26 @@ class TestStepperContract:
         with pytest.raises(RuntimeError):
             simulator.enable_lifecycle_log()
 
+    @pytest.mark.parametrize(
+        "peek", [None, 500, 1_000], ids=["no-event", "left-behind", "at-horizon"]
+    )
+    def test_a_stalled_engine_raises_instead_of_slicing_forever(self, peek):
+        # A queue that reports work but holds no event past the slice: a
+        # drain loop over such slices would never end.
+        class StalledSimulator:
+            queue = dataclasses.make_dataclass(
+                "Queue", [("now", int), ("empty", bool), ("peek_time", object)]
+            )(0, False, peek)
+
+            def enable_lifecycle_log(self):
+                return []
+
+            def step(self, stop_at_cycle):
+                pass
+
+        with pytest.raises(RuntimeError, match="stalled at cycle 1000"):
+            EngineStepper(StalledSimulator()).advance(1_000)
+
     def test_stepper_advance_rejects_non_positive_slices(self, cholesky_small):
         stepper = EngineStepper(
             HILBackend(HILMode.FULL_SYSTEM).simulator(cholesky_small, num_workers=4)

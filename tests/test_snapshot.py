@@ -1140,8 +1140,9 @@ class TestForgedConsistency:
         [
             ({"workers": "four"}, "workers"),
             ({"config": {"reference_datapath": True}}, "unknown config field"),
+            ({"config": {"comm_messages_per_task": 3}}, "unknown config field"),
         ],
-        ids=["workers-not-an-int", "retired-config-field"],
+        ids=["workers-not-an-int", "retired-config-field", "retired-comm-messages-field"],
     )
     def test_a_request_the_decoder_refuses_is_a_snapshot_error(self, fields, message):
         snapshot = _forged_state_snapshot(
